@@ -196,6 +196,13 @@ impl ApfManager {
         &self.freeze_len
     }
 
+    /// The last synchronized model — the values frozen scalars are rolled
+    /// back to. Lets a caller that already holds the round's mask roll back
+    /// with `mask_fill` instead of rebuilding the mask per call.
+    pub fn pinned(&self) -> &[f32] {
+        &self.pinned
+    }
+
     /// Current per-scalar effective perturbations (EMA form).
     pub fn perturbations(&self) -> Vec<f32> {
         self.ema.values()

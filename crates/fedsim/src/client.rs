@@ -125,6 +125,7 @@ impl Client {
                 let mut flat = self.trainer.model_mut().flat_params();
                 post_iteration(&mut flat);
                 self.trainer.model_mut().load_flat(&flat);
+                apf_tensor::scratch::give(flat);
                 done += 1;
             }
         }

@@ -664,8 +664,9 @@ impl FlRunner {
             let comm = self
                 .strategy
                 .sync_round(round, &mut locals, &weights, &mut self.global);
-            for (c, l) in self.clients.iter_mut().zip(&locals) {
-                c.load_flat(l);
+            for (c, l) in self.clients.iter_mut().zip(locals) {
+                c.load_flat(&l);
+                apf_tensor::scratch::give(l);
             }
             comm
         };

@@ -252,12 +252,17 @@ impl SyncStrategy for PartialSync {
 // APF family (plus strawman 2 via permanent freezing)
 // ---------------------------------------------------------------------------
 
-/// Builds freezing-period controllers for [`ApfStrategy`] (one per client,
-/// all identical).
+/// Builds the freezing-period controller of an [`ApfStrategy`]'s manager.
 pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + Sync>;
 
-/// The APF strategy (§4–6): per-client [`ApfManager`]s with identical
-/// client-side masks; optionally stacked with fp16 quantization (§7.7).
+/// The APF strategy (§4–6): one [`ApfManager`] and one freeze mask per round
+/// for the whole fleet; optionally stacked with fp16 quantization (§7.7).
+///
+/// Every client's manager would derive the same mask from the same
+/// synchronized state (§6.2), so N replicas evolve bit for bit alike and the
+/// simulator keeps a single one (as [`crate::PopulationRunner`] does).
+/// Networked clients do each run their own replica; the parity tests in
+/// `apf-net` are the live proof that they agree.
 ///
 /// With a [`FixedPeriod`] controller of `u32::MAX` rounds this degenerates
 /// into strawman 2 of §4.1 (permanent freezing) — see
@@ -265,7 +270,13 @@ pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + 
 pub struct ApfStrategy {
     cfg: ApfConfig,
     controller_factory: ControllerFactory,
-    managers: Vec<ApfManager>,
+    /// The fleet's manager; `None` before [`SyncStrategy::init`].
+    manager: Option<ApfManager>,
+    /// The freeze mask of one round, tagged with that round. Written only
+    /// under `&mut self` (`init`, `sync_round`, `set_filter_layout`), so the
+    /// concurrent `&self` rollback hook can read it without a lock; a hook
+    /// or sync for any other round rebuilds the mask from the manager.
+    round_mask: Option<(u64, FreezeMask)>,
     quantize_f16: bool,
     label: String,
     layout: Vec<(String, usize)>,
@@ -276,7 +287,6 @@ impl std::fmt::Debug for ApfStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ApfStrategy")
             .field("label", &self.label)
-            .field("clients", &self.managers.len())
             .finish()
     }
 }
@@ -303,7 +313,8 @@ impl ApfStrategy {
         Ok(ApfStrategy {
             cfg,
             controller_factory: factory,
-            managers: Vec::new(),
+            manager: None,
+            round_mask: None,
             quantize_f16: false,
             label: label.to_owned(),
             layout: Vec::new(),
@@ -349,9 +360,10 @@ impl ApfStrategy {
         self
     }
 
-    /// The per-client managers (for inspection in tests/experiments).
+    /// The fleet's manager as a one-element slice (empty before
+    /// [`SyncStrategy::init`]), for inspection in tests/experiments.
     pub fn managers(&self) -> &[ApfManager] {
-        &self.managers
+        self.manager.as_slice()
     }
 }
 
@@ -360,40 +372,33 @@ impl SyncStrategy for ApfStrategy {
         self.label.clone()
     }
 
-    fn init(&mut self, init_params: &[f32], num_clients: usize) {
-        self.managers = (0..num_clients)
-            .map(|_| {
-                ApfManager::new(init_params, self.cfg, (self.controller_factory)())
-                    .expect("config validated at strategy construction")
-            })
-            .collect();
-        // Masks are identical on every client, so layer telemetry from
-        // manager 0 alone describes the whole fleet without duplication.
-        if let Some(m) = self.managers.first_mut() {
-            m.set_layout(self.layout.clone());
-        }
-        // Filter coarsening changes the masks themselves, so every manager
-        // must carry the same segment layout.
+    fn init(&mut self, init_params: &[f32], _num_clients: usize) {
+        let mut manager = ApfManager::new(init_params, self.cfg, (self.controller_factory)())
+            .expect("config validated at strategy construction");
+        manager.set_layout(self.layout.clone());
         if !self.filter_segments.is_empty() {
-            for m in &mut self.managers {
-                m.set_filter_layout(self.filter_segments.clone())
-                    .expect("filter layout must cover the model");
-            }
+            manager
+                .set_filter_layout(self.filter_segments.clone())
+                .expect("filter layout must cover the model");
         }
+        self.round_mask = Some((0, manager.frozen_mask_packed(0)));
+        self.manager = Some(manager);
     }
 
     fn set_model_layout(&mut self, layout: Vec<(String, usize)>) {
         self.layout = layout.clone();
-        if let Some(m) = self.managers.first_mut() {
+        if let Some(m) = &mut self.manager {
             m.set_layout(layout);
         }
     }
 
     fn set_filter_layout(&mut self, segments: Vec<usize>) {
         self.filter_segments = segments.clone();
-        for m in &mut self.managers {
-            m.set_filter_layout(segments.clone())
+        if let Some(m) = &mut self.manager {
+            m.set_filter_layout(segments)
                 .expect("filter layout must cover the model");
+            // Coarsening changes the masks themselves.
+            self.round_mask = None;
         }
     }
 
@@ -404,22 +409,20 @@ impl SyncStrategy for ApfStrategy {
         weights: &[f32],
         global: &mut Vec<f32>,
     ) -> RoundComm {
-        assert_eq!(
-            locals.len(),
-            self.managers.len(),
-            "strategy not initialized"
-        );
+        let manager = self.manager.as_mut().expect("strategy not initialized");
         let n = global.len();
-        // Masks are identical on every client (§6.2): compute once and drive
-        // everything below from its unfrozen runs — no compact gather per
-        // client, no per-scalar branches.
-        let mask = self.managers[0].frozen_mask_packed(round);
+        // One mask drives everything below from its unfrozen runs — no
+        // compact gather per client, no per-scalar branches.
+        let mask = match self.round_mask.take() {
+            Some((r, mask)) if r == round => mask,
+            _ => manager.frozen_mask_packed(round),
+        };
         let words = mask.words();
         // Rollback every client; the fp16 wire hop is applied in place to
         // the unfrozen runs (aggregation overwrites them below, and frozen
         // slots never touch the wire).
-        for (m, l) in self.managers.iter().zip(locals.iter_mut()) {
-            m.rollback(l, round);
+        for l in locals.iter_mut() {
+            apf_tensor::mask_fill(l, manager.pinned(), words);
             if self.quantize_f16 {
                 mask.for_each_unfrozen_run_in(0, n, |s, e| f16_roundtrip_in_place(&mut l[s..e]));
             }
@@ -427,8 +430,8 @@ impl SyncStrategy for ApfStrategy {
         // Weighted mean of the unfrozen runs, accumulated full-length:
         // bitwise equal to averaging compact uploads, scalar for scalar.
         let total: f32 = weights.iter().sum();
-        let mut agg = vec![0.0f32; n];
-        if total > 0.0 && !locals.is_empty() {
+        let mut agg = apf_tensor::scratch::take(n);
+        if total > 0.0 {
             for (l, &w) in locals.iter().zip(weights) {
                 if w == 0.0 {
                     continue;
@@ -444,30 +447,42 @@ impl SyncStrategy for ApfStrategy {
         if self.quantize_f16 {
             mask.for_each_unfrozen_run_in(0, n, |s, e| f16_roundtrip_in_place(&mut agg[s..e]));
         }
-        // Write back and run the stability machinery.
-        let mut comm = RoundComm::default();
-        for (i, (m, l)) in self.managers.iter_mut().zip(locals.iter_mut()).enumerate() {
-            m.apply_aggregate_dense(l, &agg, round);
-            let rep = m.finish_round(l, round);
-            comm.bytes_up += rep.bytes_up;
-            comm.bytes_down += rep.bytes_down;
-            comm.max_client_up = comm.max_client_up.max(rep.bytes_up);
-            comm.max_client_down = comm.max_client_down.max(rep.bytes_down);
-            if i == 0 {
-                comm.frozen_ratio = rep.frozen_ratio();
-            }
+        // Write back and run the stability machinery once: every local ends
+        // up with `agg` in its unfrozen slots and the pinned values in its
+        // frozen ones, so client 0's vector is everyone's.
+        let (first, rest) = locals
+            .split_first_mut()
+            .expect("sync_round needs at least one client");
+        manager.apply_aggregate_dense(first, &agg, round);
+        apf_tensor::scratch::give(agg);
+        let rep = manager.finish_round(first, round);
+        global.copy_from_slice(first);
+        for l in rest {
+            l.copy_from_slice(first);
         }
-        global.copy_from_slice(&locals[0]);
-        comm
+        self.round_mask = Some((round + 1, manager.frozen_mask_packed(round + 1)));
+        let fleet = locals.len() as u64;
+        RoundComm {
+            bytes_up: rep.bytes_up * fleet,
+            bytes_down: rep.bytes_down * fleet,
+            max_client_up: rep.bytes_up,
+            max_client_down: rep.bytes_down,
+            frozen_ratio: rep.frozen_ratio(),
+        }
     }
 
-    fn post_local_iteration(&self, round: u64, client: usize, params: &mut [f32]) {
-        self.managers[client].rollback(params, round);
+    fn post_local_iteration(&self, round: u64, _client: usize, params: &mut [f32]) {
+        let manager = self.manager.as_ref().expect("strategy not initialized");
+        match &self.round_mask {
+            Some((r, mask)) if *r == round => {
+                apf_tensor::mask_fill(params, manager.pinned(), mask.words());
+            }
+            _ => manager.rollback(params, round),
+        }
     }
 
     fn layer_frozen_ratios(&self, round: u64) -> Vec<(String, f64)> {
-        // Masks are identical across clients: manager 0 describes the fleet.
-        let Some(m) = self.managers.first() else {
+        let Some(m) = &self.manager else {
             return Vec::new();
         };
         if self.layout.is_empty() {

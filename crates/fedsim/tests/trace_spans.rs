@@ -209,12 +209,11 @@ fn three_round_run_emits_expected_events() {
     let seen: Vec<u64> = complete.iter().map(|v| u64_field(v, "round")).collect();
     assert_eq!(seen, vec![0, 1, 2], "round_complete rounds in order");
 
-    // Manager telemetry: one round summary per round per client manager
-    // (bytes are per-client), plus per-layer freeze breakdowns covering
-    // every parameter of the MLP each round (manager 0 only — masks are
-    // identical across clients).
+    // Manager telemetry: the fleet's one manager emits one round summary
+    // per round (bytes are per-client), plus per-layer freeze breakdowns
+    // covering every parameter of the MLP each round.
     let mgr_rounds = events(&records, "apf.manager", "round");
-    assert_eq!(mgr_rounds.len(), ROUNDS * 3);
+    assert_eq!(mgr_rounds.len(), ROUNDS);
     let per_layer = events(&records, "apf.manager", "layer_freeze");
     // mlp [in, 12, 10] = 2 Linear layers x (weight + bias) = 4 named params.
     assert_eq!(per_layer.len(), ROUNDS * 4);
@@ -243,6 +242,30 @@ fn three_round_run_emits_expected_events() {
         .collect();
     assert_eq!(phases.iter().filter(|p| **p == "init_broadcast").count(), 1);
     assert_eq!(phases.iter().filter(|p| **p == "sync").count(), ROUNDS);
+    // The sync transfers carry fleet totals (per-client bytes x 3 clients)
+    // next to the per-client maximum, so `trace-report` byte views do not
+    // depend on how many managers the strategy keeps.
+    let syncs = transfers.iter().filter(|v| {
+        v.get("fields")
+            .and_then(|f| f.get("phase"))
+            .and_then(Value::as_str)
+            == Some("sync")
+    });
+    for (sync, mgr) in syncs.zip(&mgr_rounds) {
+        assert_eq!(u64_field(sync, "round"), u64_field(mgr, "round"));
+        for (fleet, max_client, per_client) in [
+            ("bytes_up", "max_client_up", u64_field(mgr, "bytes_up")),
+            (
+                "bytes_down",
+                "max_client_down",
+                u64_field(mgr, "bytes_down"),
+            ),
+        ] {
+            assert!(per_client > 0);
+            assert_eq!(u64_field(sync, fleet), per_client * 3);
+            assert_eq!(u64_field(sync, max_client), per_client);
+        }
+    }
 
     // Per-client events: 3 clients x 3 rounds at Debug.
     assert_eq!(

@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 use apf_trace::metrics::{counter, gauge, histogram};
 use apf_trace::{current_context, event, span, Level, Role, TraceContext};
@@ -51,6 +52,18 @@ fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Serialises the measurements. The trace level and the metrics registry
+/// are process-global and libtest runs the tests of this binary on parallel
+/// threads; allocations are counted per thread, so they do not race today,
+/// but holding this for each test's whole body keeps it that way if a test
+/// here ever enables tracing (as `apf-prof`'s twin binary does with its
+/// profiler). (A panicking holder poisons it; the `()` inside cannot be
+/// left inconsistent, so later tests carry on.)
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The exact span/event shapes `server.rs`/`client.rs` emit each round,
 /// run with tracing disabled.
 fn net_instrumentation_workload(iters: u64) -> u64 {
@@ -77,6 +90,7 @@ fn net_instrumentation_workload(iters: u64) -> u64 {
 
 #[test]
 fn disabled_net_instrumentation_does_not_allocate() {
+    let _serial = serial();
     // Warm-up excludes any lazy runtime setup from the measurement.
     std::hint::black_box(net_instrumentation_workload(10));
     let before = allocs();
@@ -92,6 +106,7 @@ fn disabled_net_instrumentation_does_not_allocate() {
 
 #[test]
 fn trace_context_wire_path_does_not_allocate() {
+    let _serial = serial();
     // Per-frame context work on the wire path: construct, link, encode,
     // decode, read the ambient context. All fixed-size, all stack-only.
     let ctx = TraceContext::new(0xfeed_beef, Role::Client(2));
@@ -116,6 +131,7 @@ fn trace_context_wire_path_does_not_allocate() {
 
 #[test]
 fn metric_updates_through_resolved_handles_do_not_allocate() {
+    let _serial = serial();
     // Resolving a handle interns the name (allocates, once per run) —
     // updating through it afterwards is the per-round path and must not.
     let c = counter("alloc_test.wire_bytes");

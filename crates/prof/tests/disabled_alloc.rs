@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 use apf_prof::alloc::ProfAlloc;
 use apf_trace::{event, span, Level};
@@ -47,6 +48,16 @@ fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// The profiler session and the trace gate are process-global, and libtest
+/// runs the tests of this binary on parallel threads: one test starting a
+/// session would break the other's "nothing is running" precondition. Every
+/// test holds this for its whole body. (A panicking holder poisons it; the
+/// `()` inside cannot be left inconsistent, so later tests carry on.)
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The span/event shapes the fedsim round loop and net round loop emit,
 /// with tracing AND profiling disabled.
 fn instrumentation_workload(iters: u64) -> u64 {
@@ -69,6 +80,7 @@ fn instrumentation_workload(iters: u64) -> u64 {
 
 #[test]
 fn disabled_profiler_and_tracing_do_not_allocate() {
+    let _serial = serial();
     assert!(!apf_prof::is_running());
     assert!(!apf_trace::stack_tracking());
     // Warm-up excludes any lazy runtime setup from the measurement.
@@ -86,6 +98,7 @@ fn disabled_profiler_and_tracing_do_not_allocate() {
 
 #[test]
 fn enabling_then_disabling_restores_the_free_path() {
+    let _serial = serial();
     // A completed profiling session must leave the disabled path free
     // again (modulo the retained per-thread stack registration).
     assert!(apf_prof::start(std::time::Duration::from_millis(1)));

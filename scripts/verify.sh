@@ -236,6 +236,18 @@ echo "== kernel bench regression vs committed baseline =="
 # otherwise (absolute kernel numbers are not comparable across machines).
 scripts/bench_check.sh
 
+echo "== benchmark harness: output checks (smoke) and self-tests =="
+# The BENCHMARK.json harness drives the program through the public API
+# surface listed in benchmark/README.md and checks its outputs (staged round
+# == FlRunner, replay manager's masks == the strategy's, net log == staged
+# sim). Five rounds per workload, checks only — no timing is read here. A
+# change that breaks one of those checks, or no longer compiles against the
+# harness, fails here instead of in the pipeline. (The harness refuses to
+# start with any APF_* variable set; this script exports none.)
+bash benchmark/run.sh --smoke > /dev/null
+(cd benchmark && cargo test -q --offline)
+echo "OK: every workload's output checks pass; harness self-tests pass"
+
 echo "== dependency hermeticity =="
 # Every node in the dependency graph must live inside this repository.
 external=$(cargo tree --offline --workspace --edges normal,build,dev --prefix none \
