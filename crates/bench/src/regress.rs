@@ -196,10 +196,10 @@ pub fn find_baseline(records: &[LedgerRecord], candidate_index: usize) -> Option
 pub struct BenchRow {
     /// Pool size of the row.
     pub threads: u64,
-    /// Whether the producing host could actually run this many threads
-    /// (`threads <= host_parallelism`). Unreliable baseline rows are noise
-    /// and are skipped by [`check_bench_json`]. Absent means reliable —
-    /// baselines predate the field.
+    /// Whether the producing host could run this many threads undisturbed
+    /// (serial, or `threads < host_parallelism`). Unreliable baseline rows
+    /// are noise and are skipped by [`check_bench_json`]. Absent means
+    /// reliable — baselines predate the field.
     pub reliable: bool,
     /// Matmul throughput, GFLOP/s (higher is better).
     pub matmul_gflops: f64,

@@ -22,10 +22,7 @@ pub fn sample_gamma(shape: f64, rng: &mut Rng) -> f64 {
     let d = shape - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        // Standard normal via Box-Muller.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let x = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let x = rng.normal_f64();
         let v = (1.0 + c * x).powi(3);
         if v <= 0.0 {
             continue;

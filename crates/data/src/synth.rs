@@ -104,15 +104,15 @@ impl SynthImageGen {
     pub fn fill_split(&self, n: usize, split: u64, data: &mut Vec<f32>, labels: &mut Vec<usize>) {
         let mut rng = seeded_rng(derive_seed(derive_seed(self.seed, 0x5A3F), split));
         data.clear();
-        data.reserve(n * self.sample_numel());
+        data.resize(n * self.sample_numel(), 0.0);
         labels.clear();
         labels.reserve(n);
-        for i in 0..n {
+        for (i, row) in data.chunks_exact_mut(self.sample_numel()).enumerate() {
             let class = i % NUM_CLASSES;
             let brightness = 0.6 * sample_normal(&mut rng);
-            let proto = &self.prototypes[class];
-            for &p in proto {
-                data.push(p + 2.0 * sample_normal(&mut rng) + brightness);
+            rng.fill_normal_f32(row);
+            for (v, &p) in row.iter_mut().zip(&self.prototypes[class]) {
+                *v = p + 2.0 * *v + brightness;
             }
             labels.push(class);
         }
@@ -159,15 +159,18 @@ pub fn synth_kws_split(n: usize, seed: u64, split: u64) -> Dataset {
         phases.push(p);
     }
     let mut rng = seeded_rng(derive_seed(derive_seed(seed, 0x4B58), split));
-    let mut data = Vec::with_capacity(n * t_len * d_feat);
+    // The noise stream is the only consumer of `rng`, so one fill draws it
+    // in the order the per-element loop below reads it.
+    let mut data = vec![0.0f32; n * t_len * d_feat];
+    rng.fill_normal_f32(&mut data);
     let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
+    for (i, sample) in data.chunks_exact_mut(t_len * d_feat).enumerate() {
         let class = i % NUM_CLASSES;
-        for t in 0..t_len {
-            for d in 0..d_feat {
+        for (t, step) in sample.chunks_exact_mut(d_feat).enumerate() {
+            for (d, v) in step.iter_mut().enumerate() {
                 let angle = std::f32::consts::TAU * freqs[class][d] * t as f32 / t_len as f32
                     + phases[class][d];
-                data.push(angle.sin() + 1.2 * sample_normal(&mut rng));
+                *v = angle.sin() + 1.2 * *v;
             }
         }
         labels.push(class);

@@ -434,7 +434,7 @@ impl PopulationRunner {
     /// first use, re-binding (and recycling) it otherwise — and restores
     /// the client's dormant state. Returns whether this is the client's
     /// first-ever participation.
-    fn materialize(&mut self, slot: usize, id: u64, _round: u64) -> bool {
+    fn materialize(&mut self, slot: usize, id: u64) -> bool {
         let shard = self.make_shard(id);
         let dormant = self.registry.get(id).map(unpack_dormant);
         let first_time = dormant.is_none();
@@ -483,26 +483,28 @@ impl PopulationRunner {
     }
 
     /// Trains the first `count` shells (one local round each), writing mean
-    /// batch losses into `losses`. Parallel over the `apf-par` pool when
+    /// batch losses into `losses`. `words` is the round's packed freeze
+    /// mask: after every local iteration the frozen scalars are pinned back
+    /// with it (Alg. 1 line 2), without the per-call mask rebuild the
+    /// manager's own method would do. Parallel over the `apf-par` pool when
     /// configured; bitwise identical either way.
-    fn train_block(&mut self, round: u64, count: usize, losses: &mut [f32]) {
+    fn train_block(&mut self, words: &[u64], count: usize, losses: &mut [f32]) {
         let local_iters = self.cfg.fl.local_iters;
         let parallel = self.cfg.fl.parallel;
-        let mgr = &self.mgr;
+        let pinned = self.mgr.pinned();
+        let hook = &|p: &mut [f32]| apf_tensor::mask_fill(p, pinned, words);
         let shells = &mut self.shells[..count];
         if parallel && count > 1 {
             apf_par::scope(|s| {
                 for (shell, slot) in shells.iter_mut().zip(losses.iter_mut()) {
                     s.spawn(move || {
-                        let hook = |p: &mut [f32]| mgr.rollback(p, round);
-                        *slot = shell.client.local_round(local_iters, &hook);
+                        *slot = shell.client.local_round(local_iters, hook);
                     });
                 }
             });
         } else {
             for (shell, slot) in shells.iter_mut().zip(losses.iter_mut()) {
-                let hook = |p: &mut [f32]| mgr.rollback(p, round);
-                *slot = shell.client.local_round(local_iters, &hook);
+                *slot = shell.client.local_round(local_iters, hook);
             }
         }
     }
@@ -512,18 +514,22 @@ impl PopulationRunner {
         let _round_span = span!(Level::Info, target: "fedsim.pop", "round", round = round);
         let n = self.global.len();
         let block = self.cfg.shells;
+        // The one mask of this round: the manager is not mutated until
+        // `apply_aggregate_dense`, so every `mask_fill` below shares it.
         let mask = self.mgr.frozen_mask_packed(round);
-        let words = mask.words().to_vec();
+        let words = mask.words();
         let mut cohort: Vec<u64> = Vec::new();
         let mut losses: Vec<f32> = Vec::new();
         let mut agg = slab::take(n);
         let mut new_clients = 0u64;
         let mut compute_secs = 0.0f64;
+        let mut report = None;
         let mut events = std::collections::VecDeque::new();
         events.push_back(RoundEvent::Sample);
         while let Some(ev) = events.pop_front() {
             match ev {
                 RoundEvent::Sample => {
+                    let _s = span!(Level::Info, target: "fedsim.pop", "sample", round = round);
                     cohort = self.sample_cohort(round);
                     losses = vec![0.0f32; cohort.len()];
                     let mut lo = 0;
@@ -535,57 +541,68 @@ impl PopulationRunner {
                 }
                 RoundEvent::Train { lo } => {
                     let hi = (lo + block).min(cohort.len());
+                    let s = span!(Level::Info, target: "fedsim.pop", "materialize",
+                        round = round, clients = hi - lo);
                     for (slot, idx) in (lo..hi).enumerate() {
-                        if self.materialize(slot, cohort[idx], round) {
+                        if self.materialize(slot, cohort[idx]) {
                             new_clients += 1;
                         }
                     }
+                    drop(s);
+                    let s = span!(Level::Info, target: "fedsim.pop", "local_train",
+                        round = round, clients = hi - lo);
                     let t0 = Instant::now();
-                    self.train_block(round, hi - lo, &mut losses[lo..hi]);
+                    self.train_block(words, hi - lo, &mut losses[lo..hi]);
                     compute_secs += t0.elapsed().as_secs_f64();
+                    drop(s);
                     // Aggregate in ascending client order — the same f32
                     // accumulation order as FlRunner's per-client loop.
+                    let _s = span!(Level::Info, target: "fedsim.pop", "aggregate",
+                        round = round, clients = hi - lo);
                     for slot in 0..hi - lo {
                         let mut flat = self.shells[slot].client.flat_params();
-                        self.mgr.rollback(&mut flat, round);
+                        apf_tensor::mask_fill(&mut flat, self.mgr.pinned(), words);
                         if self.cfg.wire_f16 {
                             mask.for_each_unfrozen_run_in(0, n, |s, e| {
                                 f16_roundtrip_in_place(&mut flat[s..e]);
                             });
                         }
-                        apf_tensor::masked_axpy(&mut agg, &flat, 1.0, &words);
+                        apf_tensor::masked_axpy(&mut agg, &flat, 1.0, words);
                         apf_tensor::scratch::give(flat);
                         self.suspend(slot);
                     }
                 }
                 RoundEvent::Finalize => {
+                    let _s = span!(Level::Info, target: "fedsim.pop", "sync", round = round);
                     // Weight total accumulated exactly as FlRunner sums its
                     // per-client unit weights.
                     let mut total = 0.0f32;
                     for _ in 0..cohort.len() {
                         total += 1.0;
                     }
-                    apf_tensor::masked_div(&mut agg, total, &words);
+                    apf_tensor::masked_div(&mut agg, total, words);
                     if self.cfg.wire_f16 {
                         mask.for_each_unfrozen_run_in(0, n, |s, e| {
                             f16_roundtrip_in_place(&mut agg[s..e]);
                         });
                     }
                     self.mgr.apply_aggregate_dense(&mut self.rep, &agg, round);
+                    report = Some(self.mgr.finish_round(&self.rep, round));
+                    self.global.copy_from_slice(&self.rep);
+                    // The shared manager's round-boundary dormant hop:
+                    // encode → decode through the configured codec, proving
+                    // the compact form carries everything the next round
+                    // needs.
+                    let snapshot = self.mgr.snapshot();
+                    let dormant = DormantApfState::encode(&snapshot, self.cfg.codec);
+                    self.mgr_dormant_bytes = dormant.len_bytes();
+                    let restored = dormant.decode(self.cfg.apf).expect("self-encoded blob");
+                    self.mgr = ApfManager::restore(restored, Box::new(Aimd::default()));
                 }
             }
         }
-        let report = self.mgr.finish_round(&self.rep, round);
-        self.global.copy_from_slice(&self.rep);
+        let report = report.expect("Sample always schedules Finalize");
         slab::give(agg);
-        // The shared manager's round-boundary dormant hop: encode → decode
-        // through the configured codec, proving the compact form carries
-        // everything the next round needs.
-        let snapshot = self.mgr.snapshot();
-        let dormant = DormantApfState::encode(&snapshot, self.cfg.codec);
-        self.mgr_dormant_bytes = dormant.len_bytes();
-        let restored = dormant.decode(self.cfg.apf).expect("self-encoded blob");
-        self.mgr = ApfManager::restore(restored, Box::new(Aimd::default()));
         // Communication accounting: every cohort client moves the masked
         // frame both ways; first-timers additionally pull the initial model
         // (FlRunner's round-0 broadcast, amortized over late joiners).

@@ -7,7 +7,7 @@
 //! the single shared §6.2 manager, and its per-round dormant encode/decode
 //! hop all have to be lossless for this to hold.
 
-use apf_fedsim::{RunSpec, Trajectory};
+use apf_fedsim::{RunSpec, SpecStrategy, Trajectory};
 use apf_testkit::golden::{run_recorded, GoldenOutcome};
 
 fn population_outcome(spec: &RunSpec) -> GoldenOutcome {
@@ -17,6 +17,16 @@ fn population_outcome(spec: &RunSpec) -> GoldenOutcome {
         log: runner.log().clone(),
         global: runner.global().to_vec(),
     }
+}
+
+/// The run's last round trained under a mask with frozen scalars, i.e. the
+/// runner's `mask_fill` rollback had something to pin back.
+fn assert_ends_frozen(out: &GoldenOutcome, what: &str) {
+    let last = out.log.records.last().expect("at least one round");
+    assert!(
+        last.frozen_ratio > 0.0,
+        "{what}: nothing frozen in the last round, the rollback path went unexercised"
+    );
 }
 
 #[test]
@@ -36,6 +46,7 @@ fn full_participation_dense_matches_classic_goldens_bitwise() {
             pop.trajectory(),
             "population trajectory diverged from FlRunner at {t} threads"
         );
+        assert_ends_frozen(&pop, &format!("full participation at {t} threads"));
     }
 }
 
@@ -86,21 +97,43 @@ fn sampled_cohort_is_deterministic_across_reruns_and_threads() {
     // With real subsampling the run no longer matches FlRunner (different
     // algorithm), but it must still be self-deterministic: rerun-identical
     // and thread-count-invariant.
-    let spec = RunSpec {
-        clients: 12,
-        cohort: 4,
-        rounds: 5,
-        ..RunSpec::golden()
-    };
-    let a = apf_par::with_threads(1, || population_outcome(&spec));
-    let b = apf_par::with_threads(1, || population_outcome(&spec));
-    // Wall-clock fields are not deterministic; the trajectory (loss /
-    // frozen / accuracy bits, byte counts) and the model bits are.
-    assert_eq!(a.global_bits(), b.global_bits(), "rerun diverged");
-    assert_eq!(a.trajectory(), b.trajectory(), "rerun diverged");
-    let c = apf_par::with_threads(7, || population_outcome(&spec));
-    assert_eq!(a.global_bits(), c.global_bits(), "threads changed the run");
-    assert_eq!(a.trajectory(), c.trajectory());
+    let mut sampled = Vec::new();
+    for f16 in [false, true] {
+        let mut spec = RunSpec {
+            clients: 12,
+            cohort: 4,
+            rounds: 5,
+            ..RunSpec::golden()
+        };
+        if let SpecStrategy::Apf { f16: wire, .. } = &mut spec.strategy {
+            *wire = f16;
+        }
+        assert_eq!(spec.wire_f16(), f16);
+        let a = apf_par::with_threads(1, || population_outcome(&spec));
+        let b = apf_par::with_threads(1, || population_outcome(&spec));
+        // Wall-clock fields are not deterministic; the trajectory (loss /
+        // frozen / accuracy bits, byte counts) and the model bits are.
+        assert_eq!(a.global_bits(), b.global_bits(), "rerun diverged");
+        assert_eq!(a.trajectory(), b.trajectory(), "rerun diverged");
+        assert_ends_frozen(&a, &format!("sampled cohort, f16={f16}, 1 thread"));
+        for t in [2usize, 7] {
+            let c = apf_par::with_threads(t, || population_outcome(&spec));
+            assert_eq!(
+                a.global_bits(),
+                c.global_bits(),
+                "{t} threads changed the run (f16={f16})"
+            );
+            assert_eq!(a.trajectory(), c.trajectory());
+            assert_ends_frozen(&c, &format!("sampled cohort, f16={f16}, {t} threads"));
+        }
+        sampled.push(a);
+    }
+    assert_ne!(
+        sampled[0].global_bits(),
+        sampled[1].global_bits(),
+        "fp16 on the wire must change the bits"
+    );
+    let a = &sampled[0];
     // Subsampling must actually engage: fewer bytes than full participation
     // would move (4 of 12 clients upload).
     let full = population_outcome(&RunSpec {

@@ -1,5 +1,7 @@
 //! Integration test: a short federated run emits the documented span tree
-//! and every JSONL line round-trips through the in-tree JSON parser.
+//! and every JSONL line round-trips through the in-tree JSON parser; a
+//! short sampled-cohort population run emits its own tree under
+//! `fedsim.pop`.
 //!
 //! This file is its own test binary, so the process-global trace state it
 //! installs cannot leak into other tests.
@@ -10,7 +12,10 @@ use std::sync::{Arc, OnceLock};
 use apf::ApfConfig;
 use apf_data::{iid_partition, synth_images_split, Dataset};
 use apf_fedsim::json::{self, Value};
-use apf_fedsim::{ApfStrategy, FlConfig, FlRunner, OptimizerKind};
+use apf_fedsim::{
+    ApfStrategy, FlConfig, FlRunner, OptimizerKind, PopulationConfig, PopulationData,
+    PopulationRunner, RunSpec,
+};
 use apf_nn::models;
 use apf_trace::{Level, MemorySink};
 
@@ -29,16 +34,27 @@ fn mlp(seed: u64) -> apf_nn::Sequential {
     models::mlp("m", &[3 * 16 * 16, 12, 10], seed)
 }
 
-/// Runs 3 APF rounds once per process with an in-memory sink installed at
-/// Debug level and returns the captured JSONL lines. Shared across the tests
-/// in this binary because the trace sink and metrics registry are
+/// Runs 3 APF rounds of `FlRunner`, then 3 of a sampled-cohort
+/// `PopulationRunner`, once per process with an in-memory sink installed at
+/// Debug level, and returns each run's captured JSONL lines. Shared across
+/// the tests in this binary because the trace sink and metrics registry are
 /// process-global.
-fn traced_run() -> &'static [String] {
-    static LINES: OnceLock<Vec<String>> = OnceLock::new();
-    LINES.get_or_init(traced_run_impl)
+fn traced_runs() -> &'static (Vec<String>, Vec<String>) {
+    static LINES: OnceLock<(Vec<String>, Vec<String>)> = OnceLock::new();
+    LINES.get_or_init(traced_runs_impl)
 }
 
-fn traced_run_impl() -> Vec<String> {
+/// The `FlRunner` run's lines.
+fn traced_run() -> &'static [String] {
+    &traced_runs().0
+}
+
+/// 12 registered clients, 6 sampled per round into 4 shells: two cohort
+/// blocks per round.
+const POP_COHORT: usize = 6;
+const POP_SHELLS: usize = 4;
+
+fn traced_runs_impl() -> (Vec<String>, Vec<String>) {
     let sink = Arc::new(MemorySink::new());
     apf_trace::init(Level::Debug, sink.clone());
 
@@ -75,9 +91,46 @@ fn traced_run_impl() -> Vec<String> {
     .strategy(Box::new(strategy))
     .build();
     runner.run();
+    let fl_lines = sink.lines();
+
+    let spec = RunSpec {
+        clients: 12,
+        rounds: ROUNDS,
+        hidden: 64,
+        local_iters: 4,
+        ..RunSpec::golden()
+    };
+    let hidden = spec.hidden;
+    let train = spec.train_set();
+    let parts = spec.partition_indices(&train);
+    let mut pop = PopulationRunner::new(
+        PopulationConfig {
+            fl: FlConfig {
+                parallel: false,
+                ..spec.fl_config()
+            },
+            registered: spec.clients,
+            cohort: POP_COHORT,
+            codec: apf_quant::EmaCodec::Dense,
+            shells: POP_SHELLS,
+            apf: spec.apf_config().expect("golden uses APF"),
+            wire_f16: false,
+            optimizer: OptimizerKind::Sgd {
+                lr: spec.lr,
+                momentum: spec.momentum,
+                weight_decay: spec.weight_decay,
+            },
+            schedule: apf_nn::LrSchedule::Constant(spec.lr),
+        },
+        move |seed| models::mlp("m", &[3 * 16 * 16, hidden, 10], seed),
+        PopulationData::Shared { train, parts },
+        spec.test_set(),
+    );
+    pop.run();
 
     apf_trace::shutdown();
-    sink.lines()
+    let pop_lines = sink.lines().split_off(fl_lines.len());
+    (fl_lines, pop_lines)
 }
 
 /// Every line must parse as a JSON object with the documented envelope.
@@ -285,4 +338,56 @@ fn three_round_run_emits_expected_events() {
         })
         .expect("fedsim.rounds counter emitted");
     assert!(u64_field(fed_rounds, "value") >= ROUNDS as u64);
+}
+
+#[test]
+fn population_round_spans_cover_the_round() {
+    let records = parse_all(&traced_runs().1);
+    let rounds = spans(&records, "fedsim.pop", "round");
+    assert_eq!(rounds.len(), ROUNDS, "one round span per round");
+
+    // Phase spans are per cohort block, never per client: `sample`, `sync`
+    // and `eval` (eval_every = 1) once a round, the block phases once per
+    // block, all direct children of a round span.
+    let blocks = POP_COHORT.div_ceil(POP_SHELLS);
+    let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
+    for (phase, per_round) in [
+        ("sample", 1),
+        ("materialize", blocks),
+        ("local_train", blocks),
+        ("aggregate", blocks),
+        ("sync", 1),
+        ("eval", 1),
+    ] {
+        let phase_spans = spans(&records, "fedsim.pop", phase);
+        assert_eq!(phase_spans.len(), ROUNDS * per_round, "{phase} span count");
+        for v in phase_spans {
+            let parent = v.get("parent").and_then(Value::as_u64).unwrap();
+            *covered.entry(parent).or_default() += v.get("dur_us").and_then(Value::as_u64).unwrap();
+        }
+    }
+    let clients: u64 = spans(&records, "fedsim.pop", "local_train")
+        .iter()
+        .map(|v| u64_field(v, "clients"))
+        .sum();
+    assert_eq!(clients, (ROUNDS * POP_COHORT) as u64);
+
+    // The children account for the round: what the runner does outside them
+    // (byte accounting, gauges, the record) stays under 5 %.
+    for round in rounds {
+        let id = round.get("id").and_then(Value::as_u64).unwrap();
+        let dur = round.get("dur_us").and_then(Value::as_u64).unwrap();
+        let children = *covered
+            .get(&id)
+            .expect("phase spans are direct children of a round span");
+        assert!(
+            children <= dur,
+            "children {children} us exceed round {dur} us"
+        );
+        assert!(
+            children * 100 >= dur * 95,
+            "phase spans cover {children} of {dur} us, below 95 %"
+        );
+    }
+    assert_eq!(covered.len(), ROUNDS, "no phase span outside a round");
 }

@@ -38,8 +38,11 @@ pub fn uniform_init(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Tensor 
 
 /// Gaussian initialization with the given mean and standard deviation.
 pub fn normal_init(shape: &[usize], mean: f32, std: f32, rng: &mut Rng) -> Tensor {
-    let n: usize = shape.iter().product();
-    let data = (0..n).map(|_| mean + std * rng.normal_f32()).collect();
+    let mut data = vec![0.0f32; shape.iter().product()];
+    rng.fill_normal_f32(&mut data);
+    for v in &mut data {
+        *v = mean + std * *v;
+    }
     Tensor::from_vec(data, shape)
 }
 
@@ -51,6 +54,7 @@ pub fn normal_init(shape: &[usize], mean: f32, std: f32, rng: &mut Rng) -> Tenso
 /// let z = apf_tensor::sample_normal(&mut rng);
 /// assert!(z.is_finite());
 /// ```
+#[inline]
 pub fn sample_normal(rng: &mut Rng) -> f32 {
     rng.normal_f32()
 }

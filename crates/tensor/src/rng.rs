@@ -24,6 +24,7 @@ use std::ops::Range;
 /// assert_eq!(a, b);
 /// assert_ne!(a, apf_tensor::splitmix64(43));
 /// ```
+#[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
@@ -36,6 +37,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 ///
 /// Distinct salts yield (with overwhelming probability) unrelated streams, so
 /// e.g. client `i`'s data shuffling can use `derive_seed(seed, i as u64)`.
+#[inline]
 pub fn derive_seed(base: u64, salt: u64) -> u64 {
     splitmix64(base ^ splitmix64(salt.wrapping_mul(0xA076_1D64_78BD_642F)))
 }
@@ -65,6 +67,7 @@ impl Rng {
     }
 
     /// The next 64 random bits (xoshiro256++ step).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -79,12 +82,14 @@ impl Rng {
     }
 
     /// The next 32 random bits (upper half of [`Rng::next_u64`]).
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
     /// Draws a value of type `T` from its natural distribution: floats are
     /// uniform on `[0, 1)`, integers uniform over the full type, `bool` fair.
+    #[inline]
     pub fn gen<T: Sample>(&mut self) -> T {
         T::sample(self)
     }
@@ -93,23 +98,58 @@ impl Rng {
     ///
     /// # Panics
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range<T: SampleRange>(&mut self, range: Range<T>) -> T {
         T::sample_range(self, range.start, range.end)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen::<f64>() < p
     }
 
     /// One standard-normal sample (Box–Muller, `f32`).
+    #[inline]
     pub fn normal_f32(&mut self) -> f32 {
         let u1 = self.gen_range(f32::EPSILON..1.0);
         let u2 = self.gen_range(0.0f32..1.0);
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 
+    /// Fills `out` with standard-normal samples: the same bits, and the
+    /// same final generator state, as `out.len()` calls of
+    /// [`Rng::normal_f32`].
+    ///
+    /// The uniforms are drawn in that order (`u1`, `u2` per element) into
+    /// fixed-size stack chunks, then `ln`, `cos` and the `sqrt`·multiply run
+    /// as separate passes, so the libm calls are not interleaved with the
+    /// generator's dependency chain. Each element keeps the expression tree
+    /// of `normal_f32`; nothing is fused or reassociated.
+    pub fn fill_normal_f32(&mut self, out: &mut [f32]) {
+        const CHUNK: usize = 256;
+        let mut u1 = [0.0f32; CHUNK];
+        let mut u2 = [0.0f32; CHUNK];
+        for chunk in out.chunks_mut(CHUNK) {
+            let (u1, u2) = (&mut u1[..chunk.len()], &mut u2[..chunk.len()]);
+            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+                *a = self.gen_range(f32::EPSILON..1.0);
+                *b = self.gen_range(0.0f32..1.0);
+            }
+            for a in u1.iter_mut() {
+                *a = a.ln();
+            }
+            for b in u2.iter_mut() {
+                *b = (std::f32::consts::TAU * *b).cos();
+            }
+            for ((o, &l), &c) in chunk.iter_mut().zip(u1.iter()).zip(u2.iter()) {
+                *o = (-2.0 * l).sqrt() * c;
+            }
+        }
+    }
+
     /// One standard-normal sample (Box–Muller, `f64`).
+    #[inline]
     pub fn normal_f64(&mut self) -> f64 {
         let u1 = self.gen_range(f64::EPSILON..1.0);
         let u2 = self.gen_range(0.0f64..1.0);
@@ -159,18 +199,21 @@ pub trait Sample {
 }
 
 impl Sample for u64 {
+    #[inline]
     fn sample(rng: &mut Rng) -> u64 {
         rng.next_u64()
     }
 }
 
 impl Sample for u32 {
+    #[inline]
     fn sample(rng: &mut Rng) -> u32 {
         rng.next_u32()
     }
 }
 
 impl Sample for bool {
+    #[inline]
     fn sample(rng: &mut Rng) -> bool {
         rng.next_u64() >> 63 == 1
     }
@@ -178,6 +221,7 @@ impl Sample for bool {
 
 impl Sample for f32 {
     /// Uniform on `[0, 1)` using the top 24 bits.
+    #[inline]
     fn sample(rng: &mut Rng) -> f32 {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
@@ -185,6 +229,7 @@ impl Sample for f32 {
 
 impl Sample for f64 {
     /// Uniform on `[0, 1)` using the top 53 bits.
+    #[inline]
     fn sample(rng: &mut Rng) -> f64 {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -199,6 +244,7 @@ pub trait SampleRange: Sized {
 macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange for $t {
+            #[inline]
             fn sample_range(rng: &mut Rng, lo: $t, hi: $t) -> $t {
                 assert!(lo < hi, "empty range in gen_range");
                 let span = (hi as u64).wrapping_sub(lo as u64);
@@ -212,6 +258,7 @@ macro_rules! impl_sample_range_int {
 impl_sample_range_int!(u8, u16, u32, u64, usize, i32, i64, isize);
 
 impl SampleRange for f32 {
+    #[inline]
     fn sample_range(rng: &mut Rng, lo: f32, hi: f32) -> f32 {
         assert!(lo < hi, "empty range in gen_range");
         let v = lo + rng.gen::<f32>() * (hi - lo);
@@ -225,6 +272,7 @@ impl SampleRange for f32 {
 }
 
 impl SampleRange for f64 {
+    #[inline]
     fn sample_range(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "empty range in gen_range");
         let v = lo + rng.gen::<f64>() * (hi - lo);

@@ -286,4 +286,21 @@ property! {
             prop_assert!(serial == par, "reduction differs at threads={t}");
         }
     }
+
+    fn fill_normal_matches_repeated_normal_f32_bitwise(seed in u64s(0..u64::MAX), burn in usizes(0..5)) {
+        // Lengths straddle the generator's 256-element staging chunk.
+        for len in [0usize, 1, 255, 256, 257, 768, 1000] {
+            let mut one = apf_tensor::seeded_rng(seed);
+            for _ in 0..burn {
+                one.next_u64();
+            }
+            let mut staged = one.clone();
+            let want: Vec<u32> = (0..len).map(|_| one.normal_f32().to_bits()).collect();
+            let mut got = vec![f32::NAN; len];
+            staged.fill_normal_f32(&mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert!(got == want, "fill_normal_f32 differs from normal_f32 at len={len}");
+            prop_assert!(staged == one, "generator state differs after len={len}");
+        }
+    }
 }
