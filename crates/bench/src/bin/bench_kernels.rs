@@ -1,8 +1,11 @@
 //! `bench-kernels`: machine-readable kernel/round baselines.
 //!
-//! Measures dense matmul and conv2d forward throughput (GFLOP/s) and the
+//! Measures dense matmul and conv2d throughput (GFLOP/s) and the
 //! end-to-end federated round time at pool sizes 1, 2 and 4, then writes
-//! `BENCH_kernels.json` for regression tracking. Kernel throughputs are
+//! `BENCH_kernels.json` for regression tracking. The conv rows are the
+//! canonical probe's forward pass plus LeNet-5's own two convolutions at
+//! the training batch size: conv1 forward, and the parameter-gradient half
+//! of the backward pass for conv1 and conv2. Kernel throughputs are
 //! computed from the fastest sample (the noise floor): scheduler noise on
 //! a shared host only ever slows a sample down, so the minimum is the one
 //! statistic that quick (3-sample) and full (11-sample) runs estimate
@@ -78,7 +81,10 @@ use apf_fedsim::{
 };
 use apf_nn::{models, Adam, LrSchedule, Optimizer, Sgd};
 use apf_quant::EmaCodec;
-use apf_tensor::{conv2d_forward_fused, normal_init, scratch, seeded_rng, slab, ConvSpec, Tensor};
+use apf_tensor::{
+    conv2d_backward_params_fused, conv2d_forward_fused, normal_init, scratch, seeded_rng, slab,
+    ConvSpec, Tensor,
+};
 
 /// Square matmul side for the throughput probe.
 const MM_N: usize = 192;
@@ -121,6 +127,9 @@ struct ThreadResult {
     reliable: bool,
     matmul_gflops: f64,
     conv2d_gflops: f64,
+    conv1_fwd_gflops: f64,
+    conv1_wgrad_gflops: f64,
+    conv2_wgrad_gflops: f64,
     round_ms: f64,
 }
 
@@ -189,37 +198,75 @@ fn measure_scratch_misses_steady() -> u64 {
     })
 }
 
-fn bench_conv2d(g: &mut BenchGroup, threads: usize) -> f64 {
-    let mut rng = seeded_rng(7);
-    // The LeNet-5 second conv at batch 8: the workspace's canonical conv probe.
-    let spec = ConvSpec {
+/// The canonical conv probe: the LeNet-5 second conv's geometry on a
+/// 16x16 input at batch 8.
+const CONV_PROBE: (ConvSpec, [usize; 2]) = (LENET_CONV2.0, [8, 16]);
+/// LeNet-5's first convolution and its `[batch, side]` in training.
+const LENET_CONV1: (ConvSpec, [usize; 2]) = (
+    ConvSpec {
+        in_channels: 3,
+        out_channels: 6,
+        kernel: 5,
+        stride: 1,
+        padding: 2,
+    },
+    [16, 16],
+);
+/// LeNet-5's second convolution (8x8 after the first pool; output rows of 4).
+const LENET_CONV2: (ConvSpec, [usize; 2]) = (
+    ConvSpec {
         in_channels: 6,
         out_channels: 16,
         kernel: 5,
         stride: 1,
         padding: 0,
-    };
-    let (n, h, w) = (8usize, 16usize, 16usize);
-    let input = normal_init(&[n, spec.in_channels, h, w], 0.0, 1.0, &mut rng);
-    let weight = normal_init(
-        &[
-            spec.out_channels,
-            spec.in_channels * spec.kernel * spec.kernel,
-        ],
-        0.0,
-        0.1,
-        &mut rng,
-    );
-    let bias = Tensor::zeros(&[spec.out_channels]);
-    let m = g.bench(&format!("conv2d_t{threads}"), || {
-        black_box(conv2d_forward_fused(&input, &weight, &bias, &spec)).recycle();
+    },
+    [16, 8],
+);
+
+/// Operands of one convolution probe and the FLOPs of its GEMM (forward and
+/// grad-weight multiply the same three extents).
+struct ConvOperands {
+    spec: ConvSpec,
+    input: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    grad_out: Tensor,
+    flops: f64,
+}
+
+fn conv_operands((spec, [n, side]): (ConvSpec, [usize; 2])) -> ConvOperands {
+    let mut rng = seeded_rng(7);
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    let (oh, ow) = spec.out_size(side, side);
+    ConvOperands {
+        spec,
+        input: normal_init(&[n, spec.in_channels, side, side], 0.0, 1.0, &mut rng),
+        weight: normal_init(&[spec.out_channels, ckk], 0.0, 0.1, &mut rng),
+        bias: Tensor::zeros(&[spec.out_channels]),
+        grad_out: normal_init(&[n, spec.out_channels, oh, ow], 0.0, 1.0, &mut rng),
+        flops: 2.0 * (n * oh * ow) as f64 * spec.out_channels as f64 * ckk as f64,
+    }
+}
+
+fn bench_conv_forward(g: &mut BenchGroup, label: &str, conv: (ConvSpec, [usize; 2])) -> f64 {
+    let c = conv_operands(conv);
+    let m = g.bench(label, || {
+        black_box(conv2d_forward_fused(&c.input, &c.weight, &c.bias, &c.spec)).recycle();
     });
-    let (oh, ow) = spec.out_size(h, w);
-    let flops = 2.0
-        * (n * oh * ow) as f64
-        * spec.out_channels as f64
-        * (spec.in_channels * spec.kernel * spec.kernel) as f64;
-    flops / m.min.as_secs_f64() / 1e9
+    c.flops / m.min.as_secs_f64() / 1e9
+}
+
+/// The parameter-gradient half of the backward pass (grad-weight GEMM over
+/// transposed im2col panels, plus the bias sums).
+fn bench_conv_wgrad(g: &mut BenchGroup, label: &str, conv: (ConvSpec, [usize; 2])) -> f64 {
+    let c = conv_operands(conv);
+    let m = g.bench(label, || {
+        let (gw, gb) = black_box(conv2d_backward_params_fused(&c.grad_out, &c.input, &c.spec));
+        gw.recycle();
+        gb.recycle();
+    });
+    c.flops / m.min.as_secs_f64() / 1e9
 }
 
 /// Times `ROUNDS` federated rounds (LeNet-5, 4 parallel clients) and
@@ -428,11 +475,14 @@ fn json_escape_free(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
+            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_fwd_gflops\": {:.4}, \"conv1_wgrad_gflops\": {:.4}, \"conv2_wgrad_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
             r.threads,
             r.reliable,
             r.matmul_gflops,
             r.conv2d_gflops,
+            r.conv1_fwd_gflops,
+            r.conv1_wgrad_gflops,
+            r.conv2_wgrad_gflops,
             r.round_ms,
             if i + 1 < results.len() { "," } else { "" }
         ));
@@ -499,13 +549,16 @@ fn ledger_record(
     // out of the ledger means downstream diffs never regress on them.
     for r in results.iter().filter(|r| r.reliable) {
         let t = r.threads;
-        record
-            .metrics
-            .insert(format!("matmul_gflops_t{t}"), r.matmul_gflops);
-        record
-            .metrics
-            .insert(format!("conv2d_gflops_t{t}"), r.conv2d_gflops);
-        record.metrics.insert(format!("round_ms_t{t}"), r.round_ms);
+        for (name, value) in [
+            ("matmul_gflops", r.matmul_gflops),
+            ("conv2d_gflops", r.conv2d_gflops),
+            ("conv1_fwd_gflops", r.conv1_fwd_gflops),
+            ("conv1_wgrad_gflops", r.conv1_wgrad_gflops),
+            ("conv2_wgrad_gflops", r.conv2_wgrad_gflops),
+            ("round_ms", r.round_ms),
+        ] {
+            record.metrics.insert(format!("{name}_t{t}"), value);
+        }
     }
     for r in masked {
         let f = r.frozen_pct;
@@ -579,13 +632,22 @@ fn main() {
     for threads in [1usize, 2, 4] {
         apf_par::set_threads(threads);
         let matmul_gflops = bench_matmul(&mut g, threads);
-        let conv2d_gflops = bench_conv2d(&mut g, threads);
+        let conv2d_gflops = bench_conv_forward(&mut g, &format!("conv2d_t{threads}"), CONV_PROBE);
+        let conv1_fwd_gflops =
+            bench_conv_forward(&mut g, &format!("conv1_fwd_t{threads}"), LENET_CONV1);
+        let conv1_wgrad_gflops =
+            bench_conv_wgrad(&mut g, &format!("conv1_wgrad_t{threads}"), LENET_CONV1);
+        let conv2_wgrad_gflops =
+            bench_conv_wgrad(&mut g, &format!("conv2_wgrad_t{threads}"), LENET_CONV2);
         let round_ms = bench_round();
         results.push(ThreadResult {
             threads,
             reliable: timing_reliable(threads, host_parallelism),
             matmul_gflops,
             conv2d_gflops,
+            conv1_fwd_gflops,
+            conv1_wgrad_gflops,
+            conv2_wgrad_gflops,
             round_ms,
         });
     }

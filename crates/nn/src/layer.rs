@@ -38,6 +38,14 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad: Tensor) -> Tensor;
 
+    /// Like [`Layer::backward`], for a caller that has no use for the
+    /// gradient w.r.t. the input — the first layer of a model in training.
+    /// Accumulates exactly the parameter gradients `backward` would;
+    /// layers override it to skip the input-gradient work.
+    fn backward_params(&mut self, grad: Tensor) {
+        self.backward(grad).recycle();
+    }
+
     /// Visits every parameter tensor as `(name, trainable, value, grad)`.
     ///
     /// The default is a no-op for parameterless layers.

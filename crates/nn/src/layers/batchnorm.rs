@@ -17,7 +17,9 @@ const EPS: f32 = 1e-5;
 /// them — this mirrors how FedAvg synchronizes BN state in practice.
 #[derive(Debug)]
 pub struct BatchNorm2d {
-    name: String,
+    /// `-g`, `-b`, `-rm`, `-rv` names, built once: `visit_params` runs
+    /// several times per training step.
+    param_names: [String; 4],
     channels: usize,
     momentum: f32,
     gamma: Tensor,
@@ -44,7 +46,7 @@ impl BatchNorm2d {
     /// Creates a batch-norm layer for `channels` channels.
     pub fn new(name: &str, channels: usize) -> Self {
         BatchNorm2d {
-            name: name.to_owned(),
+            param_names: ["g", "b", "rm", "rv"].map(|suffix| format!("{name}-{suffix}")),
             channels,
             momentum: 0.1,
             gamma: Tensor::ones(&[channels]),
@@ -204,14 +206,11 @@ impl Layer for BatchNorm2d {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let gn = format!("{}-g", self.name);
-        f(&gn, true, &mut self.gamma, &mut self.grad_gamma);
-        let bn = format!("{}-b", self.name);
-        f(&bn, true, &mut self.beta, &mut self.grad_beta);
-        let rmn = format!("{}-rm", self.name);
-        f(&rmn, false, &mut self.running_mean, &mut self.zero_grad_rm);
-        let rvn = format!("{}-rv", self.name);
-        f(&rvn, false, &mut self.running_var, &mut self.zero_grad_rv);
+        let [g, b, rm, rv] = &self.param_names;
+        f(g, true, &mut self.gamma, &mut self.grad_gamma);
+        f(b, true, &mut self.beta, &mut self.grad_beta);
+        f(rm, false, &mut self.running_mean, &mut self.zero_grad_rm);
+        f(rv, false, &mut self.running_var, &mut self.zero_grad_rv);
     }
 
     fn kind(&self) -> &'static str {

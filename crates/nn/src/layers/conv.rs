@@ -1,7 +1,10 @@
 //! Convolutional layer wrapping the fused im2col kernels of `apf-tensor`.
 
 use apf_tensor::Rng;
-use apf_tensor::{conv2d_backward_fused, conv2d_forward_fused, kaiming_uniform, ConvSpec, Tensor};
+use apf_tensor::{
+    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, kaiming_uniform,
+    ConvSpec, Tensor,
+};
 
 use crate::layer::{Layer, Mode};
 
@@ -12,7 +15,9 @@ use crate::layer::{Layer, Mode};
 /// of the paper).
 #[derive(Debug)]
 pub struct Conv2d {
-    name: String,
+    /// `-w`, `-b` names, built once: `visit_params` runs several times per
+    /// training step.
+    param_names: [String; 2],
     spec: ConvSpec,
     weight: Tensor,
     bias: Tensor,
@@ -28,7 +33,7 @@ impl Conv2d {
     pub fn new(name: &str, spec: ConvSpec, rng: &mut Rng) -> Self {
         let fan_in = spec.in_channels * spec.kernel * spec.kernel;
         Conv2d {
-            name: name.to_owned(),
+            param_names: ["w", "b"].map(|suffix| format!("{name}-{suffix}")),
             spec,
             weight: kaiming_uniform(&[spec.out_channels, fan_in], fan_in, rng),
             bias: Tensor::zeros(&[spec.out_channels]),
@@ -41,6 +46,20 @@ impl Conv2d {
     /// The convolution geometry.
     pub fn spec(&self) -> &ConvSpec {
         &self.spec
+    }
+
+    /// The forward input, handed over for the backward pass.
+    fn take_input(&mut self) -> Tensor {
+        self.cached_input
+            .take()
+            .expect("conv2d backward before forward")
+    }
+
+    fn accumulate(&mut self, grad_weight: Tensor, grad_bias: Tensor) {
+        self.grad_weight.axpy(1.0, &grad_weight);
+        self.grad_bias.axpy(1.0, &grad_bias);
+        grad_weight.recycle();
+        grad_bias.recycle();
     }
 }
 
@@ -57,25 +76,26 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("conv2d backward before forward");
+        let x = self.take_input();
         let grads = conv2d_backward_fused(&grad, &x, &self.weight, &self.spec);
-        self.grad_weight.axpy(1.0, &grads.weight);
-        self.grad_bias.axpy(1.0, &grads.bias);
-        grads.weight.recycle();
-        grads.bias.recycle();
+        self.accumulate(grads.weight, grads.bias);
         grad.recycle();
         x.recycle();
         grads.input
     }
 
+    fn backward_params(&mut self, grad: Tensor) {
+        let x = self.take_input();
+        let (grad_weight, grad_bias) = conv2d_backward_params_fused(&grad, &x, &self.spec);
+        self.accumulate(grad_weight, grad_bias);
+        grad.recycle();
+        x.recycle();
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let wn = format!("{}-w", self.name);
-        f(&wn, true, &mut self.weight, &mut self.grad_weight);
-        let bn = format!("{}-b", self.name);
-        f(&bn, true, &mut self.bias, &mut self.grad_bias);
+        let [w, b] = &self.param_names;
+        f(w, true, &mut self.weight, &mut self.grad_weight);
+        f(b, true, &mut self.bias, &mut self.grad_bias);
     }
 
     fn kind(&self) -> &'static str {

@@ -12,7 +12,9 @@ use crate::layer::{Layer, Mode};
 /// convention (`fc2-b` etc. in Fig. 3).
 #[derive(Debug)]
 pub struct Linear {
-    name: String,
+    /// `-w`, `-b` names, built once: `visit_params` runs several times per
+    /// training step.
+    param_names: [String; 2],
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
@@ -24,7 +26,7 @@ impl Linear {
     /// Creates a layer with Kaiming-uniform weights and zero bias.
     pub fn new(name: &str, in_features: usize, out_features: usize, rng: &mut Rng) -> Self {
         Linear {
-            name: name.to_owned(),
+            param_names: ["w", "b"].map(|suffix| format!("{name}-{suffix}")),
             weight: kaiming_uniform(&[out_features, in_features], in_features, rng),
             bias: Tensor::zeros(&[out_features]),
             grad_weight: Tensor::zeros(&[out_features, in_features]),
@@ -41,6 +43,22 @@ impl Linear {
     /// Output feature count.
     pub fn out_features(&self) -> usize {
         self.weight.shape()[0]
+    }
+
+    /// Consumes the cached forward input into the parameter gradients:
+    /// `dW += grad^T x`, `db +=` column sums of `grad`.
+    fn accumulate_param_grads(&mut self, grad: &Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("linear backward called before forward");
+        let dw = grad.matmul_tn(&x);
+        self.grad_weight.axpy(1.0, &dw);
+        dw.recycle();
+        let db = grad.sum_rows();
+        self.grad_bias.axpy(1.0, &db);
+        db.recycle();
+        x.recycle();
     }
 }
 
@@ -64,28 +82,22 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("linear backward called before forward");
-        // dW = grad^T x; db = column sums; dx = grad W.
-        let dw = grad.matmul_tn(&x);
-        self.grad_weight.axpy(1.0, &dw);
-        dw.recycle();
-        let db = grad.sum_rows();
-        self.grad_bias.axpy(1.0, &db);
-        db.recycle();
-        x.recycle();
+        self.accumulate_param_grads(&grad);
+        // dx = grad W.
         let dx = grad.matmul(&self.weight);
         grad.recycle();
         dx
     }
 
+    fn backward_params(&mut self, grad: Tensor) {
+        self.accumulate_param_grads(&grad);
+        grad.recycle();
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let wn = format!("{}-w", self.name);
-        f(&wn, true, &mut self.weight, &mut self.grad_weight);
-        let bn = format!("{}-b", self.name);
-        f(&bn, true, &mut self.bias, &mut self.grad_bias);
+        let [w, b] = &self.param_names;
+        f(w, true, &mut self.weight, &mut self.grad_weight);
+        f(b, true, &mut self.bias, &mut self.grad_bias);
     }
 
     fn kind(&self) -> &'static str {

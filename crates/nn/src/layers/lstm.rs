@@ -15,6 +15,9 @@ use crate::layers::activation::sigmoid;
 /// `"<name>-b"` (`[4H]`).
 pub struct LstmLayer {
     name: String,
+    /// `-wih`, `-whh`, `-b` names, built once: `visit_params` runs several
+    /// times per training step.
+    param_names: [String; 3],
     input_size: usize,
     hidden: usize,
     w_ih: Tensor,
@@ -61,6 +64,7 @@ impl LstmLayer {
         }
         LstmLayer {
             name: name.to_owned(),
+            param_names: ["wih", "whh", "b"].map(|suffix| format!("{name}-{suffix}")),
             input_size,
             hidden,
             w_ih: xavier_uniform(&[4 * hidden, input_size], input_size, hidden, rng),
@@ -216,12 +220,10 @@ impl Layer for LstmLayer {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let a = format!("{}-wih", self.name);
-        f(&a, true, &mut self.w_ih, &mut self.grad_w_ih);
-        let b = format!("{}-whh", self.name);
-        f(&b, true, &mut self.w_hh, &mut self.grad_w_hh);
-        let c = format!("{}-b", self.name);
-        f(&c, true, &mut self.bias, &mut self.grad_bias);
+        let [wih, whh, b] = &self.param_names;
+        f(wih, true, &mut self.w_ih, &mut self.grad_w_ih);
+        f(whh, true, &mut self.w_hh, &mut self.grad_w_hh);
+        f(b, true, &mut self.bias, &mut self.grad_bias);
     }
 
     fn kind(&self) -> &'static str {

@@ -1,7 +1,7 @@
 //! Pooling layers.
 
 use apf_tensor::Rng;
-use apf_tensor::{maxpool2d_backward, maxpool2d_forward, PoolSpec, Tensor};
+use apf_tensor::{maxpool2d_backward, maxpool2d_forward_into, PoolSpec, Tensor};
 
 use crate::layer::{Layer, Mode};
 
@@ -9,7 +9,10 @@ use crate::layer::{Layer, Mode};
 #[derive(Debug)]
 pub struct MaxPool2d {
     spec: PoolSpec,
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (argmax, input shape)
+    // Both buffers are kept across steps. `input_shape` is empty until a
+    // forward pass fills it and again once backward has consumed it.
+    argmax: Vec<usize>,
+    input_shape: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -17,23 +20,28 @@ impl MaxPool2d {
     pub fn new(kernel: usize, stride: usize) -> Self {
         MaxPool2d {
             spec: PoolSpec { kernel, stride },
-            cache: None,
+            argmax: Vec::new(),
+            input_shape: Vec::new(),
         }
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
-        let shape = x.shape().to_vec();
-        let (out, arg) = maxpool2d_forward(&x, &self.spec);
+        let out = maxpool2d_forward_into(&x, &self.spec, &mut self.argmax);
+        self.input_shape.clear();
+        self.input_shape.extend_from_slice(x.shape());
         x.recycle();
-        self.cache = Some((arg, shape));
         out
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let (arg, shape) = self.cache.take().expect("maxpool backward before forward");
-        let gi = maxpool2d_backward(&grad, &arg, &shape);
+        assert!(
+            !self.input_shape.is_empty(),
+            "maxpool backward before forward"
+        );
+        let gi = maxpool2d_backward(&grad, &self.argmax, &self.input_shape);
+        self.input_shape.clear();
         grad.recycle();
         gi
     }

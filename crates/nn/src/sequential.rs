@@ -81,6 +81,22 @@ impl Sequential {
         cur
     }
 
+    /// [`Sequential::backward`] for training: accumulates the same parameter
+    /// gradients but never computes the gradient w.r.t. the model input —
+    /// layer 0 runs [`Layer::backward_params`].
+    pub fn backward_params(&mut self, grad: Tensor) {
+        let mut cur = grad;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let _s = span!(Level::Trace, target: "nn.layer", "backward",
+                layer = i, kind = layer.kind());
+            if i == 0 {
+                return layer.backward_params(cur);
+            }
+            cur = layer.backward(cur);
+        }
+        cur.recycle();
+    }
+
     /// Visits every parameter as `(name, trainable, value, grad)`.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {

@@ -36,7 +36,7 @@ pub fn train_batch(
     logits.recycle();
     {
         let _s = span!(Level::Debug, target: "nn.train", "backward");
-        model.backward(grad).recycle();
+        model.backward_params(grad);
     }
     let _s = span!(Level::Debug, target: "nn.train", "optimizer");
     let mut params = model.flat_params();

@@ -184,3 +184,79 @@ property! {
         }
     }
 }
+
+/// Bit patterns, so that a `-0.0` or a NaN cannot compare equal by accident.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `backward_params` is `backward` minus a value nobody reads: for every
+/// model of the zoo it must leave bit-identical parameter gradients (and
+/// buffers — batch-norm statistics move in the forward pass).
+#[test]
+fn backward_params_leaves_the_gradients_of_backward() {
+    use apf_nn::models::{self, IMAGE_CHANNELS, IMAGE_SIDE, SEQ_FEATURES, SEQ_LEN};
+    let image = [5, IMAGE_CHANNELS, IMAGE_SIDE, IMAGE_SIDE];
+    type Build = fn(u64) -> Sequential;
+    let zoo: [(&str, Build, &[usize]); 5] = [
+        ("lenet5", models::lenet5, &image),
+        ("resnet", models::resnet, &image),
+        ("vgg", models::vgg, &image),
+        ("lstm", models::lstm_classifier, &[5, SEQ_LEN, SEQ_FEATURES]),
+        (
+            "mlp",
+            |seed| models::mlp("mlp", &[12, 9, 10], seed),
+            &[5, 12],
+        ),
+    ];
+    for (name, build, shape) in zoo {
+        let x = rand_tensor(shape, 0xA11CE);
+        let run = |params_only: bool| {
+            let mut model = build(3);
+            let logits = model.forward(x.clone(), Mode::Train);
+            let grad = rand_tensor(logits.shape(), 0xB0B);
+            if params_only {
+                model.backward_params(grad);
+            } else {
+                model.backward(grad);
+            }
+            (model.flat_grads(), model.flat_params())
+        };
+        let (want_grads, want_params) = run(false);
+        let (got_grads, got_params) = run(true);
+        assert!(
+            want_grads.iter().any(|&g| g != 0.0),
+            "{name}: backward left no gradient"
+        );
+        assert_eq!(bits(&got_grads), bits(&want_grads), "{name}: gradients");
+        assert_eq!(bits(&got_params), bits(&want_params), "{name}: parameters");
+    }
+}
+
+/// `lenet5(3)` after three Adam steps, hashed at the commit before the
+/// im2col packers and `backward_params` were introduced: the training step
+/// computes the same numbers as it did then, at any pool size.
+#[test]
+fn lenet_training_trajectory_is_pinned() {
+    use apf::FreezeMask;
+    use apf_nn::{models::lenet5, train_batch, Adam};
+    for threads in [1usize, 2, 7] {
+        apf_par::with_threads(threads, || {
+            let mut model = lenet5(3);
+            let mut opt = Adam::new(0.001);
+            let frozen = FreezeMask::all_unfrozen(model.param_count());
+            let mut rng = seeded_rng(7);
+            let x = apf_tensor::uniform_init(&[16, 3, 16, 16], -1.0, 1.0, &mut rng);
+            let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+            for _ in 0..3 {
+                train_batch(&mut model, &mut opt, &x, &labels, &frozen, None);
+            }
+            // FNV-1a over the little-endian bytes of every parameter.
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for byte in model.flat_params().iter().flat_map(|v| v.to_le_bytes()) {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            assert_eq!(hash, 0x9b75_3218_db2d_c4b1, "threads={threads}");
+        });
+    }
+}

@@ -321,13 +321,19 @@ fn bias_sums(grad_mat: &Tensor, n: usize, o: usize, hw: usize) -> Tensor {
 /// Convolution geometry prepared for generating im2col entries on the fly.
 ///
 /// The fused GEMM path never materializes the `[C*k*k, N*oh*ow]` column
-/// matrix; instead the B-operand packing closures ask this struct for spans
+/// matrix; instead the B-operand packing closures ask this struct for panels
 /// of it, computed straight from the input tensor. Entry `(row, col)` of the
 /// virtual matrix is `input[ni, ci, iy, ix]` with
 /// `row = ci*k*k + ky*k + kx`, `col = ni*oh*ow + oy*ow + ox`,
 /// `iy = oy*stride + ky - pad`, `ix = ox*stride + kx - pad` (0.0 when the
 /// sample falls in the zero padding) — exactly what [`im2col`] writes, so
 /// the fused and unfused paths feed the GEMM bitwise-identical panels.
+///
+/// Neither packer does index arithmetic per entry. A stretch of consecutive
+/// `col`s inside one output row (an [`OutRun`]) reads consecutive input
+/// pixels of one input row when `stride == 1`, so it is filled as zero
+/// prefix / contiguous copy / zero suffix; `(ci, ky, kx)` and `(ni, oy, ox)`
+/// are carried as counters from one division per panel.
 struct ColsGeom {
     c: usize,
     h: usize,
@@ -337,6 +343,19 @@ struct ColsGeom {
     pad: isize,
     oh: usize,
     ow: usize,
+}
+
+/// `len` consecutive columns of the virtual matrix that share one output
+/// row: output positions `(oy, ox0..ox0+len)` of one sample.
+#[derive(Clone, Copy, Default)]
+struct OutRun {
+    /// Offset of the sample's `[C, H, W]` block in the input data.
+    base: usize,
+    /// `oy*stride - pad`: the input row that kernel row `ky = 0` reads.
+    iy0: isize,
+    /// `ox0*stride - pad`: the input column that `kx = 0` reads at `ox0`.
+    ix0: isize,
+    len: usize,
 }
 
 impl ColsGeom {
@@ -364,39 +383,84 @@ impl ColsGeom {
         )
     }
 
-    /// Fills `dst[j] = cols[row][col0 + j]`, walking output-row runs so the
-    /// inner loop stays within one input row.
-    fn fill_row_span(&self, data: &[f32], row: usize, col0: usize, dst: &mut [f32]) {
-        let (ci, ky, kx) = self.row_parts(row);
-        let ohw = self.oh * self.ow;
-        let mut j = 0;
-        while j < dst.len() {
-            let col = col0 + j;
-            let ni = col / ohw;
-            let rem = col % ohw;
-            let (oy, ox0) = (rem / self.ow, rem % self.ow);
-            let run = (self.ow - ox0).min(dst.len() - j);
-            let iy = (oy * self.stride) as isize + ky as isize - self.pad;
-            if iy < 0 || iy >= self.h as isize {
-                dst[j..j + run].fill(0.0);
-            } else {
-                let in_row =
-                    &data[((ni * self.c + ci) * self.h + iy as usize) * self.w..][..self.w];
-                for (t, d) in dst[j..j + run].iter_mut().enumerate() {
-                    let ix = ((ox0 + t) * self.stride) as isize + kx as isize - self.pad;
-                    *d = if ix < 0 || ix >= self.w as isize {
-                        0.0
-                    } else {
-                        in_row[ix as usize]
-                    };
-                }
-            }
-            j += run;
+    /// Steps `(ci, ky, kx)` to the next virtual-matrix row.
+    #[inline]
+    fn next_row(&self, (ci, ky, kx): (usize, usize, usize)) -> (usize, usize, usize) {
+        if kx + 1 < self.k {
+            (ci, ky, kx + 1)
+        } else if ky + 1 < self.k {
+            (ci, ky + 1, 0)
+        } else {
+            (ci + 1, 0, 0)
         }
+    }
+
+    /// Splits columns `col0..col0+count` into output-row runs, calling
+    /// `f(offset, run)` for each in ascending column order (`offset` is the
+    /// run's first column minus `col0`).
+    #[inline]
+    fn for_each_out_run(&self, col0: usize, count: usize, mut f: impl FnMut(usize, OutRun)) {
+        let ohw = self.oh * self.ow;
+        let (mut ni, rem) = (col0 / ohw, col0 % ohw);
+        let (mut oy, mut ox) = (rem / self.ow, rem % self.ow);
+        let mut done = 0;
+        while done < count {
+            let len = (self.ow - ox).min(count - done);
+            f(
+                done,
+                OutRun {
+                    base: ni * self.c * self.h * self.w,
+                    iy0: (oy * self.stride) as isize - self.pad,
+                    ix0: (ox * self.stride) as isize - self.pad,
+                    len,
+                },
+            );
+            done += len;
+            ox = 0;
+            oy += 1;
+            if oy == self.oh {
+                oy = 0;
+                ni += 1;
+            }
+        }
+    }
+
+    /// The input row that `run` reads at kernel row `ky` of the channel
+    /// whose plane starts `chan = ci*h*w` into a sample, or `None` when it
+    /// lies in the zero padding.
+    #[inline]
+    fn in_row<'a>(
+        &self,
+        data: &'a [f32],
+        run: &OutRun,
+        chan: usize,
+        ky: usize,
+    ) -> Option<&'a [f32]> {
+        let iy = run.iy0 + ky as isize;
+        if iy < 0 || iy >= self.h as isize {
+            return None;
+        }
+        Some(&data[run.base + chan + iy as usize * self.w..][..self.w])
+    }
+
+    /// For a `stride == 1` run of `len` columns whose first reads input
+    /// column `ix0`: `(pre, end)` such that positions `pre..end` read
+    /// `in_row[ix0 + pre..ix0 + end]` and the rest are zero padding.
+    #[inline]
+    fn clip(&self, ix0: isize, len: usize) -> (usize, usize) {
+        let len = len as isize;
+        let pre = (-ix0).clamp(0, len);
+        let end = (self.w as isize - ix0).clamp(pre, len);
+        (pre as usize, end as usize)
     }
 
     /// B-packing closure body for the forward GEMM: NR-column panels of
     /// `cols` at depth `pc..pc+kc_eff`, columns `jc..jc+nc_eff`.
+    ///
+    /// A panel's NR columns are split into output-row runs once. Its rows are
+    /// taken a kernel row at a time — the up to `k` consecutive rows that
+    /// share `(ci, ky)` — so each run looks its input row up once per kernel
+    /// row and fills one panel row per `kx` from it.
     fn pack_cols_panels(
         &self,
         data: &[f32],
@@ -408,18 +472,84 @@ impl ColsGeom {
     ) {
         for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
             let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-            let col0 = jc + jr * gemm::NR;
-            for p in 0..kc_eff {
-                let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
-                self.fill_row_span(data, pc + p, col0, &mut out[..cols_n]);
-                out[cols_n..].fill(0.0);
+            let mut runs = [(0usize, OutRun::default()); gemm::NR];
+            let mut n_runs = 0;
+            self.for_each_out_run(jc + jr * gemm::NR, cols_n, |j, run| {
+                runs[n_runs] = (j, run);
+                n_runs += 1;
+            });
+            let (mut ci, mut ky, mut kx) = self.row_parts(pc);
+            let mut rest = panel;
+            while !rest.is_empty() {
+                let rows = (self.k - kx).min(rest.len() / gemm::NR);
+                let (kernel_row, tail) = rest.split_at_mut(rows * gemm::NR);
+                for &(j, run) in &runs[..n_runs] {
+                    let in_row = self.in_row(data, &run, ci * self.h * self.w, ky);
+                    for (i, out) in kernel_row.chunks_exact_mut(gemm::NR).enumerate() {
+                        let out = &mut out[j..j + run.len];
+                        match in_row {
+                            Some(in_row) => self.fill_run(in_row, run.ix0 + (kx + i) as isize, out),
+                            None => out.fill(0.0),
+                        }
+                    }
+                }
+                if cols_n < gemm::NR {
+                    for out in kernel_row.chunks_exact_mut(gemm::NR) {
+                        out[cols_n..].fill(0.0);
+                    }
+                }
+                rest = tail;
+                kx = 0;
+                ky += 1;
+                if ky == self.k {
+                    ky = 0;
+                    ci += 1;
+                }
+            }
+        }
+    }
+
+    /// Fills `dst[t]` with input column `ix0 + t*stride` of `in_row`, 0.0
+    /// where that falls outside the image.
+    #[inline]
+    fn fill_run(&self, in_row: &[f32], ix0: isize, dst: &mut [f32]) {
+        if self.stride == 1 {
+            if let Ok(full) = <&mut [f32; gemm::NR]>::try_from(&mut *dst) {
+                if ix0 >= 0 && ix0 as usize + gemm::NR <= self.w {
+                    // A full panel row inside the image: one fixed-width copy.
+                    let src: &[f32; gemm::NR] = in_row[ix0 as usize..][..gemm::NR]
+                        .try_into()
+                        .expect("NR-wide source");
+                    *full = *src;
+                    return;
+                }
+            }
+            let (pre, end) = self.clip(ix0, dst.len());
+            dst[..pre].fill(0.0);
+            if pre < end {
+                dst[pre..end]
+                    .copy_from_slice(&in_row[(ix0 + pre as isize) as usize..][..end - pre]);
+            }
+            dst[end..].fill(0.0);
+        } else {
+            for (t, d) in dst.iter_mut().enumerate() {
+                // A negative column wraps to a huge one.
+                let ix = (ix0 + (t * self.stride) as isize) as usize;
+                *d = if ix < self.w { in_row[ix] } else { 0.0 };
             }
         }
     }
 
     /// B-packing closure body for the grad-weight GEMM, whose B operand is
     /// the *transpose* `colsᵀ [N*oh*ow, C*k*k]`: panel entry `(p, j)` is
-    /// `cols[jc + j][pc + p]`. Row decompositions are hoisted per panel.
+    /// `cols[jc + j][pc + p]` — lane `j` is one `(ci, ky, kx)`, and going
+    /// down the panel walks the output positions `pc..pc+kc_eff`.
+    ///
+    /// Those positions are split into output-row runs. Where a run is at
+    /// least a panel wide (and `stride == 1`) each lane walks it as one
+    /// strided copy of an input row, which pays a row lookup per (lane, run);
+    /// shorter output rows do not amortize that, so there each position
+    /// gathers its lanes with the row and column offsets precomputed.
     fn pack_cols_t_panels(
         &self,
         data: &[f32],
@@ -429,31 +559,77 @@ impl ColsGeom {
         jc: usize,
         nc_eff: usize,
     ) {
-        let ohw = self.oh * self.ow;
+        let walk_rows = self.stride == 1 && self.ow >= gemm::NR;
         for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
             let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-            let mut rows = [(0usize, 0usize, 0usize); gemm::NR];
-            for (j, r) in rows.iter_mut().enumerate().take(cols_n) {
-                *r = self.row_parts(jc + jr * gemm::NR + j);
-            }
-            for p in 0..kc_eff {
-                let col = pc + p;
-                let ni = col / ohw;
-                let rem = col % ohw;
-                let (oy, ox) = (rem / self.ow, rem % self.ow);
-                let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
-                for (o, &(ci, ky, kx)) in out.iter_mut().zip(&rows).take(cols_n) {
-                    let iy = (oy * self.stride) as isize + ky as isize - self.pad;
-                    let ix = (ox * self.stride) as isize + kx as isize - self.pad;
-                    *o = if iy < 0 || iy >= self.h as isize || ix < 0 || ix >= self.w as isize {
-                        0.0
-                    } else {
-                        data[((ni * self.c + ci) * self.h + iy as usize) * self.w + ix as usize]
-                    };
+            if cols_n < gemm::NR {
+                for out in panel.chunks_exact_mut(gemm::NR) {
+                    out[cols_n..].fill(0.0);
                 }
-                out[cols_n..].fill(0.0);
+            }
+            // Per lane: its channel plane's offset within a sample, ky, kx.
+            let mut lanes = [(0usize, 0usize, 0usize); gemm::NR];
+            let mut row = self.row_parts(jc + jr * gemm::NR);
+            for lane in lanes.iter_mut().take(cols_n) {
+                *lane = (row.0 * self.h * self.w, row.1, row.2);
+                row = self.next_row(row);
+            }
+            let lanes = &lanes[..cols_n];
+            if walk_rows {
+                for (j, &(chan, ky, kx)) in lanes.iter().enumerate() {
+                    self.for_each_out_run(pc, kc_eff, |p, run| {
+                        let in_row = self.in_row(data, &run, chan, ky);
+                        let lane = &mut panel[p * gemm::NR + j..];
+                        self.walk_lane(in_row, run.ix0 + kx as isize, run.len, lane);
+                    });
+                }
+            } else {
+                self.for_each_out_run(pc, kc_eff, |p, run| {
+                    let rows = &mut panel[p * gemm::NR..(p + run.len) * gemm::NR];
+                    for (t, out) in rows.chunks_exact_mut(gemm::NR).enumerate() {
+                        let ix0 = run.ix0 + (t * self.stride) as isize;
+                        for (o, &(chan, ky, kx)) in out.iter_mut().zip(lanes) {
+                            // Negative coordinates wrap to huge values.
+                            let iy = (run.iy0 + ky as isize) as usize;
+                            let ix = (ix0 + kx as isize) as usize;
+                            *o = if iy < self.h && ix < self.w {
+                                data[run.base + chan + iy * self.w + ix]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                });
             }
         }
+    }
+
+    /// For a `stride == 1` run of `len` positions whose first reads input
+    /// column `ix0` of `in_row` (`None`: a padding row): writes position
+    /// `t` to `lane[t * NR]`.
+    #[inline]
+    fn walk_lane(&self, in_row: Option<&[f32]>, ix0: isize, len: usize, lane: &mut [f32]) {
+        fn slots(lane: &mut [f32], from: usize, to: usize) -> impl Iterator<Item = &mut f32> {
+            // An empty range may start past the end of `lane`.
+            lane.get_mut(from * gemm::NR..)
+                .unwrap_or_default()
+                .iter_mut()
+                .step_by(gemm::NR)
+                .take(to - from)
+        }
+        let Some(in_row) = in_row else {
+            slots(lane, 0, len).for_each(|d| *d = 0.0);
+            return;
+        };
+        let (pre, end) = self.clip(ix0, len);
+        slots(lane, 0, pre).for_each(|d| *d = 0.0);
+        if pre < end {
+            let src = &in_row[(ix0 + pre as isize) as usize..][..end - pre];
+            for (d, &v) in slots(lane, pre, end).zip(src) {
+                *d = v;
+            }
+        }
+        slots(lane, end, len).for_each(|d| *d = 0.0);
     }
 }
 
@@ -549,54 +725,17 @@ pub fn conv2d_backward_fused(
     weight: &Tensor,
     spec: &ConvSpec,
 ) -> Conv2dGrads {
-    let s = grad_out.shape();
-    assert_eq!(s.len(), 4, "grad_out must be [N,O,oh,ow]");
-    let (n, o, oh, ow) = (s[0], s[1], s[2], s[3]);
-    assert_eq!(o, spec.out_channels);
-    let si = input.shape();
-    assert_eq!(si.len(), 4, "input must be [N,C,H,W]");
-    let (c, h, w) = (si[1], si[2], si[3]);
-    assert_eq!(si[0], n, "batch mismatch");
-    assert_eq!(c, spec.in_channels, "channel mismatch");
-    assert_eq!(spec.out_size(h, w), (oh, ow), "conv geometry mismatch");
-    let k = spec.kernel;
-    let ckk = c * k * k;
-    let hw = oh * ow;
-    let cols_w = n * hw;
-    let ops = o * cols_w * ckk;
-    if ops < gemm::PACK_OPS_MIN {
-        let cols = im2col(input, spec);
-        let grads = conv2d_backward(grad_out, &cols, weight, spec, (h, w));
-        cols.recycle();
-        return grads;
-    }
-    let grad_mat = rearrange_grad(grad_out, n, o, hw);
-    let geom = ColsGeom::new(spec, h, w);
-    let gm = grad_mat.data();
-    let idata = input.data();
-    // grad_weight [O, CKK] = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK].
-    let mut grad_weight = Tensor::scratch(&[o, ckk]);
-    gemm::gemm_packed(
-        o,
-        cols_w,
-        ckk,
-        &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
-            gemm::pack_a_rowmajor(dst, gm, cols_w, ic, mc_eff, pc, kc_eff)
-        },
-        &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
-            geom.pack_cols_t_panels(idata, dst, pc, kc_eff, jc, nc_eff)
-        },
-        grad_weight.data_mut(),
-    );
-    let grad_bias = bias_sums(&grad_mat, n, o, hw);
+    let dims = backward_dims(grad_out, input, spec);
+    let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
+    let (grad_weight, grad_bias) = param_grads(&grad_mat, input, spec, &dims);
     let grad_cols = weight.matmul_tn(&grad_mat); // [CKK, N*oh*ow]
-    let grad_input = col2im(&grad_cols, spec, n, h, w);
+    let grad_input = col2im(&grad_cols, spec, dims.n, dims.h, dims.w);
     grad_cols.recycle();
     grad_mat.recycle();
     #[cfg(debug_assertions)]
-    if ops <= gemm::REF_CHECK_OPS_MAX {
+    if dims.ops() <= gemm::REF_CHECK_OPS_MAX {
         let cols = im2col(input, spec);
-        let want = conv2d_backward(grad_out, &cols, weight, spec, (h, w));
+        let want = conv2d_backward(grad_out, &cols, weight, spec, (dims.h, dims.w));
         cols.recycle();
         for (what, got_t, want_t) in [
             ("input", &grad_input, &want.input),
@@ -619,6 +758,102 @@ pub fn conv2d_backward_fused(
     }
 }
 
+/// The parameter half of [`conv2d_backward_fused`]: `(grad_weight
+/// [O, C*k*k], grad_bias [O])`, bitwise identical to the ones it returns,
+/// without the `weightᵀ · grad` GEMM and `col2im` that only the input
+/// gradient needs. A network's first layer has no use for that gradient.
+///
+/// # Panics
+/// Panics on any shape mismatch.
+pub fn conv2d_backward_params_fused(
+    grad_out: &Tensor,
+    input: &Tensor,
+    spec: &ConvSpec,
+) -> (Tensor, Tensor) {
+    let dims = backward_dims(grad_out, input, spec);
+    let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
+    let grads = param_grads(&grad_mat, input, spec, &dims);
+    grad_mat.recycle();
+    grads
+}
+
+/// Checked shapes of one fused backward call.
+struct BackwardDims {
+    n: usize,
+    o: usize,
+    h: usize,
+    w: usize,
+    /// `oh*ow`, output positions per sample.
+    hw: usize,
+    /// `C*k*k`, the depth of the virtual column matrix.
+    ckk: usize,
+}
+
+impl BackwardDims {
+    /// Multiply-adds of the grad-weight GEMM.
+    fn ops(&self) -> usize {
+        self.o * self.n * self.hw * self.ckk
+    }
+}
+
+fn backward_dims(grad_out: &Tensor, input: &Tensor, spec: &ConvSpec) -> BackwardDims {
+    let s = grad_out.shape();
+    assert_eq!(s.len(), 4, "grad_out must be [N,O,oh,ow]");
+    let (n, o, oh, ow) = (s[0], s[1], s[2], s[3]);
+    assert_eq!(o, spec.out_channels);
+    let si = input.shape();
+    assert_eq!(si.len(), 4, "input must be [N,C,H,W]");
+    let (c, h, w) = (si[1], si[2], si[3]);
+    assert_eq!(si[0], n, "batch mismatch");
+    assert_eq!(c, spec.in_channels, "channel mismatch");
+    assert_eq!(spec.out_size(h, w), (oh, ow), "conv geometry mismatch");
+    BackwardDims {
+        n,
+        o,
+        h,
+        w,
+        hw: oh * ow,
+        ckk: c * spec.kernel * spec.kernel,
+    }
+}
+
+/// `grad_weight = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK]` with the column
+/// entries generated into the packed B panels, and the bias row sums.
+fn param_grads(
+    grad_mat: &Tensor,
+    input: &Tensor,
+    spec: &ConvSpec,
+    dims: &BackwardDims,
+) -> (Tensor, Tensor) {
+    let o = dims.o;
+    let cols_w = dims.n * dims.hw;
+    let grad_bias = bias_sums(grad_mat, dims.n, o, dims.hw);
+    if dims.ops() < gemm::PACK_OPS_MIN {
+        // Tiny problem: `matmul_nt` takes the naive reference kernel here.
+        let cols = im2col(input, spec);
+        let grad_weight = grad_mat.matmul_nt(&cols);
+        cols.recycle();
+        return (grad_weight, grad_bias);
+    }
+    let geom = ColsGeom::new(spec, dims.h, dims.w);
+    let gm = grad_mat.data();
+    let idata = input.data();
+    let mut grad_weight = Tensor::scratch(&[o, dims.ckk]);
+    gemm::gemm_packed(
+        o,
+        cols_w,
+        dims.ckk,
+        &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
+            gemm::pack_a_rowmajor(dst, gm, cols_w, ic, mc_eff, pc, kc_eff)
+        },
+        &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
+            geom.pack_cols_t_panels(idata, dst, pc, kc_eff, jc, nc_eff)
+        },
+        grad_weight.data_mut(),
+    );
+    (grad_weight, grad_bias)
+}
+
 /// Max-pooling forward. Returns `(output [N,C,oh,ow], argmax)` where `argmax`
 /// stores, per output element, the flat index into `input`'s data of the
 /// selected maximum (used by [`maxpool2d_backward`]).
@@ -626,13 +861,26 @@ pub fn conv2d_backward_fused(
 /// # Panics
 /// Panics if `input` is not rank 4.
 pub fn maxpool2d_forward(input: &Tensor, spec: &PoolSpec) -> (Tensor, Vec<usize>) {
+    let mut arg = Vec::new();
+    let out = maxpool2d_forward_into(input, spec, &mut arg);
+    (out, arg)
+}
+
+/// [`maxpool2d_forward`] writing the argmax indices into a caller-kept
+/// buffer (resized to the output's element count), so a layer that pools
+/// every step does not allocate one per call.
+///
+/// # Panics
+/// Panics if `input` is not rank 4.
+pub fn maxpool2d_forward_into(input: &Tensor, spec: &PoolSpec, arg: &mut Vec<usize>) -> Tensor {
     let s = input.shape();
     assert_eq!(s.len(), 4, "maxpool expects [N,C,H,W]");
     let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
     let (oh, ow) = spec.out_size(h, w);
     let ohw = oh * ow;
     let mut out = Tensor::scratch(&[n, c, oh, ow]);
-    let mut arg = vec![0usize; n * c * ohw];
+    // Every slot is overwritten below.
+    arg.resize(n * c * ohw, 0);
     let data = input.data();
     // Each `[oh, ow]` plane of (out, arg) depends on one input plane only;
     // argmax selection per window is order-independent across planes.
@@ -676,7 +924,7 @@ pub fn maxpool2d_forward(input: &Tensor, spec: &PoolSpec) -> (Tensor, Vec<usize>
             }
         });
     }
-    (out, arg)
+    out
 }
 
 /// Max-pooling backward: scatters `grad_out` to the argmax positions.
@@ -761,6 +1009,183 @@ pub fn avgpool2d_backward(grad_out: &Tensor, spec: &PoolSpec, input_shape: &[usi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The packers the run-based ones replaced, verbatim, kept as their
+    /// oracle: index divisions per span or per entry, a bounds test per
+    /// entry.
+    impl ColsGeom {
+        fn fill_row_span(&self, data: &[f32], row: usize, col0: usize, dst: &mut [f32]) {
+            let (ci, ky, kx) = self.row_parts(row);
+            let ohw = self.oh * self.ow;
+            let mut j = 0;
+            while j < dst.len() {
+                let col = col0 + j;
+                let ni = col / ohw;
+                let rem = col % ohw;
+                let (oy, ox0) = (rem / self.ow, rem % self.ow);
+                let run = (self.ow - ox0).min(dst.len() - j);
+                let iy = (oy * self.stride) as isize + ky as isize - self.pad;
+                if iy < 0 || iy >= self.h as isize {
+                    dst[j..j + run].fill(0.0);
+                } else {
+                    let in_row =
+                        &data[((ni * self.c + ci) * self.h + iy as usize) * self.w..][..self.w];
+                    for (t, d) in dst[j..j + run].iter_mut().enumerate() {
+                        let ix = ((ox0 + t) * self.stride) as isize + kx as isize - self.pad;
+                        *d = if ix < 0 || ix >= self.w as isize {
+                            0.0
+                        } else {
+                            in_row[ix as usize]
+                        };
+                    }
+                }
+                j += run;
+            }
+        }
+
+        fn pack_cols_panels_oracle(
+            &self,
+            data: &[f32],
+            dst: &mut [f32],
+            pc: usize,
+            kc_eff: usize,
+            jc: usize,
+            nc_eff: usize,
+        ) {
+            for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
+                let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
+                let col0 = jc + jr * gemm::NR;
+                for p in 0..kc_eff {
+                    let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
+                    self.fill_row_span(data, pc + p, col0, &mut out[..cols_n]);
+                    out[cols_n..].fill(0.0);
+                }
+            }
+        }
+
+        fn pack_cols_t_panels_oracle(
+            &self,
+            data: &[f32],
+            dst: &mut [f32],
+            pc: usize,
+            kc_eff: usize,
+            jc: usize,
+            nc_eff: usize,
+        ) {
+            let ohw = self.oh * self.ow;
+            for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
+                let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
+                let mut rows = [(0usize, 0usize, 0usize); gemm::NR];
+                for (j, r) in rows.iter_mut().enumerate().take(cols_n) {
+                    *r = self.row_parts(jc + jr * gemm::NR + j);
+                }
+                for p in 0..kc_eff {
+                    let col = pc + p;
+                    let ni = col / ohw;
+                    let rem = col % ohw;
+                    let (oy, ox) = (rem / self.ow, rem % self.ow);
+                    let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
+                    for (o, &(ci, ky, kx)) in out.iter_mut().zip(&rows).take(cols_n) {
+                        let iy = (oy * self.stride) as isize + ky as isize - self.pad;
+                        let ix = (ox * self.stride) as isize + kx as isize - self.pad;
+                        *o = if iy < 0 || iy >= self.h as isize || ix < 0 || ix >= self.w as isize {
+                            0.0
+                        } else {
+                            data[((ni * self.c + ci) * self.h + iy as usize) * self.w + ix as usize]
+                        };
+                    }
+                    out[cols_n..].fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// Every geometry of the conv test grid that has a non-empty output:
+    /// runs shorter than, equal to and longer than NR, panels that straddle
+    /// a sample boundary, `cols_w` not a multiple of NR or NC.
+    fn geometry_grid() -> Vec<(ConvSpec, [usize; 4])> {
+        let mut grid = Vec::new();
+        for kernel in [1usize, 3, 5] {
+            for stride in [1usize, 2] {
+                for padding in [0usize, 1, 2] {
+                    for hw in [4usize, 5, 8, 9, 16] {
+                        for n in [1usize, 3, 16] {
+                            if hw + 2 * padding < kernel {
+                                continue;
+                            }
+                            let spec = ConvSpec {
+                                in_channels: 3,
+                                out_channels: 4,
+                                kernel,
+                                stride,
+                                padding,
+                            };
+                            grid.push((spec, [n, 3, hw, hw]));
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn run_packers_match_per_element_oracle_byte_for_byte() {
+        for (spec, shape) in geometry_grid() {
+            let [n, c, h, w] = shape;
+            // Distinct non-zero values: a misplaced or wrongly padded entry
+            // cannot coincide with the right one.
+            let data: Vec<f32> = (0..n * c * h * w).map(|i| i as f32 + 1.0).collect();
+            let geom = ColsGeom::new(&spec, h, w);
+            let ckk = c * spec.kernel * spec.kernel;
+            let cols_w = n * geom.oh * geom.ow;
+            type Packer = fn(&ColsGeom, &[f32], &mut [f32], usize, usize, usize, usize);
+            let cases: [(&str, usize, usize, Packer, Packer); 2] = [
+                (
+                    "cols",
+                    ckk,
+                    cols_w,
+                    ColsGeom::pack_cols_panels,
+                    ColsGeom::pack_cols_panels_oracle,
+                ),
+                (
+                    "cols_t",
+                    cols_w,
+                    ckk,
+                    ColsGeom::pack_cols_t_panels,
+                    ColsGeom::pack_cols_t_panels_oracle,
+                ),
+            ];
+            for (what, depth, width, new, oracle) in cases {
+                // The GEMM's own (KC, NC) block grid, then one block that
+                // starts mid-kernel-row and mid-output-row.
+                let mut blocks = Vec::new();
+                for pc in (0..depth).step_by(gemm::KC) {
+                    for jc in (0..width).step_by(gemm::NC) {
+                        blocks.push((pc, gemm::KC.min(depth - pc), jc, gemm::NC.min(width - jc)));
+                    }
+                }
+                if depth > 3 && width > 5 {
+                    blocks.push((3, depth - 3, 5, (width - 5).min(gemm::NC + 3)));
+                }
+                for (pc, kc_eff, jc, nc_eff) in blocks {
+                    let len = nc_eff.div_ceil(gemm::NR) * gemm::NR * kc_eff;
+                    let mut got = vec![f32::NAN; len];
+                    let mut want = vec![f32::NAN; len];
+                    new(&geom, &data, &mut got, pc, kc_eff, jc, nc_eff);
+                    oracle(&geom, &data, &mut want, pc, kc_eff, jc, nc_eff);
+                    for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            r.to_bits(),
+                            "{what} {spec:?} {shape:?} block pc={pc} kc={kc_eff} jc={jc} \
+                             nc={nc_eff}: entry {i}: {g} vs {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn naive_conv(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
         let s = input.shape();

@@ -509,6 +509,43 @@ mod tests {
     }
 
     #[test]
+    fn every_microkernel_matches_the_generic_one_bitwise() {
+        // `microkernel` dispatches to one kernel per host, so without this the
+        // other two would run in no test at all.
+        fn bits(acc: &[[f32; NR]; MR]) -> Vec<u32> {
+            acc.iter().flatten().map(|v| v.to_bits()).collect()
+        }
+        for kc in [1usize, 7, 75, 256] {
+            let a = pseudo(kc * MR, 11 + kc as u32);
+            let b = pseudo(kc * NR, 23 + kc as u32);
+            // Non-zero starting accumulators: the kernels continue a C tile.
+            let start_flat = pseudo(MR * NR, 5);
+            let mut start = [[0.0f32; NR]; MR];
+            for (row, vals) in start.iter_mut().zip(start_flat.chunks_exact(NR)) {
+                row.copy_from_slice(vals);
+            }
+            let mut want = start;
+            microkernel_generic(&a, &b, &mut want);
+            let mut dispatched = start;
+            microkernel(&a, &b, &mut dispatched);
+            assert_eq!(bits(&dispatched), bits(&want), "dispatched, kc={kc}");
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut sse2 = start;
+                // SAFETY: SSE2 is part of the x86-64 baseline.
+                unsafe { x86::microkernel_sse2(&a, &b, &mut sse2) };
+                assert_eq!(bits(&sse2), bits(&want), "sse2, kc={kc}");
+                if std::arch::is_x86_feature_detected!("avx") {
+                    let mut avx = start;
+                    // SAFETY: AVX was just detected on this host.
+                    unsafe { x86::microkernel_avx(&a, &b, &mut avx) };
+                    assert_eq!(bits(&avx), bits(&want), "avx, kc={kc}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn packed_matches_naive_on_ragged_shapes() {
         // Shapes straddling every MR/NR/KC/MC/NC boundary case, plus K=0 and M=1.
         let shapes = [

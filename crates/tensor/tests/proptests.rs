@@ -12,6 +12,81 @@ fn matrix(m: usize, n: usize, seed: u64) -> Tensor {
     )
 }
 
+/// Fused forward, backward and parameter-only backward against the unfused
+/// reference, in full, at three pool sizes.
+fn check_fused_conv(input: &Tensor, spec: &ConvSpec, seed: u64) -> apf_testkit::TestCaseResult {
+    let (h, w) = (input.shape()[2], input.shape()[3]);
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    let weight = matrix(spec.out_channels, ckk, seed ^ 0x17);
+    let bias = matrix(1, spec.out_channels, seed ^ 0x29).reshape(&[spec.out_channels]);
+    let (want_out, cols) = apf_tensor::conv2d_forward(input, &weight, &bias, spec);
+    let grad_out = want_out.map(|x| x * 0.25);
+    let want = apf_tensor::conv2d_backward(&grad_out, &cols, &weight, spec, (h, w));
+    for t in [1usize, 2, 7] {
+        let (out, grads, params) = apf_par::with_threads(t, || {
+            (
+                apf_tensor::conv2d_forward_fused(input, &weight, &bias, spec),
+                apf_tensor::conv2d_backward_fused(&grad_out, input, &weight, spec),
+                apf_tensor::conv2d_backward_params_fused(&grad_out, input, spec),
+            )
+        });
+        prop_assert!(out == want_out, "fused forward differs at threads={t}");
+        prop_assert!(
+            grads.input == want.input,
+            "fused grad input differs at threads={t}"
+        );
+        prop_assert!(
+            grads.weight == want.weight,
+            "fused grad weight differs at threads={t}"
+        );
+        prop_assert!(
+            grads.bias == want.bias,
+            "fused grad bias differs at threads={t}"
+        );
+        prop_assert!(
+            params.0 == want.weight,
+            "params-only grad weight differs at threads={t}"
+        );
+        prop_assert!(
+            params.1 == want.bias,
+            "params-only grad bias differs at threads={t}"
+        );
+    }
+    Ok(())
+}
+
+/// The two convolutions LeNet-5 actually runs, at the training batch size:
+/// far past the size where debug builds cross-check the fused kernels
+/// themselves.
+#[test]
+fn fused_conv_matches_unfused_on_the_lenet_shapes() {
+    for (spec, shape) in [
+        (
+            ConvSpec {
+                in_channels: 3,
+                out_channels: 6,
+                kernel: 5,
+                stride: 1,
+                padding: 2,
+            },
+            [16usize, 3, 16, 16],
+        ),
+        (
+            ConvSpec {
+                in_channels: 6,
+                out_channels: 16,
+                kernel: 5,
+                stride: 1,
+                padding: 0,
+            },
+            [16, 6, 8, 8],
+        ),
+    ] {
+        let input = matrix(shape[0], shape[1] * shape[2] * shape[3], 0x1E).reshape(&shape);
+        check_fused_conv(&input, &spec, 0x5).unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
+    }
+}
+
 property! {
     fn matmul_identity_left(m in usizes(1..9), n in usizes(1..9), seed in u64s(0..1000)) {
         let a = matrix(m, n, seed);
@@ -243,36 +318,32 @@ property! {
     }
 
     fn fused_conv_bitwise_matches_unfused(
+        geometry in usizes(0..3 * 2 * 3 * 5 * 3),
         c in usizes(1..4),
         o in usizes(1..5),
-        hw in usizes(4..10),
         seed in u64s(0..200),
     ) {
-        let spec = ConvSpec { in_channels: c, out_channels: o, kernel: 3, stride: 1, padding: 1 };
-        let n = 2;
+        // One point of kernel x stride x padding x side x batch: output rows
+        // shorter than, equal to and longer than a GEMM panel, panels that
+        // straddle a sample boundary, column counts that are not a multiple
+        // of the panel or block width, both transposed-packing orders.
+        let mut pick = geometry;
+        let mut draw = |choices: &[usize]| {
+            let v = choices[pick % choices.len()];
+            pick /= choices.len();
+            v
+        };
+        let (kernel, stride, padding) = (draw(&[1, 3, 5]), draw(&[1, 2]), draw(&[0, 1, 2]));
+        let (hw, n) = (draw(&[4, 5, 8, 9, 16]), draw(&[1, 3, 16]));
+        prop_assume!(hw + 2 * padding >= kernel);
+        let spec = ConvSpec { in_channels: c, out_channels: o, kernel, stride, padding };
         let input = Tensor::from_vec(
             (0..n * c * hw * hw)
                 .map(|i| ((apf_tensor::splitmix64(seed ^ i as u64) % 200) as f32 / 100.0) - 1.0)
                 .collect(),
             &[n, c, hw, hw],
         );
-        let weight = matrix(o, c * 9, seed ^ 0x17);
-        let bias = matrix(1, o, seed ^ 0x29).reshape(&[o]);
-        let (want_out, cols) = apf_tensor::conv2d_forward(&input, &weight, &bias, &spec);
-        let grad_out = want_out.map(|x| x * 0.25);
-        let want = apf_tensor::conv2d_backward(&grad_out, &cols, &weight, &spec, (hw, hw));
-        for t in [1usize, 2, 7] {
-            let (out, grads) = apf_par::with_threads(t, || {
-                (
-                    apf_tensor::conv2d_forward_fused(&input, &weight, &bias, &spec),
-                    apf_tensor::conv2d_backward_fused(&grad_out, &input, &weight, &spec),
-                )
-            });
-            prop_assert!(out == want_out, "fused forward differs at threads={t}");
-            prop_assert!(grads.input == want.input, "fused grad input differs at threads={t}");
-            prop_assert!(grads.weight == want.weight, "fused grad weight differs at threads={t}");
-            prop_assert!(grads.bias == want.bias, "fused grad bias differs at threads={t}");
-        }
+        check_fused_conv(&input, &spec, seed)?;
     }
 
     fn parallel_reduce_bitwise_matches_serial(
