@@ -280,7 +280,7 @@ fn bench_round() -> f64 {
         .clients_from_partition(&train, &parts)
         .test_set(test)
         .strategy(Box::new(FullSync::new()))
-        .parallel(true)
+        .config(|c| c.parallel = true)
         .build();
     let t0 = Instant::now();
     let log = runner.run();
@@ -681,10 +681,8 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("failed to write {out_path}: {e}"));
     println!("\nwrote {out_path}:\n{json}");
     if !no_ledger {
-        let ledger_path = std::env::var("APF_LEDGER_FILE")
-            .ok()
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "results/ledger.jsonl".to_owned());
+        let ledger_path =
+            apf_fedsim::ledger_path(None).unwrap_or_else(|| "results/ledger.jsonl".into());
         let record = ledger_record(
             &results,
             &masked,
@@ -695,8 +693,11 @@ fn main() {
             scratch_misses_steady,
         );
         match record.append_to(&ledger_path) {
-            Ok(()) => println!("appended kernel record to {ledger_path}"),
-            Err(e) => println!("warning: could not append to {ledger_path}: {e}"),
+            Ok(()) => println!("appended kernel record to {}", ledger_path.display()),
+            Err(e) => println!(
+                "warning: could not append to {}: {e}",
+                ledger_path.display()
+            ),
         }
     }
     if prof_owned {

@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment harness.
 
 use apf::{Aimd, ApfConfig, ThresholdDecay};
-use apf_bench::report::{load_log, save_log};
+use apf_bench::report::save_log;
 use apf_bench::setups::{standard_builder, ModelKind, Scale};
 use apf_data::{classes_per_client_partition, dirichlet_partition, Dataset};
 use apf_fedsim::{ExperimentLog, FlRunnerBuilder, SyncStrategy};
@@ -58,9 +58,8 @@ pub struct RunSpec {
     pub label: String,
 }
 
-/// Runs one federated experiment (or loads it from the `results/` cache if
-/// `APF_REUSE_RESULTS=1` and a log with this label exists), applying `tweak`
-/// to the builder before construction.
+/// Runs one federated experiment, applying `tweak` to the builder before
+/// construction, and saves its log under `results/` by label.
 pub fn run_fl(
     ctx: &Ctx,
     spec: RunSpec,
@@ -68,12 +67,6 @@ pub fn run_fl(
     tweak: impl FnOnce(FlRunnerBuilder) -> FlRunnerBuilder,
 ) -> ExperimentLog {
     let stem = spec.label.replace('/', "_");
-    if std::env::var("APF_REUSE_RESULTS").as_deref() == Ok("1") {
-        if let Some(log) = load_log(&stem) {
-            println!("[cache] reusing results/{stem}.json");
-            return log;
-        }
-    }
     let (builder, train, test) =
         standard_builder(spec.model, ctx.scale, spec.clients, spec.rounds, ctx.seed);
     let parts = spec.partition.split(&train, spec.clients, ctx.seed);

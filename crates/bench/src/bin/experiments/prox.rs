@@ -24,10 +24,10 @@ pub fn fig19(ctx: &Ctx) {
     let with_stragglers = |b: apf_fedsim::FlRunnerBuilder| b.straggler(0, 0.25).straggler(1, 0.5);
 
     let fedavg = run_fl(ctx, spec("fig19/fedavg"), Box::new(FullSync::new()), |b| {
-        with_stragglers(b).drop_stragglers()
+        with_stragglers(b).config(|c| c.drop_stragglers = true)
     });
     let fedprox = run_fl(ctx, spec("fig19/fedprox"), Box::new(FullSync::new()), |b| {
-        with_stragglers(b).prox_mu(0.01)
+        with_stragglers(b).config(|c| c.prox_mu = Some(0.01))
     });
     let fedprox_apf = run_fl(
         ctx,
@@ -40,7 +40,7 @@ pub fn fig19(ctx: &Ctx) {
             )
             .unwrap(),
         ),
-        |b| with_stragglers(b).prox_mu(0.01),
+        |b| with_stragglers(b).config(|c| c.prox_mu = Some(0.01)),
     );
     curves_csv("fig19_accuracy.csv", &[&fedavg, &fedprox, &fedprox_apf]);
     frozen_csv("fig19_frozen.csv", &[&fedprox_apf]);

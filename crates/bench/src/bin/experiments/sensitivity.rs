@@ -201,7 +201,7 @@ pub fn fig22(ctx: &Ctx) {
                 )
                 .unwrap(),
             ),
-            |b| b.local_iters(fs),
+            |b| b.config(|c| c.local_iters = fs),
         );
         logs.push(log);
     }

@@ -2,10 +2,10 @@
 //! replacement — no external dependencies, `harness = false` benches).
 //!
 //! Methodology: a warmup phase sizes the per-sample iteration count so each
-//! sample runs ≥ ~20 ms, then `APF_BENCH_SAMPLES` (default 11) samples are
-//! timed and the median / min / max per-iteration times are reported. The
-//! median is robust to scheduler noise; min approximates the noise floor.
-//! Set `APF_BENCH_QUICK=1` to cut sample counts for smoke runs.
+//! sample runs ≥ ~20 ms, then 11 samples are timed and the median / min /
+//! max per-iteration times are reported. The median is robust to scheduler
+//! noise; min approximates the noise floor. Set `APF_BENCH_QUICK=1` to cut
+//! the sample count to 3 for smoke runs.
 
 use std::hint::black_box as std_black_box;
 use std::io::Write;
@@ -21,12 +21,10 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(20);
 
 fn samples_per_bench() -> usize {
     if std::env::var("APF_BENCH_QUICK").is_ok() {
-        return 3;
+        3
+    } else {
+        11
     }
-    std::env::var("APF_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(11)
 }
 
 /// One measured benchmark result.

@@ -8,13 +8,13 @@
 //! diffs, and regression-checks these records; the digest lets it match a
 //! candidate run to its baseline without trusting labels.
 //!
-//! Writing is opt-in — [`crate::FlRunnerBuilder::ledger`] or the
-//! `APF_LEDGER_FILE` environment variable — so `cargo test` never touches
-//! the filesystem behind your back.
+//! Writing is opt-in — a `ledger()` argument or the `APF_LEDGER_FILE`
+//! environment variable, resolved by [`ledger_path`] — so `cargo test` never
+//! touches the filesystem behind your back.
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::json::{self, Value};
 use crate::metrics::ExperimentLog;
@@ -42,6 +42,18 @@ pub fn peak_resident_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib * 1024)
+}
+
+/// The ledger a run appends to: `explicit` (a builder, `ledger()` or
+/// `--ledger` argument) when given, else `APF_LEDGER_FILE`, else none. The
+/// one place the variable is read.
+pub fn ledger_path(explicit: Option<PathBuf>) -> Option<PathBuf> {
+    explicit.or_else(|| {
+        std::env::var("APF_LEDGER_FILE")
+            .ok()
+            .filter(|s| !s.is_empty())
+            .map(PathBuf::from)
+    })
 }
 
 /// One ledgered run.

@@ -42,6 +42,7 @@ pub mod ledger;
 mod metrics;
 mod network;
 mod population;
+mod round;
 mod runner;
 mod spec;
 mod strategy;
@@ -49,11 +50,14 @@ mod trajectory;
 
 pub use client::Client;
 pub use extra::{DpGaussian, LayerFreeze, TopK};
-pub use ledger::{fnv1a64, load_ledger, peak_resident_bytes, LedgerRecord};
+pub use ledger::{fnv1a64, ledger_path, load_ledger, peak_resident_bytes, LedgerRecord};
 pub use metrics::{ExperimentLog, RoundRecord};
 pub use network::NetworkModel;
 pub use population::{ClientRegistry, PopulationConfig, PopulationData, PopulationRunner};
+pub use round::{evaluates_at, sample_cohort, EvalSetup, RoundBook};
 pub use runner::{FlConfig, FlRunner, FlRunnerBuilder, OptimizerKind};
-pub use spec::{EvalSetup, PartitionKind, RunSpec, SpecError, SpecStrategy};
-pub use strategy::{ApfStrategy, Cmfl, FullSync, Gaia, PartialSync, RoundComm, SyncStrategy};
+pub use spec::{PartitionKind, RunSpec, SpecError, SpecStrategy};
+pub use strategy::{
+    weighted_mean, ApfStrategy, Cmfl, FullSync, Gaia, PartialSync, RoundComm, SyncStrategy,
+};
 pub use trajectory::{Trajectory, TrajectoryRound};

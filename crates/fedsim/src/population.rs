@@ -1,4 +1,4 @@
-//! Million-client event-driven population simulator.
+//! Million-client sampled-cohort population simulator.
 //!
 //! [`FlRunner`] materializes every client up front — fine for the paper's
 //! 10-client testbed, hopeless for a realistic federated population where
@@ -14,20 +14,22 @@
 //!   from the run seed.
 //! * Per-client APF state is shared, not stored: §6.2 of the paper proves
 //!   every client's `ApfManager` evolves identically under synchronized
-//!   inputs, so one manager serves the whole population. At each round
-//!   boundary it is itself squeezed through [`DormantApfState`] (bit-packed
-//!   freeze mask, codec-compressed EMA trajectories) — the dormant encode
-//!   path is load-bearing, not dead code.
+//!   inputs, so one [`ApfStrategy`] — the same one [`FlRunner`] drives —
+//!   serves the whole population. At each round boundary its manager is
+//!   squeezed through [`apf::DormantApfState`] (bit-packed freeze mask,
+//!   codec-compressed EMA trajectories) — the dormant encode path is
+//!   load-bearing, not dead code.
 //! * Full replicas ("shells": model + optimizer + data shard) exist only
 //!   for the cohort block currently training, and are **recycled** across
 //!   blocks and rounds; their backing buffers cycle through the
 //!   `apf_tensor::slab` size-class store, so steady-state allocation is
 //!   zero regardless of cohort composition.
 //!
-//! The round is driven as a deterministic event queue — `Sample` →
-//! `Train{block}`... → `Finalize` — so cohort blocks are scheduled
-//! explicitly and resident memory is bounded by the shell pool, never by
-//! the registered population.
+//! A round samples its cohort, streams it through the shell pool a block at
+//! a time — materialize, train, absorb each local into the strategy's
+//! running aggregate, suspend — and commits once, so resident memory is
+//! bounded by the shell pool, never by the registered population. The rest
+//! (accounting, evaluation, telemetry, ledger) is the shared [`RoundBook`].
 //!
 //! **Parity contract:** with full participation (`cohort = 0`), dense
 //! dormant encoding, and shared-partition data, a [`PopulationRunner`] is
@@ -36,21 +38,21 @@
 //! (`tests/population_parity.rs`).
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use apf::{Aimd, ApfConfig, ApfManager, DormantApfState};
+use apf::ApfConfig;
 use apf_data::{Dataset, SynthImageGen};
 use apf_nn::{LrSchedule, Sequential, Trainer};
-use apf_quant::{f16_roundtrip_in_place, EmaCodec};
+use apf_quant::EmaCodec;
 use apf_tensor::{derive_seed, seeded_rng, slab, Tensor};
 use apf_trace::{event, span, Level};
 
 use crate::client::Client;
-use crate::ledger::{fnv1a64, peak_resident_bytes, LedgerRecord};
+use crate::ledger::fnv1a64;
 use crate::metrics::{ExperimentLog, RoundRecord};
-use crate::network::NetworkModel;
+use crate::round::{sample_cohort, train_clients, EvalSetup, RoundBook};
 use crate::runner::{config_canonical, FlConfig, OptimizerKind};
+use crate::strategy::{ApfStrategy, SyncStrategy};
 
 /// Estimated per-entry bookkeeping overhead of the registry map, counted on
 /// top of the packed blob itself when reporting resident bytes.
@@ -67,11 +69,6 @@ pub struct ClientRegistry {
 }
 
 impl ClientRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        ClientRegistry::default()
-    }
-
     /// Number of clients with stored (non-fresh) state.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -168,21 +165,6 @@ pub enum PopulationData {
     },
 }
 
-impl std::fmt::Debug for PopulationData {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PopulationData::Shared { parts, .. } => f
-                .debug_struct("Shared")
-                .field("clients", &parts.len())
-                .finish(),
-            PopulationData::Synth { per_client, .. } => f
-                .debug_struct("Synth")
-                .field("per_client", per_client)
-                .finish(),
-        }
-    }
-}
-
 /// Configuration of a [`PopulationRunner`] beyond the shared [`FlConfig`].
 #[derive(Debug, Clone)]
 pub struct PopulationConfig {
@@ -206,67 +188,25 @@ pub struct PopulationConfig {
     pub schedule: LrSchedule,
 }
 
-/// One materialized replica, re-bound to a different registered client as
-/// cohort blocks stream through.
-struct Shell {
-    client: Client,
-    bound: u64,
-}
-
-/// The deterministic per-round event schedule.
-enum RoundEvent {
-    /// Draw the cohort and schedule its blocks.
-    Sample,
-    /// Materialize, train, aggregate, and suspend cohort block
-    /// `[lo, lo + shells)`.
-    Train {
-        /// Cohort-list offset of the block.
-        lo: usize,
-    },
-    /// Close the round: finish aggregation, sync, evaluate, record.
-    Finalize,
-}
-
-/// Event-driven sampled-participation simulator over a registered
-/// population (see the module docs for the architecture and the parity
-/// contract).
+/// Sampled-participation simulator over a registered population (see the
+/// module docs for the architecture and the parity contract).
 pub struct PopulationRunner {
     cfg: PopulationConfig,
     data: PopulationData,
     model_factory: Box<dyn Fn(u64) -> Sequential>,
-    model_seed: u64,
-    mgr: ApfManager,
+    strategy: ApfStrategy,
     mgr_dormant_bytes: usize,
-    shells: Vec<Shell>,
+    /// Materialized replicas, re-bound to a different registered client as
+    /// cohort blocks stream through.
+    shells: Vec<Client>,
     registry: ClientRegistry,
     global: Vec<f32>,
-    rep: Vec<f32>,
-    eval_model: Sequential,
-    test: Dataset,
-    network: NetworkModel,
-    log: ExperimentLog,
-    cum_bytes: u64,
-    cum_secs: f64,
-    best_accuracy: f32,
-    initial_model_bytes: u64,
-    model_name: String,
-    strategy_label: String,
-    config_digest: u64,
-    ledger_path: Option<PathBuf>,
-}
-
-impl std::fmt::Debug for PopulationRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PopulationRunner")
-            .field("registered", &self.cfg.registered)
-            .field("cohort", &self.cfg.cohort)
-            .field("shells", &self.shells.len())
-            .finish()
-    }
+    book: RoundBook,
 }
 
 impl PopulationRunner {
-    /// Assembles the runner.
+    /// Assembles the runner. Live telemetry is served when `APF_OBS_ADDR`
+    /// is set (or after [`PopulationRunner::serve`]).
     ///
     /// # Panics
     /// Panics when the configuration is structurally invalid: zero
@@ -281,7 +221,10 @@ impl PopulationRunner {
         apf_trace::init_from_env();
         assert!(cfg.registered > 0, "no registered clients");
         assert!(cfg.shells > 0, "need at least one shell");
-        cfg.apf.validate().expect("invalid APF config");
+        let mut strategy = ApfStrategy::new(cfg.apf).expect("invalid APF config");
+        if cfg.wire_f16 {
+            strategy = strategy.with_f16();
+        }
         if let PopulationData::Shared { parts, .. } = &data {
             assert_eq!(
                 parts.len(),
@@ -289,64 +232,51 @@ impl PopulationRunner {
                 "partition does not cover the registered population"
             );
         }
-        let model_seed = derive_seed(cfg.fl.seed, 0x30DE1);
-        let mut eval_model = model_factory(model_seed);
+        let mut eval_model = model_factory(derive_seed(cfg.fl.seed, 0x30DE1));
         let init = eval_model.flat_params();
-        let mgr = ApfManager::new(&init, cfg.apf, Box::new(Aimd::default()))
-            .expect("config validated above");
-        let model_name = eval_model.name().to_owned();
-        let strategy_label = if cfg.wire_f16 { "apf-pop+q" } else { "apf-pop" }.to_owned();
-        let name = format!("{model_name}/{strategy_label}");
+        strategy.init(&init, cfg.registered);
+        let strategy_label = if cfg.wire_f16 { "apf-pop+q" } else { "apf-pop" };
+        let name = format!("{}/{strategy_label}", eval_model.name());
         let config_digest =
-            fnv1a64(population_canonical(&cfg, &model_name, &strategy_label).as_bytes());
-        let ledger_path = std::env::var("APF_LEDGER_FILE")
-            .ok()
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from);
+            fnv1a64(population_canonical(&cfg, eval_model.name(), strategy_label).as_bytes());
         event!(Level::Info, target: "fedsim.pop", "population_configured",
-            name = name.as_str(),
-            registered = cfg.registered,
-            cohort = cfg.cohort,
-            shells = cfg.shells,
-            model_scalars = init.len(),
-            dormant = cfg.codec.name(),
+            name = name.as_str(), registered = cfg.registered, cohort = cfg.cohort,
+            shells = cfg.shells, model_scalars = init.len(), dormant = cfg.codec.name());
+        let mut book = RoundBook::new(
+            &name,
+            strategy_label,
+            config_digest,
+            &cfg.fl,
+            EvalSetup::new(eval_model, test, cfg.fl.eval_batch),
         );
-        let initial_model_bytes = init.len() as u64 * 4;
+        book.serve(None);
         PopulationRunner {
             cfg,
             data,
             model_factory: Box::new(model_factory),
-            model_seed,
-            mgr,
+            strategy,
             mgr_dormant_bytes: 0,
             shells: Vec::new(),
-            registry: ClientRegistry::new(),
-            rep: init.clone(),
+            registry: ClientRegistry::default(),
             global: init,
-            eval_model,
-            test,
-            network: NetworkModel::default(),
-            log: ExperimentLog::new(&name),
-            cum_bytes: 0,
-            cum_secs: 0.0,
-            best_accuracy: 0.0,
-            initial_model_bytes,
-            model_name,
-            strategy_label,
-            config_digest,
-            ledger_path,
+            book,
         }
     }
 
-    /// Appends a [`LedgerRecord`] when [`PopulationRunner::run`] completes
-    /// (also enabled by `APF_LEDGER_FILE`; this method wins).
-    pub fn ledger(&mut self, path: impl Into<PathBuf>) {
-        self.ledger_path = Some(path.into());
+    /// Serves live telemetry from `addr` for the lifetime of the runner
+    /// (also enabled by `APF_OBS_ADDR`; see [`RoundBook::serve`]).
+    pub fn serve(&mut self, addr: &str) {
+        self.book.serve(Some(addr));
+    }
+
+    /// The live-telemetry server's bound address, when serving.
+    pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
+        self.book.obs_addr()
     }
 
     /// The metric log so far.
     pub fn log(&self) -> &ExperimentLog {
-        &self.log
+        self.book.log()
     }
 
     /// The current global flat model.
@@ -370,40 +300,20 @@ impl PopulationRunner {
         let shells: u64 = self
             .shells
             .iter()
-            .map(|s| {
-                let data = s.client.data();
+            .map(|client| {
+                let data = client.data();
                 let shard = (data.len() * data.sample_numel()) as u64 * 4 + data.len() as u64 * 8;
-                n * 8 + s.client.trainer().optimizer_state().len() as u64 * 4 + shard
+                n * 8 + client.trainer().optimizer_state().len() as u64 * 4 + shard
             })
             .sum();
-        // Runner-owned dense vectors: global + representative + eval model.
+        // Runner-owned dense vectors: global + the strategy's running
+        // aggregate + eval model.
         let runner = n * 4 * 3;
         slab_resident
             + self.registry.resident_bytes()
             + self.mgr_dormant_bytes as u64
             + shells
             + runner
-    }
-
-    /// Draws the round's cohort: sorted, distinct, seeded by
-    /// `(run seed, round)` so reruns and thread counts cannot change it.
-    fn sample_cohort(&self, round: u64) -> Vec<u64> {
-        let n = self.cfg.registered as u64;
-        let k = self.cfg.cohort as u64;
-        if k == 0 || k >= n {
-            return (0..n).collect();
-        }
-        let mut rng = seeded_rng(derive_seed(derive_seed(self.cfg.fl.seed, 0xC040), round));
-        let mut chosen = std::collections::HashSet::with_capacity(k as usize);
-        let mut out = Vec::with_capacity(k as usize);
-        while out.len() < k as usize {
-            let c = rng.gen_range(0..n);
-            if chosen.insert(c) {
-                out.push(c);
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     /// Builds client `id`'s data shard (slab-backed in synthetic mode).
@@ -424,16 +334,11 @@ impl PopulationRunner {
         }
     }
 
-    /// Returns a retired shard's backing buffer to the slab store.
-    fn recycle_shard(ds: Dataset) {
-        let (inputs, _labels) = ds.into_parts();
-        slab::give(inputs.into_vec());
-    }
-
     /// Materializes client `id` into shell `slot` — building the shell on
-    /// first use, re-binding (and recycling) it otherwise — and restores
-    /// the client's dormant state. Returns whether this is the client's
-    /// first-ever participation.
+    /// first use, re-binding it (and recycling the retired shard's buffer
+    /// through the slab store) otherwise — and restores the client's
+    /// dormant state. Returns whether this is the client's first-ever
+    /// participation.
     fn materialize(&mut self, slot: usize, id: u64) -> bool {
         let shard = self.make_shard(id);
         let dormant = self.registry.get(id).map(unpack_dormant);
@@ -445,24 +350,21 @@ impl PopulationRunner {
         if self.shells.len() <= slot {
             debug_assert_eq!(self.shells.len(), slot);
             let trainer = Trainer::new(
-                (self.model_factory)(self.model_seed),
+                (self.model_factory)(derive_seed(self.cfg.fl.seed, 0x30DE1)),
                 self.cfg.optimizer.build(),
                 self.cfg.schedule,
             );
-            let client = Client::new(
+            self.shells.push(Client::new(
                 trainer,
                 shard,
                 self.cfg.fl.batch_size,
                 derive_seed(self.cfg.fl.seed, id),
-            );
-            self.shells.push(Shell { client, bound: id });
+            ));
         } else {
-            let shell = &mut self.shells[slot];
-            let old = shell.client.replace_data(shard);
-            PopulationRunner::recycle_shard(old);
-            shell.bound = id;
+            let (inputs, _labels) = self.shells[slot].replace_data(shard).into_parts();
+            slab::give(inputs.into_vec());
         }
-        let client = &mut self.shells[slot].client;
+        let client = &mut self.shells[slot];
         client.load_flat(&self.global);
         client.set_rng_state(rng);
         client.trainer_mut().set_step_count(steps as usize);
@@ -470,253 +372,113 @@ impl PopulationRunner {
         first_time
     }
 
-    /// Suspends shell `slot`'s client back into the registry.
-    fn suspend(&mut self, slot: usize) {
-        let shell = &self.shells[slot];
+    /// Suspends shell `slot`'s client back into the registry as client `id`.
+    fn suspend(&mut self, slot: usize, id: u64) {
+        let client = &self.shells[slot];
         let blob = pack_dormant(
-            shell.client.rng_state(),
-            shell.client.trainer().step_count() as u64,
-            &shell.client.trainer().optimizer_state(),
+            client.rng_state(),
+            client.trainer().step_count() as u64,
+            &client.trainer().optimizer_state(),
             self.cfg.codec,
         );
-        self.registry.insert(shell.bound, blob);
-    }
-
-    /// Trains the first `count` shells (one local round each), writing mean
-    /// batch losses into `losses`. `words` is the round's packed freeze
-    /// mask: after every local iteration the frozen scalars are pinned back
-    /// with it (Alg. 1 line 2), without the per-call mask rebuild the
-    /// manager's own method would do. Parallel over the `apf-par` pool when
-    /// configured; bitwise identical either way.
-    fn train_block(&mut self, words: &[u64], count: usize, losses: &mut [f32]) {
-        let local_iters = self.cfg.fl.local_iters;
-        let parallel = self.cfg.fl.parallel;
-        let pinned = self.mgr.pinned();
-        let hook = &|p: &mut [f32]| apf_tensor::mask_fill(p, pinned, words);
-        let shells = &mut self.shells[..count];
-        if parallel && count > 1 {
-            apf_par::scope(|s| {
-                for (shell, slot) in shells.iter_mut().zip(losses.iter_mut()) {
-                    s.spawn(move || {
-                        *slot = shell.client.local_round(local_iters, hook);
-                    });
-                }
-            });
-        } else {
-            for (shell, slot) in shells.iter_mut().zip(losses.iter_mut()) {
-                *slot = shell.client.local_round(local_iters, hook);
-            }
-        }
+        self.registry.insert(id, blob);
     }
 
     /// Runs one communication round and returns its record.
     pub fn run_round(&mut self, round: u64) -> RoundRecord {
-        let _round_span = span!(Level::Info, target: "fedsim.pop", "round", round = round);
-        let n = self.global.len();
-        let block = self.cfg.shells;
-        // The one mask of this round: the manager is not mutated until
-        // `apply_aggregate_dense`, so every `mask_fill` below shares it.
-        let mask = self.mgr.frozen_mask_packed(round);
-        let words = mask.words();
-        let mut cohort: Vec<u64> = Vec::new();
-        let mut losses: Vec<f32> = Vec::new();
-        let mut agg = slab::take(n);
-        let mut new_clients = 0u64;
+        let _round_span = span!(Level::Info, target: "fedsim", "round", round = round);
+        let cohort = {
+            let _s = span!(Level::Info, target: "fedsim.pop", "sample", round = round);
+            sample_cohort(
+                self.cfg.fl.seed,
+                round,
+                self.cfg.registered,
+                self.cfg.cohort,
+            )
+        };
+        let mut losses = vec![0.0f32; cohort.len()];
+        let mut times = vec![0.0f64; self.cfg.shells];
+        let mut new_clients = 0usize;
         let mut compute_secs = 0.0f64;
-        let mut report = None;
-        let mut events = std::collections::VecDeque::new();
-        events.push_back(RoundEvent::Sample);
-        while let Some(ev) = events.pop_front() {
-            match ev {
-                RoundEvent::Sample => {
-                    let _s = span!(Level::Info, target: "fedsim.pop", "sample", round = round);
-                    cohort = self.sample_cohort(round);
-                    losses = vec![0.0f32; cohort.len()];
-                    let mut lo = 0;
-                    while lo < cohort.len() {
-                        events.push_back(RoundEvent::Train { lo });
-                        lo += block;
-                    }
-                    events.push_back(RoundEvent::Finalize);
-                }
-                RoundEvent::Train { lo } => {
-                    let hi = (lo + block).min(cohort.len());
-                    let s = span!(Level::Info, target: "fedsim.pop", "materialize",
-                        round = round, clients = hi - lo);
-                    for (slot, idx) in (lo..hi).enumerate() {
-                        if self.materialize(slot, cohort[idx]) {
-                            new_clients += 1;
-                        }
-                    }
-                    drop(s);
-                    let s = span!(Level::Info, target: "fedsim.pop", "local_train",
-                        round = round, clients = hi - lo);
-                    let t0 = Instant::now();
-                    self.train_block(words, hi - lo, &mut losses[lo..hi]);
-                    compute_secs += t0.elapsed().as_secs_f64();
-                    drop(s);
-                    // Aggregate in ascending client order — the same f32
-                    // accumulation order as FlRunner's per-client loop.
-                    let _s = span!(Level::Info, target: "fedsim.pop", "aggregate",
-                        round = round, clients = hi - lo);
-                    for slot in 0..hi - lo {
-                        let mut flat = self.shells[slot].client.flat_params();
-                        apf_tensor::mask_fill(&mut flat, self.mgr.pinned(), words);
-                        if self.cfg.wire_f16 {
-                            mask.for_each_unfrozen_run_in(0, n, |s, e| {
-                                f16_roundtrip_in_place(&mut flat[s..e]);
-                            });
-                        }
-                        apf_tensor::masked_axpy(&mut agg, &flat, 1.0, words);
-                        apf_tensor::scratch::give(flat);
-                        self.suspend(slot);
-                    }
-                }
-                RoundEvent::Finalize => {
-                    let _s = span!(Level::Info, target: "fedsim.pop", "sync", round = round);
-                    // Weight total accumulated exactly as FlRunner sums its
-                    // per-client unit weights.
-                    let mut total = 0.0f32;
-                    for _ in 0..cohort.len() {
-                        total += 1.0;
-                    }
-                    apf_tensor::masked_div(&mut agg, total, words);
-                    if self.cfg.wire_f16 {
-                        mask.for_each_unfrozen_run_in(0, n, |s, e| {
-                            f16_roundtrip_in_place(&mut agg[s..e]);
-                        });
-                    }
-                    self.mgr.apply_aggregate_dense(&mut self.rep, &agg, round);
-                    report = Some(self.mgr.finish_round(&self.rep, round));
-                    self.global.copy_from_slice(&self.rep);
-                    // The shared manager's round-boundary dormant hop:
-                    // encode → decode through the configured codec, proving
-                    // the compact form carries everything the next round
-                    // needs.
-                    let snapshot = self.mgr.snapshot();
-                    let dormant = DormantApfState::encode(&snapshot, self.cfg.codec);
-                    self.mgr_dormant_bytes = dormant.len_bytes();
-                    let restored = dormant.decode(self.cfg.apf).expect("self-encoded blob");
-                    self.mgr = ApfManager::restore(restored, Box::new(Aimd::default()));
+        for (block, losses) in cohort
+            .chunks(self.cfg.shells)
+            .zip(losses.chunks_mut(self.cfg.shells))
+        {
+            let clients = block.len();
+            {
+                let _s = span!(Level::Info, target: "fedsim.pop", "materialize",
+                    round = round, clients = clients);
+                for (slot, &id) in block.iter().enumerate() {
+                    new_clients += usize::from(self.materialize(slot, id));
                 }
             }
+            {
+                // The cohort's local training, block after block, is the
+                // round's compute time.
+                let _s = span!(Level::Info, target: "fedsim", "local_train",
+                    round = round, clients = clients);
+                let t0 = Instant::now();
+                let strategy = &self.strategy;
+                let hook = |i: usize, p: &mut [f32]| strategy.post_local_iteration(round, i, p);
+                let mut members: Vec<&mut Client> = self.shells[..clients].iter_mut().collect();
+                train_clients(
+                    &mut members,
+                    self.cfg.fl.local_iters,
+                    &hook,
+                    self.cfg.fl.parallel,
+                    losses,
+                    &mut times[..clients],
+                );
+                compute_secs += t0.elapsed().as_secs_f64();
+            }
+            // Absorb in ascending client order — the same f32 accumulation
+            // order as FlRunner's fleet-wide `sync_round`.
+            let _s = span!(Level::Info, target: "fedsim", "aggregate",
+                round = round, clients = clients);
+            for (slot, &id) in block.iter().enumerate() {
+                let mut flat = self.shells[slot].flat_params();
+                self.strategy.absorb(round, &mut flat, 1.0);
+                apf_tensor::scratch::give(flat);
+                self.suspend(slot, id);
+            }
         }
-        let report = report.expect("Sample always schedules Finalize");
-        slab::give(agg);
-        // Communication accounting: every cohort client moves the masked
-        // frame both ways; first-timers additionally pull the initial model
-        // (FlRunner's round-0 broadcast, amortized over late joiners).
-        let cohort_n = cohort.len() as u64;
-        let bytes_up = report.bytes_up * cohort_n;
-        let bytes_down = report.bytes_down * cohort_n;
-        if new_clients > 0 {
-            self.cum_bytes += self.initial_model_bytes * new_clients;
-            self.cum_secs += self.network.transfer_secs(0, self.initial_model_bytes);
-        }
-        let comm_secs = self
-            .network
-            .transfer_secs(report.bytes_up, report.bytes_down);
-        self.cum_bytes += bytes_up + bytes_down;
-        self.cum_secs += compute_secs + comm_secs;
-        let accuracy = if round.is_multiple_of(self.cfg.fl.eval_every as u64)
-            || round + 1 == self.cfg.fl.rounds as u64
-        {
-            let _s = span!(Level::Info, target: "fedsim.pop", "eval", round = round);
-            self.eval_model.load_flat(&self.global);
-            let acc = apf_nn::evaluate(
-                &mut self.eval_model,
-                self.test.inputs(),
-                self.test.labels(),
-                self.cfg.fl.eval_batch,
-            );
-            self.best_accuracy = self.best_accuracy.max(acc);
-            Some(acc)
-        } else {
-            None
+        let comm = {
+            let _s = span!(Level::Info, target: "fedsim", "sync", round = round);
+            let comm = self.strategy.commit(round, &mut self.global);
+            // The shared manager's round-boundary dormant hop: encode →
+            // decode through the configured codec, proving the compact form
+            // carries everything the next round needs.
+            self.mgr_dormant_bytes = self.strategy.dormant_hop(self.cfg.codec);
+            comm
         };
-        let record = RoundRecord {
-            round,
-            loss: losses.iter().sum::<f32>() / cohort.len().max(1) as f32,
-            accuracy,
-            best_accuracy: self.best_accuracy,
-            frozen_ratio: report.frozen_ratio(),
-            bytes_up,
-            bytes_down,
-            cum_bytes: self.cum_bytes,
-            compute_secs,
-            comm_secs,
-            cum_secs: self.cum_secs,
-        };
-        self.log.push(record);
-        let (slab_hits, slab_misses, slab_alloc, slab_resident) = slab::global_stats();
-        apf_trace::metrics::counter("fedsim.bytes_up").add(record.bytes_up);
-        apf_trace::metrics::counter("fedsim.bytes_down").add(record.bytes_down);
-        apf_trace::metrics::gauge("slab.hits").set(slab_hits as f64);
-        apf_trace::metrics::gauge("slab.misses").set(slab_misses as f64);
-        apf_trace::metrics::gauge("slab.alloc_bytes").set(slab_alloc as f64);
-        apf_trace::metrics::gauge("slab.resident_bytes").set(slab_resident as f64);
+        // First-timers additionally pull the initial model (FlRunner's
+        // round-0 broadcast, amortized over late joiners).
+        self.book.join(new_clients, None);
+        let mean_loss = losses.iter().sum::<f32>() / cohort.len() as f32;
+        let record = self
+            .book
+            .close(round, mean_loss, comm, compute_secs, None, &self.global);
         apf_trace::metrics::gauge("population.registry_clients").set(self.registry.len() as f64);
         apf_trace::metrics::gauge("population.registry_bytes")
             .set(self.registry.resident_bytes() as f64);
-        event!(Level::Info, target: "fedsim.pop", "round_complete",
-            round = round,
-            cohort = cohort_n,
-            new_clients = new_clients,
-            loss = record.loss,
-            frozen_ratio = record.frozen_ratio,
-            bytes_up = record.bytes_up,
-            registry_clients = self.registry.len(),
-            slab_misses = slab_misses,
-        );
         record
     }
 
-    /// Runs all configured rounds; appends a ledger record when configured.
+    /// Runs all configured rounds and closes the books ([`RoundBook::finish`];
+    /// the ledger record carries the population's footprint metrics).
     pub fn run(&mut self) -> &ExperimentLog {
         let t0 = Instant::now();
         for r in 0..self.cfg.fl.rounds as u64 {
             self.run_round(r);
         }
-        let wall_secs = t0.elapsed().as_secs_f64();
-        apf_trace::metrics::emit();
-        apf_trace::flush();
-        if let Some(path) = self.ledger_path.clone() {
-            let mut record = LedgerRecord::from_log(
-                &self.log,
-                &self.model_name,
-                &self.strategy_label,
-                self.config_digest,
-                wall_secs,
-            );
-            record
-                .metrics
-                .insert("registered".to_owned(), self.cfg.registered as f64);
-            record
-                .metrics
-                .insert("cohort_size".to_owned(), self.cfg.cohort as f64);
-            record.metrics.insert(
-                "registry_bytes".to_owned(),
-                self.registry.resident_bytes() as f64,
-            );
-            record.metrics.insert(
-                "steady_resident_bytes".to_owned(),
-                self.steady_resident_bytes() as f64,
-            );
-            if let Some(peak) = peak_resident_bytes() {
-                record
-                    .metrics
-                    .insert("peak_resident_bytes".to_owned(), peak as f64);
-            }
-            match record.append_to(&path) {
-                Ok(()) => event!(Level::Info, target: "fedsim.pop", "ledger_appended",
-                    path = path.display().to_string(),
-                    digest = record.config_digest.as_str()),
-                Err(e) => event!(Level::Warn, target: "fedsim.pop", "ledger_write_failed",
-                    path = path.display().to_string(),
-                    error = e.to_string()),
-            }
-        }
-        &self.log
+        let extra = [
+            ("registered", self.cfg.registered as f64),
+            ("cohort_size", self.cfg.cohort as f64),
+            ("registry_bytes", self.registry.resident_bytes() as f64),
+            ("steady_resident_bytes", self.steady_resident_bytes() as f64),
+        ];
+        self.book.finish(t0.elapsed().as_secs_f64(), &extra);
+        self.book.log()
     }
 }
 
@@ -755,7 +517,7 @@ mod tests {
 
     #[test]
     fn registry_accounting_tracks_replacements() {
-        let mut reg = ClientRegistry::new();
+        let mut reg = ClientRegistry::default();
         assert!(reg.is_empty());
         reg.insert(5, pack_dormant([0; 4], 0, &[1.0; 8], EmaCodec::Dense));
         let b1 = reg.resident_bytes();
@@ -765,21 +527,5 @@ mod tests {
         reg.insert(9, pack_dormant([0; 4], 0, &[], EmaCodec::Dense));
         assert_eq!(reg.len(), 2);
         assert!(reg.get(7).is_none());
-    }
-
-    #[test]
-    fn cohort_sampling_is_deterministic_sorted_distinct() {
-        let spec = crate::RunSpec::golden();
-        let mut runner = spec.build_population_runner();
-        runner.cfg.registered = 1000;
-        runner.cfg.cohort = 64;
-        let a = runner.sample_cohort(3);
-        let b = runner.sample_cohort(3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 64);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
-        assert!(a.iter().all(|&c| c < 1000));
-        let c = runner.sample_cohort(4);
-        assert_ne!(a, c, "different rounds draw different cohorts");
     }
 }

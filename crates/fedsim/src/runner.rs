@@ -2,19 +2,17 @@
 //! metrics.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use apf_data::Dataset;
-use apf_nn::{models, Adam, LrSchedule, Optimizer, Sequential, Sgd, Trainer};
-use apf_obs::{ObsServer, ObsState, RunInfo};
+use apf_nn::{Adam, LrSchedule, Optimizer, Sequential, Sgd, Trainer};
 use apf_tensor::derive_seed;
 use apf_trace::{event, span, Level};
 
 use crate::client::Client;
-use crate::ledger::{fnv1a64, LedgerRecord};
+use crate::ledger::fnv1a64;
 use crate::metrics::{ExperimentLog, RoundRecord};
-use crate::network::NetworkModel;
+use crate::round::{sample_cohort, train_clients, EvalSetup, RoundBook};
 use crate::strategy::{FullSync, SyncStrategy};
 
 /// Which optimizer each client runs (§7.1: Adam for LeNet-5, SGD elsewhere).
@@ -84,10 +82,11 @@ pub struct FlConfig {
     /// Drop stragglers' uploads (FedAvg semantics in §7.7); FedProx keeps
     /// them.
     pub drop_stragglers: bool,
-    /// Fraction of clients participating each round (§7.1 footnote 5:
-    /// clients dynamically leave and join). Non-participants skip local
-    /// training and contribute weight 0 to aggregation; with admission
-    /// control they rejoin from the latest global model. 1.0 = everyone.
+    /// Fraction of clients participating each round (§7.1 footnote 5):
+    /// below 1.0 a cohort of `ceil(participation * clients)` is drawn per
+    /// round from `(seed, round)`. Non-participants skip local training,
+    /// contribute weight 0 to aggregation, and rejoin from the latest global
+    /// model. 1.0 = everyone.
     pub participation: f32,
     /// Train clients concurrently on the `apf-par` pool (bounded by
     /// `APF_PAR_THREADS`). Aggregation order is by client index either way,
@@ -122,11 +121,9 @@ pub struct FlRunnerBuilder {
     stragglers: Vec<(usize, f32)>,
     test: Option<Dataset>,
     strategy: Option<Box<dyn SyncStrategy>>,
-    network: NetworkModel,
     name: Option<String>,
     obs_addr: Option<String>,
     ledger_path: Option<PathBuf>,
-    profile: bool,
 }
 
 impl FlRunnerBuilder {
@@ -172,53 +169,16 @@ impl FlRunnerBuilder {
         self
     }
 
-    /// Enables or disables parallel client training over the `apf-par` pool
-    /// (results are identical either way; see [`FlConfig::parallel`]).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.cfg.parallel = on;
-        self
-    }
-
-    /// Overrides the local iterations per round (`F_s`).
-    pub fn local_iters(mut self, iters: usize) -> Self {
-        self.cfg.local_iters = iters;
-        self
-    }
-
-    /// Sets the per-round client participation fraction in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if the fraction is outside `(0, 1]`.
-    pub fn participation(mut self, fraction: f32) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "participation must be in (0, 1]"
-        );
-        self.cfg.participation = fraction;
-        self
-    }
-
-    /// Enables the FedProx proximal term with coefficient `mu` (§7.7).
-    pub fn prox_mu(mut self, mu: f32) -> Self {
-        self.cfg.prox_mu = Some(mu);
-        self
-    }
-
-    /// Makes the server drop stragglers' uploads (FedAvg semantics in §7.7).
-    pub fn drop_stragglers(mut self) -> Self {
-        self.cfg.drop_stragglers = true;
+    /// Edits the run configuration handed to [`FlRunner::builder`], e.g.
+    /// `.config(|c| c.prox_mu = Some(0.01))` for FedProx (§7.7).
+    pub fn config(mut self, edit: impl FnOnce(&mut FlConfig)) -> Self {
+        edit(&mut self.cfg);
         self
     }
 
     /// Sets the synchronization strategy (default: [`FullSync`]).
     pub fn strategy(mut self, s: Box<dyn SyncStrategy>) -> Self {
         self.strategy = Some(s);
-        self
-    }
-
-    /// Sets the link model (default: the paper's 9/3 Mbps).
-    pub fn network(mut self, n: NetworkModel) -> Self {
-        self.network = n;
         self
     }
 
@@ -229,36 +189,18 @@ impl FlRunnerBuilder {
     }
 
     /// Serves live telemetry over HTTP from `addr` (e.g. `"127.0.0.1:9898"`,
-    /// or port `0` for an ephemeral port) for the lifetime of the runner:
-    /// `/metrics`, `/snapshot`, `/series`, `/healthz`.
-    ///
-    /// Also enabled without code changes by setting `APF_OBS_ADDR`; this
-    /// method wins over the environment. When `APF_OBS_ADDR_FILE` is set,
-    /// the actually-bound address is written there (how scripts discover an
-    /// ephemeral port).
+    /// or port `0` for an ephemeral port) for the lifetime of the runner.
+    /// Wins over `APF_OBS_ADDR`; see [`RoundBook::serve`].
     pub fn serve(mut self, addr: &str) -> Self {
         self.obs_addr = Some(addr.to_owned());
         self
     }
 
-    /// Appends a [`LedgerRecord`] for the run to the JSONL ledger at `path`
-    /// when [`FlRunner::run`] completes (conventionally
-    /// `results/ledger.jsonl`). Also enabled by `APF_LEDGER_FILE`; this
-    /// method wins over the environment.
+    /// Appends the run's [`crate::LedgerRecord`] to the JSONL ledger at
+    /// `path` (conventionally `results/ledger.jsonl`) when [`FlRunner::run`]
+    /// completes. Wins over `APF_LEDGER_FILE`.
     pub fn ledger(mut self, path: impl Into<PathBuf>) -> Self {
         self.ledger_path = Some(path.into());
-        self
-    }
-
-    /// Samples this run with the `apf-prof` profiler: when
-    /// [`FlRunner::run`] completes it writes `flamegraph.pl`-compatible
-    /// folded stacks to `APF_PROF_FILE` (when set) and emits a
-    /// `profile_complete` summary event. Also enabled without code changes
-    /// by `APF_PROF=1` (or `APF_PROF=alloc` for allocation-site
-    /// attribution); if something else in the process already started a
-    /// profiler session, the runner leaves it alone.
-    pub fn profile(mut self) -> Self {
-        self.profile = true;
         self
     }
 
@@ -315,88 +257,36 @@ impl FlRunnerBuilder {
         let name = self
             .name
             .unwrap_or_else(|| format!("{}/{}", eval_model.name(), strategy.name()));
-        let model_bytes = init.len() as u64 * 4;
         event!(Level::Info, target: "fedsim", "run_configured",
-            name = name.as_str(),
-            clients = clients.len(),
-            model_scalars = init.len(),
-            rounds = cfg.rounds,
-            local_iters = cfg.local_iters,
-            strategy = strategy.name(),
-        );
-        let model_name = eval_model.name().to_owned();
+            name = name.as_str(), clients = clients.len(), model_scalars = init.len(),
+            rounds = cfg.rounds, local_iters = cfg.local_iters, strategy = strategy.name());
         let config_digest = fnv1a64(
-            config_canonical(&cfg, &model_name, &strategy.name(), clients.len()).as_bytes(),
+            config_canonical(&cfg, eval_model.name(), &strategy.name(), clients.len()).as_bytes(),
         );
+        let mut book = RoundBook::new(
+            &name,
+            &strategy.name(),
+            config_digest,
+            &cfg,
+            EvalSetup::new(eval_model, test, cfg.eval_batch),
+        );
+        if let Some(path) = self.ledger_path {
+            book.ledger(path);
+        }
         // Live telemetry is strictly opt-in: no `.serve()` and no
         // APF_OBS_ADDR means no listener and no per-round sampling cost.
-        let obs_addr = self
-            .obs_addr
-            .or_else(|| std::env::var("APF_OBS_ADDR").ok())
-            .filter(|s| !s.is_empty());
-        let obs = obs_addr.and_then(|addr| {
-            let state = ObsState::new();
-            state.configure_run(RunInfo {
-                name: name.clone(),
-                model: model_name.clone(),
-                strategy: strategy.name(),
-                rounds_total: cfg.rounds as u64,
-                threads: apf_par::threads() as u64,
-                host_parallelism: host_parallelism(),
-            });
-            match ObsServer::bind(addr.as_str(), state) {
-                Ok(server) => {
-                    // Scripts binding port 0 discover the real port here.
-                    if let Ok(path) = std::env::var("APF_OBS_ADDR_FILE") {
-                        if !path.is_empty() {
-                            let _ = std::fs::write(&path, server.addr().to_string());
-                        }
-                    }
-                    Some(server)
-                }
-                Err(e) => {
-                    event!(Level::Warn, target: "obs", "bind_failed",
-                        addr = addr.as_str(), error = e.to_string());
-                    None
-                }
-            }
-        });
-        let ledger_path = self.ledger_path.or_else(|| {
-            std::env::var("APF_LEDGER_FILE")
-                .ok()
-                .filter(|s| !s.is_empty())
-                .map(PathBuf::from)
-        });
-        // Profiling: the builder flag forces a session on; otherwise defer
-        // to APF_PROF. Either way the runner only *finishes* (and writes)
-        // a session it started itself — a binary that began profiling
-        // before building the runner (e.g. bench-kernels --prof-file)
-        // keeps ownership of its session.
-        let prof_owned = if self.profile {
-            let file = std::env::var("APF_PROF_FILE")
-                .ok()
-                .filter(|s| !s.is_empty());
-            apf_prof::start_with(apf_prof::env_interval(), file, apf_prof::env_wants_alloc())
-        } else {
-            apf_prof::init_from_env()
-        };
+        book.serve(self.obs_addr.as_deref());
+        // Profiling is driven by APF_PROF. The runner only *finishes* (and
+        // writes) a session it started itself — a binary that began
+        // profiling before building the runner (e.g. bench-kernels
+        // --prof-file) keeps ownership of its session.
+        let prof_owned = apf_prof::init_from_env();
         FlRunner {
             clients,
             strategy,
             cfg,
             global: init,
-            eval_model,
-            test,
-            network: self.network,
-            log: ExperimentLog::new(&name),
-            cum_bytes: 0,
-            cum_secs: 0.0,
-            best_accuracy: 0.0,
-            initial_model_bytes: model_bytes,
-            model_name,
-            config_digest,
-            obs,
-            ledger_path,
+            book,
             prof_owned,
         }
     }
@@ -426,40 +316,16 @@ pub(crate) fn config_canonical(
     )
 }
 
-fn host_parallelism() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
-}
-
 /// Drives a federated-learning run and records per-round metrics.
 pub struct FlRunner {
     clients: Vec<Client>,
     strategy: Box<dyn SyncStrategy>,
     cfg: FlConfig,
     global: Vec<f32>,
-    eval_model: Sequential,
-    test: Dataset,
-    network: NetworkModel,
-    log: ExperimentLog,
-    cum_bytes: u64,
-    cum_secs: f64,
-    best_accuracy: f32,
-    initial_model_bytes: u64,
-    model_name: String,
-    config_digest: u64,
-    obs: Option<ObsServer>,
-    ledger_path: Option<PathBuf>,
+    book: RoundBook,
     /// Whether this runner started the `apf-prof` session (and so finishes
     /// and writes it when [`FlRunner::run`] completes).
     prof_owned: bool,
-}
-
-impl std::fmt::Debug for FlRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlRunner")
-            .field("name", &self.log.name)
-            .field("clients", &self.clients.len())
-            .finish()
-    }
 }
 
 impl FlRunner {
@@ -481,38 +347,15 @@ impl FlRunner {
             stragglers: Vec::new(),
             test: None,
             strategy: None,
-            network: NetworkModel::default(),
             name: None,
             obs_addr: None,
             ledger_path: None,
-            profile: false,
         }
-    }
-
-    /// Convenience builder for one of the paper models by name
-    /// (`"lenet5"`, `"resnet"`, `"vgg"`, `"lstm"`).
-    ///
-    /// # Errors
-    /// Returns [`models::ModelError`] (whose `Display` lists the valid
-    /// names) for an unrecognized name, so CLI callers can print usage.
-    pub fn builder_for_model(
-        model: &'static str,
-        cfg: FlConfig,
-    ) -> Result<FlRunnerBuilder, models::ModelError> {
-        if !models::MODEL_NAMES.contains(&model) {
-            return Err(models::ModelError {
-                name: model.to_owned(),
-            });
-        }
-        Ok(FlRunner::builder(
-            move |seed| models::by_name(model, seed).expect("name validated above"),
-            cfg,
-        ))
     }
 
     /// The metric log so far.
     pub fn log(&self) -> &ExperimentLog {
-        &self.log
+        self.book.log()
     }
 
     /// The current global flat model.
@@ -525,138 +368,74 @@ impl FlRunner {
         &self.clients
     }
 
-    /// The strategy (for inspection).
-    pub fn strategy(&self) -> &dyn SyncStrategy {
-        self.strategy.as_ref()
-    }
-
     /// The live-telemetry server's bound address, when serving (resolves
     /// `:0` to the actual ephemeral port).
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs.as_ref().map(ObsServer::addr)
+        self.book.obs_addr()
     }
 
-    /// The observable state behind `/snapshot`, when serving.
-    pub fn obs_state(&self) -> Option<&Arc<ObsState>> {
-        self.obs.as_ref().map(ObsServer::state)
+    /// [`FlRunnerBuilder::ledger`] for an already-built runner.
+    pub fn ledger(&mut self, path: impl Into<PathBuf>) {
+        self.book.ledger(path);
     }
 
     /// Evaluates the current global model on the held-out set.
     pub fn evaluate_global(&mut self) -> f32 {
-        self.eval_model.load_flat(&self.global);
-        apf_nn::evaluate(
-            &mut self.eval_model,
-            self.test.inputs(),
-            self.test.labels(),
-            self.cfg.eval_batch,
-        )
+        self.book.evaluate(&self.global)
     }
 
     /// Runs one communication round and returns its record.
     pub fn run_round(&mut self, round: u64) -> RoundRecord {
         let _round_span = span!(Level::Info, target: "fedsim", "round", round = round);
+        let n = self.clients.len();
         if round == 0 {
             // Initial model distribution: every client pulls the full model.
-            self.cum_bytes += self.initial_model_bytes * self.clients.len() as u64;
-            self.cum_secs += self.network.transfer_secs(0, self.initial_model_bytes);
-            event!(Level::Debug, target: "fedsim.comm", "transfer",
-                round = round,
-                phase = "init_broadcast",
-                bytes_down = self.initial_model_bytes * self.clients.len() as u64,
-                bytes_up = 0u64,
-            );
+            self.book.join(n, None);
         }
-        let local_iters = self.cfg.local_iters;
-        let strategy = &*self.strategy;
-        // Sample this round's participants (everyone when participation = 1;
-        // at least one client always participates).
-        let participating: Vec<bool> = if self.cfg.participation >= 1.0 {
-            vec![true; self.clients.len()]
+        // This round's participants: everyone, or a fixed-size cohort.
+        let k = if self.cfg.participation < 1.0 {
+            ((self.cfg.participation * n as f32).ceil() as usize).max(1)
         } else {
-            let mut rng =
-                apf_tensor::seeded_rng(apf_tensor::derive_seed(self.cfg.seed, 0x9A27 ^ round));
-            let mut p: Vec<bool> = (0..self.clients.len())
-                .map(|_| rng.gen::<f32>() < self.cfg.participation)
-                .collect();
-            if !p.iter().any(|&x| x) {
-                let idx = rng.gen_range(0..p.len());
-                p[idx] = true;
-            }
-            p
+            n
         };
-        // Local training, optionally parallel across clients; compute time is
-        // the slowest client's wall time (synchronous barrier).
+        let cohort = sample_cohort(self.cfg.seed, round, n, k);
+        // Local training; compute time is the slowest client's wall time
+        // (synchronous barrier).
         let local_span = span!(Level::Info, target: "fedsim", "local_train",
-            round = round,
-            participants = participating.iter().filter(|&&p| p).count());
-        let mut losses = vec![0.0f32; self.clients.len()];
-        let mut times = vec![0.0f64; self.clients.len()];
-        if self.cfg.parallel && self.clients.len() > 1 {
-            // One pool task per participating client, each writing into its
-            // own (loss, time) slot; the pool bounds concurrency at
-            // `apf_par::threads()` instead of one OS thread per client.
-            // Aggregation below reads the slots in client-index order, so
-            // results do not depend on completion order.
-            apf_par::scope(|s| {
-                let participating = &participating;
-                for (((i, client), loss_slot), time_slot) in self
-                    .clients
-                    .iter_mut()
-                    .enumerate()
-                    .zip(losses.iter_mut())
-                    .zip(times.iter_mut())
-                {
-                    s.spawn(move || {
-                        if !participating[i] {
-                            return;
-                        }
-                        let t0 = Instant::now();
-                        let hook = move |p: &mut [f32]| {
-                            strategy.post_local_iteration(round, i, p);
-                        };
-                        *loss_slot = client.local_round(local_iters, &hook);
-                        *time_slot = t0.elapsed().as_secs_f64();
-                    });
-                }
-            });
-        } else {
-            for (i, client) in self.clients.iter_mut().enumerate() {
-                if !participating[i] {
-                    continue;
-                }
-                let t0 = Instant::now();
-                let hook = move |p: &mut [f32]| {
-                    strategy.post_local_iteration(round, i, p);
-                };
-                losses[i] = client.local_round(local_iters, &hook);
-                times[i] = t0.elapsed().as_secs_f64();
-            }
-        }
+            round = round, clients = cohort.len());
+        let mut losses = vec![0.0f32; cohort.len()];
+        let mut times = vec![0.0f64; cohort.len()];
+        let strategy = &*self.strategy;
+        let hook =
+            |i: usize, p: &mut [f32]| strategy.post_local_iteration(round, cohort[i] as usize, p);
+        let mut members: Vec<&mut Client> = self
+            .clients
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, c)| cohort.binary_search(&(i as u64)).is_ok().then_some(c))
+            .collect();
+        train_clients(
+            &mut members,
+            self.cfg.local_iters,
+            &hook,
+            self.cfg.parallel,
+            &mut losses,
+            &mut times,
+        );
         drop(local_span);
         let compute_secs = times.iter().cloned().fold(0.0, f64::max);
-        if apf_trace::enabled(Level::Debug) {
-            for i in 0..self.clients.len() {
-                if participating[i] {
-                    event!(Level::Debug, target: "fedsim.client", "local_round",
-                        round = round, client = i,
-                        loss = losses[i], compute_secs = times[i]);
-                }
-            }
+        for (i, &id) in cohort.iter().enumerate() {
+            event!(Level::Debug, target: "fedsim.client", "local_round",
+                round = round, client = id as usize,
+                loss = losses[i], compute_secs = times[i]);
         }
         // Aggregation weights: non-participants contribute nothing, and
         // FedAvg additionally drops stragglers (FedProx keeps them).
-        let weights: Vec<f32> = self
-            .clients
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if !participating[i] || (self.cfg.drop_stragglers && c.workload() < 1.0) {
-                    0.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
+        let mut weights = vec![0.0f32; n];
+        for &id in &cohort {
+            let straggler = self.clients[id as usize].workload() < 1.0;
+            weights[id as usize] = f32::from(!(self.cfg.drop_stragglers && straggler));
+        }
         let comm = {
             let _s = span!(Level::Info, target: "fedsim", "aggregate", round = round);
             let mut locals: Vec<Vec<f32>> =
@@ -670,130 +449,35 @@ impl FlRunner {
             }
             comm
         };
-        let sync_span = span!(Level::Info, target: "fedsim", "sync", round = round);
-        // FedProx: anchor the next round's proximal term at the fresh global.
-        if let Some(mu) = self.cfg.prox_mu {
-            for c in self.clients.iter_mut() {
-                c.trainer_mut().set_prox(mu, self.global.clone());
-            }
-        }
-        let comm_secs = self
-            .network
-            .transfer_secs(comm.max_client_up, comm.max_client_down);
-        self.cum_bytes += comm.bytes_up + comm.bytes_down;
-        self.cum_secs += compute_secs + comm_secs;
-        event!(Level::Debug, target: "fedsim.comm", "transfer",
-            round = round,
-            phase = "sync",
-            bytes_up = comm.bytes_up,
-            bytes_down = comm.bytes_down,
-            max_client_up = comm.max_client_up,
-            max_client_down = comm.max_client_down,
-            comm_secs = comm_secs,
-            compute_secs = compute_secs,
-        );
-        apf_trace::metrics::counter("fedsim.bytes_up").add(comm.bytes_up);
-        apf_trace::metrics::counter("fedsim.bytes_down").add(comm.bytes_down);
-        drop(sync_span);
-        let accuracy = if round.is_multiple_of(self.cfg.eval_every as u64)
-            || round + 1 == self.cfg.rounds as u64
         {
-            let _s = span!(Level::Info, target: "fedsim", "eval", round = round);
-            let acc = self.evaluate_global();
-            self.best_accuracy = self.best_accuracy.max(acc);
-            Some(acc)
-        } else {
-            None
-        };
-        let record = RoundRecord {
-            round,
-            loss: {
-                let k = participating.iter().filter(|&&p| p).count().max(1);
-                losses.iter().sum::<f32>() / k as f32
-            },
-            accuracy,
-            best_accuracy: self.best_accuracy,
-            frozen_ratio: comm.frozen_ratio,
-            bytes_up: comm.bytes_up,
-            bytes_down: comm.bytes_down,
-            cum_bytes: self.cum_bytes,
-            compute_secs,
-            comm_secs,
-            cum_secs: self.cum_secs,
-        };
-        self.log.push(record);
-        apf_trace::metrics::counter("fedsim.rounds").inc();
-        apf_trace::metrics::gauge("fedsim.round").set(round as f64);
-        apf_trace::metrics::gauge("fedsim.loss").set(f64::from(record.loss));
-        apf_trace::metrics::gauge("fedsim.frozen_ratio").set(f64::from(record.frozen_ratio));
-        apf_trace::metrics::gauge("fedsim.best_accuracy").set(f64::from(record.best_accuracy));
-        // Scratch-pool health at the round boundary: a healthy steady state
-        // holds misses/alloc_bytes flat after the warm-up round.
-        let (scratch_hits, scratch_misses, scratch_bytes) = apf_tensor::scratch::global_stats();
-        apf_trace::metrics::gauge("scratch.hits").set(scratch_hits as f64);
-        apf_trace::metrics::gauge("scratch.misses").set(scratch_misses as f64);
-        apf_trace::metrics::gauge("scratch.alloc_bytes").set(scratch_bytes as f64);
-        // Slab-store health, same contract as the scratch pool: steady state
-        // means misses and alloc_bytes flat, resident_bytes bounded.
-        let (slab_hits, slab_misses, slab_alloc, slab_resident) = apf_tensor::slab::global_stats();
-        apf_trace::metrics::gauge("slab.hits").set(slab_hits as f64);
-        apf_trace::metrics::gauge("slab.misses").set(slab_misses as f64);
-        apf_trace::metrics::gauge("slab.alloc_bytes").set(slab_alloc as f64);
-        apf_trace::metrics::gauge("slab.resident_bytes").set(slab_resident as f64);
-        if let Some(obs) = &self.obs {
-            // Round-boundary sample for /snapshot and /series.
-            let mut fields: Vec<(&str, f64)> = vec![
-                ("fedsim.loss", f64::from(record.loss)),
-                ("fedsim.best_accuracy", f64::from(record.best_accuracy)),
-                ("fedsim.frozen_ratio", f64::from(record.frozen_ratio)),
-                ("fedsim.bytes_up", record.bytes_up as f64),
-                ("fedsim.bytes_down", record.bytes_down as f64),
-                ("fedsim.cum_bytes", record.cum_bytes as f64),
-                ("fedsim.compute_secs", record.compute_secs),
-                ("fedsim.comm_secs", record.comm_secs),
-                ("fedsim.cum_secs", record.cum_secs),
-                ("scratch.hits", scratch_hits as f64),
-                ("scratch.misses", scratch_misses as f64),
-                ("scratch.alloc_bytes", scratch_bytes as f64),
-                ("slab.hits", slab_hits as f64),
-                ("slab.misses", slab_misses as f64),
-                ("slab.alloc_bytes", slab_alloc as f64),
-                ("slab.resident_bytes", slab_resident as f64),
-            ];
-            if let Some(acc) = record.accuracy {
-                fields.push(("fedsim.accuracy", f64::from(acc)));
+            let _s = span!(Level::Info, target: "fedsim", "sync", round = round);
+            // FedProx: anchor the next round's proximal term at the new global.
+            if let Some(mu) = self.cfg.prox_mu {
+                for c in self.clients.iter_mut() {
+                    c.trainer_mut().set_prox(mu, self.global.clone());
+                }
             }
-            obs.state()
-                .record_round(round, &fields, self.strategy.layer_frozen_ratios(round));
         }
-        event!(Level::Info, target: "fedsim", "round_complete",
-            round = round,
-            loss = record.loss,
-            accuracy = record.accuracy.map_or(f32::NAN, |a| a),
-            frozen_ratio = record.frozen_ratio,
-            bytes_up = record.bytes_up,
-            bytes_down = record.bytes_down,
-            cum_bytes = record.cum_bytes,
-            compute_secs = record.compute_secs,
-            comm_secs = record.comm_secs,
-        );
+        let mean_loss = losses.iter().sum::<f32>() / cohort.len() as f32;
+        let record = self
+            .book
+            .close(round, mean_loss, comm, compute_secs, None, &self.global);
+        if let Some(obs) = self.book.obs_state() {
+            // The per-layer view only this driver's strategy can supply.
+            obs.record_round(round, &[], self.strategy.layer_frozen_ratios(round));
+        }
         record
     }
 
-    /// Runs all configured rounds and returns the final log.
-    ///
-    /// On completion, dumps the metrics registry into the trace and flushes
-    /// the sink (both no-ops when tracing is disabled), marks the telemetry
-    /// snapshot completed, and — when a ledger is configured via
-    /// [`FlRunnerBuilder::ledger`] or `APF_LEDGER_FILE` — appends a
-    /// [`LedgerRecord`] for the run.
+    /// Runs all configured rounds and returns the final log. On completion,
+    /// finishes the profiler session the runner started (if any) and closes
+    /// the books ([`RoundBook::finish`]: metrics dump, flush, ledger record).
     pub fn run(&mut self) -> &ExperimentLog {
         let t0 = Instant::now();
         for r in 0..self.cfg.rounds as u64 {
             self.run_round(r);
         }
         let wall_secs = t0.elapsed().as_secs_f64();
-        apf_trace::metrics::emit();
         if self.prof_owned {
             self.prof_owned = false;
             if let Some(profile) = apf_prof::finish() {
@@ -803,33 +487,8 @@ impl FlRunner {
                     stacks = profile.stacks.len());
             }
         }
-        apf_trace::flush();
-        if let Some(obs) = &self.obs {
-            obs.state().mark_completed();
-        }
-        if let Some(path) = self.ledger_path.clone() {
-            let mut record = LedgerRecord::from_log(
-                &self.log,
-                &self.model_name,
-                &self.strategy.name(),
-                self.config_digest,
-                wall_secs,
-            );
-            if let Some(peak) = crate::ledger::peak_resident_bytes() {
-                record
-                    .metrics
-                    .insert("peak_resident_bytes".to_owned(), peak as f64);
-            }
-            match record.append_to(&path) {
-                Ok(()) => event!(Level::Info, target: "fedsim", "ledger_appended",
-                    path = path.display().to_string(),
-                    digest = record.config_digest.as_str()),
-                Err(e) => event!(Level::Warn, target: "fedsim", "ledger_write_failed",
-                    path = path.display().to_string(),
-                    error = e.to_string()),
-            }
-        }
-        &self.log
+        self.book.finish(wall_secs, &[]);
+        self.book.log()
     }
 }
 
@@ -839,6 +498,7 @@ mod tests {
     use crate::strategy::ApfStrategy;
     use apf::ApfConfig;
     use apf_data::iid_partition;
+    use apf_nn::models;
 
     fn tiny_cfg(rounds: usize) -> FlConfig {
         FlConfig {
@@ -1014,12 +674,11 @@ mod tests {
                 .build();
             r.run_round(0).bytes_up
         };
-        // At 50% participation, at least one round must upload less than a
-        // full-participation round.
-        assert!(
-            log.records.iter().any(|r| r.bytes_up < full_round_up),
-            "no round had reduced uploads"
-        );
+        // At 50% participation exactly ceil(0.5 * 4) = 2 of the 4 clients
+        // upload, every round.
+        for r in &log.records {
+            assert_eq!(r.bytes_up * 2, full_round_up, "round {}", r.round);
+        }
         // And training still progresses.
         assert!(log.records.iter().all(|r| r.loss.is_finite()));
     }

@@ -24,6 +24,7 @@ use apf_tensor::derive_seed;
 use crate::client::Client;
 use crate::ledger::fnv1a64;
 use crate::population::{PopulationConfig, PopulationData, PopulationRunner};
+use crate::round::{evaluates_at, EvalSetup};
 use crate::runner::{config_canonical, FlConfig, FlRunner, OptimizerKind};
 use crate::strategy::{ApfStrategy, FullSync, SyncStrategy};
 
@@ -510,45 +511,12 @@ impl RunSpec {
     /// The evaluation half of the run (for processes that are not running
     /// the full simulator, i.e. the `apf-net` server).
     pub fn eval_setup(&self) -> EvalSetup {
-        EvalSetup {
-            model: self.model(),
-            test: self.test_set(),
-            eval_batch: self.eval_batch,
-        }
+        EvalSetup::new(self.model(), self.test_set(), self.eval_batch)
     }
 
     /// Whether `round` is an evaluation round under this spec.
     pub fn evaluates_at(&self, round: u64) -> bool {
-        round.is_multiple_of(self.eval_every as u64) || round + 1 == self.rounds as u64
-    }
-}
-
-/// Held-out evaluation bundle: the eval model replica plus the test split.
-pub struct EvalSetup {
-    model: Sequential,
-    test: Dataset,
-    eval_batch: usize,
-}
-
-impl std::fmt::Debug for EvalSetup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvalSetup")
-            .field("test_samples", &self.test.len())
-            .finish()
-    }
-}
-
-impl EvalSetup {
-    /// Test accuracy of the flat model `params` — bit-identical to
-    /// [`FlRunner::evaluate_global`] on the same parameters.
-    pub fn accuracy(&mut self, params: &[f32]) -> f32 {
-        self.model.load_flat(params);
-        apf_nn::evaluate(
-            &mut self.model,
-            self.test.inputs(),
-            self.test.labels(),
-            self.eval_batch,
-        )
+        evaluates_at(round, self.eval_every, self.rounds)
     }
 }
 

@@ -2,10 +2,10 @@
 //! and the §7.4 sparsification baselines (Gaia, CMFL).
 
 use apf::{
-    Aimd, ApfConfig, ApfError, ApfManager, EmaPerturbation, FixedPeriod, FreezeController,
-    FreezeGranularity, FreezeMask,
+    Aimd, ApfConfig, ApfError, ApfManager, DormantApfState, EmaPerturbation, FixedPeriod,
+    FreezeController, FreezeGranularity, FreezeMask,
 };
-use apf_quant::f16_roundtrip_in_place;
+use apf_quant::{f16_roundtrip_in_place, EmaCodec};
 
 /// Communication accounting for one synchronization round.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -70,9 +70,11 @@ pub trait SyncStrategy: Send + Sync {
     }
 }
 
-/// Weighted elementwise mean of `vecs`; falls back to `None` when all
-/// weights are zero.
-fn weighted_mean(vecs: &[Vec<f32>], weights: &[f32]) -> Option<Vec<f32>> {
+/// Weighted elementwise mean of `vecs` (sum `w * x` in index order, then
+/// divide by the weight total); `None` when all weights are zero. The one
+/// copy: the networked server averages compact uploads through it too, which
+/// is what keeps a networked run bitwise equal to the simulator.
+pub fn weighted_mean(vecs: &[Vec<f32>], weights: &[f32]) -> Option<Vec<f32>> {
     let total: f32 = weights.iter().sum();
     if total <= 0.0 || vecs.is_empty() {
         return None;
@@ -260,9 +262,13 @@ pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + 
 ///
 /// Every client's manager would derive the same mask from the same
 /// synchronized state (§6.2), so N replicas evolve bit for bit alike and the
-/// simulator keeps a single one (as [`crate::PopulationRunner`] does).
-/// Networked clients do each run their own replica; the parity tests in
-/// `apf-net` are the live proof that they agree.
+/// simulator keeps a single one. Networked clients do each run their own
+/// replica; the parity tests in `apf-net` are the live proof that they agree.
+///
+/// The reduce streams: [`ApfStrategy::absorb`] takes one local at a time,
+/// [`ApfStrategy::commit`] closes the round. [`SyncStrategy::sync_round`] is
+/// the two over a fleet of materialized locals; [`crate::PopulationRunner`]
+/// calls them directly, a cohort block at a time.
 ///
 /// With a [`FixedPeriod`] controller of `u32::MAX` rounds this degenerates
 /// into strawman 2 of §4.1 (permanent freezing) — see
@@ -273,10 +279,16 @@ pub struct ApfStrategy {
     /// The fleet's manager; `None` before [`SyncStrategy::init`].
     manager: Option<ApfManager>,
     /// The freeze mask of one round, tagged with that round. Written only
-    /// under `&mut self` (`init`, `sync_round`, `set_filter_layout`), so the
-    /// concurrent `&self` rollback hook can read it without a lock; a hook
-    /// or sync for any other round rebuilds the mask from the manager.
+    /// under `&mut self` (`init`, `absorb`, `commit`, `set_filter_layout`),
+    /// so the concurrent `&self` rollback hook can read it without a lock; a
+    /// hook or reduce for any other round rebuilds the mask from the manager.
     round_mask: Option<(u64, FreezeMask)>,
+    /// The running aggregate of the round being reduced: full length, only
+    /// unfrozen slots ever written, all zero between rounds.
+    agg: Vec<f32>,
+    /// Weight total and number of locals absorbed into `agg` so far.
+    total: f32,
+    absorbed: u64,
     quantize_f16: bool,
     label: String,
     layout: Vec<(String, usize)>,
@@ -315,6 +327,9 @@ impl ApfStrategy {
             controller_factory: factory,
             manager: None,
             round_mask: None,
+            agg: Vec::new(),
+            total: 0.0,
+            absorbed: 0,
             quantize_f16: false,
             label: label.to_owned(),
             layout: Vec::new(),
@@ -365,6 +380,109 @@ impl ApfStrategy {
     pub fn managers(&self) -> &[ApfManager] {
         self.manager.as_slice()
     }
+
+    /// Installs `manager` as the fleet's, with the registered layouts (a
+    /// restored manager comes back without them).
+    fn install(&mut self, mut manager: ApfManager) {
+        manager.set_layout(self.layout.clone());
+        if !self.filter_segments.is_empty() {
+            manager
+                .set_filter_layout(self.filter_segments.clone())
+                .expect("filter layout must cover the model");
+        }
+        self.manager = Some(manager);
+    }
+
+    /// First half of the streaming reduce: takes one client's local model
+    /// as it finished round `round`, with aggregation weight `weight`
+    /// (0 drops the upload). Pins the frozen scalars back (Alg. 1 line 2),
+    /// applies the fp16 wire hop to the unfrozen runs in place, and adds
+    /// `weight * local` into the running aggregate — full length and driven
+    /// by the mask's unfrozen runs, bitwise equal to averaging compact
+    /// uploads scalar for scalar. Locals must arrive in client order.
+    pub fn absorb(&mut self, round: u64, local: &mut [f32], weight: f32) {
+        let manager = self.manager.as_ref().expect("strategy not initialized");
+        if !matches!(&self.round_mask, Some((r, _)) if *r == round) {
+            self.round_mask = Some((round, manager.frozen_mask_packed(round)));
+        }
+        let mask = &self.round_mask.as_ref().expect("cached above").1;
+        let words = mask.words();
+        apf_tensor::mask_fill(local, manager.pinned(), words);
+        if self.quantize_f16 {
+            mask.for_each_unfrozen_run_in(0, local.len(), |s, e| {
+                f16_roundtrip_in_place(&mut local[s..e]);
+            });
+        }
+        if weight != 0.0 {
+            if self.total == 0.0 && self.absorbed > 0 {
+                // A real upload after all: drop the fallback stashed below.
+                self.agg.fill(0.0);
+            }
+            apf_tensor::masked_axpy(&mut self.agg, local, weight, words);
+            self.total += weight;
+        } else if self.absorbed == 0 {
+            // Should every upload be dropped, the round falls back to the
+            // first client's (already quantized) unfrozen values.
+            apf_tensor::mask_copy(&mut self.agg, local, words);
+        }
+        self.absorbed += 1;
+    }
+
+    /// Second half of the streaming reduce: divides the running aggregate
+    /// by the weight total, applies the fp16 hop to it, writes it into the
+    /// unfrozen slots of `params` (frozen slots get their pinned values),
+    /// runs the stability machinery once, and caches the mask of
+    /// `round + 1`. Bytes are one masked transfer per absorbed client.
+    ///
+    /// # Panics
+    /// Panics if no local was absorbed for `round`.
+    pub fn commit(&mut self, round: u64, params: &mut [f32]) -> RoundComm {
+        let manager = self.manager.as_mut().expect("strategy not initialized");
+        let (_, mask) = self
+            .round_mask
+            .take()
+            .filter(|(r, _)| *r == round && self.absorbed > 0)
+            .expect("sync_round needs at least one client");
+        let words = mask.words();
+        if self.total > 0.0 {
+            apf_tensor::masked_div(&mut self.agg, self.total, words);
+        }
+        if self.quantize_f16 {
+            mask.for_each_unfrozen_run_in(0, self.agg.len(), |s, e| {
+                f16_roundtrip_in_place(&mut self.agg[s..e]);
+            });
+        }
+        manager.apply_aggregate_dense(params, &self.agg, round);
+        let rep = manager.finish_round(params, round);
+        self.round_mask = Some((round + 1, manager.frozen_mask_packed(round + 1)));
+        let fleet = std::mem::take(&mut self.absorbed);
+        self.agg.fill(0.0);
+        self.total = 0.0;
+        RoundComm {
+            bytes_up: rep.bytes_up * fleet,
+            bytes_down: rep.bytes_down * fleet,
+            max_client_up: rep.bytes_up,
+            max_client_down: rep.bytes_down,
+            frozen_ratio: rep.frozen_ratio(),
+        }
+    }
+
+    /// Squeezes the manager through its compact dormant form and back
+    /// (the population runner's round-boundary hop, which keeps the codec
+    /// honest); returns the encoded size in bytes. Freeze bookkeeping
+    /// round-trips exactly under every codec, so the cached mask stays
+    /// valid.
+    pub(crate) fn dormant_hop(&mut self, codec: EmaCodec) -> usize {
+        let manager = self.manager.take().expect("strategy not initialized");
+        let dormant = DormantApfState::encode(&manager.snapshot(), codec);
+        let restored = dormant.decode(self.cfg).expect("self-encoded blob");
+        self.install(ApfManager::restore(restored, (self.controller_factory)()));
+        debug_assert!(self
+            .round_mask
+            .as_ref()
+            .is_none_or(|(r, mask)| { *mask == self.managers()[0].frozen_mask_packed(*r) }));
+        dormant.len_bytes()
+    }
 }
 
 impl SyncStrategy for ApfStrategy {
@@ -373,16 +491,11 @@ impl SyncStrategy for ApfStrategy {
     }
 
     fn init(&mut self, init_params: &[f32], _num_clients: usize) {
-        let mut manager = ApfManager::new(init_params, self.cfg, (self.controller_factory)())
+        let manager = ApfManager::new(init_params, self.cfg, (self.controller_factory)())
             .expect("config validated at strategy construction");
-        manager.set_layout(self.layout.clone());
-        if !self.filter_segments.is_empty() {
-            manager
-                .set_filter_layout(self.filter_segments.clone())
-                .expect("filter layout must cover the model");
-        }
-        self.round_mask = Some((0, manager.frozen_mask_packed(0)));
-        self.manager = Some(manager);
+        self.install(manager);
+        self.round_mask = Some((0, self.managers()[0].frozen_mask_packed(0)));
+        self.agg = vec![0.0; init_params.len()];
     }
 
     fn set_model_layout(&mut self, layout: Vec<(String, usize)>) {
@@ -409,66 +522,16 @@ impl SyncStrategy for ApfStrategy {
         weights: &[f32],
         global: &mut Vec<f32>,
     ) -> RoundComm {
-        let manager = self.manager.as_mut().expect("strategy not initialized");
-        let n = global.len();
-        // One mask drives everything below from its unfrozen runs — no
-        // compact gather per client, no per-scalar branches.
-        let mask = match self.round_mask.take() {
-            Some((r, mask)) if r == round => mask,
-            _ => manager.frozen_mask_packed(round),
-        };
-        let words = mask.words();
-        // Rollback every client; the fp16 wire hop is applied in place to
-        // the unfrozen runs (aggregation overwrites them below, and frozen
-        // slots never touch the wire).
+        // Every local ends up with the aggregate in its unfrozen slots and
+        // the pinned values in its frozen ones, so `global` is everyone's.
+        for (l, &w) in locals.iter_mut().zip(weights) {
+            self.absorb(round, l, w);
+        }
+        let comm = self.commit(round, global);
         for l in locals.iter_mut() {
-            apf_tensor::mask_fill(l, manager.pinned(), words);
-            if self.quantize_f16 {
-                mask.for_each_unfrozen_run_in(0, n, |s, e| f16_roundtrip_in_place(&mut l[s..e]));
-            }
+            l.copy_from_slice(global);
         }
-        // Weighted mean of the unfrozen runs, accumulated full-length:
-        // bitwise equal to averaging compact uploads, scalar for scalar.
-        let total: f32 = weights.iter().sum();
-        let mut agg = apf_tensor::scratch::take(n);
-        if total > 0.0 {
-            for (l, &w) in locals.iter().zip(weights) {
-                if w == 0.0 {
-                    continue;
-                }
-                apf_tensor::masked_axpy(&mut agg, l, w, words);
-            }
-            apf_tensor::masked_div(&mut agg, total, words);
-        } else {
-            // All uploads dropped: fall back to client 0's (already
-            // quantized) unfrozen values, as the compact path did.
-            apf_tensor::mask_copy(&mut agg, &locals[0], words);
-        }
-        if self.quantize_f16 {
-            mask.for_each_unfrozen_run_in(0, n, |s, e| f16_roundtrip_in_place(&mut agg[s..e]));
-        }
-        // Write back and run the stability machinery once: every local ends
-        // up with `agg` in its unfrozen slots and the pinned values in its
-        // frozen ones, so client 0's vector is everyone's.
-        let (first, rest) = locals
-            .split_first_mut()
-            .expect("sync_round needs at least one client");
-        manager.apply_aggregate_dense(first, &agg, round);
-        apf_tensor::scratch::give(agg);
-        let rep = manager.finish_round(first, round);
-        global.copy_from_slice(first);
-        for l in rest {
-            l.copy_from_slice(first);
-        }
-        self.round_mask = Some((round + 1, manager.frozen_mask_packed(round + 1)));
-        let fleet = locals.len() as u64;
-        RoundComm {
-            bytes_up: rep.bytes_up * fleet,
-            bytes_down: rep.bytes_down * fleet,
-            max_client_up: rep.bytes_up,
-            max_client_down: rep.bytes_down,
-            frozen_ratio: rep.frozen_ratio(),
-        }
+        comm
     }
 
     fn post_local_iteration(&self, round: u64, _client: usize, params: &mut [f32]) {

@@ -8,7 +8,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use apf_data::Dataset;
-use apf_fedsim::{json, FlConfig, FlRunner};
+use apf_fedsim::{json, FlConfig, FlRunner, RunSpec};
 use apf_nn::models;
 use apf_obs::{http_get, prometheus};
 
@@ -137,10 +137,64 @@ fn concurrent_scrapes_during_training_are_valid_and_monotone() {
 }
 
 #[test]
+fn population_runner_serves_the_same_round_samples() {
+    // Telemetry sampling lives in the round tail every driver shares, so a
+    // sampled-cohort population run is as observable as an `FlRunner` one.
+    let spec = RunSpec {
+        clients: 6,
+        cohort: 3,
+        rounds: 4,
+        ..RunSpec::golden()
+    };
+    let mut pop = spec.build_population_runner();
+    assert!(pop.obs_addr().is_none(), "no listener without opt-in");
+    pop.serve("127.0.0.1:0");
+    let addr = pop.obs_addr().expect("server bound");
+    let log = pop.run().clone();
+    assert_eq!(log.records.len(), 4);
+
+    let (status, body) = http_get(addr, "/snapshot").unwrap();
+    assert_eq!(status, 200);
+    let doc = json::parse(&body).unwrap_or_else(|e| panic!("snapshot not JSON: {e}\n{body}"));
+    let run = doc.get("run").expect("run object");
+    assert_eq!(
+        run.get("strategy").and_then(json::Value::as_str),
+        Some("apf-pop")
+    );
+    assert_eq!(
+        run.get("rounds_total").and_then(json::Value::as_u64),
+        Some(4)
+    );
+    assert_eq!(doc.get("round").and_then(json::Value::as_u64), Some(3));
+    assert_eq!(doc.get("completed"), Some(&json::Value::Bool(true)));
+
+    for (series, of) in [
+        (
+            "fedsim.loss",
+            (|r| f64::from(r.loss)) as fn(&apf_fedsim::RoundRecord) -> f64,
+        ),
+        ("fedsim.cum_bytes", |r| r.cum_bytes as f64),
+        ("fedsim.frozen_ratio", |r| f64::from(r.frozen_ratio)),
+    ] {
+        let (status, body) = http_get(addr, &format!("/series?name={series}")).unwrap();
+        assert_eq!(status, 200, "{series}");
+        let doc = json::parse(&body).unwrap();
+        let points = doc.get("points").and_then(json::Value::as_arr).unwrap();
+        assert_eq!(points.len(), 4, "{series}");
+        for (p, rec) in points.iter().zip(&log.records) {
+            let xy = p.as_arr().unwrap();
+            assert_eq!(xy[0].as_u64(), Some(rec.round));
+            let want = of(rec);
+            let got = xy[1].as_f64().unwrap();
+            assert!((got - want).abs() <= 1e-6 * want.abs().max(1.0), "{series}");
+        }
+    }
+}
+
+#[test]
 fn no_listener_without_opt_in() {
     let r = runner(1, false, None);
     assert!(r.obs_addr().is_none());
-    assert!(r.obs_state().is_none());
 }
 
 #[test]

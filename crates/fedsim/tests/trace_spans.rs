@@ -1,7 +1,7 @@
 //! Integration test: a short federated run emits the documented span tree
 //! and every JSONL line round-trips through the in-tree JSON parser; a
-//! short sampled-cohort population run emits its own tree under
-//! `fedsim.pop`.
+//! short sampled-cohort population run emits the same tree under the same
+//! target `fedsim`, plus its own `sample`/`materialize` under `fedsim.pop`.
 //!
 //! This file is its own test binary, so the process-global trace state it
 //! installs cannot leak into other tests.
@@ -35,18 +35,18 @@ fn mlp(seed: u64) -> apf_nn::Sequential {
 }
 
 /// Runs 3 APF rounds of `FlRunner`, then 3 of a sampled-cohort
-/// `PopulationRunner`, once per process with an in-memory sink installed at
-/// Debug level, and returns each run's captured JSONL lines. Shared across
-/// the tests in this binary because the trace sink and metrics registry are
-/// process-global.
-fn traced_runs() -> &'static (Vec<String>, Vec<String>) {
-    static LINES: OnceLock<(Vec<String>, Vec<String>)> = OnceLock::new();
+/// `PopulationRunner`, then the golden spec through both, once per process
+/// with an in-memory sink installed at Debug level, and returns each run's
+/// captured JSONL lines in that order. Shared across the tests in this
+/// binary because the trace sink and metrics registry are process-global.
+fn traced_runs() -> &'static [Vec<String>; 4] {
+    static LINES: OnceLock<[Vec<String>; 4]> = OnceLock::new();
     LINES.get_or_init(traced_runs_impl)
 }
 
 /// The `FlRunner` run's lines.
 fn traced_run() -> &'static [String] {
-    &traced_runs().0
+    &traced_runs()[0]
 }
 
 /// 12 registered clients, 6 sampled per round into 4 shells: two cohort
@@ -54,9 +54,16 @@ fn traced_run() -> &'static [String] {
 const POP_COHORT: usize = 6;
 const POP_SHELLS: usize = 4;
 
-fn traced_runs_impl() -> (Vec<String>, Vec<String>) {
+fn traced_runs_impl() -> [Vec<String>; 4] {
     let sink = Arc::new(MemorySink::new());
     apf_trace::init(Level::Debug, sink.clone());
+    // The lines each run added to the shared sink.
+    let mut seen = 0;
+    let mut take = || {
+        let lines = sink.lines().split_off(seen);
+        seen += lines.len();
+        lines
+    };
 
     let train = flat_images(96, 0);
     let test = flat_images(48, 1);
@@ -91,7 +98,7 @@ fn traced_runs_impl() -> (Vec<String>, Vec<String>) {
     .strategy(Box::new(strategy))
     .build();
     runner.run();
-    let fl_lines = sink.lines();
+    let fl_lines = take();
 
     let spec = RunSpec {
         clients: 12,
@@ -127,10 +134,15 @@ fn traced_runs_impl() -> (Vec<String>, Vec<String>) {
         spec.test_set(),
     );
     pop.run();
+    let pop_lines = take();
+
+    RunSpec::golden().build_runner().run();
+    let golden_fl_lines = take();
+    RunSpec::golden().build_population_runner().run();
+    let golden_pop_lines = take();
 
     apf_trace::shutdown();
-    let pop_lines = sink.lines().split_off(fl_lines.len());
-    (fl_lines, pop_lines)
+    [fl_lines, pop_lines, golden_fl_lines, golden_pop_lines]
 }
 
 /// Every line must parse as a JSON object with the documented envelope.
@@ -342,8 +354,8 @@ fn three_round_run_emits_expected_events() {
 
 #[test]
 fn population_round_spans_cover_the_round() {
-    let records = parse_all(&traced_runs().1);
-    let rounds = spans(&records, "fedsim.pop", "round");
+    let records = parse_all(&traced_runs()[1]);
+    let rounds = spans(&records, "fedsim", "round");
     assert_eq!(rounds.len(), ROUNDS, "one round span per round");
 
     // Phase spans are per cohort block, never per client: `sample`, `sync`
@@ -351,22 +363,22 @@ fn population_round_spans_cover_the_round() {
     // block, all direct children of a round span.
     let blocks = POP_COHORT.div_ceil(POP_SHELLS);
     let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
-    for (phase, per_round) in [
-        ("sample", 1),
-        ("materialize", blocks),
-        ("local_train", blocks),
-        ("aggregate", blocks),
-        ("sync", 1),
-        ("eval", 1),
+    for (target, phase, per_round) in [
+        ("fedsim.pop", "sample", 1),
+        ("fedsim.pop", "materialize", blocks),
+        ("fedsim", "local_train", blocks),
+        ("fedsim", "aggregate", blocks),
+        ("fedsim", "sync", 1),
+        ("fedsim", "eval", 1),
     ] {
-        let phase_spans = spans(&records, "fedsim.pop", phase);
+        let phase_spans = spans(&records, target, phase);
         assert_eq!(phase_spans.len(), ROUNDS * per_round, "{phase} span count");
         for v in phase_spans {
             let parent = v.get("parent").and_then(Value::as_u64).unwrap();
             *covered.entry(parent).or_default() += v.get("dur_us").and_then(Value::as_u64).unwrap();
         }
     }
-    let clients: u64 = spans(&records, "fedsim.pop", "local_train")
+    let clients: u64 = spans(&records, "fedsim", "local_train")
         .iter()
         .map(|v| u64_field(v, "clients"))
         .sum();
@@ -390,4 +402,42 @@ fn population_round_spans_cover_the_round() {
         );
     }
     assert_eq!(covered.len(), ROUNDS, "no phase span outside a round");
+}
+
+/// `(target, name)` of every span in `records`, with how often it occurs.
+fn span_census(records: &[Value]) -> BTreeMap<(String, String), usize> {
+    let mut census = BTreeMap::new();
+    for v in records {
+        if v.get("t").and_then(Value::as_str) == Some("span") {
+            let field = |k| v.get(k).and_then(Value::as_str).unwrap().to_owned();
+            *census.entry((field("target"), field("name"))).or_default() += 1;
+        }
+    }
+    census
+}
+
+#[test]
+fn both_runners_speak_one_span_vocabulary_on_the_golden_spec() {
+    let rounds = RunSpec::golden().rounds;
+    let fl = span_census(&parse_all(&traced_runs()[2]));
+    let mut pop = span_census(&parse_all(&traced_runs()[3]));
+    // The population runner adds only its own two phases (the golden fleet
+    // fits one cohort block, so `materialize` too runs once a round)...
+    for own in ["sample", "materialize"] {
+        assert_eq!(
+            pop.remove(&("fedsim.pop".to_owned(), own.to_owned())),
+            Some(rounds),
+            "{own}"
+        );
+    }
+    // ...and otherwise emits what `FlRunner` emits: the same names under
+    // the same target, as often.
+    assert_eq!(fl, pop);
+    let shared: Vec<(&str, usize)> = fl
+        .iter()
+        .filter(|((target, _), _)| target == "fedsim")
+        .map(|((_, name), &count)| (name.as_str(), count))
+        .collect();
+    let expected = ["aggregate", "eval", "local_train", "round", "sync"].map(|p| (p, rounds));
+    assert_eq!(shared, expected, "the shared phases, once a round each");
 }

@@ -24,7 +24,8 @@
 //! `debug` when only the flag is given). The first record is a header
 //! carrying role/pid/spec so `trace-report` can merge the file with the
 //! clients' traces. With `APF_OBS_ADDR` set, a live `/metrics`+`/snapshot`
-//! endpoint serves the run's server-side counters.
+//! endpoint serves the run's counters and per-round samples (the same
+//! `RoundBook` telemetry as a simulator run).
 //!
 //! `--prof-file` samples the run with `apf-prof` and writes folded
 //! flamegraph stacks there on exit (the CLI twin of
@@ -39,11 +40,10 @@ use std::process::ExitCode;
 /// unless `APF_PROF=alloc` turns attribution on).
 #[global_allocator]
 static ALLOC: apf_prof::alloc::ProfAlloc = apf_prof::alloc::ProfAlloc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use apf_fedsim::{ExperimentLog, LedgerRecord, RunSpec, Trajectory};
+use apf_fedsim::{ExperimentLog, RunSpec, Trajectory};
 use apf_net::{NetServer, ServerOpts};
-use apf_obs::{ObsServer, ObsState};
 
 struct Args {
     addr: String,
@@ -105,11 +105,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn write_outputs(
+/// Writes `--trajectory-out`. (`--ledger` is the run's own business: both
+/// the simulator and the server append their record when they finish.)
+fn write_trajectory(
     args: &Args,
     log: &ExperimentLog,
     wire_bytes: Option<u64>,
-    wall_secs: f64,
 ) -> Result<(), String> {
     if let Some(path) = &args.trajectory_out {
         let mut text = Trajectory::from_log(log).encode();
@@ -119,16 +120,6 @@ fn write_outputs(
             text.push_str(&format!("# wire_bytes={bytes}\n"));
         }
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(path) = &args.ledger {
-        let record = LedgerRecord::from_log(
-            log,
-            "m",
-            &args.spec.strategy_name(),
-            args.spec.config_digest(),
-            wall_secs,
-        );
-        record.append_to(path).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(())
 }
@@ -167,15 +158,17 @@ fn run() -> Result<(), String> {
         None => apf_trace::init_from_env(),
     }
     let prof_owned = init_profiling(&args.prof_file);
-    let t0 = Instant::now();
     if args.sim {
         let mut runner = args.spec.build_runner();
+        if let Some(path) = &args.ledger {
+            runner.ledger(path);
+        }
         runner.run();
         let log = runner.log().clone();
         if prof_owned {
             let _ = apf_prof::finish();
         }
-        write_outputs(&args, &log, None, t0.elapsed().as_secs_f64())?;
+        write_trajectory(&args, &log, None)?;
         eprintln!(
             "sim run complete: {} rounds, best accuracy {:.4}, {} bytes",
             log.records.len(),
@@ -184,38 +177,16 @@ fn run() -> Result<(), String> {
         );
         return Ok(());
     }
-    // Live telemetry is opt-in via APF_OBS_ADDR, mirroring the simulator
-    // runner; the listener lives until the run completes.
-    let mut obs_server: Option<ObsServer> = None;
-    let obs_state = std::env::var("APF_OBS_ADDR")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .and_then(|addr| {
-            let state = ObsState::new();
-            match ObsServer::bind(addr.as_str(), std::sync::Arc::clone(&state)) {
-                Ok(server) => {
-                    if let Ok(path) = std::env::var("APF_OBS_ADDR_FILE") {
-                        if !path.is_empty() {
-                            let _ = std::fs::write(&path, server.addr().to_string());
-                        }
-                    }
-                    obs_server = Some(server);
-                    Some(state)
-                }
-                Err(e) => {
-                    eprintln!("apf-server: obs bind failed: {e}");
-                    None
-                }
-            }
-        });
-    let server = NetServer::bind(ServerOpts {
+    let mut server = NetServer::bind(ServerOpts {
         addr: args.addr.clone(),
         spec: args.spec.clone(),
         join_timeout: args.join_timeout,
         io_timeout: args.io_timeout,
-        obs: obs_state,
     })
     .map_err(|e| e.to_string())?;
+    if let Some(path) = &args.ledger {
+        server.ledger(path);
+    }
     let addr = server.addr();
     if let Some(path) = &args.addr_file {
         std::fs::write(path, addr.to_string()).map_err(|e| format!("{path}: {e}"))?;
@@ -225,14 +196,8 @@ fn run() -> Result<(), String> {
     if prof_owned {
         let _ = apf_prof::finish();
     }
-    write_outputs(
-        &args,
-        &outcome.log,
-        Some(outcome.wire_bytes),
-        t0.elapsed().as_secs_f64(),
-    )?;
+    write_trajectory(&args, &outcome.log, Some(outcome.wire_bytes))?;
     apf_trace::flush();
-    drop(obs_server);
     eprintln!(
         "run complete: {} rounds, best accuracy {:.4}, {} logical bytes, {} wire bytes, {} client(s) lost",
         outcome.log.records.len(),

@@ -5,8 +5,9 @@
 //!
 //! Determinism notes (each mirrors a line of `ApfStrategy::sync_round` /
 //! `FlRunner::run_round`):
-//! - Pushes are consumed in client-id order, so the weighted mean sums
-//!   uploads in exactly the simulator's client-index order.
+//! - Pushes are consumed in client-id order, so the weighted mean (the
+//!   simulator's own `weighted_mean`) sums uploads in exactly the
+//!   simulator's client-index order.
 //! - Under f16, uploads arrive as binary16 bit patterns and are widened on
 //!   decode, which equals the simulator's `f16_decode(f16_encode(..))`
 //!   roundtrip; the aggregate is narrowed the same way before it is applied
@@ -15,6 +16,12 @@
 //!   decisions are pure functions of the synchronized parameters (§6.2),
 //!   this replica stays in lockstep with every client's manager.
 //!
+//! The round tail (accounting, evaluation cadence, telemetry, ledger) is the
+//! simulator's [`RoundBook`]; this file keeps sockets, frames and the compact
+//! reduce. Its seconds are measured: `compute_secs` is round start to the
+//! last accepted Push (client compute plus uplink as the server sees it),
+//! `comm_secs` the reduce plus the Pull writes.
+//!
 //! Fault handling: a client that disconnects, times out, or violates the
 //! protocol is dropped from the round (aggregation weight 0) and all later
 //! rounds; the run continues with the survivors and only fails with
@@ -22,12 +29,12 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use apf::{Aimd, ApfManager};
-use apf_fedsim::{ExperimentLog, RoundRecord, RunSpec};
-use apf_obs::{Acceptor, ObsState, RunInfo};
+use apf_fedsim::{weighted_mean, ExperimentLog, RoundBook, RoundComm, RunSpec};
+use apf_obs::Acceptor;
 use apf_quant::f16_roundtrip_in_place;
 use apf_trace::{event, span, Level, Role, TraceContext};
 
@@ -46,9 +53,6 @@ pub struct ServerOpts {
     pub join_timeout: Duration,
     /// Per-connection read/write timeout.
     pub io_timeout: Duration,
-    /// Optional observability state fed per round (the `/snapshot` backing
-    /// store when an `ObsServer` is bound alongside).
-    pub obs: Option<Arc<ObsState>>,
 }
 
 impl Default for ServerOpts {
@@ -58,7 +62,6 @@ impl Default for ServerOpts {
             spec: RunSpec::golden(),
             join_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(10),
-            obs: None,
         }
     }
 }
@@ -135,37 +138,13 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-/// Weighted elementwise mean, operation-for-operation identical to the
-/// simulator's aggregation (sum `w * x` in index order, then divide by the
-/// weight total) so the result is bitwise equal.
-fn weighted_mean(vecs: &[Vec<f32>], weights: &[f32]) -> Option<Vec<f32>> {
-    let total: f32 = weights.iter().sum();
-    if total <= 0.0 || vecs.is_empty() {
-        return None;
-    }
-    let n = vecs[0].len();
-    let mut out = vec![0.0f32; n];
-    for (v, &w) in vecs.iter().zip(weights) {
-        if w == 0.0 {
-            continue;
-        }
-        debug_assert_eq!(v.len(), n);
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o += w * x;
-        }
-    }
-    for o in &mut out {
-        *o /= total;
-    }
-    Some(out)
-}
-
 /// A bound, not-yet-serving parameter server. Two-phase so callers can learn
 /// the ephemeral port (and e.g. write an addr file) before blocking in
 /// [`NetServer::serve`].
 pub struct NetServer {
     opts: ServerOpts,
     acceptor: Acceptor,
+    ledger: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -190,7 +169,18 @@ impl NetServer {
             ));
         }
         let acceptor = Acceptor::bind(opts.addr.as_str(), opts.io_timeout, 64)?;
-        Ok(NetServer { opts, acceptor })
+        Ok(NetServer {
+            opts,
+            acceptor,
+            ledger: None,
+        })
+    }
+
+    /// Appends the run's ledger record to `path` when [`NetServer::serve`]
+    /// completes (wins over `APF_LEDGER_FILE`), under the config digest a
+    /// simulator run of the spec gets, so `ledger-report diff` pairs the two.
+    pub fn ledger(&mut self, path: impl Into<PathBuf>) {
+        self.ledger = Some(path.into());
     }
 
     /// The actually-bound address (resolves port 0).
@@ -204,6 +194,7 @@ impl NetServer {
     /// [`NetError::JoinTimeout`] when the fleet never assembles,
     /// [`NetError::AllClientsLost`] when every client dies mid-run.
     pub fn serve(mut self) -> Result<ServerOutcome, NetError> {
+        let t0 = Instant::now();
         let spec = self.opts.spec.clone();
         let n = spec.clients;
         let canonical = spec.canonical();
@@ -217,16 +208,17 @@ impl NetServer {
             apf_trace::emit_header(&canonical);
         }
         let metrics = NetMetrics::new(n);
-        if let Some(obs) = &self.opts.obs {
-            obs.configure_run(RunInfo {
-                name: spec.run_name(),
-                model: "m".to_owned(),
-                strategy: spec.strategy_name(),
-                rounds_total: spec.rounds as u64,
-                threads: 1,
-                host_parallelism: std::thread::available_parallelism()
-                    .map_or(1, |p| p.get() as u64),
-            });
+        let mut book = RoundBook::new(
+            &spec.run_name(),
+            &spec.strategy_name(),
+            spec.config_digest(),
+            &spec.fl_config(),
+            spec.eval_setup(),
+        );
+        // Live telemetry when APF_OBS_ADDR asks for it, as in the simulator.
+        book.serve(None);
+        if let Some(path) = self.ledger.take() {
+            book.ledger(path);
         }
         let mut root = span!(Level::Info, target: "net.server", "serve",
             clients = n, rounds = spec.rounds);
@@ -249,6 +241,7 @@ impl NetServer {
             init: init.clone(),
             ctx: server_ctx.with_link(root.id()),
         };
+        let welcome_t0 = Instant::now();
         for (i, slot) in streams.iter_mut().enumerate() {
             let Some(stream) = slot else { continue };
             match write_frame(stream, &welcome) {
@@ -263,12 +256,13 @@ impl NetServer {
             }
         }
 
-        let mut g = init.clone();
-        let mut eval = spec.eval_setup();
-        let mut log = ExperimentLog::new(&spec.run_name());
-        let model_bytes = init.len() as u64 * 4;
-        let mut cum_bytes = 0u64;
-        let mut best_accuracy = 0.0f32;
+        // Same accounting as the simulator: the initial broadcast is charged
+        // for the whole fleet.
+        book.join(n, Some(welcome_t0.elapsed().as_secs_f64()));
+        event!(Level::Debug, target: "net.comm", "init_broadcast",
+            bytes = init.len() as u64 * 4 * n as u64, clients = n);
+
+        let mut g = init;
         let mut lost_clients: Vec<u32> = streams
             .iter()
             .enumerate()
@@ -280,13 +274,6 @@ impl NetServer {
             let round_t0 = Instant::now();
             let mut round_span = span!(Level::Info, target: "net.server", "round",
                 round = round);
-            if round == 0 {
-                // Same accounting as the simulator: round 0 charges the
-                // initial broadcast for the whole fleet.
-                cum_bytes += model_bytes * n as u64;
-                event!(Level::Debug, target: "net.comm", "init_broadcast",
-                    bytes = model_bytes * n as u64, clients = n);
-            }
             let mask = manager.frozen_mask_packed(round);
             let unfrozen = mask.unfrozen_count();
 
@@ -355,6 +342,7 @@ impl NetServer {
                 self.abort_all(&mut streams, "all peers lost");
                 return Err(NetError::AllClientsLost { round });
             }
+            let compute_secs = round_t0.elapsed().as_secs_f64();
 
             let agg = {
                 let _sp = span!(Level::Debug, target: "net.server", "reduce",
@@ -400,58 +388,33 @@ impl NetServer {
                 }
             }
 
+            let comm_secs = round_t0.elapsed().as_secs_f64() - compute_secs;
+
             // Advance the server replica exactly as every client does.
             manager.apply_aggregate(&mut g, &agg, round);
             let rep = manager.finish_round(&g, round);
 
-            let accuracy = if spec.evaluates_at(round) {
-                let acc = eval.accuracy(&g);
-                best_accuracy = best_accuracy.max(acc);
-                Some(acc)
-            } else {
-                None
-            };
             // Logical (ledger) bytes: one masked transfer per surviving
             // client each way — identical to the simulator when nobody died.
-            let bytes_up = alive as u64 * rep.bytes_up;
-            let bytes_down = alive as u64 * rep.bytes_down;
-            cum_bytes += bytes_up + bytes_down;
+            let comm = RoundComm {
+                bytes_up: alive as u64 * rep.bytes_up,
+                bytes_down: alive as u64 * rep.bytes_down,
+                max_client_up: rep.bytes_up,
+                max_client_down: rep.bytes_down,
+                frozen_ratio: rep.frozen_ratio(),
+            };
             let loss = losses.iter().sum::<f32>() / alive as f32;
+            let record = book.close(round, loss, comm, compute_secs, Some(comm_secs), &g);
             // The per-round accounting record reconcile checks against the
             // per-client transfer events and the run ledger.
             event!(Level::Debug, target: "net.server", "round_bytes",
-                round = round, bytes_up = bytes_up, bytes_down = bytes_down,
-                cum_bytes = cum_bytes, alive = alive);
+                round = round, bytes_up = record.bytes_up, bytes_down = record.bytes_down,
+                cum_bytes = record.cum_bytes, alive = alive);
             metrics.rounds.inc();
             metrics
                 .round_us
                 .record(round_t0.elapsed().as_micros() as f64);
             round_span.record("alive", alive);
-            if let Some(obs) = &self.opts.obs {
-                obs.record_round(
-                    round,
-                    &[
-                        ("net.loss", f64::from(loss)),
-                        ("net.frozen_ratio", f64::from(rep.frozen_ratio())),
-                        ("net.cum_bytes", cum_bytes as f64),
-                        ("net.clients_alive", alive as f64),
-                    ],
-                    Vec::new(),
-                );
-            }
-            log.push(RoundRecord {
-                round,
-                loss,
-                accuracy,
-                best_accuracy,
-                frozen_ratio: rep.frozen_ratio(),
-                bytes_up,
-                bytes_down,
-                cum_bytes,
-                compute_secs: 0.0,
-                comm_secs: 0.0,
-                cum_secs: 0.0,
-            });
         }
 
         for stream in streams.iter_mut().flatten() {
@@ -464,13 +427,11 @@ impl NetServer {
         self.acceptor.shutdown();
         lost_clients.sort_unstable();
         lost_clients.dedup();
-        if let Some(obs) = &self.opts.obs {
-            obs.mark_completed();
-        }
         root.record("wire_bytes", wire_bytes);
         root.record("lost", lost_clients.len());
+        book.finish(t0.elapsed().as_secs_f64(), &[]);
         Ok(ServerOutcome {
-            log,
+            log: book.log().clone(),
             global: g,
             wire_bytes,
             lost_clients,

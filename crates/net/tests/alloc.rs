@@ -5,64 +5,16 @@
 //! (this process never calls `init`) every instrumentation site must cost
 //! one relaxed atomic load and touch the allocator **zero** times, and the
 //! metric-update path must stay allocation-free even when metrics are live
-//! (handles are resolved once per run; updates are pure atomics). A
-//! counting global allocator enforces both (own test binary: the allocator
-//! and the trace level are process-global).
+//! (handles are resolved once per run; updates are pure atomics). The
+//! testkit's counting global allocator enforces both (own test binary: the
+//! allocator and the trace level are process-global).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard};
-
+use apf_testkit::alloc::{serial, CountingAlloc};
 use apf_trace::metrics::{counter, gauge, histogram};
 use apf_trace::{current_context, event, span, Level, Role, TraceContext};
 
-// Per-thread counting so libtest harness threads cannot pollute the
-// measurement; const-initialized thread_local never allocates, so reading
-// it inside the allocator is safe.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-/// Serialises the measurements. The trace level and the metrics registry
-/// are process-global and libtest runs the tests of this binary on parallel
-/// threads; allocations are counted per thread, so they do not race today,
-/// but holding this for each test's whole body keeps it that way if a test
-/// here ever enables tracing (as `apf-prof`'s twin binary does with its
-/// profiler). (A panicking holder poisons it; the `()` inside cannot be
-/// left inconsistent, so later tests carry on.)
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+static ALLOC: CountingAlloc = CountingAlloc(std::alloc::System);
 
 /// The exact span/event shapes `server.rs`/`client.rs` emit each round,
 /// run with tracing disabled.
@@ -90,12 +42,12 @@ fn net_instrumentation_workload(iters: u64) -> u64 {
 
 #[test]
 fn disabled_net_instrumentation_does_not_allocate() {
-    let _serial = serial();
+    let serial = serial();
     // Warm-up excludes any lazy runtime setup from the measurement.
     std::hint::black_box(net_instrumentation_workload(10));
-    let before = allocs();
+    let before = serial.allocs();
     std::hint::black_box(net_instrumentation_workload(50_000));
-    let after = allocs();
+    let after = serial.allocs();
     assert_eq!(
         after - before,
         0,
@@ -106,12 +58,12 @@ fn disabled_net_instrumentation_does_not_allocate() {
 
 #[test]
 fn trace_context_wire_path_does_not_allocate() {
-    let _serial = serial();
+    let serial = serial();
     // Per-frame context work on the wire path: construct, link, encode,
     // decode, read the ambient context. All fixed-size, all stack-only.
     let ctx = TraceContext::new(0xfeed_beef, Role::Client(2));
     std::hint::black_box(ctx.with_link(7).to_wire());
-    let before = allocs();
+    let before = serial.allocs();
     let mut acc = 0u64;
     for i in 0..50_000u64 {
         let linked = ctx.with_link(i);
@@ -120,7 +72,7 @@ fn trace_context_wire_path_does_not_allocate() {
         acc = acc.wrapping_add(back.link_span) ^ current_context().run_id;
     }
     std::hint::black_box(acc);
-    let after = allocs();
+    let after = serial.allocs();
     assert_eq!(
         after - before,
         0,
@@ -131,7 +83,7 @@ fn trace_context_wire_path_does_not_allocate() {
 
 #[test]
 fn metric_updates_through_resolved_handles_do_not_allocate() {
-    let _serial = serial();
+    let serial = serial();
     // Resolving a handle interns the name (allocates, once per run) —
     // updating through it afterwards is the per-round path and must not.
     let c = counter("alloc_test.wire_bytes");
@@ -140,13 +92,13 @@ fn metric_updates_through_resolved_handles_do_not_allocate() {
     c.add(1);
     g.set(1.0);
     h.record(5.0);
-    let before = allocs();
+    let before = serial.allocs();
     for i in 0..50_000u64 {
         c.add(i);
         g.set(i as f64);
         h.record((i % 1500) as f64);
     }
-    let after = allocs();
+    let after = serial.allocs();
     assert_eq!(
         after - before,
         0,

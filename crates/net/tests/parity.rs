@@ -16,7 +16,6 @@ fn opts(spec: RunSpec) -> ServerOpts {
         spec,
         join_timeout: Duration::from_secs(20),
         io_timeout: Duration::from_secs(20),
-        ..ServerOpts::default()
     }
 }
 
@@ -67,6 +66,14 @@ fn networked_golden_run_is_bitwise_identical_to_simulator() {
     // The real framing overhead must be accounted for and strictly exceed
     // the logical masked-transfer bytes it wraps.
     assert!(outcome.wire_bytes > outcome.log.total_bytes() / 2);
+    // Seconds are not part of the trajectory, and the server measures its
+    // own: every round waited for pushes, then reduced and wrote pulls.
+    let mut cum_secs = 0.0;
+    for r in &outcome.log.records {
+        assert!(r.compute_secs > 0.0 && r.comm_secs > 0.0, "{r:?}");
+        assert!(r.cum_secs > cum_secs, "cum_secs accumulates: {r:?}");
+        cum_secs = r.cum_secs;
+    }
 }
 
 #[test]

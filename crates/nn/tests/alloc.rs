@@ -5,23 +5,10 @@
 //! Runs under `with_threads(1)` so every kernel executes on the test thread
 //! and the pool counters observed here cover all hot-path traffic.
 
-use std::sync::{Mutex, MutexGuard};
-
 use apf::FreezeMask;
 use apf_nn::models::lenet5;
 use apf_nn::{evaluate, train_batch, Sgd};
 use apf_tensor::{scratch, seeded_rng, uniform_init, Tensor};
-
-/// Serialises the two measurements. Their counters are per-thread, so they
-/// do not race today; the guard is the same one the other counting-allocator
-/// binaries (`apf-prof`, `apf-net`) take, so a kernel that one day moves
-/// work onto the shared pool cannot turn this into a flaky tier-1 test.
-/// (A panicking holder poisons it; the `()` inside cannot be left
-/// inconsistent, so the other test carries on.)
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn batch(n: usize) -> (Tensor, Vec<usize>) {
     let mut rng = seeded_rng(7);
@@ -32,7 +19,11 @@ fn batch(n: usize) -> (Tensor, Vec<usize>) {
 
 #[test]
 fn training_steady_state_allocates_no_tensor_buffers() {
-    let _serial = serial();
+    // The guard the counting-allocator binaries (`apf-trace`, `apf-prof`,
+    // `apf-net`) take: the counters here are per-thread and do not race
+    // today, and a kernel that one day moves work onto the shared pool
+    // cannot turn this into a flaky tier-1 test.
+    let _serial = apf_testkit::alloc::serial();
     apf_par::with_threads(1, || {
         scratch::clear();
         let mut model = lenet5(3);
@@ -59,7 +50,7 @@ fn training_steady_state_allocates_no_tensor_buffers() {
 
 #[test]
 fn evaluation_steady_state_allocates_no_tensor_buffers() {
-    let _serial = serial();
+    let _serial = apf_testkit::alloc::serial();
     apf_par::with_threads(1, || {
         scratch::clear();
         let mut model = lenet5(4);

@@ -8,55 +8,16 @@
 //! system. Own test binary: the allocator and trace gate are
 //! process-global.
 
-use std::alloc::{GlobalAlloc, Layout};
-use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard};
-
 use apf_prof::alloc::ProfAlloc;
+use apf_testkit::alloc::{serial, CountingAlloc};
 use apf_trace::{event, span, Level};
 
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { ProfAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { ProfAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { ProfAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
+// The profiler session and the trace gate are process-global, and libtest
+// runs the tests of this binary on parallel threads: one test starting a
+// session would break the other's "nothing is running" precondition, so
+// every test holds `serial()` for its whole body.
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-/// The profiler session and the trace gate are process-global, and libtest
-/// runs the tests of this binary on parallel threads: one test starting a
-/// session would break the other's "nothing is running" precondition. Every
-/// test holds this for its whole body. (A panicking holder poisons it; the
-/// `()` inside cannot be left inconsistent, so later tests carry on.)
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+static ALLOC: CountingAlloc<ProfAlloc> = CountingAlloc(ProfAlloc);
 
 /// The span/event shapes the fedsim round loop and net round loop emit,
 /// with tracing AND profiling disabled.
@@ -66,7 +27,7 @@ fn instrumentation_workload(iters: u64) -> u64 {
         let round_span = span!(Level::Info, target: "fedsim", "round", round = round);
         {
             let _local = span!(Level::Info, target: "fedsim", "local_train",
-                round = round, participants = 3usize);
+                round = round, clients = 3usize);
             event!(Level::Debug, target: "fedsim.client", "local_round",
                 round = round, client = 1usize, loss = 0.5f32);
         }
@@ -80,14 +41,14 @@ fn instrumentation_workload(iters: u64) -> u64 {
 
 #[test]
 fn disabled_profiler_and_tracing_do_not_allocate() {
-    let _serial = serial();
+    let serial = serial();
     assert!(!apf_prof::is_running());
     assert!(!apf_trace::stack_tracking());
     // Warm-up excludes any lazy runtime setup from the measurement.
     std::hint::black_box(instrumentation_workload(10));
-    let before = allocs();
+    let before = serial.allocs();
     std::hint::black_box(instrumentation_workload(50_000));
-    let after = allocs();
+    let after = serial.allocs();
     assert_eq!(
         after - before,
         0,
@@ -98,7 +59,7 @@ fn disabled_profiler_and_tracing_do_not_allocate() {
 
 #[test]
 fn enabling_then_disabling_restores_the_free_path() {
-    let _serial = serial();
+    let serial = serial();
     // A completed profiling session must leave the disabled path free
     // again (modulo the retained per-thread stack registration).
     assert!(apf_prof::start(std::time::Duration::from_millis(1)));
@@ -107,9 +68,9 @@ fn enabling_then_disabling_restores_the_free_path() {
     std::hint::black_box(profile);
     assert!(!apf_trace::stack_tracking());
     std::hint::black_box(instrumentation_workload(10));
-    let before = allocs();
+    let before = serial.allocs();
     std::hint::black_box(instrumentation_workload(20_000));
-    let after = allocs();
+    let after = serial.allocs();
     assert_eq!(
         after - before,
         0,

@@ -22,7 +22,8 @@
 //!
 //! Beyond the property harness, [`golden`] hosts the shared seeded
 //! run-and-record helper the golden-trajectory and net-vs-sim parity suites
-//! replay their fixtures with.
+//! replay their fixtures with, and [`alloc`] the counting allocator (with
+//! its serialising guard) of the zero-allocation test binaries.
 //!
 //! ```
 //! apf_testkit::property! {
@@ -35,6 +36,7 @@
 //! }
 //! ```
 
+pub mod alloc;
 pub mod golden;
 
 mod gen;

@@ -2,51 +2,16 @@
 //!
 //! The facade promises that when no level is enabled, `event!` and `span!`
 //! cost a single relaxed atomic load and never touch the allocator. This
-//! binary installs a counting global allocator to prove it (own test binary:
-//! both the allocator and the trace level are process-global).
+//! binary installs the testkit's counting global allocator to prove it (own
+//! test binary: both the allocator and the trace level are process-global).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::Instant;
 
+use apf_testkit::alloc::{serial, CountingAlloc};
 use apf_trace::{event, span, Level};
 
-// Allocations are counted per thread so the libtest harness's own activity on
-// other threads (output capture, bookkeeping) cannot pollute the measurement.
-// Const-initialized `thread_local!` never allocates, so reading it from
-// inside the allocator is safe; `try_with` covers thread teardown.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static ALLOC: CountingAlloc = CountingAlloc(std::alloc::System);
 
 /// A hot loop mixing events (with string and float fields) and spans, as the
 /// instrumented library code does.
@@ -63,13 +28,14 @@ fn traced_workload(iters: u64) -> u64 {
 
 #[test]
 fn disabled_hot_path_does_not_allocate_and_is_cheap() {
+    let serial = serial();
     // Tracing starts disabled (no init in this process). Warm up once so any
     // lazy runtime setup is excluded from the measurement.
     std::hint::black_box(traced_workload(10));
 
-    let before = allocs();
+    let before = serial.allocs();
     std::hint::black_box(traced_workload(100_000));
-    let after = allocs();
+    let after = serial.allocs();
     assert_eq!(
         after - before,
         0,

@@ -74,10 +74,10 @@ fn main() {
             .test_set(test.clone())
             .strategy(strategy);
         if drop {
-            builder = builder.drop_stragglers();
+            builder = builder.config(|c| c.drop_stragglers = true);
         }
         if let Some(mu) = mu {
-            builder = builder.prox_mu(mu);
+            builder = builder.config(|c| c.prox_mu = Some(mu));
         }
         let mut runner = builder.build();
         let log = runner.run();
