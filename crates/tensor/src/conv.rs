@@ -10,6 +10,9 @@
 //! matrix they generate its entries *directly into the packed GEMM panels*
 //! (the B-operand packing closure of [`crate::gemm`]), so the column matrix
 //! never exists in memory and the working set per task is one KC×NR panel.
+//! Stride-1 calls whose output rows fill a SIMD vector skip the panels too:
+//! the fused entry points hand them to the packing-free kernels of
+//! [`crate::direct`], chosen from the call's shape alone and bit-identical.
 //! The unfused [`im2col`]/[`conv2d_forward`]/[`conv2d_backward`] entry
 //! points are kept — they are the reference the fused path is tested
 //! against, and some callers want the explicit matrix.
@@ -21,7 +24,10 @@
 //! GEMM's ascending-`k` accumulation, so its outputs are bitwise identical
 //! to the unfused `matmul`-based path too.
 
+use crate::direct;
 use crate::gemm;
+#[cfg(debug_assertions)]
+use crate::tensor::assert_same_bits;
 use crate::tensor::{rows_per_block, Tensor, PAR_OPS_MIN};
 
 /// Geometry of a 2-D convolution.
@@ -43,8 +49,10 @@ impl ConvSpec {
     /// Output spatial size for an `h x w` input.
     ///
     /// # Panics
-    /// Panics if the padded input is smaller than the kernel.
+    /// Panics if `stride` is 0 or the padded input is smaller than the
+    /// kernel.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(self.stride > 0, "ConvSpec stride must be positive");
         let ph = h + 2 * self.padding;
         let pw = w + 2 * self.padding;
         assert!(
@@ -78,8 +86,9 @@ impl PoolSpec {
     /// Output spatial size for an `h x w` input.
     ///
     /// # Panics
-    /// Panics if the input is smaller than the window.
+    /// Panics if `stride` is 0 or the input is smaller than the window.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(self.stride > 0, "PoolSpec stride must be positive");
         assert!(
             h >= self.kernel && w >= self.kernel,
             "input smaller than pool window"
@@ -514,16 +523,6 @@ impl ColsGeom {
     #[inline]
     fn fill_run(&self, in_row: &[f32], ix0: isize, dst: &mut [f32]) {
         if self.stride == 1 {
-            if let Ok(full) = <&mut [f32; gemm::NR]>::try_from(&mut *dst) {
-                if ix0 >= 0 && ix0 as usize + gemm::NR <= self.w {
-                    // A full panel row inside the image: one fixed-width copy.
-                    let src: &[f32; gemm::NR] = in_row[ix0 as usize..][..gemm::NR]
-                        .try_into()
-                        .expect("NR-wide source");
-                    *full = *src;
-                    return;
-                }
-            }
             let (pre, end) = self.clip(ix0, dst.len());
             dst[..pre].fill(0.0);
             if pre < end {
@@ -549,7 +548,9 @@ impl ColsGeom {
     /// least a panel wide (and `stride == 1`) each lane walks it as one
     /// strided copy of an input row, which pays a row lookup per (lane, run);
     /// shorter output rows do not amortize that, so there each position
-    /// gathers its lanes with the row and column offsets precomputed.
+    /// gathers its lanes with the row and column offsets precomputed. (Of
+    /// the wide-row shapes only kernels of side 1–4 or above 8 arrive here —
+    /// the 3×3 ResNet/VGG layers; the rest go to [`crate::direct`].)
     fn pack_cols_t_panels(
         &self,
         data: &[f32],
@@ -634,7 +635,9 @@ impl ColsGeom {
 }
 
 /// Fused 2-D convolution forward pass: im2col directly into the packed GEMM
-/// panels, so the column matrix never exists in memory.
+/// panels, so the column matrix never exists in memory — or, for a stride-1
+/// call with an output row at least a SIMD vector wide, no panels at all
+/// ([`crate::direct`]).
 ///
 /// Takes the same operands as [`conv2d_forward`] and produces a bitwise
 /// identical output tensor (asserted in debug builds for small problems);
@@ -673,37 +676,44 @@ pub fn conv2d_forward_fused(
         cols.recycle();
         return out;
     }
-    let geom = ColsGeom::new(spec, h, w);
-    let wdata = weight.data();
-    let idata = input.data();
-    let mut out_mat = Tensor::scratch(&[o, cols_w]);
-    gemm::gemm_packed(
-        o,
-        ckk,
-        cols_w,
-        &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
-            gemm::pack_a_rowmajor(dst, wdata, ckk, ic, mc_eff, pc, kc_eff)
-        },
-        &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
-            geom.pack_cols_panels(idata, dst, pc, kc_eff, jc, nc_eff)
-        },
-        out_mat.data_mut(),
-    );
-    let hw = oh * ow;
-    let mut out = Tensor::scratch(&[n, o, oh, ow]);
-    assemble_output(out.data_mut(), out_mat.data(), bias.data(), n, o, hw);
-    out_mat.recycle();
+    let shape = direct_geom(spec, n, (h, w), (oh, ow));
+    let out = if shape.forward_is_direct(spec.stride) {
+        let mut out = Tensor::scratch(&[n, o, oh, ow]);
+        direct::forward(
+            input.data(),
+            weight.data(),
+            bias.data(),
+            out.data_mut(),
+            &shape,
+        );
+        out
+    } else {
+        let geom = ColsGeom::new(spec, h, w);
+        let wdata = weight.data();
+        let idata = input.data();
+        let mut out_mat = Tensor::scratch(&[o, cols_w]);
+        gemm::gemm_packed(
+            o,
+            ckk,
+            cols_w,
+            &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
+                gemm::pack_a_rowmajor(dst, wdata, ckk, ic, mc_eff, pc, kc_eff)
+            },
+            &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
+                geom.pack_cols_panels(idata, dst, pc, kc_eff, jc, nc_eff)
+            },
+            out_mat.data_mut(),
+        );
+        let mut out = Tensor::scratch(&[n, o, oh, ow]);
+        assemble_output(out.data_mut(), out_mat.data(), bias.data(), n, o, oh * ow);
+        out_mat.recycle();
+        out
+    };
     #[cfg(debug_assertions)]
     if ops <= gemm::REF_CHECK_OPS_MAX {
         let (want, cols) = conv2d_forward(input, weight, bias, spec);
         cols.recycle();
-        for (i, (g, r)) in out.data().iter().zip(want.data()).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                r.to_bits(),
-                "fused conv2d forward diverged from unfused at {i}: {g} vs {r}"
-            );
-        }
+        assert_same_bits(&out, &want, "fused conv2d forward");
         want.recycle();
     }
     out
@@ -727,7 +737,8 @@ pub fn conv2d_backward_fused(
 ) -> Conv2dGrads {
     let dims = backward_dims(grad_out, input, spec);
     let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
-    let (grad_weight, grad_bias) = param_grads(&grad_mat, input, spec, &dims);
+    let (grad_weight, grad_bias) = direct_param_grads(grad_out, input, spec, &dims)
+        .unwrap_or_else(|| param_grads(&grad_mat, input, spec, &dims));
     let grad_cols = weight.matmul_tn(&grad_mat); // [CKK, N*oh*ow]
     let grad_input = col2im(&grad_cols, spec, dims.n, dims.h, dims.w);
     grad_cols.recycle();
@@ -737,19 +748,13 @@ pub fn conv2d_backward_fused(
         let cols = im2col(input, spec);
         let want = conv2d_backward(grad_out, &cols, weight, spec, (dims.h, dims.w));
         cols.recycle();
-        for (what, got_t, want_t) in [
-            ("input", &grad_input, &want.input),
-            ("weight", &grad_weight, &want.weight),
-            ("bias", &grad_bias, &want.bias),
-        ] {
-            for (i, (g, r)) in got_t.data().iter().zip(want_t.data()).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "fused conv2d backward grad_{what} diverged at {i}: {g} vs {r}"
-                );
-            }
-        }
+        assert_same_bits(&grad_input, &want.input, "fused conv2d backward grad_input");
+        assert_same_bits(
+            &grad_weight,
+            &want.weight,
+            "fused conv2d backward grad_weight",
+        );
+        assert_same_bits(&grad_bias, &want.bias, "fused conv2d backward grad_bias");
     }
     Conv2dGrads {
         input: grad_input,
@@ -771,10 +776,30 @@ pub fn conv2d_backward_params_fused(
     spec: &ConvSpec,
 ) -> (Tensor, Tensor) {
     let dims = backward_dims(grad_out, input, spec);
-    let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
-    let grads = param_grads(&grad_mat, input, spec, &dims);
-    grad_mat.recycle();
-    grads
+    let (grad_weight, grad_bias) =
+        direct_param_grads(grad_out, input, spec, &dims).unwrap_or_else(|| {
+            let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
+            let grads = param_grads(&grad_mat, input, spec, &dims);
+            grad_mat.recycle();
+            grads
+        });
+    #[cfg(debug_assertions)]
+    if dims.ops() <= gemm::REF_CHECK_OPS_MAX {
+        // The parameter half of `conv2d_backward`, spelled out.
+        let cols = im2col(input, spec);
+        let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
+        let want_weight = grad_mat.matmul_nt(&cols);
+        let want_bias = bias_sums(&grad_mat, dims.n, dims.o, dims.hw);
+        assert_same_bits(
+            &grad_weight,
+            &want_weight,
+            "fused conv2d params grad_weight",
+        );
+        assert_same_bits(&grad_bias, &want_bias, "fused conv2d params grad_bias");
+        cols.recycle();
+        grad_mat.recycle();
+    }
+    (grad_weight, grad_bias)
 }
 
 /// Checked shapes of one fused backward call.
@@ -783,6 +808,8 @@ struct BackwardDims {
     o: usize,
     h: usize,
     w: usize,
+    oh: usize,
+    ow: usize,
     /// `oh*ow`, output positions per sample.
     hw: usize,
     /// `C*k*k`, the depth of the virtual column matrix.
@@ -812,9 +839,56 @@ fn backward_dims(grad_out: &Tensor, input: &Tensor, spec: &ConvSpec) -> Backward
         o,
         h,
         w,
+        oh,
+        ow,
         hw: oh * ow,
         ckk: c * spec.kernel * spec.kernel,
     }
+}
+
+/// Shapes of a convolution call as the direct kernels take them.
+fn direct_geom(
+    spec: &ConvSpec,
+    n: usize,
+    (h, w): (usize, usize),
+    (oh, ow): (usize, usize),
+) -> direct::Geom {
+    direct::Geom {
+        n,
+        c: spec.in_channels,
+        h,
+        w,
+        o: spec.out_channels,
+        k: spec.kernel,
+        pad: spec.padding,
+        oh,
+        ow,
+    }
+}
+
+/// The parameter gradients from the direct kernels, when the call's shape
+/// is theirs: they read `grad_out` `[N, O, oh, ow]` as it lies, so no
+/// `grad_mat` is built for them.
+fn direct_param_grads(
+    grad_out: &Tensor,
+    input: &Tensor,
+    spec: &ConvSpec,
+    dims: &BackwardDims,
+) -> Option<(Tensor, Tensor)> {
+    let shape = direct_geom(spec, dims.n, (dims.h, dims.w), (dims.oh, dims.ow));
+    if dims.ops() < gemm::PACK_OPS_MIN || !shape.param_grads_are_direct(spec.stride) {
+        return None;
+    }
+    let mut grad_weight = Tensor::scratch(&[dims.o, dims.ckk]);
+    let mut grad_bias = Tensor::scratch(&[dims.o]);
+    direct::param_grads(
+        grad_out.data(),
+        input.data(),
+        grad_weight.data_mut(),
+        grad_bias.data_mut(),
+        &shape,
+    );
+    Some((grad_weight, grad_bias))
 }
 
 /// `grad_weight = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK]` with the column
@@ -1526,6 +1600,29 @@ mod tests {
             assert_eq!(g.to_bits(), r.to_bits());
         }
         cols.recycle();
+    }
+
+    #[test]
+    #[should_panic(expected = "ConvSpec stride")]
+    fn conv_out_size_rejects_zero_stride() {
+        let spec = ConvSpec {
+            in_channels: 1,
+            out_channels: 1,
+            kernel: 3,
+            stride: 0,
+            padding: 1,
+        };
+        spec.out_size(8, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "PoolSpec stride")]
+    fn pool_out_size_rejects_zero_stride() {
+        let spec = PoolSpec {
+            kernel: 2,
+            stride: 0,
+        };
+        spec.out_size(8, 8);
     }
 
     #[test]

@@ -98,14 +98,23 @@ fn debug_assert_matches_reference(
         return;
     }
     let want = reference();
+    assert_same_bits(got, &want, what);
+    want.recycle();
+}
+
+/// Debug-build comparison of a fast kernel's result with its reference:
+/// bit for bit, except that a NaN need only stand where the reference has
+/// one — its sign and payload are free (`inf * 0` and a propagated NaN
+/// differ there, and LLVM may commute the operands of a multiply).
+#[cfg(debug_assertions)]
+pub(crate) fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
     for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "{what}: packed kernel diverged from reference at element {i}: {g} vs {w}"
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}: diverged from the reference at element {i}: {g} vs {w}"
         );
     }
-    want.recycle();
 }
 
 #[cfg(not(debug_assertions))]

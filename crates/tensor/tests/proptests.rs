@@ -12,47 +12,78 @@ fn matrix(m: usize, n: usize, seed: u64) -> Tensor {
     )
 }
 
+/// Whether `got` is `want` bit for bit, a NaN standing wherever `want` has
+/// one (its sign and payload are not pinned: LLVM may commute the operands
+/// of a multiply).
+fn same_bits(got: &Tensor, want: &Tensor) -> bool {
+    got.shape() == want.shape()
+        && got
+            .data()
+            .iter()
+            .zip(want.data())
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
 /// Fused forward, backward and parameter-only backward against the unfused
 /// reference, in full, at three pool sizes.
-fn check_fused_conv(input: &Tensor, spec: &ConvSpec, seed: u64) -> apf_testkit::TestCaseResult {
+fn check_fused_conv(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    grad_out: Option<&Tensor>,
+    spec: &ConvSpec,
+) -> apf_testkit::TestCaseResult {
     let (h, w) = (input.shape()[2], input.shape()[3]);
-    let ckk = spec.in_channels * spec.kernel * spec.kernel;
-    let weight = matrix(spec.out_channels, ckk, seed ^ 0x17);
-    let bias = matrix(1, spec.out_channels, seed ^ 0x29).reshape(&[spec.out_channels]);
-    let (want_out, cols) = apf_tensor::conv2d_forward(input, &weight, &bias, spec);
-    let grad_out = want_out.map(|x| x * 0.25);
-    let want = apf_tensor::conv2d_backward(&grad_out, &cols, &weight, spec, (h, w));
+    let (want_out, cols) = apf_tensor::conv2d_forward(input, weight, bias, spec);
+    let scaled;
+    let grad_out = match grad_out {
+        Some(grad_out) => grad_out,
+        None => {
+            scaled = want_out.map(|x| x * 0.25);
+            &scaled
+        }
+    };
+    let want = apf_tensor::conv2d_backward(grad_out, &cols, weight, spec, (h, w));
     for t in [1usize, 2, 7] {
         let (out, grads, params) = apf_par::with_threads(t, || {
             (
-                apf_tensor::conv2d_forward_fused(input, &weight, &bias, spec),
-                apf_tensor::conv2d_backward_fused(&grad_out, input, &weight, spec),
-                apf_tensor::conv2d_backward_params_fused(&grad_out, input, spec),
+                apf_tensor::conv2d_forward_fused(input, weight, bias, spec),
+                apf_tensor::conv2d_backward_fused(grad_out, input, weight, spec),
+                apf_tensor::conv2d_backward_params_fused(grad_out, input, spec),
             )
         });
-        prop_assert!(out == want_out, "fused forward differs at threads={t}");
-        prop_assert!(
-            grads.input == want.input,
-            "fused grad input differs at threads={t}"
-        );
-        prop_assert!(
-            grads.weight == want.weight,
-            "fused grad weight differs at threads={t}"
-        );
-        prop_assert!(
-            grads.bias == want.bias,
-            "fused grad bias differs at threads={t}"
-        );
-        prop_assert!(
-            params.0 == want.weight,
-            "params-only grad weight differs at threads={t}"
-        );
-        prop_assert!(
-            params.1 == want.bias,
-            "params-only grad bias differs at threads={t}"
-        );
+        for (what, got, want) in [
+            ("forward", &out, &want_out),
+            ("grad input", &grads.input, &want.input),
+            ("grad weight", &grads.weight, &want.weight),
+            ("grad bias", &grads.bias, &want.bias),
+            ("params-only grad weight", &params.0, &want.weight),
+            ("params-only grad bias", &params.1, &want.bias),
+        ] {
+            prop_assert!(same_bits(got, want), "fused {what} differs at threads={t}");
+        }
     }
     Ok(())
+}
+
+/// [`check_fused_conv`] on a seeded weight and bias, the gradient a scaled
+/// copy of the output.
+fn check_fused_conv_seeded(
+    input: &Tensor,
+    spec: &ConvSpec,
+    seed: u64,
+) -> apf_testkit::TestCaseResult {
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    let weight = matrix(spec.out_channels, ckk, seed ^ 0x17);
+    let bias = matrix(1, spec.out_channels, seed ^ 0x29).reshape(&[spec.out_channels]);
+    check_fused_conv(input, &weight, &bias, None, spec)
+}
+
+/// The square input side that gives `ow` output columns, if there is one.
+fn input_side(ow: usize, kernel: usize, stride: usize, padding: usize) -> Option<usize> {
+    ((ow - 1) * stride + kernel)
+        .checked_sub(2 * padding)
+        .filter(|&side| side > 0)
 }
 
 /// The two convolutions LeNet-5 actually runs, at the training batch size:
@@ -83,7 +114,97 @@ fn fused_conv_matches_unfused_on_the_lenet_shapes() {
         ),
     ] {
         let input = matrix(shape[0], shape[1] * shape[2] * shape[3], 0x1E).reshape(&shape);
-        check_fused_conv(&input, &spec, 0x5).unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
+        check_fused_conv_seeded(&input, &spec, 0x5).unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
+    }
+}
+
+/// Every pairing of output width and kernel side around the direct
+/// kernels' shape rule (stride 1, a row of at least one vector, a kernel row
+/// of at most one vector and more than half of one), and each width once at
+/// stride 2; channels, batch and padding cycle.
+#[test]
+fn fused_conv_matches_unfused_across_the_dispatch_edges() {
+    let mut case = 0usize;
+    for ow in [7usize, 8, 9, 15, 16, 17, 24] {
+        for (kernel, stride) in [
+            (1usize, 1usize),
+            (3, 1),
+            (4, 1),
+            (5, 1),
+            (7, 1),
+            (8, 1),
+            (9, 1),
+            (5, 2),
+        ] {
+            case += 1;
+            let padding = case % kernel;
+            let Some(side) = input_side(ow, kernel, stride, padding) else {
+                continue;
+            };
+            let mut spec = ConvSpec {
+                in_channels: [1, 3, 6][case % 3],
+                out_channels: [1, 5, 6, 7, 13, 16][case / 3 % 6],
+                kernel,
+                stride,
+                padding,
+            };
+            let mut n = [1, 2, 16][case / 2 % 3];
+            // Debug builds run the kernels unoptimized: the largest layers
+            // give up the batch, then the input channels.
+            let ops = |n: usize, spec: &ConvSpec| {
+                n * spec.out_channels * spec.in_channels * kernel * kernel * ow * ow
+            };
+            if ops(n, &spec) > 1 << 20 {
+                n = 1;
+            }
+            if ops(n, &spec) > 1 << 20 {
+                spec.in_channels = 1;
+            }
+            let input = matrix(n, spec.in_channels * side * side, case as u64).reshape(&[
+                n,
+                spec.in_channels,
+                side,
+                side,
+            ]);
+            check_fused_conv_seeded(&input, &spec, case as u64)
+                .unwrap_or_else(|e| panic!("{spec:?} ow={ow} n={n}: {e:?}"));
+        }
+    }
+}
+
+/// `inf`, `-inf` and NaN planted in the weight, the input and the gradient:
+/// every finite result keeps its bits and every NaN its place, on the
+/// direct path (conv1's shape) and on the GEMM path (stride 2). A padding
+/// zero times an `inf` weight is a NaN the direct kernels must not skip.
+#[test]
+fn fused_conv_places_non_finite_values_like_unfused() {
+    for stride in [1usize, 2] {
+        let spec = ConvSpec {
+            in_channels: 3,
+            out_channels: 6,
+            kernel: 5,
+            stride,
+            padding: 2,
+        };
+        let ckk = 75;
+        let plant = |t: &mut Tensor, at: &[usize]| {
+            for (&i, v) in at.iter().zip([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]) {
+                t.data_mut()[i] = v;
+            }
+        };
+        let mut input = matrix(4, 3 * 16 * 16, 0x51).reshape(&[4, 3, 16, 16]);
+        plant(&mut input, &[5, 16 * 16 + 40, 2 * 3 * 16 * 16 + 255]);
+        let mut weight = matrix(6, ckk, 0x52);
+        plant(&mut weight, &[12, ckk + 74, 4 * ckk]);
+        let bias = matrix(1, 6, 0x53).reshape(&[6]);
+        let (out, cols) = apf_tensor::conv2d_forward(&input, &weight, &bias, &spec);
+        cols.recycle();
+        assert!(out.data().iter().any(|v| v.is_nan()) && out.data().iter().any(|v| v.is_finite()));
+        let mut grad_out = matrix(1, out.numel(), 0x54).reshape(out.shape());
+        let last = grad_out.numel() - 1;
+        plant(&mut grad_out, &[3, last / 2, last]);
+        check_fused_conv(&input, &weight, &bias, Some(&grad_out), &spec)
+            .unwrap_or_else(|e| panic!("stride {stride}: {e:?}"));
     }
 }
 
@@ -318,32 +439,40 @@ property! {
     }
 
     fn fused_conv_bitwise_matches_unfused(
-        geometry in usizes(0..3 * 2 * 3 * 5 * 3),
-        c in usizes(1..4),
-        o in usizes(1..5),
+        geometry in usizes(0..7 * 6 * 2 * 3 * 6 * 3),
+        pad_pick in usizes(0..9),
         seed in u64s(0..200),
     ) {
-        // One point of kernel x stride x padding x side x batch: output rows
-        // shorter than, equal to and longer than a GEMM panel, panels that
-        // straddle a sample boundary, column counts that are not a multiple
-        // of the panel or block width, both transposed-packing orders.
+        // One point of output width x kernel x stride x batch x channels,
+        // straddling the direct kernels' shape rule on every side: output
+        // rows one short of a vector, one vector, one past it, two vectors
+        // and their neighbours; kernel rows of one lane, half a vector, a
+        // whole one and one past it; channel counts around the 6-channel
+        // tile; panels that straddle a sample boundary on the GEMM side.
         let mut pick = geometry;
         let mut draw = |choices: &[usize]| {
             let v = choices[pick % choices.len()];
             pick /= choices.len();
             v
         };
-        let (kernel, stride, padding) = (draw(&[1, 3, 5]), draw(&[1, 2]), draw(&[0, 1, 2]));
-        let (hw, n) = (draw(&[4, 5, 8, 9, 16]), draw(&[1, 3, 16]));
-        prop_assume!(hw + 2 * padding >= kernel);
+        let (ow, kernel) = (draw(&[7, 8, 9, 15, 16, 17, 24]), draw(&[1, 3, 5, 7, 8, 9]));
+        let (stride, n) = (draw(&[1, 2]), draw(&[1, 2, 16]));
+        let (o, c) = (draw(&[1, 5, 6, 7, 13, 16]), draw(&[1, 3, 6]));
+        let padding = pad_pick % kernel;
+        let side = input_side(ow, kernel, stride, padding);
+        prop_assume!(side.is_some());
+        // Debug builds run the kernels unoptimized: keep a case to ~1M
+        // multiply-adds (the batch-16 draws survive on the smaller layers).
+        prop_assume!(n * o * c * kernel * kernel * ow * ow <= 1 << 20);
+        let side = side.expect("assumed above");
         let spec = ConvSpec { in_channels: c, out_channels: o, kernel, stride, padding };
         let input = Tensor::from_vec(
-            (0..n * c * hw * hw)
+            (0..n * c * side * side)
                 .map(|i| ((apf_tensor::splitmix64(seed ^ i as u64) % 200) as f32 / 100.0) - 1.0)
                 .collect(),
-            &[n, c, hw, hw],
+            &[n, c, side, side],
         );
-        check_fused_conv(&input, &spec, seed)?;
+        check_fused_conv_seeded(&input, &spec, seed)?;
     }
 
     fn parallel_reduce_bitwise_matches_serial(
