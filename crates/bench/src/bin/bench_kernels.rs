@@ -4,8 +4,11 @@
 //! end-to-end federated round time at pool sizes 1, 2 and 4, then writes
 //! `BENCH_kernels.json` for regression tracking. The conv rows are the
 //! canonical probe's forward pass plus LeNet-5's own two convolutions at
-//! the training batch size: conv1 forward, and the parameter-gradient half
-//! of the backward pass for conv1 and conv2. Kernel throughputs are
+//! the training batch size: conv1 forward, the parameter-gradient half of
+//! the backward pass for conv1 and conv2, and conv2's whole backward pass
+//! (it is not the first layer, so training pays for its input gradient) —
+//! all through the fused entry points, which send these stride-1 shapes to
+//! the direct kernels. Kernel throughputs are
 //! computed from the fastest sample (the noise floor): scheduler noise on
 //! a shared host only ever slows a sample down, so the minimum is the one
 //! statistic that quick (3-sample) and full (11-sample) runs estimate
@@ -82,8 +85,8 @@ use apf_fedsim::{
 use apf_nn::{models, Adam, LrSchedule, Optimizer, Sgd};
 use apf_quant::EmaCodec;
 use apf_tensor::{
-    conv2d_backward_params_fused, conv2d_forward_fused, normal_init, scratch, seeded_rng, slab,
-    ConvSpec, Tensor,
+    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, normal_init,
+    scratch, seeded_rng, slab, ConvSpec, Tensor,
 };
 
 /// Square matmul side for the throughput probe.
@@ -130,6 +133,7 @@ struct ThreadResult {
     conv1_fwd_gflops: f64,
     conv1_wgrad_gflops: f64,
     conv2_wgrad_gflops: f64,
+    conv2_bwd_gflops: f64,
     round_ms: f64,
 }
 
@@ -224,8 +228,9 @@ const LENET_CONV2: (ConvSpec, [usize; 2]) = (
     [16, 8],
 );
 
-/// Operands of one convolution probe and the FLOPs of its GEMM (forward and
-/// grad-weight multiply the same three extents).
+/// Operands of one convolution probe and the FLOPs of one of its three
+/// products (forward, grad-weight and grad-input multiply the same three
+/// extents).
 struct ConvOperands {
     spec: ConvSpec,
     input: Tensor,
@@ -257,8 +262,8 @@ fn bench_conv_forward(g: &mut BenchGroup, label: &str, conv: (ConvSpec, [usize; 
     c.flops / m.min.as_secs_f64() / 1e9
 }
 
-/// The parameter-gradient half of the backward pass (grad-weight GEMM over
-/// transposed im2col panels, plus the bias sums).
+/// The parameter-gradient half of the backward pass (the weight gradient
+/// plus the bias sums).
 fn bench_conv_wgrad(g: &mut BenchGroup, label: &str, conv: (ConvSpec, [usize; 2])) -> f64 {
     let c = conv_operands(conv);
     let m = g.bench(label, || {
@@ -267,6 +272,24 @@ fn bench_conv_wgrad(g: &mut BenchGroup, label: &str, conv: (ConvSpec, [usize; 2]
         gb.recycle();
     });
     c.flops / m.min.as_secs_f64() / 1e9
+}
+
+/// The whole backward pass: the parameter gradients and the input gradient,
+/// two products' worth of FLOPs.
+fn bench_conv_backward(g: &mut BenchGroup, label: &str, conv: (ConvSpec, [usize; 2])) -> f64 {
+    let c = conv_operands(conv);
+    let m = g.bench(label, || {
+        let grads = black_box(conv2d_backward_fused(
+            &c.grad_out,
+            &c.input,
+            &c.weight,
+            &c.spec,
+        ));
+        grads.input.recycle();
+        grads.weight.recycle();
+        grads.bias.recycle();
+    });
+    2.0 * c.flops / m.min.as_secs_f64() / 1e9
 }
 
 /// Times `ROUNDS` federated rounds (LeNet-5, 4 parallel clients) and
@@ -475,7 +498,7 @@ fn json_escape_free(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_fwd_gflops\": {:.4}, \"conv1_wgrad_gflops\": {:.4}, \"conv2_wgrad_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
+            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_fwd_gflops\": {:.4}, \"conv1_wgrad_gflops\": {:.4}, \"conv2_wgrad_gflops\": {:.4}, \"conv2_bwd_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
             r.threads,
             r.reliable,
             r.matmul_gflops,
@@ -483,6 +506,7 @@ fn json_escape_free(
             r.conv1_fwd_gflops,
             r.conv1_wgrad_gflops,
             r.conv2_wgrad_gflops,
+            r.conv2_bwd_gflops,
             r.round_ms,
             if i + 1 < results.len() { "," } else { "" }
         ));
@@ -555,6 +579,7 @@ fn ledger_record(
             ("conv1_fwd_gflops", r.conv1_fwd_gflops),
             ("conv1_wgrad_gflops", r.conv1_wgrad_gflops),
             ("conv2_wgrad_gflops", r.conv2_wgrad_gflops),
+            ("conv2_bwd_gflops", r.conv2_bwd_gflops),
             ("round_ms", r.round_ms),
         ] {
             record.metrics.insert(format!("{name}_t{t}"), value);
@@ -639,6 +664,8 @@ fn main() {
             bench_conv_wgrad(&mut g, &format!("conv1_wgrad_t{threads}"), LENET_CONV1);
         let conv2_wgrad_gflops =
             bench_conv_wgrad(&mut g, &format!("conv2_wgrad_t{threads}"), LENET_CONV2);
+        let conv2_bwd_gflops =
+            bench_conv_backward(&mut g, &format!("conv2_bwd_t{threads}"), LENET_CONV2);
         let round_ms = bench_round();
         results.push(ThreadResult {
             threads,
@@ -648,6 +675,7 @@ fn main() {
             conv1_fwd_gflops,
             conv1_wgrad_gflops,
             conv2_wgrad_gflops,
+            conv2_bwd_gflops,
             round_ms,
         });
     }

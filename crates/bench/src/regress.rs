@@ -206,14 +206,17 @@ pub struct BenchRow {
     /// Conv2d throughput, GFLOP/s (higher is better).
     pub conv2d_gflops: f64,
     /// LeNet-5 conv1 forward at the training batch size, GFLOP/s. This and
-    /// the two rows below are 0 in baselines that predate them, which
+    /// the three rows below are 0 in baselines that predate them, which
     /// skips their check.
     pub conv1_fwd_gflops: f64,
-    /// LeNet-5 conv1 parameter gradients (grad-weight GEMM + bias sums),
+    /// LeNet-5 conv1 parameter gradients (weight gradient + bias sums),
     /// GFLOP/s.
     pub conv1_wgrad_gflops: f64,
     /// LeNet-5 conv2 parameter gradients, GFLOP/s.
     pub conv2_wgrad_gflops: f64,
+    /// LeNet-5 conv2 whole backward pass (parameter and input gradients),
+    /// GFLOP/s.
+    pub conv2_bwd_gflops: f64,
     /// Mean federated round wall time, ms (lower is better).
     pub round_ms: f64,
 }
@@ -291,6 +294,7 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
                 conv1_fwd_gflops: num("conv1_fwd_gflops"),
                 conv1_wgrad_gflops: num("conv1_wgrad_gflops"),
                 conv2_wgrad_gflops: num("conv2_wgrad_gflops"),
+                conv2_bwd_gflops: num("conv2_bwd_gflops"),
                 round_ms: num("round_ms"),
             }
         })
@@ -416,6 +420,11 @@ pub fn check_bench_json(
                 "conv2_wgrad_gflops",
                 base_row.conv2_wgrad_gflops,
                 cand_row.conv2_wgrad_gflops,
+            ),
+            (
+                "conv2_bwd_gflops",
+                base_row.conv2_bwd_gflops,
+                cand_row.conv2_bwd_gflops,
             ),
         ] {
             if base > 0.0 && cand < base / (1.0 + tol.time_increase) {
@@ -654,13 +663,14 @@ mod tests {
                 "{{\"host_parallelism\": 2, \"results\": [{{\"threads\": 1, \
                  \"matmul_gflops\": 10.0, \"conv2d_gflops\": 10.0, \
                  \"conv1_fwd_gflops\": 10.0, \"conv1_wgrad_gflops\": {wgrad}, \
-                 \"conv2_wgrad_gflops\": 10.0, \"round_ms\": 100.0}}]}}"
+                 \"conv2_wgrad_gflops\": 10.0, \"conv2_bwd_gflops\": {wgrad}, \
+                 \"round_ms\": 100.0}}]}}"
             )
         };
         let f = check_bench_json(&doc(10.0), &doc(5.0), &Tolerances::default()).unwrap();
         assert!(any_failure(&f));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].field, "conv1_wgrad_gflops_t1");
+        let fields: Vec<&str> = f.iter().map(|x| x.field.as_str()).collect();
+        assert_eq!(fields, ["conv1_wgrad_gflops_t1", "conv2_bwd_gflops_t1"]);
         // A baseline that predates the rows gates nothing on them.
         let old = bench_doc(2, 10.0, 100.0);
         let f = check_bench_json(&old, &doc(0.1), &Tolerances::default()).unwrap();

@@ -10,9 +10,10 @@
 //! matrix they generate its entries *directly into the packed GEMM panels*
 //! (the B-operand packing closure of [`crate::gemm`]), so the column matrix
 //! never exists in memory and the working set per task is one KC×NR panel.
-//! Stride-1 calls whose output rows fill a SIMD vector skip the panels too:
-//! the fused entry points hand them to the packing-free kernels of
-//! [`crate::direct`], chosen from the call's shape alone and bit-identical.
+//! Stride-1 calls skip the panels too: the fused entry points hand them to
+//! the packing-free kernels of [`crate::direct`] — forward, weight gradient
+//! and input gradient — chosen from the call's shape alone and
+//! bit-identical, which leaves the GEMM the strided layers.
 //! The unfused [`im2col`]/[`conv2d_forward`]/[`conv2d_backward`] entry
 //! points are kept — they are the reference the fused path is tested
 //! against, and some callers want the explicit matrix.
@@ -49,10 +50,11 @@ impl ConvSpec {
     /// Output spatial size for an `h x w` input.
     ///
     /// # Panics
-    /// Panics if `stride` is 0 or the padded input is smaller than the
-    /// kernel.
+    /// Panics if `stride` or `kernel` is 0 or the padded input is smaller
+    /// than the kernel.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         assert!(self.stride > 0, "ConvSpec stride must be positive");
+        assert!(self.kernel > 0, "ConvSpec kernel must be positive");
         let ph = h + 2 * self.padding;
         let pw = w + 2 * self.padding;
         assert!(
@@ -86,9 +88,11 @@ impl PoolSpec {
     /// Output spatial size for an `h x w` input.
     ///
     /// # Panics
-    /// Panics if `stride` is 0 or the input is smaller than the window.
+    /// Panics if `stride` or `kernel` is 0 or the input is smaller than the
+    /// window.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         assert!(self.stride > 0, "PoolSpec stride must be positive");
+        assert!(self.kernel > 0, "PoolSpec kernel must be positive");
         assert!(
             h >= self.kernel && w >= self.kernel,
             "input smaller than pool window"
@@ -338,11 +342,11 @@ fn bias_sums(grad_mat: &Tensor, n: usize, o: usize, hw: usize) -> Tensor {
 /// sample falls in the zero padding) — exactly what [`im2col`] writes, so
 /// the fused and unfused paths feed the GEMM bitwise-identical panels.
 ///
-/// Neither packer does index arithmetic per entry. A stretch of consecutive
-/// `col`s inside one output row (an [`OutRun`]) reads consecutive input
-/// pixels of one input row when `stride == 1`, so it is filled as zero
-/// prefix / contiguous copy / zero suffix; `(ci, ky, kx)` and `(ni, oy, ox)`
-/// are carried as counters from one division per panel.
+/// Neither packer does index arithmetic per entry: a stretch of consecutive
+/// `col`s inside one output row (an [`OutRun`]) reads one input row at a
+/// fixed step, and `(ci, ky, kx)` and `(ni, oy, ox)` are carried as counters
+/// from one division per panel. (Only strided calls pack any more; the
+/// stride-1 ones go to [`crate::direct`].)
 struct ColsGeom {
     c: usize,
     h: usize,
@@ -452,17 +456,6 @@ impl ColsGeom {
         Some(&data[run.base + chan + iy as usize * self.w..][..self.w])
     }
 
-    /// For a `stride == 1` run of `len` columns whose first reads input
-    /// column `ix0`: `(pre, end)` such that positions `pre..end` read
-    /// `in_row[ix0 + pre..ix0 + end]` and the rest are zero padding.
-    #[inline]
-    fn clip(&self, ix0: isize, len: usize) -> (usize, usize) {
-        let len = len as isize;
-        let pre = (-ix0).clamp(0, len);
-        let end = (self.w as isize - ix0).clamp(pre, len);
-        (pre as usize, end as usize)
-    }
-
     /// B-packing closure body for the forward GEMM: NR-column panels of
     /// `cols` at depth `pc..pc+kc_eff`, columns `jc..jc+nc_eff`.
     ///
@@ -522,20 +515,10 @@ impl ColsGeom {
     /// where that falls outside the image.
     #[inline]
     fn fill_run(&self, in_row: &[f32], ix0: isize, dst: &mut [f32]) {
-        if self.stride == 1 {
-            let (pre, end) = self.clip(ix0, dst.len());
-            dst[..pre].fill(0.0);
-            if pre < end {
-                dst[pre..end]
-                    .copy_from_slice(&in_row[(ix0 + pre as isize) as usize..][..end - pre]);
-            }
-            dst[end..].fill(0.0);
-        } else {
-            for (t, d) in dst.iter_mut().enumerate() {
-                // A negative column wraps to a huge one.
-                let ix = (ix0 + (t * self.stride) as isize) as usize;
-                *d = if ix < self.w { in_row[ix] } else { 0.0 };
-            }
+        for (t, d) in dst.iter_mut().enumerate() {
+            // A negative column wraps to a huge one.
+            let ix = (ix0 + (t * self.stride) as isize) as usize;
+            *d = if ix < self.w { in_row[ix] } else { 0.0 };
         }
     }
 
@@ -544,13 +527,8 @@ impl ColsGeom {
     /// `cols[jc + j][pc + p]` — lane `j` is one `(ci, ky, kx)`, and going
     /// down the panel walks the output positions `pc..pc+kc_eff`.
     ///
-    /// Those positions are split into output-row runs. Where a run is at
-    /// least a panel wide (and `stride == 1`) each lane walks it as one
-    /// strided copy of an input row, which pays a row lookup per (lane, run);
-    /// shorter output rows do not amortize that, so there each position
-    /// gathers its lanes with the row and column offsets precomputed. (Of
-    /// the wide-row shapes only kernels of side 1–4 or above 8 arrive here —
-    /// the 3×3 ResNet/VGG layers; the rest go to [`crate::direct`].)
+    /// Those positions are split into output-row runs, and each position
+    /// gathers its lanes with the row and column offsets precomputed.
     fn pack_cols_t_panels(
         &self,
         data: &[f32],
@@ -560,7 +538,6 @@ impl ColsGeom {
         jc: usize,
         nc_eff: usize,
     ) {
-        let walk_rows = self.stride == 1 && self.ow >= gemm::NR;
         for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
             let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
             if cols_n < gemm::NR {
@@ -576,68 +553,29 @@ impl ColsGeom {
                 row = self.next_row(row);
             }
             let lanes = &lanes[..cols_n];
-            if walk_rows {
-                for (j, &(chan, ky, kx)) in lanes.iter().enumerate() {
-                    self.for_each_out_run(pc, kc_eff, |p, run| {
-                        let in_row = self.in_row(data, &run, chan, ky);
-                        let lane = &mut panel[p * gemm::NR + j..];
-                        self.walk_lane(in_row, run.ix0 + kx as isize, run.len, lane);
-                    });
-                }
-            } else {
-                self.for_each_out_run(pc, kc_eff, |p, run| {
-                    let rows = &mut panel[p * gemm::NR..(p + run.len) * gemm::NR];
-                    for (t, out) in rows.chunks_exact_mut(gemm::NR).enumerate() {
-                        let ix0 = run.ix0 + (t * self.stride) as isize;
-                        for (o, &(chan, ky, kx)) in out.iter_mut().zip(lanes) {
-                            // Negative coordinates wrap to huge values.
-                            let iy = (run.iy0 + ky as isize) as usize;
-                            let ix = (ix0 + kx as isize) as usize;
-                            *o = if iy < self.h && ix < self.w {
-                                data[run.base + chan + iy * self.w + ix]
-                            } else {
-                                0.0
-                            };
-                        }
+            self.for_each_out_run(pc, kc_eff, |p, run| {
+                let rows = &mut panel[p * gemm::NR..(p + run.len) * gemm::NR];
+                for (t, out) in rows.chunks_exact_mut(gemm::NR).enumerate() {
+                    let ix0 = run.ix0 + (t * self.stride) as isize;
+                    for (o, &(chan, ky, kx)) in out.iter_mut().zip(lanes) {
+                        // Negative coordinates wrap to huge values.
+                        let iy = (run.iy0 + ky as isize) as usize;
+                        let ix = (ix0 + kx as isize) as usize;
+                        *o = if iy < self.h && ix < self.w {
+                            data[run.base + chan + iy * self.w + ix]
+                        } else {
+                            0.0
+                        };
                     }
-                });
-            }
+                }
+            });
         }
-    }
-
-    /// For a `stride == 1` run of `len` positions whose first reads input
-    /// column `ix0` of `in_row` (`None`: a padding row): writes position
-    /// `t` to `lane[t * NR]`.
-    #[inline]
-    fn walk_lane(&self, in_row: Option<&[f32]>, ix0: isize, len: usize, lane: &mut [f32]) {
-        fn slots(lane: &mut [f32], from: usize, to: usize) -> impl Iterator<Item = &mut f32> {
-            // An empty range may start past the end of `lane`.
-            lane.get_mut(from * gemm::NR..)
-                .unwrap_or_default()
-                .iter_mut()
-                .step_by(gemm::NR)
-                .take(to - from)
-        }
-        let Some(in_row) = in_row else {
-            slots(lane, 0, len).for_each(|d| *d = 0.0);
-            return;
-        };
-        let (pre, end) = self.clip(ix0, len);
-        slots(lane, 0, pre).for_each(|d| *d = 0.0);
-        if pre < end {
-            let src = &in_row[(ix0 + pre as isize) as usize..][..end - pre];
-            for (d, &v) in slots(lane, pre, end).zip(src) {
-                *d = v;
-            }
-        }
-        slots(lane, end, len).for_each(|d| *d = 0.0);
     }
 }
 
 /// Fused 2-D convolution forward pass: im2col directly into the packed GEMM
 /// panels, so the column matrix never exists in memory — or, for a stride-1
-/// call with an output row at least a SIMD vector wide, no panels at all
-/// ([`crate::direct`]).
+/// call, no panels at all ([`crate::direct`]).
 ///
 /// Takes the same operands as [`conv2d_forward`] and produces a bitwise
 /// identical output tensor (asserted in debug builds for small problems);
@@ -723,9 +661,10 @@ pub fn conv2d_forward_fused(
 ///
 /// Unlike [`conv2d_backward`] it takes the forward `input` instead of the
 /// cached im2col matrix: the grad-weight GEMM regenerates the column entries
-/// (transposed) directly into its packed B panels. Gradients are bitwise
-/// identical to the unfused path (asserted in debug builds for small
-/// problems).
+/// (transposed) directly into its packed B panels, and a stride-1 call
+/// builds neither panels nor the `[O, N*oh*ow]` and `[C*k*k, N*oh*ow]`
+/// gradient matrices ([`crate::direct`]). Gradients are bitwise identical
+/// to the unfused path (asserted in debug builds for small problems).
 ///
 /// # Panics
 /// Panics on any shape mismatch.
@@ -736,13 +675,23 @@ pub fn conv2d_backward_fused(
     spec: &ConvSpec,
 ) -> Conv2dGrads {
     let dims = backward_dims(grad_out, input, spec);
-    let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
-    let (grad_weight, grad_bias) = direct_param_grads(grad_out, input, spec, &dims)
-        .unwrap_or_else(|| param_grads(&grad_mat, input, spec, &dims));
-    let grad_cols = weight.matmul_tn(&grad_mat); // [CKK, N*oh*ow]
-    let grad_input = col2im(&grad_cols, spec, dims.n, dims.h, dims.w);
-    grad_cols.recycle();
-    grad_mat.recycle();
+    let direct_params = direct_param_grads(grad_out, input, spec, &dims);
+    let direct_input = direct_input_grad(grad_out, weight, spec, &dims);
+    // Only the GEMMs read the gradient as `[O, N*oh*ow]`.
+    let grad_mat = (direct_params.is_none() || direct_input.is_none())
+        .then(|| rearrange_grad(grad_out, dims.n, dims.o, dims.hw));
+    let gemm_operand = || grad_mat.as_ref().expect("built for the GEMM path");
+    let (grad_weight, grad_bias) =
+        direct_params.unwrap_or_else(|| param_grads(gemm_operand(), input, spec, &dims));
+    let grad_input = direct_input.unwrap_or_else(|| {
+        let grad_cols = weight.matmul_tn(gemm_operand()); // [CKK, N*oh*ow]
+        let grad_input = col2im(&grad_cols, spec, dims.n, dims.h, dims.w);
+        grad_cols.recycle();
+        grad_input
+    });
+    if let Some(grad_mat) = grad_mat {
+        grad_mat.recycle();
+    }
     #[cfg(debug_assertions)]
     if dims.ops() <= gemm::REF_CHECK_OPS_MAX {
         let cols = im2col(input, spec);
@@ -765,8 +714,8 @@ pub fn conv2d_backward_fused(
 
 /// The parameter half of [`conv2d_backward_fused`]: `(grad_weight
 /// [O, C*k*k], grad_bias [O])`, bitwise identical to the ones it returns,
-/// without the `weightᵀ · grad` GEMM and `col2im` that only the input
-/// gradient needs. A network's first layer has no use for that gradient.
+/// without the work that only the input gradient needs. A network's first
+/// layer has no use for that gradient.
 ///
 /// # Panics
 /// Panics on any shape mismatch.
@@ -891,6 +840,28 @@ fn direct_param_grads(
     Some((grad_weight, grad_bias))
 }
 
+/// The input gradient from the direct kernel, when the call's shape is its.
+fn direct_input_grad(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    spec: &ConvSpec,
+    dims: &BackwardDims,
+) -> Option<Tensor> {
+    let shape = direct_geom(spec, dims.n, (dims.h, dims.w), (dims.oh, dims.ow));
+    if dims.ops() < gemm::PACK_OPS_MIN || !shape.input_grad_is_direct(spec.stride) {
+        return None;
+    }
+    assert_eq!(weight.shape(), &[dims.o, dims.ckk], "weight shape mismatch");
+    let mut grad_input = Tensor::scratch(&[dims.n, spec.in_channels, dims.h, dims.w]);
+    direct::input_grad(
+        grad_out.data(),
+        weight.data(),
+        grad_input.data_mut(),
+        &shape,
+    );
+    Some(grad_input)
+}
+
 /// `grad_weight = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK]` with the column
 /// entries generated into the packed B panels, and the bias row sums.
 fn param_grads(
@@ -959,25 +930,11 @@ pub fn maxpool2d_forward_into(input: &Tensor, spec: &PoolSpec, arg: &mut Vec<usi
     // Each `[oh, ow]` plane of (out, arg) depends on one input plane only;
     // argmax selection per window is order-independent across planes.
     let pool_plane = |nc: usize, o_plane: &mut [f32], a_plane: &mut [usize]| {
-        let plane_base = nc * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = plane_base + oy * spec.stride * w + ox * spec.stride;
-                for ky in 0..spec.kernel {
-                    let iy = oy * spec.stride + ky;
-                    for kx in 0..spec.kernel {
-                        let ix = ox * spec.stride + kx;
-                        let idx = plane_base + iy * w + ix;
-                        if data[idx] > best {
-                            best = data[idx];
-                            best_idx = idx;
-                        }
-                    }
-                }
-                o_plane[oy * ow + ox] = best;
-                a_plane[oy * ow + ox] = best_idx;
-            }
+        let plane = &data[nc * h * w..][..h * w];
+        if (spec.kernel, spec.stride) == (2, 2) {
+            pool_plane_2x2(plane, nc * h * w, w, o_plane, a_plane);
+        } else {
+            pool_plane_any(plane, nc * h * w, w, spec, o_plane, a_plane);
         }
     };
     let cost = ohw * spec.kernel * spec.kernel;
@@ -999,6 +956,81 @@ pub fn maxpool2d_forward_into(input: &Tensor, spec: &PoolSpec, arg: &mut Vec<usi
         });
     }
     out
+}
+
+/// One `[h, w]` plane of the max-pool under any `spec`: per window the first
+/// maximum in `(ky, kx)` order (`-inf` at the window's first index when
+/// nothing in it compares greater), the argmax as `plane_base` plus the
+/// index within `plane`.
+fn pool_plane_any(
+    plane: &[f32],
+    plane_base: usize,
+    w: usize,
+    spec: &PoolSpec,
+    o_plane: &mut [f32],
+    a_plane: &mut [usize],
+) {
+    let ow = (w - spec.kernel) / spec.stride + 1;
+    for (oy, (o_row, a_row)) in o_plane
+        .chunks_mut(ow)
+        .zip(a_plane.chunks_mut(ow))
+        .enumerate()
+    {
+        for (ox, (o, a)) in o_row.iter_mut().zip(a_row).enumerate() {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_idx = oy * spec.stride * w + ox * spec.stride;
+            for ky in 0..spec.kernel {
+                let iy = oy * spec.stride + ky;
+                for kx in 0..spec.kernel {
+                    let idx = iy * w + ox * spec.stride + kx;
+                    if plane[idx] > best {
+                        best = plane[idx];
+                        best_idx = idx;
+                    }
+                }
+            }
+            *o = best;
+            *a = plane_base + best_idx;
+        }
+    }
+}
+
+/// [`pool_plane_any`] for the 2x2 / stride-2 window, without its branch on
+/// the data: post-ReLU activations make `v > best` a coin toss, so each
+/// candidate is a select instead. The candidates come in the same
+/// `(ky, kx)` order, so ties keep the first, a NaN is never taken and an
+/// all-NaN window stays `-inf` at its first index.
+fn pool_plane_2x2(
+    plane: &[f32],
+    plane_base: usize,
+    w: usize,
+    o_plane: &mut [f32],
+    a_plane: &mut [usize],
+) {
+    let ow = w / 2;
+    let windows = o_plane
+        .chunks_exact_mut(ow)
+        .zip(a_plane.chunks_exact_mut(ow));
+    for (oy, ((o_row, a_row), rows)) in windows.zip(plane.chunks_exact(2 * w)).enumerate() {
+        let (top, bottom) = rows.split_at(w);
+        let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+        for (ox, ((o, a), (t, b))) in o_row.iter_mut().zip(a_row).zip(pairs).enumerate() {
+            let first = plane_base + 2 * oy * w + 2 * ox;
+            let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+            for (v, idx) in [
+                (t[0], first),
+                (t[1], first + 1),
+                (b[0], first + w),
+                (b[1], first + w + 1),
+            ] {
+                let take = v > best;
+                best = if take { v } else { best };
+                best_idx = if take { idx } else { best_idx };
+            }
+            *o = best;
+            *a = best_idx;
+        }
+    }
 }
 
 /// Max-pooling backward: scatters `grad_out` to the argmax positions.
@@ -1613,6 +1645,83 @@ mod tests {
             padding: 1,
         };
         spec.out_size(8, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConvSpec kernel")]
+    fn conv_out_size_rejects_zero_kernel() {
+        // `k = 0` would otherwise reach the GEMM as a depth of zero.
+        let spec = ConvSpec {
+            in_channels: 1,
+            out_channels: 1,
+            kernel: 0,
+            stride: 1,
+            padding: 0,
+        };
+        spec.out_size(8, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "PoolSpec kernel")]
+    fn pool_out_size_rejects_zero_kernel() {
+        // An empty window pools to `-inf` with an argmax that can lie
+        // outside its plane.
+        let spec = PoolSpec {
+            kernel: 0,
+            stride: 2,
+        };
+        spec.out_size(8, 8);
+    }
+
+    #[test]
+    fn maxpool_2x2_keeps_the_general_loops_values_and_argmax() {
+        // Ties (the first wins), NaN (never taken), `-inf` and all-NaN
+        // windows (stay `-inf` at the first index), odd sides (a last row
+        // and column no window covers).
+        let specials = [f32::NAN, f32::NEG_INFINITY, f32::INFINITY, 0.0, -0.0, 1.0];
+        for (h, w) in [(2usize, 2usize), (4, 4), (5, 7), (9, 6), (16, 16)] {
+            let (n, c) = (2, 3);
+            let mut input = det_input(&[n, c, h, w]).map(|v| v.max(0.0));
+            for (i, v) in input.data_mut().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = specials[i / 3 % specials.len()];
+                }
+            }
+            // One window of NaNs only.
+            for idx in [0, 1, w, w + 1] {
+                input.data_mut()[idx] = f32::NAN;
+            }
+            for (kernel, stride) in [(2usize, 2usize), (2, 1), (3, 1), (3, 2)] {
+                if h < kernel || w < kernel {
+                    continue;
+                }
+                let spec = PoolSpec { kernel, stride };
+                let (oh, ow) = spec.out_size(h, w);
+                let (got, got_arg) = maxpool2d_forward(&input, &spec);
+                let mut want = vec![f32::NAN; n * c * oh * ow];
+                let mut want_arg = vec![usize::MAX; want.len()];
+                for (nc, (o, a)) in want
+                    .chunks_mut(oh * ow)
+                    .zip(want_arg.chunks_mut(oh * ow))
+                    .enumerate()
+                {
+                    let plane = &input.data()[nc * h * w..][..h * w];
+                    pool_plane_any(plane, nc * h * w, w, &spec, o, a);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.data()), bits(&want), "{spec:?} on {h}x{w}");
+                assert_eq!(got_arg, want_arg, "{spec:?} on {h}x{w}");
+            }
+            let all_nan = maxpool2d_forward(
+                &input,
+                &PoolSpec {
+                    kernel: 2,
+                    stride: 2,
+                },
+            );
+            assert_eq!(all_nan.0.data()[0], f32::NEG_INFINITY);
+            assert_eq!(all_nan.1[0], 0);
+        }
     }
 
     #[test]

@@ -1,39 +1,64 @@
-//! Direct (packing-free) kernels for stride-1 convolutions with wide output
-//! rows — the shapes where the im2col GEMM is bound by forming its panels,
-//! not by the microkernel (LeNet-5 conv1 is `[6×75]·[75×4096]`: 12 flops
-//! per packed element).
+//! Direct (packing-free) kernels for stride-1 convolutions — the shapes
+//! where the im2col GEMM is bound by forming its panels, not by the
+//! microkernel (LeNet-5 conv1 is `[6×75]·[75×4096]`: 12 flops per packed
+//! element; conv2's output rows are 4 wide, half a panel).
 //!
-//! Nothing is packed. The input is copied once into a zero-padded buffer
-//! (`[N, C, H+2p, W+2p]`), after which every tap of every output position is
-//! a plain offset into it:
+//! Nothing is packed. The input is used where it lies, or copied once into
+//! a zero-padded buffer (`[N, C, H+2p, W+2p]`) when the call pads, after
+//! which every tap of every output position is a plain offset into it. The
+//! kernels differ in what the eight lanes of a vector are:
 //!
-//! * **forward** keeps an [`OB`]-channel × 8/16-column tile of one output
-//!   row in registers and walks the taps `(ci, ky, kx)` in ascending order,
-//!   `acc = acc + w[o][tap] * x[tap]`, finishing with `+ bias` straight
-//!   into `[N, O, oh, ow]`;
-//! * **weight gradient** makes the lanes the `kx` taps of one `(ci, ky)`
-//!   kernel row — eight consecutive padded-input floats starting at the
-//!   output column — and walks the output positions `(n, oy, ox)` in
-//!   ascending order, `acc = acc + g[o][pos] * x[pos + kx]`.
+//! * **row lanes** (forward, output rows of at least a vector): an
+//!   [`OB`]-channel × 8/16-column tile of one output row in registers, the
+//!   taps `(ci, ky, kx)` in ascending order, `acc = acc + w[o][tap] *
+//!   x[tap]`, finishing with `+ bias` straight into `[N, O, oh, ow]`;
+//! * **tap lanes** (weight gradient, kernel rows of 5–8 taps): the lanes
+//!   are the `kx` taps of one `(ci, ky)` kernel row — eight consecutive
+//!   padded-input floats starting at the output column — and the output
+//!   positions `(n, oy, ox)` go by in ascending order, `acc = acc +
+//!   g[o][pos] * x[pos + kx]`;
+//! * **channel lanes** (all three products; the only choice for narrow
+//!   rows and short kernel rows): the operand that carries the channels —
+//!   the weight forward, the output gradient for the weight gradient, the
+//!   weight again for the input gradient — is regrouped once per call with
+//!   8 or 16 channels side by side, and every other factor is a broadcast
+//!   scalar: `acc = acc + w_vec * splat(x)` over the taps for a tile of
+//!   output positions, `acc = acc + g_vec * splat(x)` over the positions
+//!   for a tile of taps, and for the input gradient `t = t + w_vec *
+//!   splat(g)` over the output channels, then `pixel = pixel + t`.
+//!
+//! [`Geom`]'s predicates pick one kernel per product from the call's shape
+//! alone (EXPERIMENTS.md has the measurements that set them).
 //!
 //! # Determinism
 //!
 //! The argument is `gemm.rs`'s own. Every output scalar is one accumulator
 //! that starts at `0.0`, takes its terms in the GEMM's ascending-`k` order
 //! (taps forward, output positions for the weight gradient), and each term
-//! is a `mul` then an `add`, never an FMA, with the operands in
-//! `microkernel_avx`'s order. SIMD only widens across *independent*
-//! outputs. Taps that fall in the zero padding are multiplied like any
-//! other, so an `inf` weight still poisons the outputs whose im2col row
-//! holds a padding zero. The results are therefore bit for bit those of
-//! the im2col GEMM, at any thread count, on either tier (a NaN's sign and
-//! payload excepted: LLVM may commute the operands of a `mul`).
+//! is a `mul` then an `add`, never an FMA. SIMD only widens across
+//! *independent* outputs. Taps that fall in the zero padding are
+//! multiplied like any other, so an `inf` weight still poisons the outputs
+//! whose im2col row holds a padding zero. The results are therefore bit for
+//! bit those of the im2col GEMM, at any thread count, on either tier (a
+//! NaN's sign and payload excepted: LLVM may commute the operands of a
+//! `mul`).
 //!
-//! Edges never change a chain: a tile that would overhang the output row
-//! is shifted back to end on it, and a tile short of channels or kernel
-//! rows repeats its last one, so a few outputs are computed (and stored)
-//! twice with the same bits. Weight-gradient lanes past `k` hold sums over
-//! the neighbouring pixels and are dropped.
+//! The input gradient is two chains deep, as `matmul_tn` followed by
+//! `col2im` is: the term a tap hands to a pixel is itself a sum over the
+//! output channels (ascending, from `0.0` — the GEMM's chain), and a pixel
+//! adds its taps' terms in ascending `(ky, kx)` order from `0.0`
+//! (`col2im`'s chain). The kernel accumulates into a plane as large as the
+//! *padded* input: the terms `col2im` skips — taps that read padding — land
+//! in the ring around the image and are dropped with it, so nothing is ever
+//! multiplied by a padding zero and an `inf` weight poisons exactly the
+//! pixels it poisons there.
+//!
+//! Edges never change a chain: a tile that would overhang its row or its
+//! sample is shifted back to end on it, and a tile short of channels, taps
+//! or positions repeats its last one, so a few outputs are computed (and
+//! stored) twice with the same bits — or, where a repeat would add twice,
+//! computed and not added. Tap-lane lanes past `k` hold sums over the
+//! neighbouring pixels and are dropped.
 //!
 //! The kernels are written once, over [`Lanes`]: `[f32; 8]` is the portable
 //! definition, `__m256` the AVX tier chosen by [`gemm::use_avx`].
@@ -44,18 +69,24 @@ use crate::tensor::rows_per_block;
 
 /// Floats per vector.
 const LANES: usize = 8;
-/// Output channels per register tile: 6 × 2 accumulators, 2 input vectors
-/// and a broadcast fit AVX's 16 registers.
+/// Output channels per row-lane and tap-lane tile: 6 × 2 accumulators, 2
+/// input vectors and a broadcast fit AVX's 16 registers.
 const OB: usize = 6;
-/// Kernel rows `(ci, ky)` per weight-gradient tile (6 × 2 accumulators).
+/// Kernel rows `(ci, ky)` per tap-lane tile (6 × 2 accumulators).
 const ROWS: usize = 2;
-/// Floats in one weight-gradient tile as it is handed back: `OB × ROWS`
-/// vectors.
+/// Floats in one tap-lane tile as it is handed back: `OB × ROWS` vectors.
 const TILE: usize = OB * ROWS * LANES;
-/// Floats past the end of the padded input. A weight-gradient load is a
-/// full vector starting at its output column, so on the last padded row it
-/// runs `LANES - k` floats past the data.
+/// Floats past the end of the padded input. A tap-lane load is a full
+/// vector starting at its output column, so on the last padded row it runs
+/// `LANES - k` floats past the data.
 const SLACK: usize = LANES;
+/// Accumulators of a channel-lane tile of output positions (forward and
+/// input gradient): 8 positions of one channel vector or 4 of two, beside
+/// the weight vectors, a broadcast and a product.
+const POSITION_ACCS: usize = 8;
+/// Accumulators of a channel-lane weight-gradient tile: 12 taps of one
+/// channel vector or 6 of two.
+const TAP_ACCS: usize = 12;
 
 /// Shapes of one direct call.
 #[derive(Clone, Copy)]
@@ -84,16 +115,51 @@ impl Geom {
         self.c * self.k * self.k
     }
 
-    /// Whether the forward pass goes direct: unit stride (a tile's inputs
-    /// are then consecutive floats) and an output row that fills a vector.
-    pub(crate) fn forward_is_direct(&self, stride: usize) -> bool {
-        stride == 1 && self.ow >= LANES
+    /// Output positions per sample.
+    fn hw(&self) -> usize {
+        self.oh * self.ow
     }
 
-    /// Whether the parameter gradients go direct: the forward rule, and a
-    /// kernel row that fits one vector and fills more than half of it.
+    /// Floats in one sample of the padded input.
+    fn pad_sample(&self) -> usize {
+        self.c * self.ph() * self.pw()
+    }
+
+    /// Whether the output channels fill the vectors of their channel-lane
+    /// tiles; idle lanes are what the other kernels win by.
+    fn channels_fill_lanes(&self) -> bool {
+        self.o.is_multiple_of(LANES * channel_vectors(self.o))
+    }
+
+    /// Whether the forward pass goes direct: unit stride (a window's taps
+    /// are then plain offsets from its first).
+    pub(crate) fn forward_is_direct(&self, stride: usize) -> bool {
+        stride == 1
+    }
+
+    /// Row lanes where an output row fills two vectors, or fills one while
+    /// the channels would leave channel lanes idle; channel lanes
+    /// otherwise.
+    fn forward_by_rows(&self) -> bool {
+        self.ow >= 2 * LANES || (self.ow >= LANES && !self.channels_fill_lanes())
+    }
+
+    /// Whether the parameter gradients go direct: the forward rule.
     pub(crate) fn param_grads_are_direct(&self, stride: usize) -> bool {
-        self.forward_is_direct(stride) && self.k <= LANES && 2 * self.k > LANES
+        stride == 1
+    }
+
+    /// Tap lanes where an output row fills a vector and a kernel row fits
+    /// one and fills more than half of it, while the channels would leave
+    /// channel lanes idle; channel lanes otherwise.
+    fn param_grads_by_taps(&self) -> bool {
+        self.ow >= LANES && self.k <= LANES && 2 * self.k > LANES && !self.channels_fill_lanes()
+    }
+
+    /// Whether the input gradient goes direct: unit stride, input channels
+    /// to put in the lanes, and a tile of output positions per sample.
+    pub(crate) fn input_grad_is_direct(&self, stride: usize) -> bool {
+        stride == 1 && self.c > 1 && self.hw() >= LANES
     }
 }
 
@@ -178,39 +244,55 @@ fn pad_input(input: &[f32], g: &Geom) -> Vec<f32> {
     padded
 }
 
+/// The zero-padded copy of `input` when the call pads at all.
+fn padded_input(input: &[f32], g: &Geom) -> Option<Vec<f32>> {
+    (g.pad > 0).then(|| pad_input(input, g))
+}
+
 /// Direct forward pass into `out` `[N, O, oh, ow]`, parallel over blocks of
 /// samples (each owns its output planes).
 pub(crate) fn forward(input: &[f32], weight: &[f32], bias: &[f32], out: &mut [f32], g: &Geom) {
-    assert!(
-        g.ow >= LANES,
-        "direct forward needs a vector-wide output row"
-    );
     assert_eq!(weight.len(), g.o * g.ckk());
     assert_eq!(bias.len(), g.o);
-    let padded = pad_input(input, g);
-    let taps = tile_major(weight, g.o, g.ckk());
-    let out_sample = g.o * g.oh * g.ow;
-    let pad_sample = g.c * g.ph() * g.pw();
+    let padded = padded_input(input, g);
+    let x = padded.as_deref().unwrap_or(input);
+    let by_rows = g.forward_by_rows();
+    let width = if by_rows {
+        OB
+    } else {
+        LANES * channel_vectors(g.o)
+    };
+    let taps = tile_major(weight, g.o, g.ckk(), width);
+    let out_sample = g.o * g.hw();
     let samples_per = rows_per_block(g.n, out_sample * g.ckk());
     apf_par::par_chunks_mut(out, samples_per * out_sample, |bi, block| {
-        for (si, out_s) in block.chunks_mut(out_sample).enumerate() {
-            let pad_s = &padded[(bi * samples_per + si) * pad_sample..][..pad_sample];
-            forward_sample(out_s, pad_s, &taps, bias, g);
+        let x_b =
+            &x[bi * samples_per * g.pad_sample()..][..block.len() / out_sample * g.pad_sample()];
+        if by_rows {
+            for (out_s, pad_s) in block
+                .chunks_mut(out_sample)
+                .zip(x_b.chunks_exact(g.pad_sample()))
+            {
+                forward_sample(out_s, pad_s, &taps, bias, g);
+            }
+        } else {
+            forward_channels_block(block, x_b, &taps, bias, g);
         }
     });
     scratch::give(taps);
-    scratch::give(padded);
+    if let Some(padded) = padded {
+        scratch::give(padded);
+    }
 }
 
-/// `src` `[o, len]` regrouped for the tiles as `[o.div_ceil(OB)][len][OB]`:
-/// the `OB` channels of a tile side by side at every index, the last
-/// channel repeated where the layer runs out.
-fn tile_major(src: &[f32], o: usize, len: usize) -> Vec<f32> {
-    let mut dst = scratch::take_reserved(o.div_ceil(OB) * len * OB);
-    for o0 in (0..o).step_by(OB) {
-        let chans = tile_channels(o0, o);
+/// `src` `[o, len]` regrouped for tiles of `width` channels as
+/// `[o.div_ceil(width)][len][width]`: a tile's channels side by side at
+/// every index, the last channel repeated where the layer runs out.
+fn tile_major(src: &[f32], o: usize, len: usize, width: usize) -> Vec<f32> {
+    let mut dst = scratch::take_reserved(o.div_ceil(width) * len * width);
+    for c0 in (0..o).step_by(width) {
         for i in 0..len {
-            dst.extend(chans.iter().map(|&ch| src[ch * len + i]));
+            dst.extend((c0..c0 + width).map(|ch| src[ch.min(o - 1) * len + i]));
         }
     }
     dst
@@ -316,13 +398,15 @@ pub(crate) fn param_grads(
     grad_bias: &mut [f32],
     g: &Geom,
 ) {
-    assert!(g.k <= LANES, "direct weight gradient needs k <= LANES");
     assert_eq!(grad_out.len(), g.n * g.o * g.oh * g.ow);
     assert_eq!(grad_weight.len(), g.o * g.ckk());
     assert_eq!(grad_bias.len(), g.o);
+    if !g.param_grads_by_taps() {
+        return param_grads_by_channels(grad_out, input, grad_weight, grad_bias, g);
+    }
     let padded = pad_input(input, g);
     let positions = g.n * g.oh * g.ow;
-    let grads = grads_tile_major(grad_out, grad_bias, g);
+    let grads = grads_tile_major::<OB>(grad_out, grad_bias, g);
     let kernel_rows = g.c * g.k;
     let row_tiles = kernel_rows.div_ceil(ROWS);
     let tiles_n = g.o.div_ceil(OB) * row_tiles;
@@ -333,7 +417,7 @@ pub(crate) fn param_grads(
             let t = bi * tiles_per + ti;
             let tile_grads = &grads[t / row_tiles * positions * OB..][..positions * OB];
             let rows = std::array::from_fn(|r| (t % row_tiles * ROWS + r).min(kernel_rows - 1));
-            weight_grad_tile(tile, tile_grads, &padded, &rows, g);
+            tap_lane_tile(tile, tile_grads, &padded, &rows, g);
         }
     });
     // Lanes `0..k` of each accumulator are one kernel row of one channel.
@@ -353,27 +437,27 @@ pub(crate) fn param_grads(
     scratch::give(padded);
 }
 
-/// `grad_out` `[N, O, oh*ow]` regrouped for the tiles as
-/// `[O.div_ceil(OB)][N*oh*ow][OB]` — a tile's `OB` gradients side by side at
+/// `grad_out` `[N, O, oh*ow]` regrouped for tiles of `W` channels as
+/// `[O.div_ceil(W)][N*oh*ow][W]` — a tile's gradients side by side at
 /// every output position, the last channel repeated where the layer runs
 /// out — and, from the same pass, the per-channel sums into `grad_bias`.
 ///
 /// Each sum is `Iterator::sum`'s chain over its channel (from `-0.0`,
 /// samples then positions ascending); a tile's chains advance in lock-step,
 /// so no add waits on the previous one of its own chain.
-fn grads_tile_major(grad_out: &[f32], grad_bias: &mut [f32], g: &Geom) -> Vec<f32> {
+fn grads_tile_major<const W: usize>(grad_out: &[f32], grad_bias: &mut [f32], g: &Geom) -> Vec<f32> {
     let hw = g.oh * g.ow;
-    let mut dst = scratch::take(g.o.div_ceil(OB) * g.n * hw * OB);
-    for ((slab, sums), o0) in dst
-        .chunks_exact_mut(g.n * hw * OB)
-        .zip(grad_bias.chunks_mut(OB))
-        .zip((0..g.o).step_by(OB))
+    let mut dst = scratch::take(g.o.div_ceil(W) * g.n * hw * W);
+    for ((slab, sums), c0) in dst
+        .chunks_exact_mut(g.n * hw * W)
+        .zip(grad_bias.chunks_mut(W))
+        .zip((0..g.o).step_by(W))
     {
-        let chans = tile_channels(o0, g.o);
-        let mut acc = [-0.0f32; OB];
-        for (ni, sample) in slab.chunks_exact_mut(hw * OB).enumerate() {
+        let chans: [usize; W] = std::array::from_fn(|i| (c0 + i).min(g.o - 1));
+        let mut acc = [-0.0f32; W];
+        for (ni, sample) in slab.chunks_exact_mut(hw * W).enumerate() {
             let planes = chans.map(|ch| &grad_out[(ni * g.o + ch) * hw..][..hw]);
-            for (p, side_by_side) in sample.chunks_exact_mut(OB).enumerate() {
+            for (p, side_by_side) in sample.chunks_exact_mut(W).enumerate() {
                 for ((d, a), plane) in side_by_side.iter_mut().zip(&mut acc).zip(&planes) {
                     *d = plane[p];
                     *a += plane[p];
@@ -389,7 +473,7 @@ fn grads_tile_major(grad_out: &[f32], grad_bias: &mut [f32], g: &Geom) -> Vec<f3
 /// (`ci*k + ky`) over every output position, written to `tile` as
 /// `[OB][ROWS][LANES]`. `tile_grads` is the tile's `[N*oh*ow][OB]` slab of
 /// [`grads_tile_major`].
-fn weight_grad_tile(
+fn tap_lane_tile(
     tile: &mut [f32],
     tile_grads: &[f32],
     padded: &[f32],
@@ -399,17 +483,17 @@ fn weight_grad_tile(
     #[cfg(target_arch = "x86_64")]
     if gemm::use_avx() {
         // SAFETY: `use_avx()` detected AVX on this host.
-        unsafe { x86::weight_grad_tile_avx(tile, tile_grads, padded, rows, g) };
+        unsafe { x86::tap_lane_tile_avx(tile, tile_grads, padded, rows, g) };
         return;
     }
     // SAFETY: the portable lanes need no instruction-set extension.
-    unsafe { weight_grad_tile_on::<[f32; LANES]>(tile, tile_grads, padded, rows, g) }
+    unsafe { tap_lane_tile_on::<[f32; LANES]>(tile, tile_grads, padded, rows, g) }
 }
 
 /// # Safety
 /// The host must support `V`'s instruction set.
 #[inline(always)]
-unsafe fn weight_grad_tile_on<V: Lanes>(
+unsafe fn tap_lane_tile_on<V: Lanes>(
     tile: &mut [f32],
     tile_grads: &[f32],
     padded: &[f32],
@@ -448,6 +532,429 @@ unsafe fn weight_grad_tile_on<V: Lanes>(
     }
 }
 
+/// An output position: sample, row, column.
+#[derive(Clone, Copy, Default)]
+struct Pos {
+    si: usize,
+    oy: usize,
+    ox: usize,
+}
+
+impl Pos {
+    /// The `P` positions from `self` on in `(si, oy, ox)` order, of which
+    /// `left` exist (a tile past the last one repeats it), leaving `self`
+    /// on the next tile's first. Counters, not divisions: a tile is
+    /// re-derived for every few hundred multiply-adds.
+    #[inline(always)]
+    fn tile<const P: usize>(&mut self, left: usize, g: &Geom) -> [Pos; P] {
+        let mut tile = [*self; P];
+        for (i, slot) in tile.iter_mut().enumerate() {
+            *slot = *self;
+            if i + 1 < left {
+                self.ox += 1;
+                if self.ox == g.ow {
+                    (self.oy, self.ox) = (self.oy + 1, 0);
+                }
+                if self.oy == g.oh {
+                    (self.si, self.oy) = (self.si + 1, 0);
+                }
+            }
+        }
+        tile
+    }
+}
+
+/// `NV` vectors from the front of `src`.
+///
+/// # Safety
+/// The host must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn load_vectors<V: Lanes, const NV: usize>(src: &[f32]) -> [V; NV] {
+    let mut out = [V::zero(); NV];
+    for (v, src8) in out.iter_mut().zip(src[..NV * LANES].chunks_exact(LANES)) {
+        *v = V::load(src8.try_into().expect("LANES-wide chunk"));
+    }
+    out
+}
+
+/// Vectors per channel-lane tile for a layer of `channels`: two, unless
+/// one holds them all.
+fn channel_vectors(channels: usize) -> usize {
+    if channels > LANES {
+        2
+    } else {
+        1
+    }
+}
+
+/// A block of samples' `[O, oh, ow]` outputs from their padded inputs.
+fn forward_channels_block(out_b: &mut [f32], x_b: &[f32], taps: &[f32], bias: &[f32], g: &Geom) {
+    #[cfg(target_arch = "x86_64")]
+    if gemm::use_avx() {
+        // SAFETY: `use_avx()` detected AVX on this host.
+        unsafe { x86::forward_channels_block_avx(out_b, x_b, taps, bias, g) };
+        return;
+    }
+    // SAFETY: the portable lanes need no instruction-set extension.
+    unsafe { forward_channels_block_on::<[f32; LANES]>(out_b, x_b, taps, bias, g) }
+}
+
+/// # Safety
+/// The host must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn forward_channels_block_on<V: Lanes>(
+    out_b: &mut [f32],
+    x_b: &[f32],
+    taps: &[f32],
+    bias: &[f32],
+    g: &Geom,
+) {
+    if channel_vectors(g.o) == 2 {
+        forward_channels_tiles::<V, 2, { POSITION_ACCS / 2 }>(out_b, x_b, taps, bias, g)
+    } else {
+        forward_channels_tiles::<V, 1, POSITION_ACCS>(out_b, x_b, taps, bias, g)
+    }
+}
+
+/// Tiles of `NV` channel vectors x `P` output positions; the positions run
+/// over the whole block, so a sample of few positions still fills a tile.
+/// `taps` is the weight in [`tile_major`] order, `NV * LANES` wide.
+///
+/// # Safety
+/// The host must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn forward_channels_tiles<V: Lanes, const NV: usize, const P: usize>(
+    out_b: &mut [f32],
+    x_b: &[f32],
+    taps: &[f32],
+    bias: &[f32],
+    g: &Geom,
+) {
+    let (k, ph, pw, hw) = (g.k, g.ph(), g.pw(), g.hw());
+    let width = NV * LANES;
+    let positions = out_b.len() / g.o;
+    // One past the last tap of a window, from its first.
+    let reach = ((g.c - 1) * ph + k - 1) * pw + k;
+    let mut next = Pos::default();
+    for q0 in (0..positions).step_by(P) {
+        let at = next.tile::<P>(positions - q0, g).map(|Pos { si, oy, ox }| {
+            (
+                si * g.pad_sample() + oy * pw + ox,
+                si * g.o * hw + oy * g.ow + ox,
+            )
+        });
+        // Every position reads the same taps of its own window.
+        let xs = at.map(|(x_off, _)| &x_b[x_off..][..reach]);
+        for (c0, tile_taps) in (0..g.o)
+            .step_by(width)
+            .zip(taps.chunks_exact(g.ckk() * width))
+        {
+            let mut acc = [[V::zero(); NV]; P];
+            let mut tap_w = tile_taps.chunks_exact(width);
+            for ci in 0..g.c {
+                for ky in 0..k {
+                    let row_off = (ci * ph + ky) * pw;
+                    for (tap_off, w) in (row_off..row_off + k).zip(tap_w.by_ref()) {
+                        let wv: [V; NV] = load_vectors(w);
+                        for (a, x) in acc.iter_mut().zip(&xs) {
+                            let xv = V::splat(x[tap_off]);
+                            for (av, &wv) in a.iter_mut().zip(&wv) {
+                                *av = av.add(wv.mul(xv));
+                            }
+                        }
+                    }
+                }
+            }
+            for (a, &(_, out_off)) in acc.iter().zip(&at) {
+                let mut lanes = [0.0; LANES];
+                for (av, ch0) in a.iter().zip((c0..).step_by(LANES)) {
+                    av.store(&mut lanes);
+                    for (ch, &v) in (ch0..g.o).zip(&lanes) {
+                        out_b[out_off + ch * hw] = v + bias[ch];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Channel-lane parameter gradients: `grad_weight` `[O, C*k*k]`, parallel
+/// over tiles of channel vectors x taps (each owns its outputs), and
+/// `grad_bias` `[O]`.
+fn param_grads_by_channels(
+    grad_out: &[f32],
+    input: &[f32],
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
+    g: &Geom,
+) {
+    let padded = padded_input(input, g);
+    let x = padded.as_deref().unwrap_or(input);
+    if channel_vectors(g.o) == 2 {
+        let grads = grads_tile_major::<{ 2 * LANES }>(grad_out, grad_bias, g);
+        weight_grad_tiles::<2, { TAP_ACCS / 2 }>(&grads, x, grad_weight, g);
+        scratch::give(grads);
+    } else {
+        let grads = grads_tile_major::<LANES>(grad_out, grad_bias, g);
+        weight_grad_tiles::<1, TAP_ACCS>(&grads, x, grad_weight, g);
+        scratch::give(grads);
+    }
+    if let Some(padded) = padded {
+        scratch::give(padded);
+    }
+}
+
+/// Tiles of `NV` channel vectors x `T` taps `(ci, ky, kx)`, each a sum over
+/// every output position. `grads` is [`grads_tile_major`]'s, `NV * LANES`
+/// wide.
+fn weight_grad_tiles<const NV: usize, const T: usize>(
+    grads: &[f32],
+    x: &[f32],
+    grad_weight: &mut [f32],
+    g: &Geom,
+) {
+    let (ckk, width) = (g.ckk(), NV * LANES);
+    let tap_tiles = ckk.div_ceil(T);
+    let tiles_n = g.o.div_ceil(width) * tap_tiles;
+    let tile_len = T * width;
+    // A tile past the last tap repeats it.
+    let taps_of =
+        |t: usize| -> [usize; T] { std::array::from_fn(|i| (t % tap_tiles * T + i).min(ckk - 1)) };
+    let mut tiles = scratch::take(tiles_n * tile_len);
+    let tiles_per = rows_per_block(tiles_n, tile_len * g.n * g.hw());
+    apf_par::par_chunks_mut(&mut tiles, tiles_per * tile_len, |bi, block| {
+        for (ti, tile) in block.chunks_mut(tile_len).enumerate() {
+            let t = bi * tiles_per + ti;
+            let tile_grads = &grads[t / tap_tiles * g.n * g.hw() * width..][..g.n * g.hw() * width];
+            weight_grad_tile::<NV, T>(tile, tile_grads, x, &taps_of(t), g);
+        }
+    });
+    for (t, tile) in tiles.chunks_exact(tile_len).enumerate() {
+        let c0 = t / tap_tiles * width;
+        for (per_tap, tap) in tile.chunks_exact(width).zip(taps_of(t)) {
+            for (ch, &v) in (c0..g.o).zip(per_tap) {
+                grad_weight[ch * ckk + tap] = v;
+            }
+        }
+    }
+    scratch::give(tiles);
+}
+
+/// Accumulators of one tile's channels x the taps `taps`
+/// (`(ci*k + ky)*k + kx`) over every output position, written to `tile` as
+/// `[T][NV * LANES]`.
+fn weight_grad_tile<const NV: usize, const T: usize>(
+    tile: &mut [f32],
+    tile_grads: &[f32],
+    x: &[f32],
+    taps: &[usize; T],
+    g: &Geom,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if gemm::use_avx() {
+        // SAFETY: `use_avx()` detected AVX on this host.
+        unsafe { x86::weight_grad_tile_avx::<NV, T>(tile, tile_grads, x, taps, g) };
+        return;
+    }
+    // SAFETY: the portable lanes need no instruction-set extension.
+    unsafe { weight_grad_tile_on::<[f32; LANES], NV, T>(tile, tile_grads, x, taps, g) }
+}
+
+/// # Safety
+/// The host must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn weight_grad_tile_on<V: Lanes, const NV: usize, const T: usize>(
+    tile: &mut [f32],
+    tile_grads: &[f32],
+    x: &[f32],
+    taps: &[usize; T],
+    g: &Geom,
+) {
+    let (k, ph, pw) = (g.k, g.ph(), g.pw());
+    // One past the last output position of the batch, from the first.
+    let reach = (g.n - 1) * g.pad_sample() + (g.oh - 1) * pw + g.ow;
+    // Every tap reads the same positions of its own window.
+    let xs = taps.map(|t| &x[(t / (k * k) * ph + t / k % k) * pw + t % k..][..reach]);
+    let mut acc = [[V::zero(); NV]; T];
+    let (mut pos_off, mut oy, mut ox) = (0, 0, 0);
+    for grads in tile_grads.chunks_exact(NV * LANES) {
+        let gv: [V; NV] = load_vectors(grads);
+        for (a, x) in acc.iter_mut().zip(&xs) {
+            let xv = V::splat(x[pos_off]);
+            for (av, &gv) in a.iter_mut().zip(&gv) {
+                *av = av.add(gv.mul(xv));
+            }
+        }
+        // The next position: a column on; past a row's end, a row down;
+        // past the last row, a sample on.
+        (pos_off, ox) = (pos_off + 1, ox + 1);
+        if ox == g.ow {
+            (pos_off, oy, ox) = (pos_off + pw - g.ow, oy + 1, 0);
+        }
+        if oy == g.oh {
+            (pos_off, oy) = (pos_off + g.pad_sample() - g.oh * pw, 0);
+        }
+    }
+    for (av, dst8) in acc.iter().flatten().zip(tile.chunks_exact_mut(LANES)) {
+        av.store(dst8.try_into().expect("LANES-wide chunk"));
+    }
+}
+
+/// Direct input gradient into `grad_input` `[N, C, H, W]`, parallel over
+/// blocks of samples (each owns its planes). The lanes are input channels.
+pub(crate) fn input_grad(grad_out: &[f32], weight: &[f32], grad_input: &mut [f32], g: &Geom) {
+    assert_eq!(grad_out.len(), g.n * g.o * g.hw());
+    assert_eq!(weight.len(), g.o * g.ckk());
+    assert_eq!(grad_input.len(), g.n * g.c * g.h * g.w);
+    let width = LANES * channel_vectors(g.c);
+    let taps = taps_outermost(weight, width, g);
+    let (in_sample, out_sample) = (g.c * g.h * g.w, g.o * g.hw());
+    let samples_per = rows_per_block(g.n, out_sample * g.ckk());
+    apf_par::par_chunks_mut(grad_input, samples_per * in_sample, |bi, block| {
+        let mut plane = scratch::take(g.ph() * g.pw() * width);
+        for (si, grad_in_s) in block.chunks_mut(in_sample).enumerate() {
+            let grad_s = &grad_out[(bi * samples_per + si) * out_sample..][..out_sample];
+            input_grad_sample(grad_in_s, grad_s, &taps, &mut plane, g);
+        }
+        scratch::give(plane);
+    });
+    scratch::give(taps);
+}
+
+/// `weight` `[O][C][k*k]` regrouped for tiles of `width` input channels as
+/// `[C.div_ceil(width)][k*k][O][width]`, the last channel repeated where
+/// the layer runs out.
+fn taps_outermost(weight: &[f32], width: usize, g: &Geom) -> Vec<f32> {
+    let kk = g.k * g.k;
+    let mut dst = scratch::take_reserved(g.c.div_ceil(width) * kk * g.o * width);
+    for c0 in (0..g.c).step_by(width) {
+        for tap in 0..kk {
+            for per_out in weight.chunks_exact(g.ckk()) {
+                dst.extend((c0..c0 + width).map(|ci| per_out[ci.min(g.c - 1) * kk + tap]));
+            }
+        }
+    }
+    dst
+}
+
+/// One sample's `[C, H, W]` input gradient from its `[O, oh, ow]` output
+/// gradient; `plane` is scratch of `ph*pw` pixels x one tile's channels.
+fn input_grad_sample(
+    grad_in_s: &mut [f32],
+    grad_s: &[f32],
+    taps: &[f32],
+    plane: &mut [f32],
+    g: &Geom,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if gemm::use_avx() {
+        // SAFETY: `use_avx()` detected AVX on this host.
+        unsafe { x86::input_grad_sample_avx(grad_in_s, grad_s, taps, plane, g) };
+        return;
+    }
+    // SAFETY: the portable lanes need no instruction-set extension.
+    unsafe { input_grad_sample_on::<[f32; LANES]>(grad_in_s, grad_s, taps, plane, g) }
+}
+
+/// # Safety
+/// The host must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn input_grad_sample_on<V: Lanes>(
+    grad_in_s: &mut [f32],
+    grad_s: &[f32],
+    taps: &[f32],
+    plane: &mut [f32],
+    g: &Geom,
+) {
+    if channel_vectors(g.c) == 2 {
+        input_grad_tiles::<V, 2, { POSITION_ACCS / 2 }>(grad_in_s, grad_s, taps, plane, g)
+    } else {
+        input_grad_tiles::<V, 1, POSITION_ACCS>(grad_in_s, grad_s, taps, plane, g)
+    }
+}
+
+/// Tiles of `NV` input-channel vectors x `P` output positions. Per tile
+/// and tap, the sum over the output channels (`matmul_tn`'s chain) is
+/// formed in registers and then added to the pixel the tap reads
+/// (`col2im`'s chain, taps ascending) of the padded accumulator `plane`
+/// `[ph*pw][NV*LANES]`; what lands in the padding ring is dropped.
+/// `grad_s` is the sample's `[O, oh*ow]` gradient as it lies, `taps` is
+/// [`taps_outermost`]'s.
+///
+/// # Safety
+/// The host must support `V`'s instruction set.
+#[inline(always)]
+unsafe fn input_grad_tiles<V: Lanes, const NV: usize, const P: usize>(
+    grad_in_s: &mut [f32],
+    grad_s: &[f32],
+    taps: &[f32],
+    plane: &mut [f32],
+    g: &Geom,
+) {
+    let (k, pw, hw) = (g.k, g.pw(), g.hw());
+    let width = NV * LANES;
+    assert!(hw >= P, "direct input gradient needs a tile of positions");
+    // A tile's input channels: their taps, and their planes of the result.
+    let tiles = taps
+        .chunks_exact(k * k * g.o * width)
+        .zip(grad_in_s.chunks_mut(width * g.h * g.w));
+    for (tile_taps, grad_in_t) in tiles {
+        plane.fill(0.0);
+        // Tiles from the last to the first: a pixel's taps ascend as the
+        // positions that reach it descend, so it meets its taps in
+        // `col2im`'s order tile by tile as within one.
+        for q0 in (0..hw).step_by(P).rev() {
+            // The last tile is shifted back to end on the last position;
+            // what it shares with the one before is left to that one.
+            let fresh = P.min(hw - q0);
+            let q0 = q0.min(hw - P);
+            let pixels: [usize; P] = std::array::from_fn(|i| {
+                let q = q0 + i;
+                (q / g.ow * pw + q % g.ow) * width
+            });
+            let (mut tap_off, mut kx) = (0, 0);
+            for tap_w in tile_taps.chunks_exact(g.o * width) {
+                let mut acc = [[V::zero(); NV]; P];
+                for (o, w) in tap_w.chunks_exact(width).enumerate() {
+                    let wv: [V; NV] = load_vectors(w);
+                    let gs: &[f32; P] =
+                        grad_s[o * hw + q0..][..P].try_into().expect("P-wide slice");
+                    for (a, &gv) in acc.iter_mut().zip(gs) {
+                        let gv = V::splat(gv);
+                        for (av, &wv) in a.iter_mut().zip(&wv) {
+                            *av = av.add(wv.mul(gv));
+                        }
+                    }
+                }
+                for (i, (a, pixel)) in acc.iter().zip(&pixels).enumerate() {
+                    if i + fresh < P {
+                        continue;
+                    }
+                    let sums = &mut plane[pixel + tap_off * width..][..width];
+                    for (&av, sum8) in a.iter().zip(sums.chunks_exact_mut(LANES)) {
+                        let sum8: &mut [f32; LANES] = sum8.try_into().expect("LANES-wide chunk");
+                        V::load(sum8).add(av).store(sum8);
+                    }
+                }
+                // The next tap: a column on; past a kernel row's end, a
+                // row down.
+                (tap_off, kx) = (tap_off + 1, kx + 1);
+                if kx == k {
+                    (tap_off, kx) = (tap_off + pw - k, 0);
+                }
+            }
+        }
+        for (lane, dst) in grad_in_t.chunks_exact_mut(g.h * g.w).enumerate() {
+            for (y, dst_row) in dst.chunks_exact_mut(g.w).enumerate() {
+                let src = &plane[((y + g.pad) * pw + g.pad) * width..][..g.w * width];
+                for (d, pixel) in dst_row.iter_mut().zip(src.chunks_exact(width)) {
+                    *d = pixel[lane];
+                }
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The AVX tier: the kernel bodies instantiated at `__m256` inside
@@ -455,6 +962,49 @@ mod x86 {
     //! them, intrinsics and all). `mul` + `add` only, never FMA.
 
     use super::{Geom, Lanes, LANES, ROWS};
+
+    /// # Safety
+    /// Caller must ensure the host supports AVX.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn forward_channels_block_avx(
+        out_b: &mut [f32],
+        x_b: &[f32],
+        taps: &[f32],
+        bias: &[f32],
+        g: &Geom,
+    ) {
+        // SAFETY: the caller guarantees AVX, all that `__m256` lanes need.
+        unsafe { super::forward_channels_block_on::<__m256>(out_b, x_b, taps, bias, g) }
+    }
+
+    /// # Safety
+    /// Caller must ensure the host supports AVX.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn weight_grad_tile_avx<const NV: usize, const T: usize>(
+        tile: &mut [f32],
+        tile_grads: &[f32],
+        x: &[f32],
+        taps: &[usize; T],
+        g: &Geom,
+    ) {
+        // SAFETY: the caller guarantees AVX, all that `__m256` lanes need.
+        unsafe { super::weight_grad_tile_on::<__m256, NV, T>(tile, tile_grads, x, taps, g) }
+    }
+
+    /// # Safety
+    /// Caller must ensure the host supports AVX.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn input_grad_sample_avx(
+        grad_in_s: &mut [f32],
+        grad_s: &[f32],
+        taps: &[f32],
+        plane: &mut [f32],
+        g: &Geom,
+    ) {
+        // SAFETY: the caller guarantees AVX, all that `__m256` lanes need.
+        unsafe { super::input_grad_sample_on::<__m256>(grad_in_s, grad_s, taps, plane, g) }
+    }
+
     use std::arch::x86_64::*;
 
     impl Lanes for __m256 {
@@ -508,7 +1058,7 @@ mod x86 {
     /// # Safety
     /// Caller must ensure the host supports AVX.
     #[target_feature(enable = "avx")]
-    pub(super) unsafe fn weight_grad_tile_avx(
+    pub(super) unsafe fn tap_lane_tile_avx(
         tile: &mut [f32],
         tile_grads: &[f32],
         padded: &[f32],
@@ -516,7 +1066,7 @@ mod x86 {
         g: &Geom,
     ) {
         // SAFETY: the caller guarantees AVX, all that `__m256` lanes need.
-        unsafe { super::weight_grad_tile_on::<__m256>(tile, tile_grads, padded, rows, g) }
+        unsafe { super::tap_lane_tile_on::<__m256>(tile, tile_grads, padded, rows, g) }
     }
 }
 
@@ -535,7 +1085,8 @@ mod tests {
     }
 
     /// Channel counts short of, equal to and past a tile; output rows that
-    /// are one vector, two, and neither; kernels from one lane to all eight.
+    /// are one vector, two, neither, and narrower than one; kernels from one
+    /// lane to all eight.
     fn geoms() -> Vec<Geom> {
         let mut out = Vec::new();
         for (c, o, k, pad, hw) in [
@@ -545,10 +1096,15 @@ mod tests {
             (3, 13, 7, 3, 17),
             (1, 5, 8, 2, 24),
             (2, 6, 6, 0, 20),
+            (6, 16, 5, 0, 8),
+            (9, 17, 3, 1, 4),
+            (16, 24, 3, 2, 3),
+            (17, 8, 1, 0, 3),
+            (2, 9, 5, 1, 5),
         ] {
             let side = hw + 2 * pad + 1 - k;
             out.push(Geom {
-                n: 2,
+                n: 3,
                 c,
                 h: hw,
                 w: hw,
@@ -562,72 +1118,168 @@ mod tests {
         out
     }
 
+    /// `f`'s output into a dirty buffer (every slot must be written), as
+    /// bits.
+    fn bits_of(len: usize, f: &dyn Fn(&mut [f32])) -> Vec<u32> {
+        let mut out = vec![f32::NAN; len];
+        f(&mut out);
+        bits(&out)
+    }
+
     #[test]
     fn every_tier_matches_the_portable_lanes_bitwise() {
         // The dispatchers pick one tier per host, so without this the
         // portable bodies would run in no test on an AVX machine.
+        let avx = cfg!(target_arch = "x86_64") && gemm::use_avx();
         for g in geoms() {
+            let what = format!("{:?}", (g.c, g.o, g.k, g.pad, g.ow));
             let input = pseudo(g.n * g.c * g.h * g.w, 3);
             let padded = pad_input(&input, &g);
-            let pad_sample = g.c * g.ph() * g.pw();
             let weight = pseudo(g.o * g.ckk(), 7);
-            let taps = tile_major(&weight, g.o, g.ckk());
             let bias = pseudo(g.o, 11);
-            let out_len = g.o * g.oh * g.ow;
-            let forward = |f: &dyn Fn(&mut [f32], &[f32])| {
-                let mut out = vec![f32::NAN; out_len]; // dirty: every slot is written
-                f(&mut out, &padded[pad_sample..][..pad_sample]);
-                bits(&out)
-            };
-            // SAFETY: the portable lanes need no instruction-set extension.
-            let want = forward(&|out, pad_s| unsafe {
-                forward_sample_on::<[f32; LANES]>(out, pad_s, &taps, &bias, &g)
-            });
-            let dispatched = forward(&|out, pad_s| forward_sample(out, pad_s, &taps, &bias, &g));
-            assert_eq!(
-                dispatched,
-                want,
-                "forward, dispatched, {:?}",
-                (g.o, g.k, g.ow)
-            );
-
+            let out_len = g.o * g.hw();
             let grad_out = pseudo(g.n * out_len, 13);
             let mut grad_bias = vec![0.0; g.o];
-            let grads = grads_tile_major(&grad_out, &mut grad_bias, &g);
-            let tile_grads = &grads[..g.n * g.oh * g.ow * OB];
-            let rows = [g.c * g.k - 1, 0];
-            let tile_of = |f: &dyn Fn(&mut [f32])| {
-                let mut tile = vec![f32::NAN; TILE];
-                f(&mut tile);
-                bits(&tile)
-            };
-            // SAFETY: as above.
-            let want_tile = tile_of(&|tile| unsafe {
-                weight_grad_tile_on::<[f32; LANES]>(tile, tile_grads, &padded, &rows, &g)
-            });
-            let dispatched =
-                tile_of(&|tile| weight_grad_tile(tile, tile_grads, &padded, &rows, &g));
-            assert_eq!(
-                dispatched, want_tile,
-                "weight gradient, dispatched, k={}",
-                g.k
-            );
 
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY: AVX was just detected on this host.
-                let avx = forward(&|out, pad_s| unsafe {
-                    x86::forward_sample_avx(out, pad_s, &taps, &bias, &g)
+            if g.ow >= LANES {
+                let pad_s = &padded[g.pad_sample()..][..g.pad_sample()];
+                let taps = tile_major(&weight, g.o, g.ckk(), OB);
+                // SAFETY: the portable lanes need no instruction-set extension.
+                let want = bits_of(out_len, &|out| unsafe {
+                    forward_sample_on::<[f32; LANES]>(out, pad_s, &taps, &bias, &g)
                 });
-                assert_eq!(avx, want, "forward, avx, {:?}", (g.o, g.k, g.ow));
+                let got = bits_of(out_len, &|out| forward_sample(out, pad_s, &taps, &bias, &g));
+                assert_eq!(got, want, "row-lane forward, dispatched, {what}");
+                #[cfg(target_arch = "x86_64")]
+                if avx {
+                    // SAFETY: `use_avx()` detected AVX on this host.
+                    let got = bits_of(out_len, &|out| unsafe {
+                        x86::forward_sample_avx(out, pad_s, &taps, &bias, &g)
+                    });
+                    assert_eq!(got, want, "row-lane forward, avx, {what}");
+                }
+                scratch::give(taps);
+            }
+
+            if g.ow >= LANES && g.k <= LANES {
+                let grads = grads_tile_major::<OB>(&grad_out, &mut grad_bias, &g);
+                let tile_grads = &grads[..g.n * g.hw() * OB];
+                let rows = [g.c * g.k - 1, 0];
                 // SAFETY: as above.
-                let avx = tile_of(&|tile| unsafe {
-                    x86::weight_grad_tile_avx(tile, tile_grads, &padded, &rows, &g)
+                let want = bits_of(TILE, &|tile| unsafe {
+                    tap_lane_tile_on::<[f32; LANES]>(tile, tile_grads, &padded, &rows, &g)
                 });
-                assert_eq!(avx, want_tile, "weight gradient, avx, k={}", g.k);
+                let got = bits_of(TILE, &|tile| {
+                    tap_lane_tile(tile, tile_grads, &padded, &rows, &g)
+                });
+                assert_eq!(got, want, "tap-lane weight gradient, dispatched, {what}");
+                #[cfg(target_arch = "x86_64")]
+                if avx {
+                    // SAFETY: as above.
+                    let got = bits_of(TILE, &|tile| unsafe {
+                        x86::tap_lane_tile_avx(tile, tile_grads, &padded, &rows, &g)
+                    });
+                    assert_eq!(got, want, "tap-lane weight gradient, avx, {what}");
+                }
+                scratch::give(grads);
+            }
+
+            // Channel lanes: the whole batch as one block.
+            let x = &padded[..g.n * g.pad_sample()];
+            let taps = tile_major(&weight, g.o, g.ckk(), LANES * channel_vectors(g.o));
+            // SAFETY: as above.
+            let want = bits_of(g.n * out_len, &|out| unsafe {
+                forward_channels_block_on::<[f32; LANES]>(out, x, &taps, &bias, &g)
+            });
+            let got = bits_of(g.n * out_len, &|out| {
+                forward_channels_block(out, x, &taps, &bias, &g)
+            });
+            assert_eq!(got, want, "channel-lane forward, dispatched, {what}");
+            #[cfg(target_arch = "x86_64")]
+            if avx {
+                // SAFETY: as above.
+                let got = bits_of(g.n * out_len, &|out| unsafe {
+                    x86::forward_channels_block_avx(out, x, &taps, &bias, &g)
+                });
+                assert_eq!(got, want, "channel-lane forward, avx, {what}");
+            }
+            scratch::give(taps);
+
+            // One tile of each width, its taps the layer's last and first.
+            let grads = grads_tile_major::<LANES>(&grad_out, &mut grad_bias, &g);
+            let tile_grads = &grads[..g.n * g.hw() * LANES];
+            let taps: [usize; 12] = std::array::from_fn(|i| (g.ckk() - 1) * (1 - i % 2));
+            // SAFETY: as above.
+            let want = bits_of(12 * LANES, &|tile| unsafe {
+                weight_grad_tile_on::<[f32; LANES], 1, 12>(tile, tile_grads, x, &taps, &g)
+            });
+            let got = bits_of(12 * LANES, &|tile| {
+                weight_grad_tile::<1, 12>(tile, tile_grads, x, &taps, &g)
+            });
+            assert_eq!(
+                got, want,
+                "channel-lane weight gradient, dispatched, {what}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if avx {
+                // SAFETY: as above.
+                let got = bits_of(12 * LANES, &|tile| unsafe {
+                    x86::weight_grad_tile_avx::<1, 12>(tile, tile_grads, x, &taps, &g)
+                });
+                assert_eq!(got, want, "channel-lane weight gradient, avx, {what}");
             }
             scratch::give(grads);
-            scratch::give(taps);
+            let grads = grads_tile_major::<{ 2 * LANES }>(&grad_out, &mut grad_bias, &g);
+            let tile_grads = &grads[..g.n * g.hw() * 2 * LANES];
+            let taps: [usize; 6] = std::array::from_fn(|i| (g.ckk() - 1) * (1 - i % 2));
+            // SAFETY: as above.
+            let want = bits_of(12 * LANES, &|tile| unsafe {
+                weight_grad_tile_on::<[f32; LANES], 2, 6>(tile, tile_grads, x, &taps, &g)
+            });
+            let got = bits_of(12 * LANES, &|tile| {
+                weight_grad_tile::<2, 6>(tile, tile_grads, x, &taps, &g)
+            });
+            assert_eq!(
+                got, want,
+                "channel-lane weight gradient x2, dispatched, {what}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if avx {
+                // SAFETY: as above.
+                let got = bits_of(12 * LANES, &|tile| unsafe {
+                    x86::weight_grad_tile_avx::<2, 6>(tile, tile_grads, x, &taps, &g)
+                });
+                assert_eq!(got, want, "channel-lane weight gradient x2, avx, {what}");
+            }
+            scratch::give(grads);
+
+            if g.hw() >= LANES {
+                let width = LANES * channel_vectors(g.c);
+                let taps = taps_outermost(&weight, width, &g);
+                let grad_s = &grad_out[out_len..][..out_len];
+                let in_len = g.c * g.h * g.w;
+                let plane_len = g.ph() * g.pw() * width;
+                // SAFETY: as above.
+                let want = bits_of(in_len, &|grad_in| unsafe {
+                    let mut plane = vec![f32::NAN; plane_len];
+                    input_grad_sample_on::<[f32; LANES]>(grad_in, grad_s, &taps, &mut plane, &g)
+                });
+                let got = bits_of(in_len, &|grad_in| {
+                    let mut plane = vec![f32::NAN; plane_len];
+                    input_grad_sample(grad_in, grad_s, &taps, &mut plane, &g)
+                });
+                assert_eq!(got, want, "input gradient, dispatched, {what}");
+                #[cfg(target_arch = "x86_64")]
+                if avx {
+                    // SAFETY: as above.
+                    let got = bits_of(in_len, &|grad_in| unsafe {
+                        let mut plane = vec![f32::NAN; plane_len];
+                        x86::input_grad_sample_avx(grad_in, grad_s, &taps, &mut plane, &g)
+                    });
+                    assert_eq!(got, want, "input gradient, avx, {what}");
+                }
+                scratch::give(taps);
+            }
             scratch::give(padded);
         }
     }
@@ -652,14 +1304,22 @@ mod tests {
         for ni in 0..g.n {
             grad_out[(ni * g.o + 3) * hw..][..hw].fill(-0.0);
         }
-        let mut got = vec![f32::NAN; g.o];
-        scratch::give(grads_tile_major(&grad_out, &mut got, &g));
-        for (ch, got) in got.iter().enumerate() {
-            let want: f32 = (0..g.n)
-                .flat_map(|ni| &grad_out[(ni * g.o + ch) * hw..][..hw])
-                .sum();
-            assert_eq!(got.to_bits(), want.to_bits(), "channel {ch}");
+        // A tile narrower than the layer, as wide, and wider.
+        let regroupings: [fn(&[f32], &mut [f32], &Geom) -> Vec<f32>; 3] = [
+            grads_tile_major::<OB>,
+            grads_tile_major::<LANES>,
+            grads_tile_major::<{ 2 * LANES }>,
+        ];
+        for regroup in regroupings {
+            let mut got = vec![f32::NAN; g.o];
+            scratch::give(regroup(&grad_out, &mut got, &g));
+            for (ch, got) in got.iter().enumerate() {
+                let want: f32 = (0..g.n)
+                    .flat_map(|ni| &grad_out[(ni * g.o + ch) * hw..][..hw])
+                    .sum();
+                assert_eq!(got.to_bits(), want.to_bits(), "channel {ch}");
+            }
+            assert_eq!(got[3].to_bits(), (-0.0f32).to_bits());
         }
-        assert_eq!(got[3].to_bits(), (-0.0f32).to_bits());
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! Everything is implemented from scratch (no BLAS, no ndarray): the matmul
 //! family runs on an in-tree packed, register-tiled GEMM (see `gemm.rs` and
-//! the "Kernel design" section of EXPERIMENTS.md), convolution im2cols
-//! straight into the packed panels (or, at stride 1 with wide output rows,
-//! runs the packing-free kernels of `direct.rs`), and hot-path buffers come
+//! the "Kernel design" section of EXPERIMENTS.md), convolution runs the
+//! packing-free kernels of `direct.rs` at stride 1 (forward and both
+//! gradients) and im2cols straight into the packed panels otherwise, and
+//! hot-path buffers come
 //! from the thread-local [`scratch`] pool, keeping the whole reproduction
 //! self-contained, auditable, and allocation-free at steady state.
 //!

@@ -119,13 +119,15 @@ fn fused_conv_matches_unfused_on_the_lenet_shapes() {
 }
 
 /// Every pairing of output width and kernel side around the direct
-/// kernels' shape rule (stride 1, a row of at least one vector, a kernel row
-/// of at most one vector and more than half of one), and each width once at
-/// stride 2; channels, batch and padding cycle.
+/// kernels' shape rules (stride 1; an output row narrower than a vector, of
+/// one, of two; a kernel row of at most one vector and more than half of
+/// one; output channels that fill their vectors or leave lanes idle; one
+/// input channel or several), and each width once at stride 2; channels,
+/// batch and padding cycle.
 #[test]
 fn fused_conv_matches_unfused_across_the_dispatch_edges() {
     let mut case = 0usize;
-    for ow in [7usize, 8, 9, 15, 16, 17, 24] {
+    for ow in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24] {
         for (kernel, stride) in [
             (1usize, 1usize),
             (3, 1),
@@ -142,8 +144,8 @@ fn fused_conv_matches_unfused_across_the_dispatch_edges() {
                 continue;
             };
             let mut spec = ConvSpec {
-                in_channels: [1, 3, 6][case % 3],
-                out_channels: [1, 5, 6, 7, 13, 16][case / 3 % 6],
+                in_channels: [1, 3, 6, 8, 9, 16][case % 6],
+                out_channels: [1, 5, 6, 7, 8, 9, 13, 16, 17, 24][case / 3 % 10],
                 kernel,
                 stride,
                 padding,
@@ -156,6 +158,9 @@ fn fused_conv_matches_unfused_across_the_dispatch_edges() {
             };
             if ops(n, &spec) > 1 << 20 {
                 n = 1;
+            }
+            if ops(n, &spec) > 1 << 20 {
+                spec.in_channels = 2;
             }
             if ops(n, &spec) > 1 << 20 {
                 spec.in_channels = 1;
@@ -174,29 +179,42 @@ fn fused_conv_matches_unfused_across_the_dispatch_edges() {
 
 /// `inf`, `-inf` and NaN planted in the weight, the input and the gradient:
 /// every finite result keeps its bits and every NaN its place, on the
-/// direct path (conv1's shape) and on the GEMM path (stride 2). A padding
-/// zero times an `inf` weight is a NaN the direct kernels must not skip.
+/// row- and tap-lane kernels (conv1's shape), on the GEMM path (stride 2)
+/// and on the channel-lane kernels (conv2's shape, padded). A padding zero
+/// times an `inf` weight is a NaN the direct forward must not skip, while
+/// the input gradient must not carry an `inf` weight to the pixels whose
+/// taps `col2im` skips.
 #[test]
 fn fused_conv_places_non_finite_values_like_unfused() {
-    for stride in [1usize, 2] {
+    for (in_channels, out_channels, stride, padding, side) in [
+        (3usize, 6usize, 1usize, 2usize, 16usize),
+        (3, 6, 2, 2, 16),
+        (6, 16, 1, 1, 8),
+    ] {
         let spec = ConvSpec {
-            in_channels: 3,
-            out_channels: 6,
+            in_channels,
+            out_channels,
             kernel: 5,
             stride,
-            padding: 2,
+            padding,
         };
-        let ckk = 75;
+        let ckk = in_channels * 25;
+        let plane = side * side;
         let plant = |t: &mut Tensor, at: &[usize]| {
             for (&i, v) in at.iter().zip([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]) {
                 t.data_mut()[i] = v;
             }
         };
-        let mut input = matrix(4, 3 * 16 * 16, 0x51).reshape(&[4, 3, 16, 16]);
-        plant(&mut input, &[5, 16 * 16 + 40, 2 * 3 * 16 * 16 + 255]);
-        let mut weight = matrix(6, ckk, 0x52);
+        let mut input = matrix(4, in_channels * plane, 0x51).reshape(&[4, in_channels, side, side]);
+        plant(
+            &mut input,
+            &[5, plane + 40, 2 * in_channels * plane + plane - 1],
+        );
+        let mut weight = matrix(out_channels, ckk, 0x52);
+        // A corner tap, a last tap and a first one: the corner tap of a
+        // padded layer reads padding at the image's far edges.
         plant(&mut weight, &[12, ckk + 74, 4 * ckk]);
-        let bias = matrix(1, 6, 0x53).reshape(&[6]);
+        let bias = matrix(1, out_channels, 0x53).reshape(&[out_channels]);
         let (out, cols) = apf_tensor::conv2d_forward(&input, &weight, &bias, &spec);
         cols.recycle();
         assert!(out.data().iter().any(|v| v.is_nan()) && out.data().iter().any(|v| v.is_finite()));
@@ -204,7 +222,7 @@ fn fused_conv_places_non_finite_values_like_unfused() {
         let last = grad_out.numel() - 1;
         plant(&mut grad_out, &[3, last / 2, last]);
         check_fused_conv(&input, &weight, &bias, Some(&grad_out), &spec)
-            .unwrap_or_else(|e| panic!("stride {stride}: {e:?}"));
+            .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
     }
 }
 
@@ -439,25 +457,29 @@ property! {
     }
 
     fn fused_conv_bitwise_matches_unfused(
-        geometry in usizes(0..7 * 6 * 2 * 3 * 6 * 3),
+        geometry in usizes(0..13 * 6 * 2 * 3 * 10 * 6),
         pad_pick in usizes(0..9),
         seed in u64s(0..200),
     ) {
         // One point of output width x kernel x stride x batch x channels,
-        // straddling the direct kernels' shape rule on every side: output
-        // rows one short of a vector, one vector, one past it, two vectors
-        // and their neighbours; kernel rows of one lane, half a vector, a
-        // whole one and one past it; channel counts around the 6-channel
-        // tile; panels that straddle a sample boundary on the GEMM side.
+        // straddling the direct kernels' shape rules on every side: output
+        // rows narrower than a vector, one short of one, one vector, one
+        // past it, two vectors and their neighbours; kernel rows of one
+        // lane, half a vector, a whole one and one past it; output channels
+        // around the 6-channel tile and the 8- and 16-channel vectors; one
+        // input channel, a vector of them, one past; panels that straddle
+        // a sample boundary on the GEMM side.
         let mut pick = geometry;
         let mut draw = |choices: &[usize]| {
             let v = choices[pick % choices.len()];
             pick /= choices.len();
             v
         };
-        let (ow, kernel) = (draw(&[7, 8, 9, 15, 16, 17, 24]), draw(&[1, 3, 5, 7, 8, 9]));
+        let ow = draw(&[1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24]);
+        let kernel = draw(&[1, 3, 5, 7, 8, 9]);
         let (stride, n) = (draw(&[1, 2]), draw(&[1, 2, 16]));
-        let (o, c) = (draw(&[1, 5, 6, 7, 13, 16]), draw(&[1, 3, 6]));
+        let o = draw(&[1, 5, 6, 7, 8, 9, 13, 16, 17, 24]);
+        let c = draw(&[1, 3, 6, 8, 9, 16]);
         let padding = pad_pick % kernel;
         let side = input_side(ow, kernel, stride, padding);
         prop_assume!(side.is_some());

@@ -36,6 +36,13 @@ APF_PAR_THREADS=1 cargo test -q --offline --workspace
 echo "== cargo test --offline (workspace, APF_PAR_THREADS=4) =="
 APF_PAR_THREADS=4 cargo test -q --offline --workspace
 
+echo "== cargo test --release --offline (apf-tensor + apf-nn: the optimised kernels) =="
+# The benchmark, and any contraction or reassociation LLVM might do to the
+# kernels' mul-then-add chains, live in --release; the steps above only ever
+# run debug builds of the bitwise tests.
+APF_PAR_THREADS=1 cargo test -q --release --offline -p apf-tensor -p apf-nn
+APF_PAR_THREADS=4 cargo test -q --release --offline -p apf-tensor -p apf-nn
+
 echo "== apf-par pool stress (nested scopes, panics, zero-work) =="
 APF_PAR_THREADS=4 cargo test -q --offline -p apf-par --test stress
 
