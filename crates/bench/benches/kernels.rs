@@ -1,15 +1,138 @@
-//! Benchmarks for the numerical substrate: matmul, conv2d, and a full
-//! forward pass of each paper model (the compute side of Table 3).
+//! Benchmarks for the numerical substrate: matmul, LeNet-5's two
+//! convolutions through the fused entry points training calls, the
+//! skip-frozen optimizer steps and sparse aggregation by frozen ratio, and a
+//! full forward pass of each paper model (the compute side of Table 3).
 //!
 //! Plain harness (`apf_bench::harness`); run with
-//! `cargo bench -p apf-bench --bench kernels`.
+//! `cargo bench -p apf-bench --bench kernels`. Nothing here is gated: the
+//! rows are for steering kernel work, compared within one session on one
+//! host (`BENCHMARK.json` is the performance contract).
 
+use apf::FreezeMask;
 use apf_bench::harness::{black_box, BenchGroup};
-use apf_nn::{models, Mode, Sequential};
-use apf_tensor::{conv2d_forward, normal_init, seeded_rng, ConvSpec, Tensor};
+use apf_nn::{models, Adam, Mode, Optimizer, Sequential, Sgd};
+use apf_tensor::{
+    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, masked_axpy,
+    masked_div, normal_init, seeded_rng, ConvSpec, Tensor,
+};
+
+/// Training batch size of the LeNet-5 convolution rows.
+const CONV_BATCH: usize = 16;
+/// LeNet-5's first convolution and its input side.
+const LENET_CONV1: (ConvSpec, usize) = (
+    ConvSpec {
+        in_channels: 3,
+        out_channels: 6,
+        kernel: 5,
+        stride: 1,
+        padding: 2,
+    },
+    16,
+);
+/// LeNet-5's second convolution (8x8 after the first pool).
+const LENET_CONV2: (ConvSpec, usize) = (
+    ConvSpec {
+        in_channels: 6,
+        out_channels: 16,
+        kernel: 5,
+        stride: 1,
+        padding: 0,
+    },
+    8,
+);
+
+/// Scalars in each masked-compute row (a mid-sized model's flat vector).
+const MASKED_N: usize = 1 << 20;
+/// Frozen-block granularity of the synthetic masks: real APF masks are
+/// clustered (stability is spatially correlated within filters and layers),
+/// so the rows freeze whole blocks rather than Bernoulli scalars.
+const MASKED_BLOCK: usize = 512;
 
 fn forward_once(model: &mut Sequential, x: &Tensor) -> f32 {
     model.forward(x.clone(), Mode::Eval).sum()
+}
+
+/// Forward, parameter-gradient and (when `input_grad`) whole-backward rows of
+/// one convolution at [`CONV_BATCH`], each followed by its GFLOP/s on the
+/// fastest sample. The three products multiply the same extents, so the whole
+/// backward pass counts two products' worth of FLOPs.
+fn bench_conv(g: &mut BenchGroup, name: &str, (spec, side): (ConvSpec, usize), input_grad: bool) {
+    let mut rng = seeded_rng(7);
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    let (oh, ow) = spec.out_size(side, side);
+    let input = normal_init(
+        &[CONV_BATCH, spec.in_channels, side, side],
+        0.0,
+        1.0,
+        &mut rng,
+    );
+    let weight = normal_init(&[spec.out_channels, ckk], 0.0, 0.1, &mut rng);
+    let bias = Tensor::zeros(&[spec.out_channels]);
+    let grad_out = normal_init(&[CONV_BATCH, spec.out_channels, oh, ow], 0.0, 1.0, &mut rng);
+    let flops = 2.0 * (CONV_BATCH * oh * ow * spec.out_channels * ckk) as f64;
+    let gflops =
+        |products: f64, secs: f64| println!("{:>64.1} GFLOP/s", products * flops / secs / 1e9);
+
+    let m = g.bench(&format!("{name}_fwd"), || {
+        black_box(conv2d_forward_fused(&input, &weight, &bias, &spec)).recycle();
+    });
+    gflops(1.0, m.min.as_secs_f64());
+    let m = g.bench(&format!("{name}_wgrad"), || {
+        let (gw, gb) = black_box(conv2d_backward_params_fused(&grad_out, &input, &spec));
+        gw.recycle();
+        gb.recycle();
+    });
+    gflops(1.0, m.min.as_secs_f64());
+    if input_grad {
+        let m = g.bench(&format!("{name}_bwd"), || {
+            let grads = black_box(conv2d_backward_fused(&grad_out, &input, &weight, &spec));
+            grads.input.recycle();
+            grads.weight.recycle();
+            grads.bias.recycle();
+        });
+        gflops(2.0, m.min.as_secs_f64());
+    }
+}
+
+/// One skip-frozen SGD (momentum) step, one Adam step and one 4-client
+/// sparse aggregation over [`MASKED_N`] scalars with `pct`% frozen as evenly
+/// spread [`MASKED_BLOCK`]-sized blocks.
+fn bench_masked(g: &mut BenchGroup, pct: usize) {
+    let mask = FreezeMask::from_fn(MASKED_N, |j| {
+        let b = j / MASKED_BLOCK;
+        (b + 1) * pct / 100 > b * pct / 100
+    });
+    let mut rng = seeded_rng(11);
+    let params0 = normal_init(&[MASKED_N], 0.0, 1.0, &mut rng);
+    let grads = normal_init(&[MASKED_N], 0.0, 0.1, &mut rng);
+    let mut params = params0.data().to_vec();
+
+    let mut sgd = Sgd::new(0.01).with_momentum(0.9);
+    g.bench(&format!("sgd_step_f{pct}"), || {
+        sgd.step(&mut params, grads.data(), &mask);
+        black_box(&params);
+    });
+    params.copy_from_slice(params0.data());
+    let mut adam = Adam::new(0.001);
+    g.bench(&format!("adam_step_f{pct}"), || {
+        adam.step(&mut params, grads.data(), &mask);
+        black_box(&params);
+    });
+
+    // Sparse aggregation straight into the unfrozen slots: clear + axpy per
+    // client + divide, all run-driven, never touching frozen scalars.
+    let clients: Vec<Tensor> = (0..4)
+        .map(|_| normal_init(&[MASKED_N], 0.0, 1.0, &mut rng))
+        .collect();
+    let mut agg = vec![0.0f32; MASKED_N];
+    g.bench(&format!("sparse_agg_f{pct}"), || {
+        mask.for_each_unfrozen_run_in(0, MASKED_N, |s, e| agg[s..e].fill(0.0));
+        for l in &clients {
+            masked_axpy(&mut agg, l.data(), 1.0, mask.words());
+        }
+        masked_div(&mut agg, clients.len() as f32, mask.words());
+        black_box(&agg);
+    });
 }
 
 fn main() {
@@ -37,20 +160,19 @@ fn main() {
         });
     }
 
-    let mut g = BenchGroup::new("conv2d_forward");
-    let mut rng = seeded_rng(0);
-    let spec = ConvSpec {
-        in_channels: 6,
-        out_channels: 16,
-        kernel: 5,
-        stride: 1,
-        padding: 0,
-    };
-    let input = normal_init(&[8, 6, 16, 16], 0.0, 1.0, &mut rng);
-    let weight = normal_init(&[16, 6 * 25], 0.0, 0.1, &mut rng);
-    let bias = Tensor::zeros(&[16]);
-    g.bench("lenet_conv2_batch8", || {
-        black_box(conv2d_forward(&input, &weight, &bias, &spec));
+    // One thread: the rows kernel work is steered by. Conv1 is the first
+    // layer, so training never computes its input gradient.
+    apf_par::with_threads(1, || {
+        let mut g = BenchGroup::new("lenet_conv_batch16_t1");
+        bench_conv(&mut g, "conv1", LENET_CONV1, false);
+        bench_conv(&mut g, "conv2", LENET_CONV2, true);
+
+        // Step time must fall as the frozen ratio rises — the whole point of
+        // the masked fast paths.
+        let mut g = BenchGroup::new("masked_2e20_by_frozen_pct_t1");
+        for pct in [0, 50, 90, 99] {
+            bench_masked(&mut g, pct);
+        }
     });
 
     let mut g = BenchGroup::new("model_forward_batch16");

@@ -4,7 +4,6 @@
 //! ledger-report list [--ledger PATH] [--json]
 //! ledger-report diff <BASE_IDX> <CAND_IDX> [--ledger PATH]
 //! ledger-report check [--ledger PATH] [--json]   # or: ledger-report --check
-//! ledger-report bench-diff <BASELINE.json> <CANDIDATE.json> [--json]
 //! ```
 //!
 //! `check` takes the newest record as the candidate, finds its baseline
@@ -15,16 +14,16 @@
 //! `steady_resident_bytes` accounting is enforced everywhere).
 //! Exit codes: 0 = clean, 1 = regression, 2 = usage or I/O error.
 //!
-//! `--json` switches `list`, `check`, and `bench-diff` to one
-//! machine-readable JSON document on stdout (same exit codes), for CI
-//! scripts that want findings without scraping tables.
+//! `--json` switches `list` and `check` to one machine-readable JSON
+//! document on stdout (same exit codes), for CI scripts that want findings
+//! without scraping tables.
 //!
 //! The default ledger path is `results/ledger.jsonl`.
 
 use std::process::ExitCode;
 
 use apf_bench::regress::{
-    any_failure, check_bench_json, check_records, find_baseline, Finding, Severity, Tolerances,
+    any_failure, check_records, find_baseline, Finding, Severity, Tolerances,
 };
 use apf_fedsim::json::Value;
 use apf_fedsim::{load_ledger, LedgerRecord};
@@ -35,8 +34,7 @@ fn usage() -> ExitCode {
     println!(
         "usage:\n  ledger-report list [--ledger PATH] [--json]\n  \
          ledger-report diff <BASE_IDX> <CAND_IDX> [--ledger PATH]\n  \
-         ledger-report check [--ledger PATH] [--json]\n  \
-         ledger-report bench-diff <BASELINE.json> <CANDIDATE.json> [--json]"
+         ledger-report check [--ledger PATH] [--json]"
     );
     ExitCode::from(2)
 }
@@ -276,62 +274,6 @@ fn check(records: &[LedgerRecord], json: bool) -> ExitCode {
     }
 }
 
-fn bench_diff(baseline_path: &str, candidate_path: &str, json: bool) -> ExitCode {
-    let read = |p: &str| {
-        std::fs::read_to_string(p).map_err(|e| {
-            println!("ledger-report: cannot read {p}: {e}");
-            ExitCode::from(2)
-        })
-    };
-    let baseline = match read(baseline_path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let candidate = match read(candidate_path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    match check_bench_json(&baseline, &candidate, &Tolerances::default()) {
-        Ok(findings) if json => {
-            println!(
-                "{}",
-                obj(vec![
-                    ("status", Value::Str(status_of(&findings).to_owned())),
-                    ("baseline", Value::Str(baseline_path.to_owned())),
-                    ("candidate", Value::Str(candidate_path.to_owned())),
-                    ("findings", findings_json(&findings)),
-                ])
-                .pretty()
-            );
-            if any_failure(&findings) {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Ok(findings) if findings.is_empty() => {
-            println!("ok: kernel bench within tolerance of {baseline_path}");
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
-            }
-            if any_failure(&findings) {
-                println!("REGRESSION detected");
-                ExitCode::FAILURE
-            } else {
-                println!("warnings only (cross-host or noise-band timing drift); ok");
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            println!("ledger-report: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let path = ledger_path(&mut args);
@@ -376,12 +318,6 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             };
             check(&records, json)
-        }
-        Some("bench-diff") => {
-            let (Some(b), Some(c)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            bench_diff(b, c, json)
         }
         _ => usage(),
     }

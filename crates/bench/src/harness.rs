@@ -19,6 +19,11 @@ pub fn black_box<T>(x: T) -> T {
 /// Per-sample minimum runtime the warmup phase calibrates toward.
 const TARGET_SAMPLE: Duration = Duration::from_millis(20);
 
+/// Ceiling on the calibrated per-sample iteration count. A body LLVM folds
+/// away never fills [`TARGET_SAMPLE`]; the count stops here, where it still
+/// fits the `u32` a [`Duration`] divides by.
+const MAX_ITERS: u64 = 1 << 30;
+
 fn samples_per_bench() -> usize {
     if std::env::var("APF_BENCH_QUICK").is_ok() {
         3
@@ -94,7 +99,7 @@ impl BenchGroup {
                 f();
             }
             let elapsed = t0.elapsed();
-            if elapsed >= TARGET_SAMPLE || iters >= 1 << 30 {
+            if elapsed >= TARGET_SAMPLE || iters >= MAX_ITERS {
                 break;
             }
             // Aim directly at the target when we have signal, else double.
@@ -103,7 +108,8 @@ impl BenchGroup {
             } else {
                 let scale = TARGET_SAMPLE.as_secs_f64() / elapsed.as_secs_f64();
                 (iters as f64 * scale.clamp(1.5, 16.0)).ceil() as u64
-            };
+            }
+            .min(MAX_ITERS);
         }
         let samples = samples_per_bench();
         let mut per_iter: Vec<Duration> = (0..samples)
@@ -168,5 +174,17 @@ mod tests {
         assert!(m.min <= m.median && m.median <= m.max);
         assert_eq!(g.results().len(), 1);
         std::env::remove_var("APF_BENCH_QUICK");
+    }
+
+    #[test]
+    fn empty_closure_stops_at_the_iteration_ceiling() {
+        // In --release the empty body folds away, a pass reads tens of
+        // nanoseconds whatever the count, and calibration used to walk
+        // 1, 16, …, 2^28, 2^32 — a count that truncates to `0u32` in
+        // `elapsed / iters as u32`.
+        let mut g = BenchGroup::with_writer("selftest", Box::new(std::io::sink()));
+        let m = g.bench("noop", || {});
+        assert!(m.iters <= MAX_ITERS);
+        assert!(m.min <= m.median && m.median <= m.max);
     }
 }

@@ -10,7 +10,7 @@
 //!   to client uploads (§9 discusses DP's interaction with the effective-
 //!   perturbation metric).
 
-use apf_tensor::{derive_seed, sample_normal, seeded_rng};
+use apf_tensor::{derive_seed, seeded_rng};
 
 use crate::strategy::{RoundComm, SyncStrategy};
 
@@ -295,8 +295,15 @@ impl<S: SyncStrategy> SyncStrategy for DpGaussian<S> {
     ) -> RoundComm {
         for (i, l) in locals.iter_mut().enumerate() {
             let mut rng = seeded_rng(derive_seed(self.seed, round * 1000 + i as u64));
-            for v in l.iter_mut() {
-                *v += self.noise_std * sample_normal(&mut rng);
+            // Drawn a chunk at a time: the same bits, in the same order, as
+            // one `sample_normal` per scalar.
+            let mut z = [0.0f32; 256];
+            for chunk in l.chunks_mut(z.len()) {
+                let z = &mut z[..chunk.len()];
+                rng.fill_normal_f32(z);
+                for (v, &z) in chunk.iter_mut().zip(z.iter()) {
+                    *v += self.noise_std * z;
+                }
             }
         }
         self.inner.sync_round(round, locals, weights, global)
@@ -434,5 +441,22 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2));
+    }
+
+    #[test]
+    fn dp_uploads_match_the_per_element_noise_loop() {
+        // Two chunks and a ragged third. A lone client's full-sync mean is
+        // its upload, so the global shows the perturbed upload bit for bit.
+        let (n, seed, std) = (600, 9u64, 0.3f32);
+        let mut dp = DpGaussian::new(FullSync::new(), std, seed);
+        dp.init(&vec![0.0f32; n], 1);
+        let mut global = vec![0.0f32; n];
+        dp.sync_round(3, &mut [vec![1.0f32; n]], &[1.0], &mut global);
+        let mut rng = seeded_rng(derive_seed(seed, 3 * 1000));
+        let expect: Vec<f32> = (0..n)
+            .map(|_| 1.0 + std * apf_tensor::sample_normal(&mut rng))
+            .collect();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&global), bits(&expect));
     }
 }

@@ -292,7 +292,7 @@ impl PopulationRunner {
     /// Deterministic steady-state resident-byte estimate: slab free lists,
     /// registry blobs, the shared manager's dormant footprint, and the
     /// materialized shells. Independent of the registered population size —
-    /// that is the claim the `bench-kernels` population sweep pins.
+    /// that is the claim `population-smoke` pins (100k against 1M registered).
     pub fn steady_resident_bytes(&self) -> u64 {
         let (_, _, _, slab_resident) = slab::global_stats();
         let n = self.global.len() as u64;

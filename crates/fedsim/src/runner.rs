@@ -278,7 +278,7 @@ impl FlRunnerBuilder {
         book.serve(self.obs_addr.as_deref());
         // Profiling is driven by APF_PROF. The runner only *finishes* (and
         // writes) a session it started itself — a binary that began
-        // profiling before building the runner (e.g. bench-kernels
+        // profiling before building the runner (e.g. apf-server --sim
         // --prof-file) keeps ownership of its session.
         let prof_owned = apf_prof::init_from_env();
         FlRunner {

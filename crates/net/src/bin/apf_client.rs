@@ -66,19 +66,6 @@ fn addr_from_file(path: &str, budget: Duration) -> Result<SocketAddr, String> {
     }
 }
 
-/// Enables JSONL tracing to `path`; level from `APF_TRACE`, default `debug`
-/// (mirrors `apf-server --trace-file`).
-fn init_tracing(path: &str) -> Result<(), String> {
-    let level = std::env::var("APF_TRACE")
-        .ok()
-        .and_then(|v| apf_trace::Level::parse(&v))
-        .flatten()
-        .unwrap_or(apf_trace::Level::Debug);
-    let sink = apf_trace::FileSink::create(path).map_err(|e| format!("{path}: {e}"))?;
-    apf_trace::init(level, std::sync::Arc::new(sink));
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let mut id: Option<u32> = None;
     let mut server: Option<String> = None;
@@ -114,7 +101,7 @@ fn run() -> Result<(), String> {
     }
     let id = id.ok_or_else(|| format!("--id is required\n{}", usage()))?;
     match &trace_file {
-        Some(path) => init_tracing(path)?,
+        Some(path) => apf_trace::init_file(path).map_err(|e| format!("{path}: {e}"))?,
         None => apf_trace::init_from_env(),
     }
     let prof_owned = match &prof_file {

@@ -124,20 +124,6 @@ fn write_trajectory(
     Ok(())
 }
 
-/// Enables JSONL tracing to `path`: level from `APF_TRACE` when set
-/// (and not `off`), else `debug` — asking for a trace file means wanting
-/// the per-round phase spans in it.
-fn init_tracing(path: &str) -> Result<(), String> {
-    let level = std::env::var("APF_TRACE")
-        .ok()
-        .and_then(|v| apf_trace::Level::parse(&v))
-        .flatten()
-        .unwrap_or(apf_trace::Level::Debug);
-    let sink = apf_trace::FileSink::create(path).map_err(|e| format!("{path}: {e}"))?;
-    apf_trace::init(level, std::sync::Arc::new(sink));
-    Ok(())
-}
-
 /// Starts a profiler session for `--prof-file` (or defers to `APF_PROF`);
 /// returns whether this process owns the session and must finish it.
 fn init_profiling(prof_file: &Option<String>) -> bool {
@@ -154,7 +140,7 @@ fn init_profiling(prof_file: &Option<String>) -> bool {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     match &args.trace_file {
-        Some(path) => init_tracing(path)?,
+        Some(path) => apf_trace::init_file(path).map_err(|e| format!("{path}: {e}"))?,
         None => apf_trace::init_from_env(),
     }
     let prof_owned = init_profiling(&args.prof_file);

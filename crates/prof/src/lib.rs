@@ -32,7 +32,7 @@
 //! * `APF_PROF=1` (or `cpu`) starts the sampler via [`init_from_env`];
 //!   `APF_PROF=alloc` also enables allocation attribution.
 //!   `APF_PROF_FILE=path` is where [`finish`] writes the folded output.
-//! * `--prof-file` on `apf-server`/`apf-client`/`bench-kernels` and
+//! * `--prof-file` on `apf-server`/`apf-client` and
 //!   `/profile?seconds=N` on `apf-obs` route here too.
 //! * `trace-report flame` merges per-process profiles by the run id
 //!   stamped in the output header.

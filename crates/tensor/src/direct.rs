@@ -1305,7 +1305,8 @@ mod tests {
             grad_out[(ni * g.o + 3) * hw..][..hw].fill(-0.0);
         }
         // A tile narrower than the layer, as wide, and wider.
-        let regroupings: [fn(&[f32], &mut [f32], &Geom) -> Vec<f32>; 3] = [
+        type Regroup = fn(&[f32], &mut [f32], &Geom) -> Vec<f32>;
+        let regroupings: [Regroup; 3] = [
             grads_tile_major::<OB>,
             grads_tile_major::<LANES>,
             grads_tile_major::<{ 2 * LANES }>,

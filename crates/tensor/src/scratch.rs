@@ -14,8 +14,8 @@
 //! reuse only requires that each thread's take/give pattern recurs, which it
 //! does because `apf-par` tasks run the same kernels round after round.
 //!
-//! [`stats`] exposes take/hit/miss counters so tests (and `bench-kernels`)
-//! can assert the steady state allocates nothing: after a warm-up round,
+//! [`stats`] exposes take/hit/miss counters so tests (and the benchmark
+//! harness) can assert the steady state allocates nothing: after a warm-up round,
 //! `misses` must stay flat across further training rounds.
 
 use std::cell::RefCell;
@@ -47,8 +47,7 @@ pub struct ScratchStats {
 /// per-thread counters (relaxed adds; the per-thread [`stats`] stay the
 /// source of truth for single-thread asserts). These feed the
 /// `scratch.hits`/`scratch.misses`/`scratch.alloc_bytes` gauges the fedsim
-/// runner publishes, so pool health is visible on `/metrics` without
-/// running `bench-kernels`.
+/// runner publishes, so pool health is visible on `/metrics` of any run.
 static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
 /// Bytes actually allocated on misses (capacity requested * 4).

@@ -1,11 +1,11 @@
 //! The harness's private PRNG (xoshiro256++ over SplitMix64 seeding).
 //!
-//! `apf-testkit` deliberately has **zero dependencies** — not even on
-//! `apf-tensor`, whose test suites are its first consumers (a normal
-//! dependency there would create a dev-dependency cycle). The ~40 lines of
-//! generator below are a copy of the stream in `apf_tensor::rng`, pinned
-//! independently so test-case generation is stable across refactors of the
-//! tensor crate.
+//! The package is not dependency-free — its `Cargo.toml` depends on
+//! `apf-fedsim` (for [`crate::golden`]), and through it on `apf-tensor` —
+//! but the property harness uses none of it: the ~40 lines of generator
+//! below are a copy of the stream in `apf_tensor::rng`, pinned independently
+//! so test-case generation is stable across refactors of the tensor crate,
+//! whose test suites are the harness's first consumers.
 
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

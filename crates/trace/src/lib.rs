@@ -25,8 +25,9 @@
 //!
 //! Programmatic: [`init`] / [`set_level`] / [`set_sink`]. Environment:
 //! [`init_from_env`] reads `APF_TRACE` (`off|error|warn|info|debug|trace`)
-//! and `APF_TRACE_FILE` (path; default stderr). `init_from_env` is
-//! idempotent and never overrides an explicit [`init`].
+//! and `APF_TRACE_FILE` (path; default stderr); [`init_file`] is the
+//! `--trace-file` twin (explicit path, same level parse, default `debug`).
+//! `init_from_env` is idempotent and never overrides an explicit [`init`].
 //!
 //! # JSONL schema
 //!
@@ -301,6 +302,26 @@ pub fn flush() {
     with_sink(|s| s.flush());
 }
 
+/// The level `APF_TRACE` asks for — the one place the variable is read.
+/// `None` when it is unset, unparsable or `off`.
+fn env_level() -> Option<Level> {
+    let value = std::env::var("APF_TRACE").ok()?;
+    Level::parse(&value).flatten()
+}
+
+/// Starts a JSONL trace in `path` (truncating it) for a binary's
+/// `--trace-file` flag: level from `APF_TRACE` when it names one, else
+/// `debug` — asking for a trace file means wanting the per-round phase
+/// spans in it.
+///
+/// # Errors
+/// Whatever creating `path` fails with; tracing is then left untouched.
+pub fn init_file(path: &str) -> std::io::Result<()> {
+    let sink = FileSink::create(path)?;
+    init(env_level().unwrap_or(Level::Debug), Arc::new(sink));
+    Ok(())
+}
+
 /// Configures tracing from `APF_TRACE` / `APF_TRACE_FILE`.
 ///
 /// * `APF_TRACE` — `off`, `error`, `warn`, `info`, `debug`, `trace`.
@@ -316,11 +337,7 @@ pub fn init_from_env() {
     if CONFIGURED.swap(true, Ordering::Relaxed) {
         return;
     }
-    let Some(level) = std::env::var("APF_TRACE")
-        .ok()
-        .and_then(|v| Level::parse(&v))
-        .flatten()
-    else {
+    let Some(level) = env_level() else {
         return;
     };
     let sink: Arc<dyn TraceSink> = match std::env::var("APF_TRACE_FILE") {

@@ -7,6 +7,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tmp=$(mktemp -d -t apf_verify.XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
+server=target/release/apf-server
+client=target/release/apf-client
+
+# bench_bin <name> <args…>: one of apf-bench's release binaries.
+bench_bin() {
+  cargo run -q --release --offline -p apf-bench --bin "$1" -- "${@:2}"
+}
+
 # The three counting-allocator binaries swap the global allocator and count
 # allocations process-wide, so a stray allocation on another thread is a
 # flake, not a failure of the code under test. Their tests are serialised
@@ -22,6 +32,37 @@ alloc_gate() {
     }
   done
   echo "OK: $pkg --test $bin passed 10 of 10 runs"
+}
+
+# fleet <secs> <addr-file> <server args…> -- <per-client args…> [-- <client 2 only…>]
+# One apf-server on an ephemeral localhost port (handed off through the addr
+# file) plus apf-clients 0, 1 and 2, waiting for all four. Each runs under a
+# hard timeout of <secs> so a protocol hang fails the gate instead of
+# wedging CI. "{id}" in a per-client argument is the client's id.
+fleet() {
+  local t=$1 addr_file=$2 id pid pids server_args=() client_args=() extra
+  shift 2
+  while [ $# -gt 0 ] && [ "$1" != -- ]; do server_args+=("$1"); shift; done
+  shift || true
+  while [ $# -gt 0 ] && [ "$1" != -- ]; do client_args+=("$1"); shift; done
+  shift || true
+  timeout "$t" "$server" --addr 127.0.0.1:0 --addr-file "$addr_file" "${server_args[@]}" &
+  pids=($!)
+  for id in 0 1 2; do
+    if [ "$id" -lt 2 ]; then extra=(); else extra=("$@"); fi
+    timeout "$t" "$client" --id "$id" --addr-file "$addr_file" \
+      "${client_args[@]//\{id\}/$id}" "${extra[@]}" &
+    pids+=($!)
+  done
+  for pid in "${pids[@]}"; do wait "$pid"; done
+}
+
+# same_as_sim <trajectory> <what>: byte for byte the simulator baseline's
+# rounds (`#` comments are exempt: a networked run carries `# wire_bytes=`).
+same_as_sim() {
+  diff <(grep -v '^#' "$tmp/sim.traj") <(grep -v '^#' "$1") && return
+  echo "$2 diverges from the simulator baseline" >&2
+  exit 1
 }
 
 echo "== cargo fmt --check =="
@@ -51,10 +92,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== no println!/eprintln! in library code =="
 # Library sources must report through apf-trace (or an injected writer), not
-# ad-hoc prints. Binaries (src/bin/), benches, examples, tests, and comment
-# lines are exempt; #[cfg(test)] modules inside lib files are caught by the
-# grep but whitelisted here via the test-module paths below being none —
-# keep test-only prints inside tests/ or benches/ instead.
+# ad-hoc prints. Binaries (src/bin/), benches, examples, tests/ and comment
+# lines are exempt; #[cfg(test)] modules inside lib files are not.
 offenders=$(grep -rn --include='*.rs' -E '\b(println!|eprintln!)\(' crates/*/src \
   | grep -v '/src/bin/' \
   | grep -vE ':[0-9]+:\s*(//|//!|///)' || true)
@@ -71,97 +110,46 @@ echo "== live telemetry smoke (obs server + ledger regression gate) =="
 # parser), /snapshot, and /series in-process, and appends each run to a
 # throwaway ledger; the second run must then pass `ledger-report check`
 # (identical re-runs are within tolerance by construction).
-smoke_ledger=$(mktemp /tmp/apf_smoke_ledger.XXXXXX.jsonl)
-rm -f "$smoke_ledger"
 for i in 1 2; do
-  APF_OBS_ADDR=127.0.0.1:0 APF_LEDGER_FILE="$smoke_ledger" \
-    cargo run -q --release --offline -p apf-bench --bin obs-smoke
+  APF_OBS_ADDR=127.0.0.1:0 APF_LEDGER_FILE="$tmp/smoke.jsonl" bench_bin obs-smoke
 done
-cargo run -q --release --offline -p apf-bench --bin ledger-report -- \
-  check --ledger "$smoke_ledger"
-rm -f "$smoke_ledger"
+bench_bin ledger-report check --ledger "$tmp/smoke.jsonl"
 echo "OK: telemetry endpoints healthy, identical re-run passes the gate"
 
 echo "== networked mode: multi-process bitwise parity vs simulator =="
 # One apf-server process plus three apf-client processes over localhost TCP
-# (ephemeral port handed off via --addr-file) must reproduce the in-process
-# simulator's golden trajectory byte for byte — same loss, frozen-ratio,
-# accuracy, and byte-count bit patterns every round. Everything runs under a
-# hard timeout so a protocol hang fails the gate instead of wedging CI.
+# must reproduce the in-process simulator's golden trajectory byte for byte —
+# same loss, frozen-ratio, accuracy, and byte-count bit patterns every round.
 # (The in-process variant plus the wire-format property tests already ran
 # above under both APF_PAR_THREADS=1 and =4 as part of the workspace suite.)
-net_dir=$(mktemp -d /tmp/apf_net.XXXXXX)
-trap 'rm -rf "$net_dir"' EXIT
-server=target/release/apf-server
-client=target/release/apf-client
-
-timeout 120 "$server" --sim \
-  --trajectory-out "$net_dir/sim.traj" --ledger "$net_dir/ledger.jsonl"
-
-timeout 120 "$server" --addr 127.0.0.1:0 --addr-file "$net_dir/addr" \
-  --trajectory-out "$net_dir/net.traj" --ledger "$net_dir/ledger.jsonl" &
-net_pids=($!)
-for id in 0 1 2; do
-  timeout 120 "$client" --id "$id" --addr-file "$net_dir/addr" &
-  net_pids+=($!)
-done
-for pid in "${net_pids[@]}"; do wait "$pid"; done
-
-# The networked trajectory carries a `# wire_bytes=` comment the simulator
-# baseline lacks; comments are exempt from the byte-for-byte comparison.
-if ! diff <(grep -v '^#' "$net_dir/sim.traj") <(grep -v '^#' "$net_dir/net.traj"); then
-  echo "networked run diverges from the simulator baseline" >&2
-  exit 1
-fi
+timeout 120 "$server" --sim --trajectory-out "$tmp/sim.traj" --ledger "$tmp/ledger.jsonl"
+fleet 120 "$tmp/addr" --trajectory-out "$tmp/net.traj" --ledger "$tmp/ledger.jsonl"
+same_as_sim "$tmp/net.traj" "networked run"
 echo "OK: networked trajectory is bitwise identical to the simulator"
-cargo run -q --release --offline -p apf-bench --bin ledger-report -- \
-  diff 0 1 --ledger "$net_dir/ledger.jsonl"
+bench_bin ledger-report diff 0 1 --ledger "$tmp/ledger.jsonl"
 
 echo "== networked mode: distributed tracing (merge, timeline, reconcile) =="
-# A third networked run, traced end to end: the server and all three
-# clients each write a JSONL trace (--trace-file at debug level). The
-# traced run must STILL match the simulator baseline byte for byte
-# (tracing may not perturb the arithmetic or the wire accounting), the
-# merged trace must render a per-round timeline attributing >=95% of each
-# round's wall time to compute/transfer/server-wait, and the traced
-# transfer bytes must reconcile exactly with the run-ledger record.
-timeout 120 "$server" --addr 127.0.0.1:0 --addr-file "$net_dir/addr3" \
-  --trajectory-out "$net_dir/traced.traj" --ledger "$net_dir/ledger.jsonl" \
-  --trace-file "$net_dir/server.trace.jsonl" &
-net_pids=($!)
-for id in 0 1 2; do
-  timeout 120 "$client" --id "$id" --addr-file "$net_dir/addr3" \
-    --trace-file "$net_dir/client$id.trace.jsonl" &
-  net_pids+=($!)
-done
-for pid in "${net_pids[@]}"; do wait "$pid"; done
-if ! diff <(grep -v '^#' "$net_dir/sim.traj") <(grep -v '^#' "$net_dir/traced.traj"); then
-  echo "traced networked run diverges from the simulator baseline" >&2
-  exit 1
-fi
-cargo run -q --release --offline -p apf-bench --bin trace-report -- \
-  timeline "$net_dir/server.trace.jsonl" "$net_dir"/client?.trace.jsonl \
+# A second networked run, traced end to end: the server and all three clients
+# each write a JSONL trace (--trace-file at debug level). The traced run must
+# STILL match the simulator baseline byte for byte (tracing may not perturb the
+# arithmetic or the wire accounting), the merged trace must render a per-round
+# timeline attributing >=95% of each round's wall time to compute/transfer/
+# server-wait, and the traced bytes must reconcile exactly with the run ledger.
+fleet 120 "$tmp/addr3" --trajectory-out "$tmp/traced.traj" --ledger "$tmp/ledger.jsonl" \
+  --trace-file "$tmp/server.trace.jsonl" -- --trace-file "$tmp/client{id}.trace.jsonl"
+same_as_sim "$tmp/traced.traj" "traced networked run"
+bench_bin trace-report timeline "$tmp/server.trace.jsonl" "$tmp"/client?.trace.jsonl \
   --min-coverage 95
-cargo run -q --release --offline -p apf-bench --bin trace-report -- \
-  reconcile "$net_dir/server.trace.jsonl" "$net_dir"/client?.trace.jsonl \
-  --ledger "$net_dir/ledger.jsonl"
+bench_bin trace-report reconcile "$tmp/server.trace.jsonl" "$tmp"/client?.trace.jsonl \
+  --ledger "$tmp/ledger.jsonl"
 echo "OK: traced run stays bitwise clean; timeline and ledger reconcile"
 
 echo "== networked mode: client killed mid-round degrades gracefully =="
 # Client 2 crashes right before its round-2 push; the server must still
 # finish every round with the survivors and write a complete trajectory.
-timeout 120 "$server" --addr 127.0.0.1:0 --addr-file "$net_dir/addr2" \
-  --trajectory-out "$net_dir/fault.traj" &
-net_pids=($!)
-for id in 0 1; do
-  timeout 120 "$client" --id "$id" --addr-file "$net_dir/addr2" &
-  net_pids+=($!)
-done
-timeout 120 "$client" --id 2 --addr-file "$net_dir/addr2" --fail-before-push 2 &
-net_pids+=($!)
-for pid in "${net_pids[@]}"; do wait "$pid"; done
-sim_rounds=$(grep -cv '^#\|^apf-trajectory' "$net_dir/sim.traj")
-fault_rounds=$(grep -cv '^#\|^apf-trajectory' "$net_dir/fault.traj")
+fleet 120 "$tmp/addr2" --trajectory-out "$tmp/fault.traj" -- -- --fail-before-push 2
+sim_rounds=$(grep -cv '^#\|^apf-trajectory' "$tmp/sim.traj")
+fault_rounds=$(grep -cv '^#\|^apf-trajectory' "$tmp/fault.traj")
 if [ "$fault_rounds" -ne "$sim_rounds" ]; then
   echo "faulted run recorded $fault_rounds rounds, expected $sim_rounds" >&2
   exit 1
@@ -174,16 +162,10 @@ echo "== masked fast paths vs dense reference (APF_MASKED_STEP) =="
 # re-check the two strongest end-to-end fixtures against the same goldens:
 # the committed trajectories must be bitwise identical either way, proving
 # the masked kernels change wall time only, never arithmetic.
-APF_MASKED_STEP=0 APF_PAR_THREADS=1 cargo test -q --offline \
-  -p apf --test golden_trajectory
-APF_MASKED_STEP=0 APF_PAR_THREADS=1 cargo test -q --offline \
-  -p apf-fedsim --test thread_determinism
-APF_MASKED_STEP=0 timeout 120 "$server" --sim \
-  --trajectory-out "$net_dir/dense.traj"
-if ! diff <(grep -v '^#' "$net_dir/sim.traj") <(grep -v '^#' "$net_dir/dense.traj"); then
-  echo "dense-reference run diverges from the masked fast-path baseline" >&2
-  exit 1
-fi
+APF_MASKED_STEP=0 APF_PAR_THREADS=1 cargo test -q --offline -p apf --test golden_trajectory
+APF_MASKED_STEP=0 APF_PAR_THREADS=1 cargo test -q --offline -p apf-fedsim --test thread_determinism
+APF_MASKED_STEP=0 timeout 120 "$server" --sim --trajectory-out "$tmp/dense.traj"
+same_as_sim "$tmp/dense.traj" "dense-reference run"
 echo "OK: dense reference reproduces the masked-path trajectory bit for bit"
 
 echo "== zero-alloc steady state (scratch pool, APF_PAR_THREADS=1) =="
@@ -205,10 +187,9 @@ echo "== profiling: sampled flamegraph of a 2-round sim run =="
 # the span stacks the federated loop opens.
 prof_spec='apf-spec-v1;clients=4;rounds=2;local_iters=8;batch=32;train_n=512;test_n=128;hidden=512'
 APF_PROF_INTERVAL_US=100 timeout 240 "$server" --sim --spec "$prof_spec" \
-  --prof-file "$net_dir/sim.folded"
-test -s "$net_dir/sim.folded"
-cargo run -q --release --offline -p apf-bench --bin trace-report -- \
-  flame "$net_dir/sim.folded" \
+  --prof-file "$tmp/sim.folded"
+test -s "$tmp/sim.folded"
+bench_bin trace-report flame "$tmp/sim.folded" \
   --assert-contains local_train --assert-contains aggregate > /dev/null
 echo "OK: sim profile contains local_train and aggregate frames"
 
@@ -219,22 +200,12 @@ echo "== profiling: per-process profiles of a networked run merge by run id =="
 # role-prefixed flamegraph (it hard-fails on a run-id mismatch). The
 # networked reduce path has no `aggregate` span; assert the client-side
 # training frame and the server's always-open `serve` root instead.
-prof_net_spec='apf-spec-v1;clients=3;rounds=2;local_iters=8;batch=32;train_n=512;test_n=128;hidden=512'
-APF_PROF_INTERVAL_US=100 timeout 240 "$server" --addr 127.0.0.1:0 \
-  --addr-file "$net_dir/addr4" --spec "$prof_net_spec" \
-  --prof-file "$net_dir/server.folded" &
-net_pids=($!)
-for id in 0 1 2; do
-  APF_PROF_INTERVAL_US=100 timeout 240 "$client" --id "$id" \
-    --addr-file "$net_dir/addr4" --prof-file "$net_dir/client$id.folded" &
-  net_pids+=($!)
-done
-for pid in "${net_pids[@]}"; do wait "$pid"; done
-cargo run -q --release --offline -p apf-bench --bin trace-report -- \
-  flame "$net_dir/server.folded" "$net_dir"/client?.folded \
-  --assert-contains local_train --assert-contains serve \
-  > "$net_dir/merged.folded"
-test -s "$net_dir/merged.folded"
+APF_PROF_INTERVAL_US=100 fleet 240 "$tmp/addr4" \
+  --spec "${prof_spec/clients=4/clients=3}" --prof-file "$tmp/server.folded" \
+  -- --prof-file "$tmp/client{id}.folded"
+bench_bin trace-report flame "$tmp/server.folded" "$tmp"/client?.folded \
+  --assert-contains local_train --assert-contains serve > "$tmp/merged.folded"
+test -s "$tmp/merged.folded"
 echo "OK: four per-process profiles merged into one flamegraph document"
 
 echo "== zero-alloc disabled profiling on the hot path =="
@@ -244,21 +215,14 @@ echo "== zero-alloc disabled profiling on the hot path =="
 # zero allocations on the disabled path.
 alloc_gate apf-prof disabled_alloc
 
-echo "== population simulator: sampled-cohort smoke (100k registered) =="
-# The event-driven population runner at 100k registered / 256 sampled:
-# zero slab misses once the warm-up round has filled the size classes, a
-# bitwise-identical trajectory and global model across reruns at different
-# thread counts (cohorts derive from (seed, round), nothing else), and a
-# registry that holds compact dormant state for participants only. The
-# bitwise C=1.0 parity against FlRunner runs in the workspace suite above
-# (apf-fedsim --test population_parity).
-cargo run -q --release --offline -p apf-bench --bin population-smoke
-
-echo "== kernel bench regression vs committed baseline =="
-# Quick bench-kernels run diffed against BENCH_kernels.json: hard fail on
-# >20% regression when host parallelism matches the baseline's, warn-only
-# otherwise (absolute kernel numbers are not comparable across machines).
-scripts/bench_check.sh
+echo "== population simulator: sampled-cohort smoke (100k and 1M registered) =="
+# The event-driven population runner at 256 sampled of 100k and of 1M
+# registered: zero slab misses after the warm-up round, steady resident bytes
+# that do not grow with the registered population, a bitwise-identical
+# trajectory and global model across thread counts, a registry of participants
+# only. The bitwise C=1.0 parity against FlRunner ran in the workspace suite
+# above (apf-fedsim --test population_parity).
+bench_bin population-smoke
 
 echo "== benchmark harness: output checks (smoke) and self-tests =="
 # The BENCHMARK.json harness drives the program through the public API
