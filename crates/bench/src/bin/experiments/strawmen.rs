@@ -49,7 +49,7 @@ pub fn fig4(ctx: &Ctx) {
     let mut div: Vec<(usize, f32)> = track
         .iter()
         .enumerate()
-        .filter(|(_, &j)| excluded[j])
+        .filter(|(_, &j)| excluded.is_frozen(j))
         .map(|(k, _)| {
             let last = hist.last().unwrap();
             (k, (last.0[k] - last.1[k]).abs())
@@ -84,7 +84,7 @@ pub fn fig4(ctx: &Ctx) {
     println!(
         "[fig4] largest cross-client gap of an excluded scalar: {:.4} ({} scalars excluded overall)",
         div.first().map(|d| d.1).unwrap_or(0.0),
-        excluded.iter().filter(|&&e| e).count()
+        excluded.frozen_count()
     );
 }
 

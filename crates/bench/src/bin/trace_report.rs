@@ -57,25 +57,15 @@
 //! Both the single-file report and `flame` take `--json` to emit the same
 //! data as one machine-readable JSON document instead of tables.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use apf_bench::prof_merge::{self, ProfFile};
 use apf_bench::report::{fmt_mb, render_table};
 use apf_bench::trace_merge::MergedTrace;
-use apf_bench::trace_model::{group_processes, TraceFile};
-use apf_fedsim::json::{self, Value};
+use apf_bench::trace_model::{group_processes, EventRec, SpanRec, TraceFile};
+use apf_fedsim::json::Value;
 use apf_fedsim::load_ledger;
-
-/// One parsed `{"t":"span",...}` line.
-struct SpanLine {
-    target: String,
-    name: String,
-    id: u64,
-    dur_us: u64,
-    /// Emitting thread ordinal (0 for traces predating the field).
-    thread: u64,
-}
 
 /// Accumulated statistics for one `(target, name)` span kind.
 #[derive(Default)]
@@ -83,18 +73,6 @@ struct SpanStat {
     count: u64,
     total_us: u64,
     self_us: u64,
-}
-
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(Value::as_u64)
-}
-
-fn get_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
-    v.get(key).and_then(Value::as_str)
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    v.get("fields").and_then(|f| f.get(key))
 }
 
 /// Shade character for a ratio in `[0, 1]`.
@@ -118,11 +96,7 @@ fn fmt_us(us: u64) -> String {
 }
 
 struct Report {
-    spans: Vec<SpanLine>,
-    /// `id -> dur_us` for parent lookup.
-    durs: BTreeMap<u64, u64>,
-    /// `id -> parent id` (0 = root).
-    parents: BTreeMap<u64, u64>,
+    spans: Vec<SpanRec>,
     /// `(layer name, round) -> frozen_ratio`, plus layer order of first sight.
     freeze: BTreeMap<(String, u64), f64>,
     layer_order: Vec<String>,
@@ -133,62 +107,27 @@ struct Report {
 }
 
 impl Report {
-    fn new() -> Report {
-        Report {
-            spans: Vec::new(),
-            durs: BTreeMap::new(),
-            parents: BTreeMap::new(),
+    fn from_trace(file: TraceFile) -> Report {
+        let mut report = Report {
+            spans: file.spans,
             freeze: BTreeMap::new(),
             layer_order: Vec::new(),
             phases: BTreeMap::new(),
-            lines: 0,
-            skipped: 0,
-        }
-    }
-
-    fn ingest_line(&mut self, line: &str) {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return;
-        }
-        self.lines += 1;
-        let Ok(v) = json::parse(trimmed) else {
-            self.skipped += 1;
-            return;
+            lines: file.lines,
+            skipped: file.skipped,
         };
-        match get_str(&v, "t") {
-            Some("span") => self.ingest_span(&v),
-            Some("event") => self.ingest_event(&v),
-            _ => self.skipped += 1,
+        for e in &file.events {
+            report.ingest_event(e);
         }
+        report
     }
 
-    fn ingest_span(&mut self, v: &Value) {
-        let (Some(id), Some(parent), Some(dur_us)) =
-            (get_u64(v, "id"), get_u64(v, "parent"), get_u64(v, "dur_us"))
-        else {
-            self.skipped += 1;
-            return;
-        };
-        self.durs.insert(id, dur_us);
-        self.parents.insert(id, parent);
-        self.spans.push(SpanLine {
-            target: get_str(v, "target").unwrap_or("?").to_owned(),
-            name: get_str(v, "name").unwrap_or("?").to_owned(),
-            id,
-            dur_us,
-            thread: get_u64(v, "thread").unwrap_or(0),
-        });
-    }
-
-    fn ingest_event(&mut self, v: &Value) {
-        let target = get_str(v, "target").unwrap_or("");
-        let msg = get_str(v, "msg").unwrap_or("");
-        if target == "apf.manager" && msg == "layer_freeze" {
+    fn ingest_event(&mut self, e: &EventRec) {
+        if e.target == "apf.manager" && e.msg == "layer_freeze" {
             let (Some(layer), Some(round), Some(ratio)) = (
-                field(v, "layer").and_then(Value::as_str),
-                field(v, "round").and_then(Value::as_u64),
-                field(v, "frozen_ratio").and_then(Value::as_f64),
+                e.str_field("layer"),
+                e.u64_field("round"),
+                e.f64_field("frozen_ratio"),
             ) else {
                 return;
             };
@@ -196,26 +135,22 @@ impl Report {
                 self.layer_order.push(layer.to_owned());
             }
             self.freeze.insert((layer.to_owned(), round), ratio);
-        } else if target == "fedsim.comm" && msg == "transfer" {
-            let phase = field(v, "phase")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown")
-                .to_owned();
-            let up = field(v, "bytes_up").and_then(Value::as_u64).unwrap_or(0);
-            let down = field(v, "bytes_down").and_then(Value::as_u64).unwrap_or(0);
-            let e = self.phases.entry(phase).or_insert((0, 0, 0));
-            e.0 += up;
-            e.1 += down;
-            e.2 += 1;
+        } else if e.target == "fedsim.comm" && e.msg == "transfer" {
+            let phase = e.str_field("phase").unwrap_or("unknown").to_owned();
+            let entry = self.phases.entry(phase).or_insert((0, 0, 0));
+            entry.0 += e.u64_field("bytes_up").unwrap_or(0);
+            entry.1 += e.u64_field("bytes_down").unwrap_or(0);
+            entry.2 += 1;
         }
     }
 
     /// Duration attributed to each span's direct children (`id -> us`).
     fn child_times(&self) -> BTreeMap<u64, u64> {
+        let ids: BTreeSet<u64> = self.spans.iter().map(|s| s.id).collect();
         let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&id, &parent) in &self.parents {
-            if parent != 0 && self.durs.contains_key(&parent) {
-                *child_us.entry(parent).or_insert(0) += self.durs[&id];
+        for s in &self.spans {
+            if s.parent != 0 && ids.contains(&s.parent) {
+                *child_us.entry(s.parent).or_insert(0) += s.dur_us;
             }
         }
         child_us
@@ -628,11 +563,7 @@ fn run_flame(
 }
 
 fn run_single(path: &str, json: bool) -> Result<(), String> {
-    let data = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut report = Report::new();
-    for line in data.lines() {
-        report.ingest_line(line);
-    }
+    let report = Report::from_trace(TraceFile::load(path)?);
     if json {
         println!("{}", report.to_json().pretty());
         return Ok(());
@@ -756,15 +687,16 @@ mod tests {
         assert_eq!(shade(2.0), '#');
     }
 
+    fn report(lines: &[&str]) -> Report {
+        Report::from_trace(TraceFile::parse("t", &lines.join("\n")))
+    }
+
     #[test]
     fn self_time_subtracts_children() {
-        let mut r = Report::new();
-        r.ingest_line(
+        let r = report(&[
             r#"{"t":"span","ts_us":1,"lvl":"info","target":"a","name":"child","id":2,"parent":1,"start_us":0,"dur_us":30}"#,
-        );
-        r.ingest_line(
             r#"{"t":"span","ts_us":2,"lvl":"info","target":"a","name":"root","id":1,"parent":0,"start_us":0,"dur_us":100}"#,
-        );
+        ]);
         let stats = r.span_stats();
         let root = stats.iter().find(|(k, _)| k == "a::root").unwrap();
         assert_eq!(root.1.self_us, 70);
@@ -775,44 +707,35 @@ mod tests {
 
     #[test]
     fn thread_stats_attribute_self_time() {
-        let mut r = Report::new();
-        r.ingest_line(
+        let r = report(&[
             r#"{"t":"span","ts_us":1,"lvl":"info","target":"a","name":"child","id":2,"parent":1,"start_us":0,"dur_us":30,"thread":2}"#,
-        );
-        r.ingest_line(
             r#"{"t":"span","ts_us":2,"lvl":"info","target":"a","name":"root","id":1,"parent":0,"start_us":0,"dur_us":100,"thread":1}"#,
-        );
+        ]);
         let stats = r.thread_stats();
         assert_eq!(stats, vec![(1, 1, 70), (2, 1, 30)]);
     }
 
     #[test]
     fn phases_accumulate() {
-        let mut r = Report::new();
-        r.ingest_line(
+        let r = report(&[
             r#"{"t":"event","ts_us":1,"lvl":"debug","target":"fedsim.comm","msg":"transfer","span":0,"fields":{"round":0,"phase":"sync","bytes_up":10,"bytes_down":20}}"#,
-        );
-        r.ingest_line(
             r#"{"t":"event","ts_us":2,"lvl":"debug","target":"fedsim.comm","msg":"transfer","span":0,"fields":{"round":1,"phase":"sync","bytes_up":1,"bytes_down":2}}"#,
-        );
+        ]);
         assert_eq!(r.phases["sync"], (11, 22, 2));
     }
 
     #[test]
     fn heatmap_tracks_layer_rounds() {
-        let mut r = Report::new();
-        r.ingest_line(
+        let r = report(&[
             r#"{"t":"event","ts_us":1,"lvl":"debug","target":"apf.manager","msg":"layer_freeze","span":0,"fields":{"round":3,"layer":"fc1-w","offset":0,"len":10,"frozen":5,"frozen_ratio":0.5}}"#,
-        );
+        ]);
         assert_eq!(r.layer_order, vec!["fc1-w"]);
         assert_eq!(r.freeze[&("fc1-w".to_owned(), 3)], 0.5);
     }
 
     #[test]
     fn garbage_lines_are_counted_not_fatal() {
-        let mut r = Report::new();
-        r.ingest_line("not json at all");
-        r.ingest_line("");
+        let r = report(&["not json at all", ""]);
         assert_eq!(r.lines, 1);
         assert_eq!(r.skipped, 1);
     }

@@ -123,8 +123,7 @@ pub fn train_local_traced(
     let mut window = WindowedPerturbation::new(n, iters_per_epoch.max(2));
 
     // Sample scalars (trainable only) to track in full.
-    let trainable = spec.trainable_mask();
-    let mut candidates: Vec<usize> = (0..n).filter(|&j| trainable[j]).collect();
+    let mut candidates: Vec<usize> = spec.freeze_mask().iter_unfrozen_runs().flatten().collect();
     let mut rng = seeded_rng(derive_seed(seed, 0x7AACE));
     candidates.shuffle(&mut rng);
     let sampled: Vec<usize> = candidates.into_iter().take(sample_count.min(n)).collect();

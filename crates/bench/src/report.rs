@@ -8,10 +8,10 @@ use std::path::PathBuf;
 use apf_fedsim::ExperimentLog;
 use apf_trace::{event, Level};
 
-/// Directory all experiment artifacts are written to.
+/// Directory all experiment artifacts are written to: `results/` under the
+/// working directory.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("APF_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-    let p = PathBuf::from(dir);
+    let p = PathBuf::from("results");
     let _ = fs::create_dir_all(&p);
     p
 }
@@ -132,10 +132,8 @@ mod tests {
 
     #[test]
     fn save_and_load_log_roundtrip() {
-        std::env::set_var(
-            "APF_RESULTS_DIR",
-            std::env::temp_dir().join("apf_test_results"),
-        );
+        // Lands in `results/` under the test's working directory (this
+        // package's root, not the repository's); removed again below.
         let mut log = ExperimentLog::new("roundtrip-test");
         log.push(apf_fedsim::RoundRecord {
             round: 0,
@@ -153,6 +151,9 @@ mod tests {
         save_log(&log, "roundtrip-test");
         let back = load_log("roundtrip-test").expect("log should load");
         assert_eq!(back, log);
-        std::env::remove_var("APF_RESULTS_DIR");
+        for ext in ["csv", "json"] {
+            fs::remove_file(results_dir().join(format!("roundtrip-test.{ext}"))).unwrap();
+        }
+        let _ = fs::remove_dir(results_dir());
     }
 }

@@ -1,4 +1,6 @@
-//! Typed model of `apf-trace` JSONL files for the multi-process merger.
+//! Typed model of `apf-trace` JSONL files: the one trace-line parser behind
+//! every `trace-report` mode, single-file report and multi-process merger
+//! alike.
 //!
 //! A distributed run produces one trace file per process (`apf-server
 //! --trace-file`, `apf-client --trace-file`), each opening with a
@@ -43,6 +45,8 @@ pub struct SpanRec {
     pub start_us: u64,
     /// Duration in µs.
     pub dur_us: u64,
+    /// Emitting thread ordinal (0 for traces predating the field).
+    pub thread: u64,
     /// Context stamp: run id, if stamped.
     pub run: Option<String>,
     /// Context stamp: role, if stamped.
@@ -79,6 +83,11 @@ impl EventRec {
     /// A `u64` field by name.
     pub fn u64_field(&self, key: &str) -> Option<u64> {
         self.fields.get(key).and_then(Value::as_u64)
+    }
+
+    /// An `f64` field by name.
+    pub fn f64_field(&self, key: &str) -> Option<f64> {
+        self.fields.get(key).and_then(Value::as_f64)
     }
 
     /// A string field by name.
@@ -194,6 +203,7 @@ impl TraceFile {
             parent: get_u64(v, "parent").unwrap_or(0),
             start_us: get_u64(v, "start_us").unwrap_or(0),
             dur_us,
+            thread: get_u64(v, "thread").unwrap_or(0),
             run,
             role,
             fields: fields_of(v),

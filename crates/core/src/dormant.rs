@@ -107,8 +107,9 @@ impl DormantApfState {
         DormantApfState { bytes: out }
     }
 
-    /// Decodes back to a live snapshot. The non-scalar config fields come
-    /// from `cfg_template`, as in [`ApfState::from_bytes`].
+    /// Decodes back to a live snapshot. The non-scalar config fields
+    /// (variant, threshold decay, granularity, wire size) come from
+    /// `cfg_template`, which must match the original configuration.
     ///
     /// # Errors
     /// Returns a description when the blob is malformed.
@@ -282,18 +283,17 @@ mod tests {
 
     #[test]
     fn fresh_state_encodes_sparsely() {
-        // A never-frozen model carries no period/round entries, so the
-        // dormant form undercuts the dense checkpoint format.
+        // A never-frozen model carries no period/round entries: marking
+        // every scalar as having frozen once grows the blob by exactly one
+        // (u32 period, u64 round) entry per scalar.
         let init = vec![0.0f32; 256];
         let mgr = ApfManager::new(&init, ApfConfig::default(), Box::new(Aimd::default())).unwrap();
         let state = mgr.snapshot();
         let dormant = DormantApfState::encode(&state, EmaCodec::Dense);
-        assert!(
-            dormant.len_bytes() < state.to_bytes().len(),
-            "sparse freeze entries must shrink a fresh state ({} vs {})",
-            dormant.len_bytes(),
-            state.to_bytes().len()
-        );
+        let mut ever_frozen = state.clone();
+        ever_frozen.freeze_len.fill(1);
+        let full = DormantApfState::encode(&ever_frozen, EmaCodec::Dense);
+        assert_eq!(full.len_bytes() - dormant.len_bytes(), 256 * 12);
         let back = dormant.decode(state.cfg).expect("decode");
         assert_eq!(back, state);
     }

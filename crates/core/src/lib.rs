@@ -21,7 +21,11 @@
 //! * the [`ApfManager`] implementing Algorithm 1: rollback-emulated scalar
 //!   freezing, masked select/fill, client-side mask maintenance,
 //!   stability-threshold decay (§6.1), and the aggressive variants APF# and
-//!   APF++ (§5) via [`ApfVariant`].
+//!   APF++ (§5) via [`ApfVariant`];
+//! * [`FreezeMask`], the bit-packed mask every signature in the workspace
+//!   uses (`packed_bytes`/`from_packed` is its wire form), and
+//!   [`DormantApfState`], the one byte encoding of a manager snapshot
+//!   ([`ApfState`]).
 //!
 //! # Example
 //!
@@ -51,9 +55,6 @@ pub use controller::{Aimd, FixedPeriod, FreezeController, PureAdditive, PureMult
 pub use dormant::DormantApfState;
 pub use error::ApfError;
 pub use manager::{ApfManager, SyncReport};
-pub use mask::{
-    mask_bytes, masked_transfer_bytes, pack_mask, rle_transfer_bytes, unpack_mask, FreezeMask,
-    UnfrozenRuns,
-};
+pub use mask::{mask_bytes, masked_transfer_bytes, rle_transfer_bytes, FreezeMask, UnfrozenRuns};
 pub use perturbation::{EmaPerturbation, WindowedPerturbation};
-pub use state::{mask_update_bytes, ApfState};
+pub use state::ApfState;

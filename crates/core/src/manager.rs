@@ -9,6 +9,7 @@ use crate::controller::FreezeController;
 use crate::error::ApfError;
 use crate::mask::FreezeMask;
 use crate::perturbation::EmaPerturbation;
+use crate::state::ApfState;
 
 /// Communication/freezing statistics for one synchronization round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,12 +251,6 @@ impl ApfManager {
         }
     }
 
-    /// The freezing mask as a boolean vector (compatibility view of
-    /// [`ApfManager::frozen_mask_packed`]).
-    pub fn frozen_mask(&self, round: u64) -> Vec<bool> {
-        self.frozen_mask_packed(round).to_bools()
-    }
-
     /// Number of scalars frozen during `round`.
     pub fn frozen_count(&self, round: u64) -> usize {
         self.frozen_mask_packed(round).frozen_count()
@@ -396,22 +391,19 @@ impl ApfManager {
             return;
         }
         let mask = self.frozen_mask_packed(report.round);
-        let mut off = 0usize;
-        for (name, len) in &self.layout {
-            let end = (off + len).min(self.n);
-            if off >= end {
+        let lens = self.layout.iter().map(|(_, len)| *len);
+        for ((name, _), (range, frozen)) in self.layout.iter().zip(mask.frozen_by_segment(lens)) {
+            if range.is_empty() {
                 break;
             }
-            let frozen = mask.frozen_count_in(off, end);
             event!(Level::Debug, target: "apf.manager", "layer_freeze",
                 round = report.round,
                 layer = name.as_str(),
-                offset = off,
-                len = end - off,
+                offset = range.start,
+                len = range.len(),
                 frozen = frozen,
-                frozen_ratio = frozen as f32 / (end - off) as f32,
+                frozen_ratio = frozen as f32 / range.len() as f32,
             );
-            off = end;
         }
     }
 
@@ -438,21 +430,8 @@ impl ApfManager {
         // A scalar participated in training this round iff the *effective*
         // (possibly filter-coarsened) mask left it unfrozen.
         let mask = self.frozen_mask_packed(round);
-        let trained: Vec<bool> = (0..self.n).map(|j| !mask.is_frozen(j)).collect();
-        let delta: Vec<f32> = (0..self.n)
-            .map(|j| {
-                if trained[j] {
-                    params[j] - self.check_ref[j]
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        self.ema.update_masked(&delta, &trained);
-        for (j, &was_trained) in trained.iter().enumerate() {
-            if !was_trained {
-                continue;
-            }
+        self.ema.update_unfrozen(params, &self.check_ref, &mask);
+        for j in mask.iter_unfrozen_runs().flatten() {
             let stable = self.ema.value(j) < self.threshold;
             self.freeze_len[j] = self.controller.next_len(self.freeze_len[j], stable);
             self.unfreeze_round[j] = round + 1 + u64::from(self.freeze_len[j]);
@@ -509,9 +488,10 @@ impl ApfManager {
         );
     }
 
-    pub(crate) fn snapshot_impl(&self) -> crate::state::ApfState {
+    /// Snapshots the manager's state for checkpointing.
+    pub fn snapshot(&self) -> ApfState {
         let (e, a, updates) = self.ema.raw();
-        crate::state::ApfState {
+        ApfState {
             cfg: self.cfg,
             ema_e: e.to_vec(),
             ema_a: a.to_vec(),
@@ -525,10 +505,9 @@ impl ApfManager {
         }
     }
 
-    pub(crate) fn restore_impl(
-        state: crate::state::ApfState,
-        controller: Box<dyn FreezeController>,
-    ) -> ApfManager {
+    /// Restores a manager from a snapshot plus a (matching) controller.
+    /// Layouts are not part of the snapshot: register them again.
+    pub fn restore(state: ApfState, controller: Box<dyn FreezeController>) -> ApfManager {
         let n = state.pinned.len();
         ApfManager {
             controller,
@@ -901,8 +880,8 @@ mod tests {
             let rb = b.finish_round(&pb, r);
             assert_eq!(ra, rb, "round {r}: reports diverged");
             assert_eq!(
-                a.frozen_mask(r + 1),
-                b.frozen_mask(r + 1),
+                a.frozen_mask_packed(r + 1),
+                b.frozen_mask_packed(r + 1),
                 "round {r}: masks diverged"
             );
             assert_eq!(pa, pb, "round {r}: models diverged");
@@ -957,10 +936,7 @@ mod tests {
             mgr.unfreeze_round[j] = 10;
         }
         let mask = mgr.frozen_mask_packed(1);
-        assert_eq!(
-            mask.to_bools(),
-            vec![true, true, true, true, false, false, false, false]
-        );
+        assert_eq!(mask, FreezeMask::from_fn(8, |j| j < 4));
         assert_eq!(mgr.frozen_count(1), 4);
         assert!(mgr.is_frozen(3, 1), "segment-frozen scalar");
         assert!(

@@ -21,39 +21,6 @@ pub fn mask_bytes(n: usize) -> usize {
     n.div_ceil(8)
 }
 
-/// Packs a boolean mask into bytes, LSB-first within each byte (bit `j % 8`
-/// of byte `j / 8` holds `mask[j]`). Trailing bits of the last byte are zero.
-pub fn pack_mask(mask: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; mask_bytes(mask.len())];
-    for (j, &m) in mask.iter().enumerate() {
-        if m {
-            out[j / 8] |= 1 << (j % 8);
-        }
-    }
-    out
-}
-
-/// Unpacks a bit-packed mask over `n` scalars.
-///
-/// Returns `None` when `packed` has the wrong length for `n` or any trailing
-/// bit beyond `n` is set (a corrupt or hostile frame, never a valid mask).
-pub fn unpack_mask(packed: &[u8], n: usize) -> Option<Vec<bool>> {
-    if packed.len() != mask_bytes(n) {
-        return None;
-    }
-    if !n.is_multiple_of(8) {
-        // The encoder zeroes trailing bits; anything else is corruption.
-        if packed[packed.len() - 1] >> (n % 8) != 0 {
-            return None;
-        }
-    }
-    Some(
-        (0..n)
-            .map(|j| (packed[j / 8] >> (j % 8)) & 1 == 1)
-            .collect(),
-    )
-}
-
 /// Wire bytes of one masked transfer over `total` scalars of which
 /// `unfrozen` are shipped at `bytes_per_scalar` bytes each: the bit-packed
 /// freeze bitmap plus the packed values.
@@ -128,10 +95,8 @@ fn next_set_bit(words: &[u64], from: usize, bound: usize) -> Option<usize> {
 /// This is the one mask representation shared by the whole freeze-aware
 /// compute path: the `apf-tensor` SIMD kernels consume [`words`], the
 /// skip-frozen optimizer steps iterate [`iter_unfrozen_runs`], and byte
-/// accounting uses the popcount-based [`frozen_count`]. The bit order is
-/// LSB-first and little-endian-consistent with [`pack_mask`]: byte `k` of
-/// [`packed_bytes`] equals byte `k` of the `pack_mask` encoding of the same
-/// boolean mask, so the wire format is unchanged.
+/// accounting uses the popcount-based [`frozen_count`]. On the wire the mask
+/// is [`packed_bytes`]: LSB-first, bit `j % 8` of byte `j / 8` is scalar `j`.
 ///
 /// Invariant: bits at positions `>= len` (the tail of the last word) are
 /// always zero.
@@ -174,11 +139,6 @@ impl FreezeMask {
             }
         }
         FreezeMask { words, len }
-    }
-
-    /// Builds a mask from a boolean slice (`true` = frozen).
-    pub fn from_bools(frozen: &[bool]) -> FreezeMask {
-        FreezeMask::from_fn(frozen.len(), |j| frozen[j])
     }
 
     /// Zeroes the invariant tail bits of the last word.
@@ -255,6 +215,21 @@ impl FreezeMask {
         count + (self.words[we] & low_mask(end - we * 64)).count_ones() as usize
     }
 
+    /// Frozen counts over consecutive segments of the given lengths (a
+    /// model's layers in flat order): yields `(start..end, frozen)` per
+    /// segment, each range clamped to `len`.
+    pub fn frozen_by_segment<'a>(
+        &'a self,
+        lens: impl IntoIterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = (std::ops::Range<usize>, usize)> + 'a {
+        let mut off = 0usize;
+        lens.into_iter().map(move |len| {
+            let start = off;
+            off = (off + len).min(self.len);
+            (start..off, self.frozen_count_in(start, off))
+        })
+    }
+
     /// Iterates the maximal runs of consecutive **unfrozen** scalars as
     /// index ranges, in ascending order. All-frozen 64-bit words are skipped
     /// word-at-a-time, so iteration cost scales with the number of runs plus
@@ -290,8 +265,9 @@ impl FreezeMask {
         self.iter_unfrozen_runs().count()
     }
 
-    /// The mask as packed bytes, identical to [`pack_mask`] of the same
-    /// boolean mask (LSB-first within each byte).
+    /// The mask as `ceil(len / 8)` packed bytes, LSB-first within each byte
+    /// (bit `j % 8` of byte `j / 8` holds scalar `j`); trailing bits of the
+    /// last byte are zero.
     pub fn packed_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(mask_bytes(self.len));
         'outer: for w in &self.words {
@@ -305,7 +281,7 @@ impl FreezeMask {
         out
     }
 
-    /// Decodes a [`pack_mask`]-format byte string over `n` scalars.
+    /// Decodes a [`FreezeMask::packed_bytes`] byte string over `n` scalars.
     ///
     /// Returns `None` when `packed` has the wrong length for `n` or any
     /// trailing bit beyond `n` is set (a corrupt or hostile frame).
@@ -325,11 +301,6 @@ impl FreezeMask {
             }
         }
         Some(m)
-    }
-
-    /// The mask as a boolean vector (`true` = frozen).
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|j| self.is_frozen(j)).collect()
     }
 
     /// Coarsens the mask to whole segments (conv filters / matrix rows):
@@ -383,26 +354,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_unpack_roundtrip() {
-        for n in [0usize, 1, 7, 8, 9, 63, 64, 65] {
-            let mask: Vec<bool> = (0..n).map(|j| j % 3 == 0).collect();
-            let packed = pack_mask(&mask);
-            assert_eq!(packed.len(), mask_bytes(n));
-            assert_eq!(unpack_mask(&packed, n).as_deref(), Some(&mask[..]));
-        }
-    }
-
-    #[test]
-    fn unpack_rejects_bad_length_and_trailing_bits() {
-        assert!(unpack_mask(&[0], 9).is_none(), "too short");
-        assert!(unpack_mask(&[0; 3], 9).is_none(), "too long");
-        // 9 scalars use 2 bytes; bit 1 of byte 1 (scalar index 9) is beyond n.
-        assert!(unpack_mask(&[0xFF, 0x01], 9).is_some());
-        assert!(unpack_mask(&[0xFF, 0x02], 9).is_none(), "trailing bit set");
-        assert!(unpack_mask(&[], 0).is_some());
-    }
-
-    #[test]
     fn transfer_bytes_formula() {
         // 10 scalars, 3 unfrozen, f32: 2 bitmap bytes + 12 value bytes.
         assert_eq!(masked_transfer_bytes(10, 3, 4), 14);
@@ -425,13 +376,20 @@ mod tests {
         (0..n).map(|j| j % period == 0 || j % 7 == 3).collect()
     }
 
+    fn mask_of(bools: &[bool]) -> FreezeMask {
+        FreezeMask::from_fn(bools.len(), |j| bools[j])
+    }
+
+    fn bools_of(m: &FreezeMask) -> Vec<bool> {
+        (0..m.len()).map(|j| m.is_frozen(j)).collect()
+    }
+
     #[test]
     fn freeze_mask_matches_bool_reference() {
         for n in [0usize, 1, 63, 64, 65, 128, 200] {
             let bools = reference_mask(n, 3);
-            let m = FreezeMask::from_bools(&bools);
+            let m = mask_of(&bools);
             assert_eq!(m.len(), n);
-            assert_eq!(m.to_bools(), bools);
             for (j, &b) in bools.iter().enumerate() {
                 assert_eq!(m.is_frozen(j), b, "n={n} j={j}");
             }
@@ -442,24 +400,40 @@ mod tests {
     }
 
     #[test]
-    fn packed_bytes_match_pack_mask() {
+    fn packed_bytes_roundtrip_lsb_first() {
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
             let bools = reference_mask(n, 4);
-            let m = FreezeMask::from_bools(&bools);
-            assert_eq!(m.packed_bytes(), pack_mask(&bools), "n={n}");
-            assert_eq!(FreezeMask::from_packed(&m.packed_bytes(), n), Some(m));
+            let m = mask_of(&bools);
+            let packed = m.packed_bytes();
+            assert_eq!(packed.len(), mask_bytes(n));
+            for (j, &b) in bools.iter().enumerate() {
+                assert_eq!((packed[j / 8] >> (j % 8)) & 1 == 1, b, "n={n} j={j}");
+            }
+            assert_eq!(FreezeMask::from_packed(&packed, n), Some(m));
         }
-        // Same corruption rules as unpack_mask.
+    }
+
+    #[test]
+    fn from_packed_rejects_bad_length_and_trailing_bits() {
         assert!(FreezeMask::from_packed(&[0], 9).is_none(), "too short");
-        assert!(FreezeMask::from_packed(&[0xFF, 0x02], 9).is_none());
+        assert!(FreezeMask::from_packed(&[0; 3], 9).is_none(), "too long");
+        // 9 scalars use 2 bytes; bit 1 of byte 1 (scalar index 9) is beyond n.
         assert!(FreezeMask::from_packed(&[0xFF, 0x01], 9).is_some());
+        assert!(
+            FreezeMask::from_packed(&[0xFF, 0x02], 9).is_none(),
+            "trailing bit set"
+        );
+        assert!(FreezeMask::from_packed(&[], 0).is_some());
+        // A whole number of bytes that is not a whole number of words.
+        assert!(FreezeMask::from_packed(&[0xFF; 9], 70).is_none());
+        assert!(FreezeMask::from_packed(&[0xFF; 9], 72).is_some());
     }
 
     #[test]
     fn unfrozen_runs_cover_exactly_the_unfrozen_scalars() {
         for n in [0usize, 1, 64, 65, 190, 320] {
             let bools = reference_mask(n, 5);
-            let m = FreezeMask::from_bools(&bools);
+            let m = mask_of(&bools);
             let mut seen = vec![false; n];
             for r in m.iter_unfrozen_runs() {
                 assert!(r.start < r.end && r.end <= n);
@@ -496,7 +470,7 @@ mod tests {
     #[test]
     fn chunk_bounded_runs_match_global_intersection() {
         let bools = reference_mask(300, 6);
-        let m = FreezeMask::from_bools(&bools);
+        let m = mask_of(&bools);
         for (start, end) in [(0, 300), (10, 130), (63, 65), (120, 120), (250, 999)] {
             let mut got = Vec::new();
             m.for_each_unfrozen_run_in(start, end, |s, e| got.push((s, e)));
@@ -523,13 +497,30 @@ mod tests {
     #[test]
     fn frozen_count_in_matches_naive() {
         let bools = reference_mask(333, 4);
-        let m = FreezeMask::from_bools(&bools);
+        let m = mask_of(&bools);
         for (start, end) in [(0, 333), (5, 6), (0, 64), (63, 129), (64, 128), (200, 999)] {
             let want = bools[start..end.min(333)].iter().filter(|&&b| b).count();
             assert_eq!(m.frozen_count_in(start, end), want, "{start}..{end}");
         }
         assert_eq!(m.frozen_count_in(10, 10), 0);
         assert_eq!(m.frozen_count_in(20, 10), 0);
+    }
+
+    #[test]
+    fn frozen_by_segment_partitions_the_total_and_clamps() {
+        let bools = reference_mask(333, 4);
+        let m = mask_of(&bools);
+        let got: Vec<_> = m.frozen_by_segment([100, 0, 133, 100]).collect();
+        let ranges: Vec<_> = got.iter().map(|(r, _)| r.clone()).collect();
+        assert_eq!(ranges, vec![0..100, 100..100, 100..233, 233..333]);
+        for (r, frozen) in &got {
+            assert_eq!(*frozen, m.frozen_count_in(r.start, r.end), "{r:?}");
+        }
+        assert_eq!(got.iter().map(|(_, f)| f).sum::<usize>(), m.frozen_count());
+        // Segments past the end of the mask come back empty.
+        let over: Vec<_> = m.frozen_by_segment([300, 100, 5]).collect();
+        assert_eq!(over[1].0, 300..333);
+        assert_eq!(over[2], (333..333, 0));
     }
 
     #[test]
@@ -540,13 +531,13 @@ mod tests {
             true, false, false, false, // 25% -> unfrozen
             true, true, true, true, // 100% -> frozen
         ];
-        let m = FreezeMask::from_bools(&bools).coarsen(&[4, 4, 4], 0.5);
+        let m = mask_of(&bools).coarsen(&[4, 4, 4], 0.5);
         let want: Vec<bool> = [true; 4]
             .into_iter()
             .chain([false; 4])
             .chain([true; 4])
             .collect();
-        assert_eq!(m.to_bools(), want);
+        assert_eq!(bools_of(&m), want);
         // threshold 1.0 freezes only fully-frozen segments; an all-frozen
         // input stays all-frozen, an all-unfrozen one stays open.
         let full = FreezeMask::all_frozen(12).coarsen(&[4, 4, 4], 1.0);

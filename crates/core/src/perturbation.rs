@@ -9,6 +9,8 @@
 //! the memory-efficient exponential-moving-average form (Eq. 17) that the
 //! production `APF_Manager` uses.
 
+use crate::mask::FreezeMask;
+
 /// Sliding-window effective perturbation (Eq. 1–2).
 ///
 /// Stores the last `window` update vectors; memory is `window * n` scalars,
@@ -136,30 +138,41 @@ impl EmaPerturbation {
         self.updates == 0
     }
 
-    /// Records the cumulative update `Δ_K` since the previous stability
-    /// check, but only for scalars where `mask[j]` is true (frozen scalars
-    /// accumulate no genuine updates and must not dilute their history —
-    /// §6.1's once-for-multiple-rounds checking applies to *trained*
-    /// parameters).
+    /// Eq. 17 for scalar `j` with cumulative update `delta`.
+    #[inline]
+    fn record(&mut self, j: usize, delta: f32) {
+        self.e[j] = self.alpha * self.e[j] + (1.0 - self.alpha) * delta;
+        self.a[j] = self.alpha * self.a[j] + (1.0 - self.alpha) * delta.abs();
+    }
+
+    /// Records the cumulative update `Δ_K = params − reference` since the
+    /// previous stability check, but only for the scalars `mask` leaves
+    /// unfrozen, walked run by run (frozen scalars accumulate no genuine
+    /// updates and must not dilute their history — §6.1's
+    /// once-for-multiple-rounds checking applies to *trained* parameters).
     ///
     /// # Panics
     /// Panics on length mismatches.
-    pub fn update_masked(&mut self, delta: &[f32], mask: &[bool]) {
-        assert_eq!(delta.len(), self.e.len(), "delta length mismatch");
+    pub fn update_unfrozen(&mut self, params: &[f32], reference: &[f32], mask: &FreezeMask) {
+        assert_eq!(params.len(), self.e.len(), "parameter length mismatch");
+        assert_eq!(reference.len(), self.e.len(), "reference length mismatch");
         assert_eq!(mask.len(), self.e.len(), "mask length mismatch");
-        for j in 0..delta.len() {
-            if mask[j] {
-                self.e[j] = self.alpha * self.e[j] + (1.0 - self.alpha) * delta[j];
-                self.a[j] = self.alpha * self.a[j] + (1.0 - self.alpha) * delta[j].abs();
-            }
+        for j in mask.iter_unfrozen_runs().flatten() {
+            self.record(j, params[j] - reference[j]);
         }
         self.updates += 1;
     }
 
     /// Records `Δ_K` for every scalar.
+    ///
+    /// # Panics
+    /// Panics if `delta.len()` differs from the tracked scalar count.
     pub fn update(&mut self, delta: &[f32]) {
-        let mask = vec![true; self.e.len()];
-        self.update_masked(delta, &mask);
+        assert_eq!(delta.len(), self.e.len(), "delta length mismatch");
+        for (j, &d) in delta.iter().enumerate() {
+            self.record(j, d);
+        }
+        self.updates += 1;
     }
 
     /// The effective perturbation of scalar `j`.
@@ -294,12 +307,66 @@ mod tests {
         ema.update(&[1.0, 1.0]);
         let before = ema.value(1);
         // Update only scalar 0 for a while with oscillation.
+        let mask = FreezeMask::from_fn(2, |j| j == 1);
         for i in 0..10 {
             let v = if i % 2 == 0 { 1.0 } else { -1.0 };
-            ema.update_masked(&[v, 123.0], &[true, false]);
+            ema.update_unfrozen(&[v, 123.0], &[0.0, 0.0], &mask);
         }
         assert!(ema.value(0) < 0.5);
         assert_eq!(ema.value(1), before, "masked scalar state must not change");
+    }
+
+    /// The per-element loop `update_unfrozen` replaced, over a dense delta
+    /// and a `true` = trained flag per scalar.
+    fn update_masked_oracle(ema: &mut EmaPerturbation, delta: &[f32], mask: &[bool]) {
+        for j in 0..delta.len() {
+            if mask[j] {
+                ema.e[j] = ema.alpha * ema.e[j] + (1.0 - ema.alpha) * delta[j];
+                ema.a[j] = ema.alpha * ema.a[j] + (1.0 - ema.alpha) * delta[j].abs();
+            }
+        }
+        ema.updates += 1;
+    }
+
+    #[test]
+    fn update_unfrozen_matches_the_per_element_loop_bitwise() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut rng = apf_tensor::seeded_rng(0xE17);
+        for n in [1usize, 64, 150, 257] {
+            for frozen_pct in [0u32, 35, 90, 100] {
+                let mut new = EmaPerturbation::new(n, 0.99);
+                let mut old = new.clone();
+                let mut reference = vec![0.0f32; n];
+                for step in 0..6 {
+                    let params: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    let frozen: Vec<bool> = (0..n)
+                        .map(|_| rng.gen_range(0u32..100) < frozen_pct)
+                        .collect();
+                    let mask = FreezeMask::from_fn(n, |j| frozen[j]);
+                    new.update_unfrozen(&params, &reference, &mask);
+                    // What `stability_check` used to build: a dense delta,
+                    // zero where frozen, and the trained flags.
+                    let trained: Vec<bool> = frozen.iter().map(|&f| !f).collect();
+                    let delta: Vec<f32> = (0..n)
+                        .map(|j| {
+                            if trained[j] {
+                                params[j] - reference[j]
+                            } else {
+                                0.0
+                            }
+                        })
+                        .collect();
+                    update_masked_oracle(&mut old, &delta, &trained);
+                    let (e, a, updates) = new.raw();
+                    let (oe, oa, oupdates) = old.raw();
+                    let case = format!("n={n} frozen={frozen_pct}% step={step}");
+                    assert_eq!(bits(e), bits(oe), "E, {case}");
+                    assert_eq!(bits(a), bits(oa), "A, {case}");
+                    assert_eq!(updates, oupdates, "{case}");
+                    reference = params;
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Checkpointing and analysis utilities for [`ApfManager`].
+//! Checkpointing for [`ApfManager`](crate::ApfManager).
 //!
 //! Real FL deployments checkpoint client state across app restarts (§7.1,
 //! footnote 5: clients leave and rejoin). [`ApfState`] is a plain-data
 //! snapshot of everything the manager tracks *except* the controller (which
 //! is code, not data); restoring requires supplying the same controller.
+//! Its one byte encoding is [`DormantApfState`](crate::DormantApfState).
 
 use crate::config::ApfConfig;
-use crate::controller::FreezeController;
-use crate::manager::ApfManager;
 
-/// A plain-data snapshot of an [`ApfManager`].
+/// A plain-data snapshot of an [`ApfManager`](crate::ApfManager).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApfState {
     /// The configuration the manager was built with.
@@ -34,161 +33,11 @@ pub struct ApfState {
     pub checks_run: u64,
 }
 
-impl ApfState {
-    /// Serializes the snapshot to a compact little-endian byte stream.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.pinned.len() as u64;
-        let mut out = Vec::with_capacity(64 + self.pinned.len() * 24);
-        out.extend_from_slice(b"APF1");
-        out.extend_from_slice(&n.to_le_bytes());
-        out.extend_from_slice(&self.cfg.stability_threshold.to_le_bytes());
-        out.extend_from_slice(&self.cfg.check_every_rounds.to_le_bytes());
-        out.extend_from_slice(&self.cfg.ema_alpha.to_le_bytes());
-        out.extend_from_slice(&self.cfg.seed.to_le_bytes());
-        out.extend_from_slice(&self.threshold.to_le_bytes());
-        out.extend_from_slice(&self.checks_run.to_le_bytes());
-        out.extend_from_slice(&self.ema_updates.to_le_bytes());
-        for v in self
-            .ema_e
-            .iter()
-            .chain(&self.ema_a)
-            .chain(&self.pinned)
-            .chain(&self.check_ref)
-        {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for l in &self.freeze_len {
-            out.extend_from_slice(&l.to_le_bytes());
-        }
-        for u in &self.unfreeze_round {
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes a snapshot produced by [`ApfState::to_bytes`].
-    ///
-    /// The non-scalar config fields (variant, threshold decay, wire size)
-    /// are restored from `cfg_template`, which must match the original
-    /// configuration.
-    ///
-    /// # Errors
-    /// Returns a description when the stream is malformed.
-    pub fn from_bytes(bytes: &[u8], cfg_template: ApfConfig) -> Result<ApfState, String> {
-        let mut cur = 0usize;
-        let take = |cur: &mut usize, len: usize| -> Result<&[u8], String> {
-            if *cur + len > bytes.len() {
-                return Err("truncated APF state".to_owned());
-            }
-            let s = &bytes[*cur..*cur + len];
-            *cur += len;
-            Ok(s)
-        };
-        let magic = take(&mut cur, 4)?;
-        if magic != b"APF1" {
-            return Err("bad magic".to_owned());
-        }
-        let n = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap()) as usize;
-        let f32_at = |s: &[u8]| f32::from_le_bytes(s.try_into().unwrap());
-        let threshold0 = f32_at(take(&mut cur, 4)?);
-        let check_every = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-        let alpha = f32_at(take(&mut cur, 4)?);
-        let seed = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let threshold = f32_at(take(&mut cur, 4)?);
-        let checks_run = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let ema_updates = u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap());
-        let read_f32s = |cur: &mut usize| -> Result<Vec<f32>, String> {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(f32_at(take(cur, 4)?));
-            }
-            Ok(v)
-        };
-        let ema_e = read_f32s(&mut cur)?;
-        let ema_a = read_f32s(&mut cur)?;
-        let pinned = read_f32s(&mut cur)?;
-        let check_ref = read_f32s(&mut cur)?;
-        let mut freeze_len = Vec::with_capacity(n);
-        for _ in 0..n {
-            freeze_len.push(u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap()));
-        }
-        let mut unfreeze_round = Vec::with_capacity(n);
-        for _ in 0..n {
-            unfreeze_round.push(u64::from_le_bytes(take(&mut cur, 8)?.try_into().unwrap()));
-        }
-        if cur != bytes.len() {
-            return Err("trailing bytes in APF state".to_owned());
-        }
-        let cfg = ApfConfig {
-            stability_threshold: threshold0,
-            check_every_rounds: check_every,
-            ema_alpha: alpha,
-            seed,
-            ..cfg_template
-        };
-        Ok(ApfState {
-            cfg,
-            ema_e,
-            ema_a,
-            ema_updates,
-            freeze_len,
-            unfreeze_round,
-            pinned,
-            check_ref,
-            threshold,
-            checks_run,
-        })
-    }
-}
-
-impl ApfManager {
-    /// Snapshots the manager's state for checkpointing.
-    pub fn snapshot(&self) -> ApfState {
-        self.snapshot_impl()
-    }
-
-    /// Restores a manager from a snapshot plus a (matching) controller.
-    pub fn restore(state: ApfState, controller: Box<dyn FreezeController>) -> ApfManager {
-        ApfManager::restore_impl(state, controller)
-    }
-
-    /// Per-range frozen counts at `round`: for each `(offset, len)` tensor
-    /// range (e.g. from `apf_nn::FlatSpec`), how many of its scalars are
-    /// frozen — the Fig. 3-style per-layer breakdown, live.
-    ///
-    /// # Panics
-    /// Panics if any range exceeds the managed scalar count.
-    pub fn frozen_by_range(&self, ranges: &[(usize, usize)], round: u64) -> Vec<usize> {
-        let mask = self.frozen_mask_packed(round);
-        ranges
-            .iter()
-            .map(|&(off, len)| {
-                assert!(off + len <= mask.len(), "range out of bounds");
-                mask.frozen_count_in(off, off + len)
-            })
-            .collect()
-    }
-}
-
-/// Wire cost, in bytes, of shipping a freezing-mask *update* as a dense list
-/// of changed indices (4 bytes each) — the §9 alternative for deployments
-/// that compute masks on the server instead of on clients. Returns the
-/// cheaper of the delta encoding and a full bitmap (`ceil(n/8)` bytes).
-///
-/// # Panics
-/// Panics if the masks have different lengths.
-pub fn mask_update_bytes(prev: &[bool], next: &[bool]) -> u64 {
-    assert_eq!(prev.len(), next.len(), "mask length mismatch");
-    let changed = prev.iter().zip(next).filter(|(a, b)| a != b).count() as u64;
-    let delta = changed * 4;
-    let bitmap = prev.len().div_ceil(8) as u64;
-    delta.min(bitmap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::Aimd;
+    use crate::manager::ApfManager;
 
     fn warmed() -> ApfManager {
         let init = vec![0.0f32; 16];
@@ -219,15 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_through_bytes() {
-        let mgr = warmed();
-        let state = mgr.snapshot();
-        let bytes = state.to_bytes();
-        let back = ApfState::from_bytes(&bytes, state.cfg).expect("decode");
-        assert_eq!(back, state);
-    }
-
-    #[test]
     fn restored_manager_behaves_identically() {
         let mut a = warmed();
         let mut b = ApfManager::restore(a.snapshot(), Box::new(Aimd::default()));
@@ -250,42 +90,5 @@ mod tests {
             assert_eq!(ra, rb, "round {r}");
             assert_eq!(pa, pb, "round {r}");
         }
-    }
-
-    #[test]
-    fn corrupt_bytes_rejected() {
-        let mgr = warmed();
-        let state = mgr.snapshot();
-        let mut bytes = state.to_bytes();
-        bytes[0] = b'X';
-        assert!(ApfState::from_bytes(&bytes, state.cfg).is_err());
-        let mut truncated = state.to_bytes();
-        truncated.truncate(truncated.len() - 3);
-        assert!(ApfState::from_bytes(&truncated, state.cfg).is_err());
-        let mut padded = state.to_bytes();
-        padded.push(0);
-        assert!(ApfState::from_bytes(&padded, state.cfg).is_err());
-    }
-
-    #[test]
-    fn mask_update_cost_picks_cheaper_encoding() {
-        let a = vec![false; 80];
-        let mut b = a.clone();
-        // One change: delta encoding (4 bytes) beats the 10-byte bitmap.
-        b[3] = true;
-        assert_eq!(mask_update_bytes(&a, &b), 4);
-        // Many changes: the bitmap wins.
-        let c = vec![true; 80];
-        assert_eq!(mask_update_bytes(&a, &c), 10);
-        // No change: free.
-        assert_eq!(mask_update_bytes(&a, &a), 0);
-    }
-
-    #[test]
-    fn frozen_by_range_partitions_total() {
-        let mgr = warmed();
-        let round = 30;
-        let by_range = mgr.frozen_by_range(&[(0, 8), (8, 8)], round);
-        assert_eq!(by_range.iter().sum::<usize>(), mgr.frozen_count(round));
     }
 }

@@ -81,7 +81,7 @@ fn drive() -> Vec<Row> {
         let rep = mgr.sync(&mut params, r, |up| up.to_vec());
         let pert = mgr.perturbations();
         let periods = mgr.freezing_periods();
-        let mask = mgr.frozen_mask(r + 1);
+        let mask = mgr.frozen_mask_packed(r + 1);
         rows.push(Row {
             round: r,
             frozen: rep.frozen,
@@ -89,7 +89,7 @@ fn drive() -> Vec<Row> {
             bytes_up: rep.bytes_up,
             perturbation: [pert[0], pert[1], pert[2], pert[3]],
             period: [periods[0], periods[1], periods[2], periods[3]],
-            next_mask: [mask[0], mask[1], mask[2], mask[3]],
+            next_mask: std::array::from_fn(|j| mask.is_frozen(j)),
         });
     }
     rows

@@ -12,7 +12,7 @@
 
 use apf_tensor::{derive_seed, seeded_rng};
 
-use crate::strategy::{RoundComm, SyncStrategy};
+use crate::strategy::{broadcast_touched, RoundComm, SyncStrategy};
 
 /// Magnitude top-k sparsification with residual feedback: each round a
 /// client uploads only its `k_fraction` largest-magnitude update components
@@ -86,23 +86,15 @@ impl SyncStrategy for TopK {
             comm.max_client_up = comm.max_client_up.max(bytes);
             sent.push(s);
         }
-        for j in 0..n {
-            if touched[j] {
-                self.last_global[j] += delta[j] / total_w;
-            }
-        }
-        let touched_count = touched.iter().filter(|&&t| t).count() as u64;
-        for (l, s) in locals.iter_mut().zip(&sent) {
-            for j in 0..n {
-                if touched[j] {
-                    // Unsent residual (vs the OLD global) survives locally.
-                    let residual = if s[j] { 0.0 } else { l[j] - global[j] };
-                    l[j] = self.last_global[j] + residual;
-                }
-            }
-        }
-        global.copy_from_slice(&self.last_global);
-        let down = touched_count * 8;
+        let down = broadcast_touched(
+            &mut self.last_global,
+            &delta,
+            total_w,
+            &touched,
+            &sent,
+            locals,
+            global,
+        );
         comm.bytes_down = down * locals.len() as u64;
         comm.max_client_down = down;
         comm.frozen_ratio = 1.0 - self.k_fraction;

@@ -37,7 +37,6 @@
 
 mod client;
 mod extra;
-pub mod json;
 pub mod ledger;
 mod metrics;
 mod network;
@@ -48,6 +47,7 @@ mod spec;
 mod strategy;
 mod trajectory;
 
+pub use apf_trace::json;
 pub use client::Client;
 pub use extra::{DpGaussian, LayerFreeze, TopK};
 pub use ledger::{fnv1a64, ledger_path, load_ledger, peak_resident_bytes, LedgerRecord};

@@ -162,13 +162,13 @@ pub struct PartialSync {
     check_every: u32,
     ema: EmaPerturbation,
     check_ref: Vec<f32>,
-    excluded: Vec<bool>,
+    excluded: FreezeMask,
     bytes_per_scalar: u64,
 }
 
 impl PartialSync {
-    /// The per-scalar exclusion mask (true = no longer synchronized).
-    pub fn excluded(&self) -> &[bool] {
+    /// The per-scalar exclusion mask (frozen = no longer synchronized).
+    pub fn excluded(&self) -> &FreezeMask {
         &self.excluded
     }
 
@@ -182,7 +182,7 @@ impl PartialSync {
             check_every: check_every_rounds,
             ema: EmaPerturbation::new(0, ema_alpha),
             check_ref: Vec::new(),
-            excluded: Vec::new(),
+            excluded: FreezeMask::all_unfrozen(0),
             bytes_per_scalar: 4,
         }
     }
@@ -196,7 +196,7 @@ impl SyncStrategy for PartialSync {
     fn init(&mut self, init_params: &[f32], _num_clients: usize) {
         self.ema = EmaPerturbation::new(init_params.len(), self.ema_alpha);
         self.check_ref = init_params.to_vec();
-        self.excluded = vec![false; init_params.len()];
+        self.excluded = FreezeMask::all_unfrozen(init_params.len());
     }
 
     fn sync_round(
@@ -213,31 +213,21 @@ impl SyncStrategy for PartialSync {
         }
         // Wire traffic and write-back: only the non-excluded scalars
         // (excluded = frozen in mask terms, so the copy kernel skips them).
-        let mask = FreezeMask::from_bools(&self.excluded);
         for l in locals.iter_mut() {
-            apf_tensor::mask_copy(l, global, mask.words());
+            apf_tensor::mask_copy(l, global, self.excluded.words());
         }
         // Stability check on the synchronized portion.
         if (round + 1).is_multiple_of(u64::from(self.check_every)) {
-            let included: Vec<bool> = self.excluded.iter().map(|&e| !e).collect();
-            let delta: Vec<f32> = (0..n)
-                .map(|j| {
-                    if self.excluded[j] {
-                        0.0
-                    } else {
-                        global[j] - self.check_ref[j]
-                    }
-                })
-                .collect();
-            self.ema.update_masked(&delta, &included);
+            self.ema
+                .update_unfrozen(global, &self.check_ref, &self.excluded);
             for j in 0..n {
-                if !self.excluded[j] && self.ema.value(j) < self.threshold {
-                    self.excluded[j] = true; // sticky: never synchronized again
+                if !self.excluded.is_frozen(j) && self.ema.value(j) < self.threshold {
+                    self.excluded.set(j, true); // sticky: never synchronized again
                 }
             }
             self.check_ref.copy_from_slice(global);
         }
-        let synced = self.excluded.iter().filter(|&&e| !e).count();
+        let synced = self.excluded.unfrozen_count();
         // Same masked-frame encoding as APF: exclusion bitmap + packed values.
         let per_client = apf::masked_transfer_bytes(n, synced, self.bytes_per_scalar);
         RoundComm {
@@ -552,21 +542,55 @@ impl SyncStrategy for ApfStrategy {
             return Vec::new();
         }
         let mask = m.frozen_mask_packed(round);
-        let mut out = Vec::with_capacity(self.layout.len());
-        let mut offset = 0usize;
-        for (name, len) in &self.layout {
-            let end = (offset + len).min(mask.len());
-            let frozen = mask.frozen_count_in(offset, end);
-            let ratio = if *len == 0 {
-                0.0
-            } else {
-                frozen as f64 / *len as f64
-            };
-            out.push((name.clone(), ratio));
-            offset = end;
-        }
-        out
+        let lens = self.layout.iter().map(|(_, len)| *len);
+        self.layout
+            .iter()
+            .zip(mask.frozen_by_segment(lens))
+            .map(|((name, len), (_, frozen))| {
+                let ratio = if *len == 0 {
+                    0.0
+                } else {
+                    frozen as f64 / *len as f64
+                };
+                (name.clone(), ratio)
+            })
+            .collect()
     }
+}
+
+/// The shared tail of a sparsifier's `sync_round` (Gaia, TopK): applies the
+/// weighted `delta` of the `touched` indices to `last_global`, then
+/// broadcasts them. A client that did *not* send its own update for a
+/// touched index (`sent[client][j]` false) keeps that residual (measured
+/// against the old global, which `global` still holds on entry) on top of
+/// the fresh global value — local accumulation. Leaves `global` equal to
+/// `last_global` and returns one client's download in bytes, 8 per touched
+/// `(index, value)`.
+pub(crate) fn broadcast_touched(
+    last_global: &mut [f32],
+    delta: &[f32],
+    total_w: f32,
+    touched: &[bool],
+    sent: &[Vec<bool>],
+    locals: &mut [Vec<f32>],
+    global: &mut [f32],
+) -> u64 {
+    let n = last_global.len();
+    for j in 0..n {
+        if touched[j] {
+            last_global[j] += delta[j] / total_w;
+        }
+    }
+    for (l, s) in locals.iter_mut().zip(sent) {
+        for j in 0..n {
+            if touched[j] {
+                let residual = if s[j] { 0.0 } else { l[j] - global[j] };
+                l[j] = last_global[j] + residual;
+            }
+        }
+    }
+    global.copy_from_slice(last_global);
+    touched.iter().filter(|&&t| t).count() as u64 * 8
 }
 
 // ---------------------------------------------------------------------------
@@ -651,28 +675,15 @@ impl SyncStrategy for Gaia {
             comm.max_client_up = comm.max_client_up.max(bytes);
             sent.push(s);
         }
-        // Apply aggregated significant updates.
-        let touched_count = touched.iter().filter(|&&t| t).count() as u64;
-        for j in 0..n {
-            if touched[j] {
-                self.last_global[j] += delta[j] / total_w;
-            }
-        }
-        // Broadcast: every client pulls the touched indices. A client that
-        // did *not* send its own update for a touched index keeps that
-        // residual (measured against the old global, which `global` still
-        // holds here) on top of the fresh global value — Gaia's local
-        // accumulation semantics.
-        for (l, s) in locals.iter_mut().zip(&sent) {
-            for j in 0..n {
-                if touched[j] {
-                    let residual = if s[j] { 0.0 } else { l[j] - global[j] };
-                    l[j] = self.last_global[j] + residual;
-                }
-            }
-        }
-        global.copy_from_slice(&self.last_global);
-        let down = touched_count * 8;
+        let down = broadcast_touched(
+            &mut self.last_global,
+            &delta,
+            total_w,
+            &touched,
+            &sent,
+            locals,
+            global,
+        );
         comm.bytes_down = down * locals.len() as u64;
         comm.max_client_down = down;
         comm.frozen_ratio = excluded_total / locals.len().max(1) as f32;

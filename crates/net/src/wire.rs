@@ -9,14 +9,13 @@
 //!
 //! Masked transfers use the same encoding the byte accounting in
 //! `apf::masked_transfer_bytes` charges for: a packed freeze bitmap
-//! (1 bit per scalar, LSB-first, `apf::FreezeMask::packed_bytes` — the
-//! same bytes `apf::pack_mask` produces) followed by the unfrozen values as
-//! little-endian f32 — or binary16 bit patterns when the f16 flag is set,
-//! exactly the `apf-quant` conversion the simulator applies to quantized
-//! uploads. The mask stays bit-packed end to end: it is built packed by the
+//! (1 bit per scalar, LSB-first, `apf::FreezeMask::packed_bytes`)
+//! followed by the unfrozen values as little-endian f32 — or binary16 bit
+//! patterns when the f16 flag is set, exactly the `apf-quant` conversion the
+//! simulator applies to quantized uploads. The mask stays bit-packed end to end: it is built packed by the
 //! APF manager, copied verbatim onto the wire, and decoded back into a
-//! [`FreezeMask`] without ever materializing a `Vec<bool>`. `crates/net/tests/wire_proptests.rs` pins the
-//! equality between encoded payload sizes and the ledger formula.
+//! [`FreezeMask`]. `crates/net/tests/wire_proptests.rs` pins the equality
+//! between encoded payload sizes and the ledger formula.
 //!
 //! Since protocol version 2, the handshake and round frames
 //! (`Join`/`Welcome`/`Push`/`Pull`) end with a fixed
@@ -555,8 +554,8 @@ mod tests {
 
     #[test]
     fn masked_frames_roundtrip_and_match_accounting() {
-        let mask =
-            FreezeMask::from_bools(&[true, false, false, true, false, true, true, false, false]);
+        let frozen = [true, false, false, true, false, true, true, false, false];
+        let mask = FreezeMask::from_fn(frozen.len(), |j| frozen[j]);
         let payload = MaskedPayload::new(mask, vec![0.5, -1.0, 2.0, 3.5, -0.25], false).unwrap();
         assert_eq!(payload.encoded_len(), 5 + 2 + 5 * 4);
         let f = Frame::Push {
@@ -607,11 +606,7 @@ mod tests {
     #[test]
     fn payload_rejects_count_mismatch() {
         assert!(matches!(
-            MaskedPayload::new(
-                FreezeMask::from_bools(&[false, true]),
-                vec![1.0, 2.0],
-                false
-            ),
+            MaskedPayload::new(FreezeMask::from_fn(2, |j| j == 1), vec![1.0, 2.0], false),
             Err(WireError::Corrupt(_))
         ));
     }

@@ -64,20 +64,8 @@ impl FlatSpec {
         self.params.iter().find(|p| p.name == name)
     }
 
-    /// A per-scalar trainability mask of length [`FlatSpec::total_len`].
-    pub fn trainable_mask(&self) -> Vec<bool> {
-        let mut mask = vec![false; self.total];
-        for p in &self.params {
-            if p.trainable {
-                mask[p.offset..p.offset + p.len].fill(true);
-            }
-        }
-        mask
-    }
-
     /// The bit-packed freeze mask optimizers consume: buffer scalars
-    /// (batch-norm running statistics) frozen, everything else unfrozen —
-    /// the packed complement of [`FlatSpec::trainable_mask`].
+    /// (batch-norm running statistics) frozen, everything else unfrozen.
     pub fn freeze_mask(&self) -> FreezeMask {
         let mut mask = FreezeMask::all_frozen(self.total);
         for p in &self.params {
@@ -113,19 +101,11 @@ mod tests {
     }
 
     #[test]
-    fn trainable_mask_marks_buffers() {
-        let m = spec().trainable_mask();
-        assert_eq!(m, vec![true, true, true, true, true, true, false, false]);
-    }
-
-    #[test]
-    fn freeze_mask_is_packed_complement_of_trainable() {
+    fn freeze_mask_freezes_exactly_the_buffers() {
         let s = spec();
         let frozen = s.freeze_mask();
-        let trainable = s.trainable_mask();
         assert_eq!(frozen.len(), s.total_len());
-        for (j, &t) in trainable.iter().enumerate() {
-            assert_eq!(frozen.is_frozen(j), !t, "scalar {j}");
-        }
+        let got: Vec<bool> = (0..frozen.len()).map(|j| !frozen.is_frozen(j)).collect();
+        assert_eq!(got, vec![true, true, true, true, true, true, false, false]);
     }
 }

@@ -124,7 +124,7 @@ property! {
         wd_on in u8s(0..2)
     ) {
         let frozen = mask_from_classes(&classes, tail, seed);
-        let mask = FreezeMask::from_bools(&frozen);
+        let mask = FreezeMask::from_fn(frozen.len(), |j| frozen[j]);
         let n = frozen.len();
         let lr = lr_raw as f32 / 500.0;
         let wd = if wd_on == 1 { 0.01 } else { 0.0 };
@@ -175,7 +175,7 @@ property! {
         // 1 << 15 is the optimizer PAR_STEP_MIN; +517 leaves a ragged tail.
         let n = (1usize << 15) + 517;
         let frozen = mask_from_classes(&vec![3u8; n.div_ceil(64)], n % 64, word_seed);
-        let mask = FreezeMask::from_bools(&frozen);
+        let mask = FreezeMask::from_fn(frozen.len(), |j| frozen[j]);
         let lr = lr_raw as f32 / 500.0;
         let init = data(n, word_seed ^ 0xbeef);
         let g1 = data(n, word_seed ^ 0x51);
@@ -214,7 +214,7 @@ fn all_frozen_and_none_frozen_edge_masks() {
         let all = vec![true; n];
         let none = vec![false; n];
         for (frozen, label) in [(&all, "all"), (&none, "none")] {
-            let mask = FreezeMask::from_bools(frozen);
+            let mask = FreezeMask::from_fn(n, |j| frozen[j]);
             let mut p = init.clone();
             let mut sgd = Sgd::new(0.1).with_momentum(0.9);
             sgd.step(&mut p, &g, &mask);

@@ -4,12 +4,14 @@
 //!
 //! Producers (the fedsim runner) call [`ObsState::configure_run`] once and
 //! [`ObsState::record_round`] at each round boundary; the HTTP handlers only
-//! read. All JSON is rendered here with a tiny hand-rolled writer (the crate
-//! is std-only); consumers round-trip it through the workspace's in-tree
-//! JSON parser in the integration tests.
+//! read. All JSON is rendered here with `apf_trace::json`'s `write_str` /
+//! `write_f64`; consumers round-trip it through the same module's parser in
+//! the integration tests.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+
+use apf_trace::json::{write_f64, write_str};
 
 use crate::store::SeriesStore;
 
@@ -44,34 +46,6 @@ pub struct ObsState {
     store: SeriesStore,
     info: Mutex<RunInfo>,
     latest: Mutex<Latest>,
-}
-
-/// Escapes `s` as a JSON string (with quotes) onto `out`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends an f64 as a JSON number (`null` for non-finite values).
-fn push_json_num(out: &mut String, x: f64) {
-    if x.is_finite() {
-        out.push_str(&format!("{x}"));
-    } else {
-        out.push_str("null");
-    }
 }
 
 impl ObsState {
@@ -127,11 +101,11 @@ impl ObsState {
             .unwrap_or_default();
         let mut out = String::with_capacity(512);
         out.push_str("{\"run\":{\"name\":");
-        push_json_str(&mut out, &info.name);
+        write_str(&mut out, &info.name);
         out.push_str(",\"model\":");
-        push_json_str(&mut out, &info.model);
+        write_str(&mut out, &info.model);
         out.push_str(",\"strategy\":");
-        push_json_str(&mut out, &info.strategy);
+        write_str(&mut out, &info.strategy);
         out.push_str(&format!(",\"rounds_total\":{}}}", info.rounds_total));
         out.push_str(&format!(
             ",\"pool\":{{\"threads\":{},\"host_parallelism\":{}}}",
@@ -150,18 +124,18 @@ impl ObsState {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push(':');
-            push_json_num(&mut out, *value);
+            write_f64(&mut out, *value);
         }
         out.push_str("},\"layer_frozen_ratio\":{");
         for (i, (name, value)) in layers.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push(':');
-            push_json_num(&mut out, *value);
+            write_f64(&mut out, *value);
         }
         out.push_str("}}");
         out
@@ -173,16 +147,16 @@ impl ObsState {
         let points = self.store.series(name)?;
         let mut out = String::with_capacity(32 + points.len() * 16);
         out.push_str("{\"name\":");
-        push_json_str(&mut out, name);
+        write_str(&mut out, name);
         out.push_str(",\"points\":[");
         for (i, (x, v)) in points.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('[');
-            push_json_num(&mut out, *x);
+            write_f64(&mut out, *x);
             out.push(',');
-            push_json_num(&mut out, *v);
+            write_f64(&mut out, *v);
             out.push(']');
         }
         out.push_str("]}");
@@ -197,7 +171,7 @@ impl ObsState {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, n);
+            write_str(&mut out, n);
         }
         out.push_str("]}");
         out

@@ -45,6 +45,5 @@ pub use init::{kaiming_uniform, normal_init, sample_normal, uniform_init, xavier
 pub use masked::{mask_copy, mask_fill, mask_scatter, mask_select, masked_axpy, masked_div};
 pub use rng::{derive_seed, seeded_rng, splitmix64, Rng, Sample, SampleRange, SliceRandom};
 pub use scratch::ScratchStats;
-pub use slab::SlabStats;
 pub use stats::{l1_norm, l2_norm, mean, percentile, variance};
 pub use tensor::Tensor;

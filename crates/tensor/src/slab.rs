@@ -1,75 +1,56 @@
-//! Cross-thread size-class slab store: recycled `f32` buffers shared by all
-//! threads, organized into power-of-two size classes.
+//! Size-class slab store: recycled `f32` buffers in power-of-two size
+//! classes, behind one mutex per class.
 //!
 //! The thread-local [`scratch`](crate::scratch) pool serves the *kernel* hot
-//! path, where every thread's take/give pattern recurs each batch. The
-//! population simulator has a different shape: buffers are materialized for
-//! whichever cohort of clients a round samples, on whichever worker thread
-//! picks them up, and recycled when the client goes dormant again. Producer
-//! and consumer threads differ round to round, so a thread-local pool would
-//! keep missing. This store follows the classic malloc `size_classes` +
-//! `tcache` split: a small per-thread cache in front of global per-class
-//! free lists guarded by one mutex per class.
+//! path, where every thread's take/give pattern recurs each batch. This
+//! store serves the one traffic that does not recur per thread: the
+//! population runner's data shards. `PopulationRunner::make_shard` takes a
+//! buffer for each client it materializes and `materialize` gives back the
+//! buffer of the shard that client replaces — both on the runner's own
+//! thread, always for the same `per_client * row` floats — and the buffer
+//! spends the time in between inside a `Dataset` that pool workers read.
+//! The class lists are process-wide and locked so that any thread may take
+//! and give; the lock is uncontended in that traffic.
 //!
 //! Buffers are allocated at the full capacity of their size class
 //! (`1 << class` floats), so any request that rounds to a class is served by
 //! any cached buffer of that class — after a warm-up round, steady-state
-//! churn allocates nothing no matter which clients are sampled or which
-//! threads run them. [`global_stats`] exposes hit/miss/alloc/resident
-//! counters so benches and verify.sh can assert exactly that.
+//! churn allocates nothing no matter which clients are sampled.
+//! [`global_stats`] exposes hit/miss/alloc/resident counters so
+//! `population-smoke` and the benchmark can assert exactly that.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of size classes: class `c` holds buffers of capacity `1 << c`
 /// floats, up to `1 << 24` (64 MiB) — the scratch pool's per-thread budget.
 const NUM_CLASSES: usize = 25;
-/// Buffers kept per class in the per-thread cache before spilling to the
-/// global lists.
-const TCACHE_PER_CLASS: usize = 4;
-/// Buffers kept per class in the global free lists before dropping.
-const GLOBAL_PER_CLASS: usize = 64;
+/// Buffers kept per class before dropping.
+const PER_CLASS: usize = 64;
 
-/// Counters for slab traffic on the calling thread.
-///
-/// `takes == hits + misses`; a miss is a real heap allocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlabStats {
-    /// Buffers requested via [`take`] / [`take_copy`].
-    pub takes: u64,
-    /// Requests served from the per-thread cache or the global lists.
-    pub hits: u64,
-    /// Requests that had to allocate.
-    pub misses: u64,
-    /// Buffers handed back via [`give`].
-    pub gives: u64,
-}
-
-/// Process-wide totals, updated alongside the per-thread counters. These
-/// feed the `slab.*` gauges the fedsim runners publish.
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
+/// Process-wide totals. These feed the `slab.*` gauges the fedsim runners
+/// publish.
+static HITS: AtomicU64 = AtomicU64::new(0);
+static MISSES: AtomicU64 = AtomicU64::new(0);
 /// Bytes actually allocated on misses (class capacity * 4).
-static GLOBAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently resident in the store (per-thread caches + global
-/// lists). Falls when buffers are taken out, rises when they are given
-/// back; flat across rounds at steady state.
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently resident in the class lists. Falls when buffers are taken
+/// out, rises when they are given back; flat across rounds at steady state.
 static RESIDENT_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide slab totals: `(hits, misses, alloc_bytes, resident_bytes)`.
 pub fn global_stats() -> (u64, u64, u64, u64) {
     (
-        GLOBAL_HITS.load(Ordering::Relaxed),
-        GLOBAL_MISSES.load(Ordering::Relaxed),
-        GLOBAL_ALLOC_BYTES.load(Ordering::Relaxed),
+        HITS.load(Ordering::Relaxed),
+        MISSES.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
         RESIDENT_BYTES.load(Ordering::Relaxed),
     )
 }
 
 /// The size class serving a request of `len` floats: the smallest `c` with
-/// `1 << c >= len`. Returns `NUM_CLASSES` for oversized requests (served by
-/// a plain allocation that is never cached).
+/// `1 << c >= len`. Returns `NUM_CLASSES` or more for oversized requests
+/// (served by a plain allocation that is never cached).
 fn class_of(len: usize) -> usize {
     if len <= 1 {
         return 0;
@@ -77,169 +58,69 @@ fn class_of(len: usize) -> usize {
     (usize::BITS - (len - 1).leading_zeros()) as usize
 }
 
-/// The class a returned buffer files under: `floor(log2(capacity))`, so its
-/// capacity covers every request of that class.
-fn class_of_capacity(cap: usize) -> usize {
-    debug_assert!(cap > 0);
-    cap.ilog2() as usize
-}
-
-/// Global per-class free lists (the malloc `size_classes` tier).
-static GLOBAL: [Mutex<Vec<Vec<f32>>>; NUM_CLASSES] =
+/// Per-class free lists.
+static CLASSES: [Mutex<Vec<Vec<f32>>>; NUM_CLASSES] =
     [const { Mutex::new(Vec::new()) }; NUM_CLASSES];
 
-/// Per-thread cache in front of the global lists (the `tcache` tier).
-/// Flushes its residents to the global lists when the thread exits, so
-/// buffers warmed by a short-lived worker survive for the next round's
-/// workers.
-struct Tcache {
-    slots: [Vec<Vec<f32>>; NUM_CLASSES],
-    stats: SlabStats,
+fn lock(class: usize) -> std::sync::MutexGuard<'static, Vec<Vec<f32>>> {
+    CLASSES[class]
+        .lock()
+        .expect("a thread panicked inside slab::take or slab::give")
 }
 
-impl Default for Tcache {
-    fn default() -> Self {
-        Tcache {
-            slots: [const { Vec::new() }; NUM_CLASSES],
-            stats: SlabStats::default(),
-        }
-    }
-}
-
-impl Drop for Tcache {
-    fn drop(&mut self) {
-        for (class, slot) in self.slots.iter_mut().enumerate() {
-            for buf in slot.drain(..) {
-                push_global(class, buf);
-            }
-        }
-    }
-}
-
-thread_local! {
-    static TCACHE: RefCell<Tcache> = RefCell::new(Tcache::default());
-}
-
-/// Files `buf` under the global list for `class`, dropping it (and its
-/// resident accounting) when the list is full.
-fn push_global(class: usize, buf: Vec<f32>) {
-    let bytes = buf.capacity() as u64 * 4;
-    let mut list = GLOBAL[class].lock().unwrap();
-    if list.len() < GLOBAL_PER_CLASS {
-        list.push(buf);
-    } else {
-        RESIDENT_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-    }
-}
-
-/// Takes an *empty* buffer with capacity at least `len` from the store,
+/// Takes a zero-filled buffer of exactly `len` elements from the store,
 /// allocating (a full size-class capacity) only on a miss.
-fn take_raw(len: usize) -> Vec<f32> {
+pub fn take(len: usize) -> Vec<f32> {
     let class = class_of(len);
-    if class >= NUM_CLASSES {
-        // Oversized: plain allocation, never cached.
-        GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_ALLOC_BYTES.fetch_add(len as u64 * 4, Ordering::Relaxed);
-        TCACHE.with(|t| {
-            let mut t = t.borrow_mut();
-            t.stats.takes += 1;
-            t.stats.misses += 1;
-        });
-        return Vec::with_capacity(len);
-    }
-    let cached = TCACHE.with(|t| {
-        let mut t = t.borrow_mut();
-        t.stats.takes += 1;
-        t.slots[class].pop()
-    });
-    let from_global = cached.or_else(|| GLOBAL[class].lock().unwrap().pop());
-    match from_global {
+    let cached = if class < NUM_CLASSES {
+        lock(class).pop()
+    } else {
+        None
+    };
+    let mut buf = match cached {
         Some(mut buf) => {
             RESIDENT_BYTES.fetch_sub(buf.capacity() as u64 * 4, Ordering::Relaxed);
-            GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-            TCACHE.with(|t| t.borrow_mut().stats.hits += 1);
+            HITS.fetch_add(1, Ordering::Relaxed);
             buf.clear();
             buf
         }
         None => {
-            let cap = 1usize << class;
-            GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-            GLOBAL_ALLOC_BYTES.fetch_add(cap as u64 * 4, Ordering::Relaxed);
-            TCACHE.with(|t| t.borrow_mut().stats.misses += 1);
+            // Oversized requests get exactly what they asked for.
+            let cap = if class < NUM_CLASSES { 1 << class } else { len };
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(cap as u64 * 4, Ordering::Relaxed);
             Vec::with_capacity(cap)
         }
-    }
-}
-
-/// Takes a zero-filled buffer of exactly `len` elements from the store.
-pub fn take(len: usize) -> Vec<f32> {
-    let mut buf = take_raw(len);
+    };
     buf.resize(len, 0.0);
-    buf
-}
-
-/// Takes a buffer holding a copy of `src` (no zero-fill pass).
-pub fn take_copy(src: &[f32]) -> Vec<f32> {
-    let mut buf = take_raw(src.len());
-    buf.extend_from_slice(src);
     buf
 }
 
 /// Returns a buffer to the store for reuse by any thread.
 ///
-/// Zero-capacity and oversized buffers are dropped. The buffer files under
-/// `floor(log2(capacity))`, first in the calling thread's cache, spilling
-/// to the global list for that class when the cache slot is full.
+/// Zero-capacity and oversized buffers are dropped, as is a buffer whose
+/// class list is full. The buffer files under `floor(log2(capacity))`, so
+/// its capacity covers every request of that class.
 pub fn give(buf: Vec<f32>) {
     let cap = buf.capacity();
-    TCACHE.with(|t| t.borrow_mut().stats.gives += 1);
     if cap == 0 {
         return;
     }
-    let class = class_of_capacity(cap);
+    let class = cap.ilog2() as usize;
     if class >= NUM_CLASSES {
         return;
     }
-    RESIDENT_BYTES.fetch_add(cap as u64 * 4, Ordering::Relaxed);
-    let spill = TCACHE.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.slots[class].len() < TCACHE_PER_CLASS {
-            t.slots[class].push(buf);
-            None
-        } else {
-            Some(buf)
-        }
-    });
-    if let Some(buf) = spill {
-        push_global(class, buf);
+    let mut list = lock(class);
+    if list.len() < PER_CLASS {
+        RESIDENT_BYTES.fetch_add(cap as u64 * 4, Ordering::Relaxed);
+        list.push(buf);
     }
 }
 
-/// Snapshot of the calling thread's slab counters.
-pub fn stats() -> SlabStats {
-    TCACHE.with(|t| t.borrow().stats)
-}
-
-/// Resets the calling thread's slab counters (cached buffers stay).
-pub fn reset_stats() {
-    TCACHE.with(|t| t.borrow_mut().stats = SlabStats::default());
-}
-
-/// Drops every buffer in the calling thread's cache and the global lists,
-/// and resets the calling thread's counters. For tests.
+/// Drops every cached buffer. For tests and for measuring from a cold store.
 pub fn clear() {
-    TCACHE.with(|t| {
-        let mut t = t.borrow_mut();
-        for slot in t.slots.iter_mut() {
-            for buf in slot.drain(..) {
-                RESIDENT_BYTES.fetch_sub(buf.capacity() as u64 * 4, Ordering::Relaxed);
-            }
-        }
-        t.stats = SlabStats::default();
-    });
-    for class in &GLOBAL {
-        let mut list = class.lock().unwrap();
-        for buf in list.drain(..) {
+    for class in 0..NUM_CLASSES {
+        for buf in lock(class).drain(..) {
             RESIDENT_BYTES.fetch_sub(buf.capacity() as u64 * 4, Ordering::Relaxed);
         }
     }
@@ -252,52 +133,47 @@ mod tests {
     /// Slab state is process-global; serialize the tests that assert on it.
     static LOCK: Mutex<()> = Mutex::new(());
 
+    /// `(hits, misses)` since `since`.
+    fn traffic(since: (u64, u64, u64, u64)) -> (u64, u64) {
+        let now = global_stats();
+        (now.0 - since.0, now.1 - since.1)
+    }
+
     #[test]
     fn take_rounds_up_to_class_and_reuses() {
         let _g = LOCK.lock().unwrap();
         clear();
+        let s0 = global_stats();
         let a = take(100);
         assert_eq!(a.len(), 100);
         assert!(a.capacity() >= 128, "class capacity is 1 << 7");
         assert!(a.iter().all(|&x| x == 0.0));
         give(a);
-        assert_eq!(stats().misses, 1);
+        assert_eq!(traffic(s0), (0, 1));
         // Any request in the same class reuses the buffer.
-        let b = take(120);
-        assert_eq!(stats().hits, 1);
-        assert_eq!(stats().misses, 1);
-        assert!(b.iter().all(|&x| x == 0.0), "reused buffer must be zeroed");
+        let mut b = take(120);
+        assert_eq!(traffic(s0), (1, 1));
+        b.fill(7.0);
         give(b);
-        clear();
-    }
-
-    #[test]
-    fn take_copy_copies_without_zeroing() {
-        let _g = LOCK.lock().unwrap();
-        clear();
-        give(take(4));
-        let c = take_copy(&[1.0, 2.0, 3.0]);
-        assert_eq!(c, vec![1.0, 2.0, 3.0]);
-        assert_eq!(stats().hits, 1, "take_copy must reuse the cached buffer");
+        let c = take(128);
+        assert!(c.iter().all(|&x| x == 0.0), "reused buffer must be zeroed");
         give(c);
         clear();
     }
 
     #[test]
-    fn buffers_cross_threads_via_global_lists() {
+    fn buffers_cross_threads() {
         let _g = LOCK.lock().unwrap();
         clear();
-        // A worker thread warms the store; its tcache flushes to the global
-        // lists on exit, so this thread's take is a hit, not a miss.
+        // A worker thread warms the store; this thread's take is a hit.
         std::thread::spawn(|| {
             give(take(1 << 10));
         })
         .join()
         .unwrap();
-        reset_stats();
+        let s0 = global_stats();
         let b = take(1 << 10);
-        assert_eq!(stats().hits, 1, "cross-thread reuse must hit");
-        assert_eq!(stats().misses, 0);
+        assert_eq!(traffic(s0), (1, 0), "cross-thread reuse must hit");
         give(b);
         clear();
     }
@@ -321,49 +197,37 @@ mod tests {
     }
 
     #[test]
-    fn tcache_spills_to_global_when_full() {
-        let _g = LOCK.lock().unwrap();
-        clear();
-        let held: Vec<_> = (0..(TCACHE_PER_CLASS + 3)).map(|_| take(1 << 6)).collect();
-        for b in held {
-            give(b);
-        }
-        let global_len = GLOBAL[6].lock().unwrap().len();
-        assert_eq!(global_len, 3, "overflow must land in the global list");
-        TCACHE.with(|t| assert_eq!(t.borrow().slots[6].len(), TCACHE_PER_CLASS));
-        clear();
-    }
-
-    #[test]
     fn oversized_requests_bypass_the_store() {
         let _g = LOCK.lock().unwrap();
         clear();
         let huge = 1 << 25;
-        let b = take_raw(huge);
-        assert!(b.capacity() >= huge);
+        let b = take(huge);
+        assert_eq!(b.len(), huge);
         give(b);
         let (.., r) = global_stats();
-        TCACHE.with(|t| {
-            assert!(
-                t.borrow().slots.iter().all(|s| s.is_empty()),
-                "oversized buffers are never cached"
-            );
-        });
+        assert!(
+            (0..NUM_CLASSES).all(|c| lock(c).is_empty()),
+            "oversized buffers are never cached"
+        );
         assert_eq!(r, 0, "oversized give must not count resident");
         clear();
     }
 
     #[test]
-    fn global_lists_cap_per_class() {
+    fn class_lists_cap_and_stop_counting_resident() {
         let _g = LOCK.lock().unwrap();
         clear();
-        let many: Vec<_> = (0..(TCACHE_PER_CLASS + GLOBAL_PER_CLASS + 10))
-            .map(|_| take(1 << 5))
-            .collect();
+        let many: Vec<_> = (0..(PER_CLASS + 10)).map(|_| take(1 << 5)).collect();
         for b in many {
             give(b);
         }
-        assert_eq!(GLOBAL[5].lock().unwrap().len(), GLOBAL_PER_CLASS);
+        assert_eq!(lock(5).len(), PER_CLASS);
+        let (.., r) = global_stats();
+        assert_eq!(
+            r,
+            PER_CLASS as u64 * 32 * 4,
+            "dropped buffers are not resident"
+        );
         clear();
     }
 }

@@ -30,11 +30,6 @@ pub(crate) const PAR_BLOCK_MIN_OPS: usize = 1 << 15;
 /// reproducible. Inputs at or below one grain reduce exactly like a plain
 /// serial fold.
 const REDUCE_GRAIN: usize = 1 << 16;
-/// Lhs density above which [`Tensor::matmul_sparse_lhs`] falls back to the
-/// packed dense kernel: with this many nonzeros the zero-skip branch costs
-/// more than the multiplies it saves.
-pub(crate) const SPARSE_LHS_MAX_DENSITY: f32 = 0.4;
-
 /// Row-block size for dispatching a `rows`-row kernel whose per-row cost is
 /// `row_cost` operations: all rows in one block (serial) below the
 /// threshold, else ~4 blocks per pool thread — but never blocks smaller
@@ -58,24 +53,6 @@ fn mm_block(a: &[f32], b: &[f32], out_block: &mut [f32], i0: usize, k: usize, n:
     for (ri, o_row) in out_block.chunks_mut(n).enumerate() {
         let a_row = &a[(i0 + ri) * k..(i0 + ri + 1) * k];
         for (p, &av) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Sparse-lhs variant of [`mm_block`]: skips zero lhs entries. Only worth it
-/// when the lhs is genuinely sparse (e.g. frozen-masked updates); on dense
-/// activations the data-dependent branch mispredicts and costs ~2x.
-fn mm_block_sparse(a: &[f32], b: &[f32], out_block: &mut [f32], i0: usize, k: usize, n: usize) {
-    for (ri, o_row) in out_block.chunks_mut(n).enumerate() {
-        let a_row = &a[(i0 + ri) * k..(i0 + ri + 1) * k];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let b_row = &b[p * n..(p + 1) * n];
             for (o, &bv) in o_row.iter_mut().zip(b_row) {
                 *o += av * bv;
@@ -546,48 +523,6 @@ impl Tensor {
         out
     }
 
-    /// Like [`matmul`](Tensor::matmul), but skips zero entries of `self`.
-    ///
-    /// Use this when the lhs is genuinely sparse — e.g. gradient updates
-    /// masked by frozen-parameter bitmaps, where APF zeroes whole rows. The
-    /// lhs density is measured first: above
-    /// [`SPARSE_LHS_MAX_DENSITY`] nonzeros the zero-skip branch mispredicts
-    /// its way past any savings, so the call falls back to the packed dense
-    /// kernel. The result is bitwise identical to `matmul` whenever every
-    /// lhs zero is a positive zero and the rhs is finite (skipping `0.0 * b`
-    /// only differs for `-0.0` outputs or non-finite `b`).
-    ///
-    /// # Panics
-    /// Panics if either tensor is not rank 2 or inner dimensions mismatch.
-    pub fn matmul_sparse_lhs(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_sparse_lhs lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_sparse_lhs rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul_sparse_lhs inner dimension mismatch");
-        if self.density() > SPARSE_LHS_MAX_DENSITY {
-            return self.matmul(other);
-        }
-        let mut out = Tensor::scratch(&[m, n]);
-        if n > 0 {
-            let rows_per = rows_per_block(m, k * n);
-            apf_par::par_chunks_mut(&mut out.data, rows_per * n, |ci, block| {
-                mm_block_sparse(&self.data, &other.data, block, ci * rows_per, k, n);
-            });
-        }
-        out
-    }
-
-    /// Fraction of elements that are nonzero (1.0 for an empty tensor, so
-    /// degenerate shapes take the trivial dense path).
-    pub(crate) fn density(&self) -> f32 {
-        if self.data.is_empty() {
-            return 1.0;
-        }
-        let nz = self.data.iter().filter(|&&x| x != 0.0).count();
-        nz as f32 / self.data.len() as f32
-    }
-
     /// `self^T x other`: `[k,m]^T x [k,n] -> [m,n]`, without materializing the
     /// transpose.
     ///
@@ -968,56 +903,6 @@ mod tests {
             .map(|i| ((i as f32 + seed as f32) * 0.173).sin())
             .collect();
         Tensor::from_vec(data, shape)
-    }
-
-    #[test]
-    fn matmul_sparse_lhs_matches_dense_on_masked_input() {
-        // Zero out whole rows, as a frozen-parameter mask would.
-        let mut a = pseudo(&[8, 16], 1);
-        for j in 0..16 {
-            a.set2(2, j, 0.0);
-            a.set2(5, j, 0.0);
-        }
-        let b = pseudo(&[16, 8], 2);
-        let dense = a.matmul(&b);
-        let sparse = a.matmul_sparse_lhs(&b);
-        for (d, s) in dense.data().iter().zip(sparse.data()) {
-            assert_eq!(d.to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
-    fn matmul_sparse_lhs_takes_both_density_branches() {
-        let b = pseudo(&[16, 8], 2);
-        // Mostly-dense lhs: above SPARSE_LHS_MAX_DENSITY, so the call falls
-        // back to the packed dense kernel.
-        let mut dense_lhs = pseudo(&[8, 16], 1);
-        for j in 0..16 {
-            dense_lhs.set2(2, j, 0.0);
-        }
-        assert!(dense_lhs.density() > SPARSE_LHS_MAX_DENSITY);
-        let want = dense_lhs.matmul(&b);
-        let got = dense_lhs.matmul_sparse_lhs(&b);
-        for (w, g) in want.data().iter().zip(got.data()) {
-            assert_eq!(w.to_bits(), g.to_bits(), "dense fallback branch");
-        }
-        // Genuinely sparse lhs (2 of 8 rows nonzero): the zero-skip kernel
-        // runs and must still match the dense product bitwise (all zeros are
-        // +0.0 and the rhs is finite).
-        let mut sparse_lhs = pseudo(&[8, 16], 3);
-        for i in 0..8 {
-            if i != 1 && i != 6 {
-                for j in 0..16 {
-                    sparse_lhs.set2(i, j, 0.0);
-                }
-            }
-        }
-        assert!(sparse_lhs.density() <= SPARSE_LHS_MAX_DENSITY);
-        let want = sparse_lhs.matmul(&b);
-        let got = sparse_lhs.matmul_sparse_lhs(&b);
-        for (w, g) in want.data().iter().zip(got.data()) {
-            assert_eq!(w.to_bits(), g.to_bits(), "sparse zero-skip branch");
-        }
     }
 
     #[test]

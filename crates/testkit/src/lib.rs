@@ -1,12 +1,13 @@
-//! `apf-testkit`: a zero-dependency property-testing harness.
+//! `apf-testkit`: an in-tree property-testing harness.
 //!
 //! The build environment for this workspace has no crates-io access, so the
 //! `proptest` suites the repo started with could never even compile. This
 //! crate supplies the subset the workspace actually needs, fully in-tree:
 //!
 //! - **Seeded generators** ([`Gen`], [`u64s`], [`f32s`], [`vecs`], [`zip`],
-//!   …) — every case is derived from a pinned base seed, so failures
-//!   reproduce bit-for-bit on any machine.
+//!   …) — every case is derived from a pinned base seed through the
+//!   workspace's one generator (`apf_tensor::Rng`, behind [`TkRng`]), so
+//!   failures reproduce bit-for-bit on any machine.
 //! - **Shrinking** — when a case fails, the runner greedily minimizes the
 //!   counterexample (integers toward the range minimum, floats toward zero,
 //!   vectors toward the minimum length) before reporting.

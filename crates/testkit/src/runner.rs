@@ -4,8 +4,10 @@
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use apf_tensor::derive_seed;
+
 use crate::gen::Gen;
-use crate::rng::{derive_seed, TkRng};
+use crate::rng::TkRng;
 
 /// Why a single test case did not pass.
 #[derive(Debug, Clone)]

@@ -20,7 +20,7 @@
 use std::cell::Cell;
 use std::sync::Mutex;
 
-use crate::emit::push_json_str;
+use crate::json::write_str;
 use crate::{now_us, write_line, Level};
 
 /// Which side of a distributed run a trace record came from.
@@ -218,7 +218,7 @@ pub(crate) fn push_context(out: &mut String) {
     out.push_str(",\"run\":\"");
     out.push_str(&format!("{:016x}", ctx.run_id));
     out.push_str("\",\"role\":");
-    push_json_str(out, &ctx.role.render());
+    write_str(out, &ctx.role.render());
     out.push_str(",\"pid\":");
     out.push_str(&ctx.pid.to_string());
     if ctx.link_span != 0 {
@@ -243,11 +243,11 @@ pub fn emit_header(spec: &str) {
     line.push_str(",\"run\":\"");
     line.push_str(&format!("{:016x}", ctx.run_id));
     line.push_str("\",\"role\":");
-    push_json_str(&mut line, &ctx.role.render());
+    write_str(&mut line, &ctx.role.render());
     line.push_str(",\"pid\":");
     line.push_str(&ctx.pid.to_string());
     line.push_str(",\"spec\":");
-    push_json_str(&mut line, spec);
+    write_str(&mut line, spec);
     line.push('}');
     write_line(&line);
 }

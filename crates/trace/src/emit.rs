@@ -1,6 +1,7 @@
 //! Record construction: field values, JSON string building, event emission.
 
 use crate::context::push_context;
+use crate::json::{write_f64, write_str};
 use crate::span::{current_span_id, thread_ordinal};
 use crate::{now_us, write_line, Level};
 
@@ -89,38 +90,13 @@ impl From<&String> for FieldValue {
     }
 }
 
-/// Appends a JSON-escaped string (with surrounding quotes) to `out`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 pub(crate) fn push_field_value(out: &mut String, v: &FieldValue) {
     match v {
         FieldValue::U64(x) => out.push_str(&x.to_string()),
         FieldValue::I64(x) => out.push_str(&x.to_string()),
-        FieldValue::F64(x) => {
-            if x.is_finite() {
-                out.push_str(&format!("{x}"));
-            } else {
-                out.push_str("null");
-            }
-        }
+        FieldValue::F64(x) => write_f64(out, *x),
         FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        FieldValue::Str(s) => push_json_str(out, s),
+        FieldValue::Str(s) => write_str(out, s),
     }
 }
 
@@ -130,7 +106,7 @@ pub(crate) fn push_fields(out: &mut String, fields: &[(&str, FieldValue)]) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, k);
+        write_str(out, k);
         out.push(':');
         push_field_value(out, v);
     }
@@ -147,9 +123,9 @@ pub fn emit_event(level: Level, target: &str, msg: &str, fields: &[(&str, FieldV
     line.push_str(",\"lvl\":\"");
     line.push_str(level.as_str());
     line.push_str("\",\"target\":");
-    push_json_str(&mut line, target);
+    write_str(&mut line, target);
     line.push_str(",\"msg\":");
-    push_json_str(&mut line, msg);
+    write_str(&mut line, msg);
     line.push_str(",\"span\":");
     line.push_str(&current_span_id().to_string());
     line.push_str(",\"thread\":");
@@ -178,12 +154,5 @@ mod tests {
         let mut out = String::new();
         push_field_value(&mut out, &FieldValue::F64(f64::NAN));
         assert_eq!(out, "null");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -1,7 +1,12 @@
-//! A minimal in-tree JSON reader/writer.
+//! A minimal in-tree JSON reader/writer — the workspace's only one.
 //!
-//! The workspace builds with zero external dependencies, so the experiment
-//! logs that used to go through `serde_json` are serialized here instead.
+//! The workspace builds with zero external dependencies, so everything that
+//! speaks JSON goes through this module: the JSONL trace records this crate
+//! emits and `apf-obs`'s `/snapshot` documents are built with [`write_str`]
+//! and [`write_f64`], the experiment logs and the run ledger (`apf-fedsim`,
+//! which re-exports the module as `apf_fedsim::json`) with [`Value`], and
+//! every reader uses [`parse`]. It lives here because `apf-trace` is the
+//! bottom of the dependency graph and already the JSONL emitter.
 //! The writer emits standard, pretty-printed JSON; the parser is a small
 //! recursive-descent reader that is tolerant of whitespace and key order and
 //! covers the full JSON grammar (objects, arrays, strings with escapes,
@@ -36,7 +41,7 @@ impl Value {
     /// Builds a number value from an `f64`; non-finite maps to `null`.
     pub fn from_f64(x: f64) -> Value {
         if x.is_finite() {
-            Value::Num(format_float(x))
+            Value::Num(format!("{x}"))
         } else {
             Value::Null
         }
@@ -133,7 +138,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(raw) => out.push_str(raw),
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -150,7 +155,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -164,7 +169,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(raw) => out.push_str(raw),
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -195,7 +200,7 @@ impl Value {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                 }
@@ -207,10 +212,14 @@ impl Value {
     }
 }
 
-/// Formats an `f64` so it round-trips exactly through parsing (Rust's
-/// shortest-representation `Display`).
-fn format_float(x: f64) -> String {
-    format!("{x}")
+/// Appends `x` as a JSON number that round-trips exactly through parsing
+/// (Rust's shortest-representation `Display`); `null` when non-finite.
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 fn push_indent(out: &mut String, levels: usize) {
@@ -219,7 +228,9 @@ fn push_indent(out: &mut String, levels: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string — quoted, with `"`, `\\` and control
+/// characters escaped — to `out`.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -529,6 +540,13 @@ mod tests {
         let s = "line\nquote\"back\\slash\ttab\u{1}end é";
         let v = Value::Str(s.to_owned());
         assert_eq!(parse(&v.pretty()).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn write_str_escapes_exact_bytes() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

@@ -54,6 +54,7 @@
 //! run's canonical spec; see [`context`].
 
 pub mod context;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod stack;

@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::context::push_context;
-use crate::emit::{push_fields, push_json_str, FieldValue};
+use crate::emit::{push_fields, FieldValue};
+use crate::json::write_str;
 use crate::{enabled, now_us, write_line, Level};
 
 /// Monotonically increasing span id source (0 is reserved for "no span").
@@ -179,9 +180,9 @@ impl Drop for Span {
         line.push_str(",\"lvl\":\"");
         line.push_str(a.level.as_str());
         line.push_str("\",\"target\":");
-        push_json_str(&mut line, a.target);
+        write_str(&mut line, a.target);
         line.push_str(",\"name\":");
-        push_json_str(&mut line, a.name);
+        write_str(&mut line, a.name);
         line.push_str(",\"id\":");
         line.push_str(&a.id.to_string());
         line.push_str(",\"parent\":");

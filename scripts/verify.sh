@@ -104,6 +104,26 @@ if [ -n "$offenders" ]; then
 fi
 echo "OK: no stray prints in library code"
 
+echo "== one of each =="
+# One mask type, one RNG, one JSON writer: no public signature takes or
+# returns a bool-per-scalar mask (FreezeMask is the mask), and the SplitMix64
+# step and the JSON string escaper are each defined in exactly one file.
+offenders=$(grep -rnE 'pub fn .*(\[bool\]|Vec<bool>)' crates/*/src || true)
+if [ -n "$offenders" ]; then
+  echo "bool-per-scalar mask in a public signature (use apf::FreezeMask):" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
+for def in 'fn splitmix64' 'fn (write_str|push_json_str|write_escaped)'; do
+  files=$(grep -rlE "$def\(" crates/*/src || true)
+  if [ "$(echo "$files" | grep -c .)" -ne 1 ]; then
+    echo "'$def' must be defined in exactly one file under crates/*/src, found:" >&2
+    echo "$files" >&2
+    exit 1
+  fi
+done
+echo "OK: one mask type, one splitmix64, one JSON string escaper"
+
 echo "== live telemetry smoke (obs server + ledger regression gate) =="
 # Two identical 2-round runs with the HTTP server on an ephemeral port:
 # obs-smoke scrapes /healthz, /metrics (validated by the in-repo Prometheus
