@@ -17,6 +17,9 @@ fn model_sizes() -> Vec<(&'static str, usize)> {
     ]
 }
 
+/// Rounds [`warmed_manager`] has run: the round its manager holds the mask of.
+const WARM_ROUNDS: u64 = 20;
+
 /// A manager mid-training: roughly half the scalars frozen, EMA state warm.
 fn warmed_manager(n: usize) -> (ApfManager, Vec<f32>) {
     let init = vec![0.0f32; n];
@@ -27,7 +30,7 @@ fn warmed_manager(n: usize) -> (ApfManager, Vec<f32>) {
     };
     let mut mgr = ApfManager::new(&init, cfg, Box::new(Aimd::default())).unwrap();
     let mut params = init;
-    for r in 0..20u64 {
+    for r in 0..WARM_ROUNDS {
         for (j, p) in params.iter_mut().enumerate() {
             if !mgr.is_frozen(j, r) {
                 // Half the scalars oscillate (will freeze), half drift.
@@ -53,7 +56,7 @@ fn main() {
         let (mgr, params) = warmed_manager(n);
         let mut p = params.clone();
         g.bench(name, || {
-            mgr.rollback(&mut p, 25);
+            mgr.rollback(&mut p, WARM_ROUNDS);
         });
     }
 
@@ -61,7 +64,7 @@ fn main() {
     for (name, n) in model_sizes() {
         let (mgr, params) = warmed_manager(n);
         g.bench(name, || {
-            black_box(mgr.select_unfrozen(&params, 25));
+            black_box(mgr.select_unfrozen(&params, WARM_ROUNDS));
         });
     }
 
@@ -69,7 +72,7 @@ fn main() {
     for (name, n) in model_sizes() {
         let (mut mgr, params) = warmed_manager(n);
         let mut p = params.clone();
-        let mut r = 25u64;
+        let mut r = WARM_ROUNDS;
         g.bench(name, || {
             mgr.sync(&mut p, r, |up| up.to_vec());
             r += 1;
@@ -79,7 +82,7 @@ fn main() {
     let mut g = BenchGroup::new("apf_stability_check_via_finish");
     for (name, n) in model_sizes() {
         let (mut mgr, params) = warmed_manager(n);
-        let mut r = 25u64;
+        let mut r = WARM_ROUNDS;
         g.bench(name, || {
             mgr.finish_round(&params, r);
             r += 1;

@@ -1,14 +1,15 @@
 //! Benchmarks for the numerical substrate: matmul, LeNet-5's two
 //! convolutions through the fused entry points training calls, the
-//! skip-frozen optimizer steps and sparse aggregation by frozen ratio, and a
-//! full forward pass of each paper model (the compute side of Table 3).
+//! skip-frozen optimizer steps and sparse aggregation by frozen ratio, the
+//! manager's from-scratch mask build, and a full forward pass of each paper
+//! model (the compute side of Table 3).
 //!
 //! Plain harness (`apf_bench::harness`); run with
 //! `cargo bench -p apf-bench --bench kernels`. Nothing here is gated: the
 //! rows are for steering kernel work, compared within one session on one
 //! host (`BENCHMARK.json` is the performance contract).
 
-use apf::FreezeMask;
+use apf::{Aimd, ApfConfig, ApfManager, FreezeMask};
 use apf_bench::harness::{black_box, BenchGroup};
 use apf_nn::{models, Adam, Mode, Optimizer, Sequential, Sgd};
 use apf_tensor::{
@@ -135,6 +136,29 @@ fn bench_masked(g: &mut BenchGroup, pct: usize) {
     });
 }
 
+/// Scalars of the benchmark's MLP (`sim-mlp-sync`, `net-loopback-f16`).
+const MLP_N: usize = 199_434;
+
+/// `ApfManager`'s from-scratch mask build over [`MLP_N`] scalars with `pct`%
+/// of them frozen: a restored manager holds no mask, so every
+/// `frozen_mask_packed` call builds one.
+fn bench_mask_build(g: &mut BenchGroup, pct: usize) {
+    let fresh = ApfManager::new(
+        &vec![0.0; MLP_N],
+        ApfConfig::default(),
+        Box::new(Aimd::default()),
+    );
+    let mut state = fresh.expect("default config").snapshot();
+    state.unfreeze_round = (0..MLP_N)
+        .map(|j| u64::from((j + 1) * pct / 100 > j * pct / 100) * 10)
+        .collect();
+    let mgr = ApfManager::restore(state, Box::new(Aimd::default()));
+    assert_eq!(mgr.frozen_count(1), MLP_N * pct / 100);
+    g.bench(&format!("mask_build_f{pct}"), || {
+        black_box(mgr.frozen_mask_packed(1));
+    });
+}
+
 fn main() {
     let mut g = BenchGroup::new("matmul");
     for &n in &[32usize, 64, 128] {
@@ -172,6 +196,13 @@ fn main() {
         let mut g = BenchGroup::new("masked_2e20_by_frozen_pct_t1");
         for pct in [0, 50, 90, 99] {
             bench_masked(&mut g, pct);
+        }
+
+        // One per manager per round; scalar-frozen bits, the worst case for
+        // a branchy builder.
+        let mut g = BenchGroup::new("core");
+        for pct in [0, 35, 90] {
+            bench_mask_build(&mut g, pct);
         }
     });
 

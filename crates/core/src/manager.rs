@@ -1,8 +1,10 @@
 //! The `APF_Manager` of Algorithm 1: per-client bookkeeping that freezes
 //! stable scalars, synchronizes only the rest, and adapts freezing periods.
 
+use std::borrow::Cow;
+
 use apf_tensor::{derive_seed, splitmix64};
-use apf_trace::{event, Level};
+use apf_trace::{event, span, Level};
 
 use crate::config::{ApfConfig, FreezeGranularity};
 use crate::controller::FreezeController;
@@ -62,6 +64,22 @@ impl SyncReport {
 ///    communication statistics.
 ///
 /// [`ApfManager::sync`] bundles all four for single-process use.
+///
+/// # The resident mask
+///
+/// `M_is_frozen` is manager state, as in Alg. 1: the manager holds the mask
+/// of exactly one round, tagged with that round, and every call above for
+/// that round borrows it. It is written only at `&mut self` points —
+/// [`ApfManager::new`] (round 0), the end of [`ApfManager::finish_round`]
+/// (round `r + 1`, the one place freezing decisions change),
+/// [`ApfManager::set_filter_layout`] (coarsening changes the mask) and
+/// [`ApfManager::hold_round`] (once after [`ApfManager::restore`], which
+/// cannot know the round) — so a round costs one mask build per manager.
+/// There is no interior mutability: the `&self` readers
+/// ([`ApfManager::rollback`] runs concurrently on the pool as the
+/// per-iteration hook) may assume the mask does not change under them, and
+/// a call for a round the manager does not hold derives that round's mask
+/// from scratch, uses it, and drops it.
 pub struct ApfManager {
     cfg: ApfConfig,
     controller: Box<dyn FreezeController>,
@@ -86,6 +104,10 @@ pub struct ApfManager {
     /// Prefix offsets of `filter_segments` (`len + 1` entries), for O(log)
     /// segment lookup in [`ApfManager::is_frozen`].
     filter_prefix: Vec<usize>,
+    /// The resident mask and the round it belongs to (see the type docs);
+    /// `None` only between [`ApfManager::restore`] and the first
+    /// [`ApfManager::hold_round`] / [`ApfManager::finish_round`].
+    resident: Option<(u64, FreezeMask)>,
 }
 
 impl std::fmt::Debug for ApfManager {
@@ -113,7 +135,7 @@ impl ApfManager {
     ) -> Result<Self, ApfError> {
         cfg.validate().map_err(ApfError::InvalidConfig)?;
         let n = init.len();
-        Ok(ApfManager {
+        let mut manager = ApfManager {
             controller,
             n,
             ema: EmaPerturbation::new(n, cfg.ema_alpha),
@@ -127,7 +149,10 @@ impl ApfManager {
             layout: Vec::new(),
             filter_segments: Vec::new(),
             filter_prefix: Vec::new(),
-        })
+            resident: None,
+        };
+        manager.hold_round(0);
+        Ok(manager)
     }
 
     /// Registers a `(layer name, scalar count)` layout over the flat vector.
@@ -169,6 +194,12 @@ impl ApfManager {
         }
         self.filter_segments = segments;
         self.filter_prefix = prefix;
+        // Coarsening changes the masks themselves.
+        if self.filter_active().is_some() {
+            if let Some((round, _)) = self.resident.take() {
+                self.hold_round(round);
+            }
+        }
         Ok(())
     }
 
@@ -198,8 +229,8 @@ impl ApfManager {
     }
 
     /// The last synchronized model — the values frozen scalars are rolled
-    /// back to. Lets a caller that already holds the round's mask roll back
-    /// with `mask_fill` instead of rebuilding the mask per call.
+    /// back to. With [`ApfManager::mask`], lets a caller fold the rollback
+    /// into a sweep of its own (the simulator's streaming reduce).
     pub fn pinned(&self) -> &[f32] {
         &self.pinned
     }
@@ -239,21 +270,58 @@ impl ApfManager {
         }
     }
 
-    /// The bit-packed freezing mask for round `round` (`M_is_frozen` of
-    /// Alg. 1), coarsened to whole filters when configured. This is the
-    /// mask every masked kernel, payload builder, and byte accountant
-    /// consumes.
-    pub fn frozen_mask_packed(&self, round: u64) -> FreezeMask {
-        let scalar = FreezeMask::from_fn(self.n, |j| round < self.unfreeze_round[j]);
+    /// The from-scratch derivation of round `round`'s mask from
+    /// `unfreeze_round`, coarsened to whole filters when configured — the
+    /// only place a mask is built (`apf.manager.mask_builds` counts them).
+    fn build_mask(&self, round: u64) -> FreezeMask {
+        let _sp = span!(Level::Debug, target: "apf.manager", "mask_build", round = round);
+        apf_trace::metrics::counter("apf.manager.mask_builds").inc();
+        let unfreeze_round = &self.unfreeze_round[..self.n];
+        let scalar = FreezeMask::from_fn(self.n, |j| round < unfreeze_round[j]);
         match self.filter_active() {
             Some(threshold) => scalar.coarsen(&self.filter_segments, threshold),
             None => scalar,
         }
     }
 
+    /// The resident mask, if it is `round`'s.
+    fn held(&self, round: u64) -> Option<&FreezeMask> {
+        match &self.resident {
+            Some((r, mask)) if *r == round => Some(mask),
+            _ => None,
+        }
+    }
+
+    /// Makes `round`'s mask the resident one (a no-op when it already is).
+    /// [`ApfManager::finish_round`] does this for the next round by itself;
+    /// call it once after [`ApfManager::restore`], or before driving a
+    /// round out of sequence.
+    pub fn hold_round(&mut self, round: u64) {
+        if self.held(round).is_none() {
+            self.resident = Some((round, self.build_mask(round)));
+        }
+    }
+
+    /// The freezing mask for round `round` (`M_is_frozen` of Alg. 1),
+    /// coarsened to whole filters when configured: the resident mask by
+    /// reference when the manager holds `round`, else built from scratch.
+    /// This is the mask every masked kernel, payload builder, and byte
+    /// accountant consumes.
+    pub fn mask(&self, round: u64) -> Cow<'_, FreezeMask> {
+        match self.held(round) {
+            Some(mask) => Cow::Borrowed(mask),
+            None => Cow::Owned(self.build_mask(round)),
+        }
+    }
+
+    /// [`ApfManager::mask`] as an owned value (a copy of the resident mask).
+    pub fn frozen_mask_packed(&self, round: u64) -> FreezeMask {
+        self.mask(round).into_owned()
+    }
+
     /// Number of scalars frozen during `round`.
     pub fn frozen_count(&self, round: u64) -> usize {
-        self.frozen_mask_packed(round).frozen_count()
+        self.mask(round).frozen_count()
     }
 
     /// Pins frozen scalars back to their last synchronized values
@@ -265,8 +333,7 @@ impl ApfManager {
     /// Panics if `params.len()` differs from the managed scalar count.
     pub fn rollback(&self, params: &mut [f32], round: u64) {
         assert_eq!(params.len(), self.n, "parameter length mismatch");
-        let mask = self.frozen_mask_packed(round);
-        apf_tensor::mask_fill(params, &self.pinned, mask.words());
+        apf_tensor::mask_fill(params, &self.pinned, self.mask(round).words());
     }
 
     /// Packs the unfrozen scalars of `params` into a compact upload tensor
@@ -277,7 +344,7 @@ impl ApfManager {
     /// Panics if `params.len()` differs from the managed scalar count.
     pub fn select_unfrozen(&self, params: &[f32], round: u64) -> Vec<f32> {
         assert_eq!(params.len(), self.n, "parameter length mismatch");
-        let mask = self.frozen_mask_packed(round);
+        let mask = self.mask(round);
         let mut out = Vec::with_capacity(mask.unfrozen_count());
         apf_tensor::mask_select(params, mask.words(), &mut out);
         out
@@ -290,7 +357,8 @@ impl ApfManager {
     /// Panics if `agg` does not have exactly one value per unfrozen scalar.
     pub fn apply_aggregate(&mut self, params: &mut [f32], agg: &[f32], round: u64) {
         assert_eq!(params.len(), self.n, "parameter length mismatch");
-        let mask = self.frozen_mask_packed(round);
+        let _sp = span!(Level::Debug, target: "apf.manager", "apply_aggregate", round = round);
+        let mask = self.mask(round);
         let unfrozen = mask.unfrozen_count();
         assert!(
             agg.len() >= unfrozen,
@@ -316,7 +384,8 @@ impl ApfManager {
     pub fn apply_aggregate_dense(&mut self, params: &mut [f32], agg: &[f32], round: u64) {
         assert_eq!(params.len(), self.n, "parameter length mismatch");
         assert_eq!(agg.len(), self.n, "aggregate length mismatch");
-        let mask = self.frozen_mask_packed(round);
+        let _sp = span!(Level::Debug, target: "apf.manager", "apply_aggregate", round = round);
+        let mask = self.mask(round);
         apf_tensor::mask_copy(params, agg, mask.words());
         apf_tensor::mask_fill(params, &self.pinned, mask.words());
         self.pinned.copy_from_slice(params);
@@ -332,14 +401,23 @@ impl ApfManager {
     /// Panics if `params.len()` differs from the managed scalar count.
     pub fn finish_round(&mut self, params: &[f32], round: u64) -> SyncReport {
         assert_eq!(params.len(), self.n, "parameter length mismatch");
-        let mask_now = self.frozen_mask_packed(round);
+        let sp = span!(Level::Debug, target: "apf.manager", "finish_round", round = round);
+        // The round's mask moves out while the freezing decisions change
+        // under it; the next round's moves in at the end.
+        let mask_now = match self.resident.take() {
+            Some((r, mask)) if r == round => mask,
+            _ => self.build_mask(round),
+        };
         let frozen_now = mask_now.frozen_count();
         let unfrozen_now = self.n - frozen_now;
         let checked = (round + 1).is_multiple_of(u64::from(self.cfg.check_every_rounds));
-        if checked {
-            self.stability_check(params, round);
-        }
-        self.random_freeze(round);
+        let after_check = checked.then(|| self.stability_check(params, round, &mask_now));
+        let refroze = self.random_freeze(round);
+        let mask_next = match after_check {
+            Some(mask) if !refroze => mask,
+            _ => self.build_mask(round + 1),
+        };
+        self.resident = Some((round + 1, mask_next));
         let bitmap_bytes =
             crate::mask::masked_transfer_bytes(self.n, unfrozen_now, self.cfg.bytes_per_scalar);
         // Under filter granularity the coarsened mask has few long runs, so
@@ -364,14 +442,21 @@ impl ApfManager {
             checked,
             threshold: self.threshold,
         };
-        self.emit_round_telemetry(&report);
+        // The spans time the paper's Table-4 cost; what follows is the
+        // observer's own.
+        drop(sp);
+        if checked {
+            self.emit_check_telemetry(round);
+        }
+        self.emit_round_telemetry(&report, &mask_now);
         report
     }
 
     /// Per-round trace output: one round-level event plus, when a layout is
-    /// registered, one frozen-ratio event per layer. Costs a relaxed atomic
-    /// load when tracing is below `Debug`.
-    fn emit_round_telemetry(&self, report: &SyncReport) {
+    /// registered, one frozen-ratio event per layer over `mask`, the
+    /// reported round's. Costs a relaxed atomic load when tracing is below
+    /// `Debug`.
+    fn emit_round_telemetry(&self, report: &SyncReport, mask: &FreezeMask) {
         if !apf_trace::enabled(Level::Debug) {
             return;
         }
@@ -390,7 +475,6 @@ impl ApfManager {
         if self.layout.is_empty() {
             return;
         }
-        let mask = self.frozen_mask_packed(report.round);
         let lens = self.layout.iter().map(|(_, len)| *len);
         for ((name, _), (range, frozen)) in self.layout.iter().zip(mask.frozen_by_segment(lens)) {
             if range.is_empty() {
@@ -425,27 +509,30 @@ impl ApfManager {
     /// Alg. 1 `StabilityCheck`, with the refinement that only scalars that
     /// actually trained since the previous check feed the EMA (frozen
     /// scalars produce zero deltas that would spuriously look "stable").
-    fn stability_check(&mut self, params: &[f32], round: u64) {
+    /// `mask` is round `round`'s; returns the mask of `round + 1` that the
+    /// new freezing periods imply.
+    fn stability_check(&mut self, params: &[f32], round: u64, mask: &FreezeMask) -> FreezeMask {
+        let _sp = span!(Level::Debug, target: "apf.manager", "stability_check", round = round);
         self.checks_run += 1;
         // A scalar participated in training this round iff the *effective*
         // (possibly filter-coarsened) mask left it unfrozen.
-        let mask = self.frozen_mask_packed(round);
-        self.ema.update_unfrozen(params, &self.check_ref, &mask);
+        self.ema.update_unfrozen(params, &self.check_ref, mask);
         for j in mask.iter_unfrozen_runs().flatten() {
             let stable = self.ema.value(j) < self.threshold;
             self.freeze_len[j] = self.controller.next_len(self.freeze_len[j], stable);
             self.unfreeze_round[j] = round + 1 + u64::from(self.freeze_len[j]);
         }
         self.check_ref.copy_from_slice(params);
+        let mask_next = self.build_mask(round + 1);
         if let Some(decay) = self.cfg.threshold_decay {
-            let frozen_next = self.frozen_count(round + 1);
+            let frozen_next = mask_next.frozen_count();
             if frozen_next as f32 >= decay.trigger_fraction * self.n as f32 && self.n > 0 {
                 self.threshold *= decay.factor;
                 event!(Level::Debug, target: "apf.manager", "threshold_decay",
                     round = round, threshold = self.threshold);
             }
         }
-        self.emit_check_telemetry(round);
+        mask_next
     }
 
     /// Distribution telemetry at each stability check: freezing-period and
@@ -506,7 +593,9 @@ impl ApfManager {
     }
 
     /// Restores a manager from a snapshot plus a (matching) controller.
-    /// Layouts are not part of the snapshot: register them again.
+    /// Layouts are not part of the snapshot: register them again. Neither
+    /// is the round: the restored manager holds no mask until
+    /// [`ApfManager::hold_round`] names the round it resumes at.
     pub fn restore(state: ApfState, controller: Box<dyn FreezeController>) -> ApfManager {
         let n = state.pinned.len();
         ApfManager {
@@ -528,18 +617,22 @@ impl ApfManager {
             layout: Vec::new(),
             filter_segments: Vec::new(),
             filter_prefix: Vec::new(),
+            resident: None,
         }
     }
 
     /// APF# / APF++ random freezing (§5): each scalar unfrozen at round
     /// `round + 1` is frozen with the variant's probability for a variant-
     /// drawn length. Draws are keyed on `(seed, round, j)` so they are
-    /// order-independent and identical on every client.
-    fn random_freeze(&mut self, round: u64) {
+    /// order-independent and identical on every client. Returns whether it
+    /// froze anything (it only ever adds frozen scalars to round
+    /// `round + 1`, so a mask built before it is then stale).
+    fn random_freeze(&mut self, round: u64) -> bool {
         let prob = self.cfg.variant.freeze_prob(round);
         if prob <= 0.0 {
-            return;
+            return false;
         }
+        let mut froze = false;
         let max_len = u64::from(self.cfg.variant.max_freeze_len(round).max(1));
         let base = derive_seed(self.cfg.seed, round);
         for j in 0..self.n {
@@ -552,8 +645,10 @@ impl ApfManager {
                 let h2 = splitmix64(h ^ 0xABCD_EF01_2345_6789);
                 let len = 1 + h2 % max_len; // uniform in [1, max_len]
                 self.unfreeze_round[j] = round + 1 + len;
+                froze = true;
             }
         }
+        froze
     }
 }
 

@@ -130,13 +130,21 @@ impl FreezeMask {
         m
     }
 
-    /// Builds a mask from a per-scalar predicate (`true` = frozen).
+    /// Builds a mask from a per-scalar predicate (`true` = frozen), called
+    /// once per index in ascending order. A word at a time and branch-free:
+    /// each bit is shifted into an accumulator, never branched on.
     pub fn from_fn(len: usize, mut frozen: impl FnMut(usize) -> bool) -> FreezeMask {
-        let mut words = vec![0u64; len.div_ceil(64)];
-        for j in 0..len {
-            if frozen(j) {
-                words[j / 64] |= 1 << (j % 64);
+        let mut word = |base: usize, lanes: usize| {
+            let mut acc = 0u64;
+            for b in 0..lanes {
+                acc |= u64::from(frozen(base + b)) << b;
             }
+            acc
+        };
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        words.extend((0..len / 64).map(|w| word(w * 64, 64)));
+        if !len.is_multiple_of(64) {
+            words.push(word(len / 64 * 64, len % 64));
         }
         FreezeMask { words, len }
     }
@@ -396,6 +404,50 @@ mod tests {
             let frozen = bools.iter().filter(|&&b| b).count();
             assert_eq!(m.frozen_count(), frozen);
             assert_eq!(m.unfrozen_count(), n - frozen);
+        }
+    }
+
+    /// The per-bit loop `from_fn` used to be, kept as its oracle.
+    fn from_fn_per_bit(len: usize, mut frozen: impl FnMut(usize) -> bool) -> FreezeMask {
+        let mut m = FreezeMask::all_unfrozen(len);
+        for j in 0..len {
+            if frozen(j) {
+                m.set(j, true);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn word_at_a_time_from_fn_matches_the_per_bit_loop() {
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 199_434] {
+            for pct in [0u64, 35, 90, 100] {
+                // A fixed hash of the index, so frozen bits land anywhere in
+                // a word, the tail word included.
+                let frozen = |j: usize| {
+                    (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 < (pct << 32) / 100
+                };
+                let got = FreezeMask::from_fn(len, frozen);
+                assert_eq!(got, from_fn_per_bit(len, frozen), "len={len} pct={pct}");
+                assert_eq!(got.words().len(), len.div_ceil(64));
+                if pct == 100 {
+                    assert_eq!(got, FreezeMask::all_frozen(len), "tail bits stay clear");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_fn_calls_the_predicate_once_per_index_in_ascending_order() {
+        for len in [0usize, 1, 64, 65, 200] {
+            let mut seen = Vec::new();
+            let m = FreezeMask::from_fn(len, |j| {
+                seen.push(j);
+                // Stateful: the answer depends on how many calls came before.
+                seen.len() % 3 == 0
+            });
+            assert_eq!(seen, (0..len).collect::<Vec<_>>(), "len={len}");
+            assert_eq!(m, from_fn_per_bit(len, |j| (j + 1) % 3 == 0));
         }
     }
 

@@ -115,12 +115,10 @@ impl Client {
         let mut total = 0.0f32;
         let mut done = 0usize;
         while done < iters {
-            // One shuffled pass; re-shuffle if the round needs more batches.
-            let batches: Vec<_> = self.data.batches(self.batch_size, &mut self.rng).collect();
-            for (x, y) in batches {
-                if done >= iters {
-                    break;
-                }
+            // One shuffled pass, gathered batch by batch as the round uses
+            // them; re-shuffle if the round needs more batches.
+            let pass = self.data.batches(self.batch_size, &mut self.rng);
+            for (x, y) in pass.take(iters - done) {
                 total += self.trainer.train_batch(&x, &y);
                 let mut flat = self.trainer.model_mut().flat_params();
                 post_iteration(&mut flat);

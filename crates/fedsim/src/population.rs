@@ -448,7 +448,7 @@ impl PopulationRunner {
             // The shared manager's round-boundary dormant hop: encode →
             // decode through the configured codec, proving the compact form
             // carries everything the next round needs.
-            self.mgr_dormant_bytes = self.strategy.dormant_hop(self.cfg.codec);
+            self.mgr_dormant_bytes = self.strategy.dormant_hop(self.cfg.codec, round + 1);
             comm
         };
         // First-timers additionally pull the initial model (FlRunner's

@@ -247,13 +247,18 @@ impl SyncStrategy for PartialSync {
 /// Builds the freezing-period controller of an [`ApfStrategy`]'s manager.
 pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + Sync>;
 
-/// The APF strategy (§4–6): one [`ApfManager`] and one freeze mask per round
-/// for the whole fleet; optionally stacked with fp16 quantization (§7.7).
+/// The APF strategy (§4–6): one [`ApfManager`] for the whole fleet;
+/// optionally stacked with fp16 quantization (§7.7).
 ///
 /// Every client's manager would derive the same mask from the same
 /// synchronized state (§6.2), so N replicas evolve bit for bit alike and the
 /// simulator keeps a single one. Networked clients do each run their own
 /// replica; the parity tests in `apf-net` are the live proof that they agree.
+///
+/// The strategy keeps no mask of its own: the round's mask is the manager's
+/// resident one ([`ApfManager::mask`]), filled by the manager at its
+/// `&mut self` points, so the concurrent `&self` rollback hook, the reduce
+/// and the telemetry all borrow the same copy.
 ///
 /// The reduce streams: [`ApfStrategy::absorb`] takes one local at a time,
 /// [`ApfStrategy::commit`] closes the round. [`SyncStrategy::sync_round`] is
@@ -268,11 +273,6 @@ pub struct ApfStrategy {
     controller_factory: ControllerFactory,
     /// The fleet's manager; `None` before [`SyncStrategy::init`].
     manager: Option<ApfManager>,
-    /// The freeze mask of one round, tagged with that round. Written only
-    /// under `&mut self` (`init`, `absorb`, `commit`, `set_filter_layout`),
-    /// so the concurrent `&self` rollback hook can read it without a lock; a
-    /// hook or reduce for any other round rebuilds the mask from the manager.
-    round_mask: Option<(u64, FreezeMask)>,
     /// The running aggregate of the round being reduced: full length, only
     /// unfrozen slots ever written, all zero between rounds.
     agg: Vec<f32>,
@@ -316,7 +316,6 @@ impl ApfStrategy {
             cfg,
             controller_factory: factory,
             manager: None,
-            round_mask: None,
             agg: Vec::new(),
             total: 0.0,
             absorbed: 0,
@@ -392,10 +391,7 @@ impl ApfStrategy {
     /// uploads scalar for scalar. Locals must arrive in client order.
     pub fn absorb(&mut self, round: u64, local: &mut [f32], weight: f32) {
         let manager = self.manager.as_ref().expect("strategy not initialized");
-        if !matches!(&self.round_mask, Some((r, _)) if *r == round) {
-            self.round_mask = Some((round, manager.frozen_mask_packed(round)));
-        }
-        let mask = &self.round_mask.as_ref().expect("cached above").1;
+        let mask = manager.mask(round);
         let words = mask.words();
         apf_tensor::mask_fill(local, manager.pinned(), words);
         if self.quantize_f16 {
@@ -420,22 +416,19 @@ impl ApfStrategy {
 
     /// Second half of the streaming reduce: divides the running aggregate
     /// by the weight total, applies the fp16 hop to it, writes it into the
-    /// unfrozen slots of `params` (frozen slots get their pinned values),
-    /// runs the stability machinery once, and caches the mask of
-    /// `round + 1`. Bytes are one masked transfer per absorbed client.
+    /// unfrozen slots of `params` (frozen slots get their pinned values) and
+    /// runs the stability machinery once, which leaves the manager holding
+    /// the mask of `round + 1`. Bytes are one masked transfer per absorbed
+    /// client.
     ///
     /// # Panics
     /// Panics if no local was absorbed for `round`.
     pub fn commit(&mut self, round: u64, params: &mut [f32]) -> RoundComm {
         let manager = self.manager.as_mut().expect("strategy not initialized");
-        let (_, mask) = self
-            .round_mask
-            .take()
-            .filter(|(r, _)| *r == round && self.absorbed > 0)
-            .expect("sync_round needs at least one client");
-        let words = mask.words();
+        assert!(self.absorbed > 0, "sync_round needs at least one client");
+        let mask = manager.mask(round);
         if self.total > 0.0 {
-            apf_tensor::masked_div(&mut self.agg, self.total, words);
+            apf_tensor::masked_div(&mut self.agg, self.total, mask.words());
         }
         if self.quantize_f16 {
             mask.for_each_unfrozen_run_in(0, self.agg.len(), |s, e| {
@@ -444,7 +437,6 @@ impl ApfStrategy {
         }
         manager.apply_aggregate_dense(params, &self.agg, round);
         let rep = manager.finish_round(params, round);
-        self.round_mask = Some((round + 1, manager.frozen_mask_packed(round + 1)));
         let fleet = std::mem::take(&mut self.absorbed);
         self.agg.fill(0.0);
         self.total = 0.0;
@@ -459,18 +451,18 @@ impl ApfStrategy {
 
     /// Squeezes the manager through its compact dormant form and back
     /// (the population runner's round-boundary hop, which keeps the codec
-    /// honest); returns the encoded size in bytes. Freeze bookkeeping
-    /// round-trips exactly under every codec, so the cached mask stays
-    /// valid.
-    pub(crate) fn dormant_hop(&mut self, codec: EmaCodec) -> usize {
+    /// honest) and has the restored manager hold `next_round`'s mask, which
+    /// it rebuilds from the decoded bookkeeping; returns the encoded size
+    /// in bytes.
+    pub(crate) fn dormant_hop(&mut self, codec: EmaCodec, next_round: u64) -> usize {
         let manager = self.manager.take().expect("strategy not initialized");
         let dormant = DormantApfState::encode(&manager.snapshot(), codec);
         let restored = dormant.decode(self.cfg).expect("self-encoded blob");
         self.install(ApfManager::restore(restored, (self.controller_factory)()));
-        debug_assert!(self
-            .round_mask
-            .as_ref()
-            .is_none_or(|(r, mask)| { *mask == self.managers()[0].frozen_mask_packed(*r) }));
+        self.manager
+            .as_mut()
+            .expect("installed above")
+            .hold_round(next_round);
         dormant.len_bytes()
     }
 }
@@ -484,7 +476,6 @@ impl SyncStrategy for ApfStrategy {
         let manager = ApfManager::new(init_params, self.cfg, (self.controller_factory)())
             .expect("config validated at strategy construction");
         self.install(manager);
-        self.round_mask = Some((0, self.managers()[0].frozen_mask_packed(0)));
         self.agg = vec![0.0; init_params.len()];
     }
 
@@ -500,8 +491,6 @@ impl SyncStrategy for ApfStrategy {
         if let Some(m) = &mut self.manager {
             m.set_filter_layout(segments)
                 .expect("filter layout must cover the model");
-            // Coarsening changes the masks themselves.
-            self.round_mask = None;
         }
     }
 
@@ -526,12 +515,7 @@ impl SyncStrategy for ApfStrategy {
 
     fn post_local_iteration(&self, round: u64, _client: usize, params: &mut [f32]) {
         let manager = self.manager.as_ref().expect("strategy not initialized");
-        match &self.round_mask {
-            Some((r, mask)) if *r == round => {
-                apf_tensor::mask_fill(params, manager.pinned(), mask.words());
-            }
-            _ => manager.rollback(params, round),
-        }
+        manager.rollback(params, round);
     }
 
     fn layer_frozen_ratios(&self, round: u64) -> Vec<(String, f64)> {
@@ -541,7 +525,7 @@ impl SyncStrategy for ApfStrategy {
         if self.layout.is_empty() {
             return Vec::new();
         }
-        let mask = m.frozen_mask_packed(round);
+        let mask = m.mask(round);
         let lens = self.layout.iter().map(|(_, len)| *len);
         self.layout
             .iter()

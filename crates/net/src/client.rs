@@ -160,7 +160,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientOutcome, NetError> {
         // line 2) — identical to the simulator's post_local_iteration.
         // The `local_train` span covers everything compute-side before the
         // push: training iterations, rollback, and update selection.
-        let (loss, mut l, up, mask) = {
+        let (loss, mut l, up) = {
             let _sp = span!(Level::Debug, target: "net.client", "local_train",
                 round = round);
             let mgr = &manager;
@@ -169,8 +169,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientOutcome, NetError> {
             let mut l = client.flat_params();
             manager.rollback(&mut l, round);
             let up = manager.select_unfrozen(&l, round);
-            let mask = manager.frozen_mask_packed(round);
-            (loss, l, up, mask)
+            (loss, l, up)
         };
 
         if opts.fail_before_push_round == Some(round) {
@@ -190,7 +189,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientOutcome, NetError> {
                     round,
                     client_id: opts.id,
                     loss_bits: loss.to_bits(),
-                    payload: MaskedPayload::new(mask.clone(), up, wire_f16)?,
+                    payload: MaskedPayload::new(manager.frozen_mask_packed(round), up, wire_f16)?,
                     ctx: client_ctx.with_link(round_span.id()),
                 },
             )?;
@@ -217,7 +216,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientOutcome, NetError> {
         let agg = match frame {
             Frame::Pull {
                 round: r, payload, ..
-            } if r == round && payload.mask == mask => payload.values,
+            } if r == round && payload.mask == *manager.mask(round) => payload.values,
             Frame::Abort { reason } => {
                 return Err(NetError::Protocol(format!("server aborted: {reason}")))
             }

@@ -274,7 +274,7 @@ impl NetServer {
             let round_t0 = Instant::now();
             let mut round_span = span!(Level::Info, target: "net.server", "round",
                 round = round);
-            let mask = manager.frozen_mask_packed(round);
+            let mask = manager.mask(round);
             let unfrozen = mask.unfrozen_count();
 
             // Collect pushes in client-id order (the aggregation order the
@@ -302,7 +302,7 @@ impl NetServer {
                     )) if r == round
                         && client_id as usize == i
                         && payload.f16 == wire_f16
-                        && payload.mask == mask =>
+                        && payload.mask == *mask =>
                     {
                         sp.record("bytes_wire", k);
                         if ctx.link_span != 0 {
@@ -357,7 +357,7 @@ impl NetServer {
             };
 
             // Broadcast the aggregate; send failures drop the client.
-            let pull_payload = MaskedPayload::new(mask.clone(), agg.clone(), wire_f16)?;
+            let pull_payload = MaskedPayload::new(mask.into_owned(), agg.clone(), wire_f16)?;
             let down_logical = pull_payload.encoded_len() - 5;
             let pull = Frame::Pull {
                 round,

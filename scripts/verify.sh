@@ -122,7 +122,22 @@ for def in 'fn splitmix64' 'fn (write_str|push_json_str|write_escaped)'; do
     exit 1
   fi
 done
-echo "OK: one mask type, one splitmix64, one JSON string escaper"
+# One copy of the round's mask: the manager's resident one. The simulator
+# keeps no second cache, and the manager derives a mask from scratch in one
+# private function only.
+offenders=$(grep -rn round_mask crates/fedsim/src || true)
+if [ -n "$offenders" ]; then
+  echo "a second round-mask cache in apf-fedsim (borrow ApfManager::mask):" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
+builders=$(grep -c 'FreezeMask::from_fn(self\.n' crates/core/src/manager.rs || true)
+if [ "$builders" -ne 1 ] || ! grep -q '^    fn build_mask(&self' crates/core/src/manager.rs; then
+  echo "crates/core/src/manager.rs must build masks in one private fn build_mask," >&2
+  echo "found $builders 'FreezeMask::from_fn(self.n' call(s)" >&2
+  exit 1
+fi
+echo "OK: one mask type, one splitmix64, one JSON string escaper, one mask builder"
 
 echo "== live telemetry smoke (obs server + ledger regression gate) =="
 # Two identical 2-round runs with the HTTP server on an ephemeral port:
