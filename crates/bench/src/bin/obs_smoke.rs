@@ -11,14 +11,14 @@
 //! obs-smoke [--rounds N]            # default 2
 //! ```
 //!
-//! Environment: `APF_OBS_ADDR` (default `127.0.0.1:0`), `APF_OBS_ADDR_FILE`
-//! (written with the bound address), `APF_LEDGER_FILE` (default
-//! `results/ledger.jsonl`).
+//! It serves on an ephemeral port of its own (`127.0.0.1:0`). Environment:
+//! `APF_OBS_ADDR_FILE` (written with the bound address), `APF_LEDGER_FILE`
+//! (default `results/ledger.jsonl`).
 
 use std::process::ExitCode;
 
 use apf_data::Dataset;
-use apf_fedsim::{FlConfig, FlRunner};
+use apf_fedsim::{ledger_path, FlConfig, FlRunner};
 use apf_nn::models;
 use apf_obs::{http_get, prometheus};
 
@@ -62,21 +62,18 @@ fn main() -> ExitCode {
         parallel: true,
         ..FlConfig::default()
     };
-    let mut builder = FlRunner::builder(
+    // The smoke scrapes itself, so it always serves on an ephemeral port;
+    // the ledger is APF_LEDGER_FILE's, or the git-ignored default.
+    let ledger = ledger_path(None).unwrap_or_else(|| "results/ledger.jsonl".into());
+    let mut runner = FlRunner::builder(
         |seed| models::mlp("smoke-mlp", &[3 * 16 * 16, 24, 10], seed),
         cfg,
     )
     .clients_from_partition(&train, &parts)
-    .test_set(test);
-    // The build() honors APF_OBS_ADDR / APF_LEDGER_FILE; these are the
-    // defaults when the environment doesn't say otherwise.
-    if std::env::var("APF_OBS_ADDR").map_or(true, |v| v.is_empty()) {
-        builder = builder.serve("127.0.0.1:0");
-    }
-    if std::env::var("APF_LEDGER_FILE").map_or(true, |v| v.is_empty()) {
-        builder = builder.ledger("results/ledger.jsonl");
-    }
-    let mut runner = builder.build();
+    .test_set(test)
+    .serve("127.0.0.1:0")
+    .ledger(ledger)
+    .build();
     let Some(addr) = runner.obs_addr() else {
         return fail("no telemetry server bound");
     };

@@ -5,7 +5,7 @@
 //! sample runs ≥ ~20 ms, then 11 samples are timed and the median / min /
 //! max per-iteration times are reported. The median is robust to scheduler
 //! noise; min approximates the noise floor. Set `APF_BENCH_QUICK=1` to cut
-//! the sample count to 3 for smoke runs.
+//! the sample count to 3 for smoke runs (empty or `0` leaves it at 11).
 
 use std::hint::black_box as std_black_box;
 use std::io::Write;
@@ -25,10 +25,15 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(20);
 const MAX_ITERS: u64 = 1 << 30;
 
 fn samples_per_bench() -> usize {
-    if std::env::var("APF_BENCH_QUICK").is_ok() {
-        3
-    } else {
-        11
+    samples_for(std::env::var("APF_BENCH_QUICK").ok().as_deref())
+}
+
+/// Samples per row when `APF_BENCH_QUICK` reads `quick`: unset, empty and
+/// `0` are the full run, the way `APF_MASKED_STEP` and `APF_PROF` read off.
+fn samples_for(quick: Option<&str>) -> usize {
+    match quick.map(str::trim) {
+        None | Some("" | "0") => 11,
+        Some(_) => 3,
     }
 }
 
@@ -158,6 +163,16 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_nanos(500)), "500 ns");
         assert_eq!(fmt_duration(Duration::from_micros(1500)), "1.50 ms");
         assert_eq!(fmt_duration(Duration::from_secs(2)), "2.000 s");
+    }
+
+    #[test]
+    fn quick_mode_is_off_when_unset_empty_or_zero() {
+        for off in [None, Some(""), Some("0"), Some(" 0 ")] {
+            assert_eq!(samples_for(off), 11, "{off:?}");
+        }
+        for on in ["1", "true", "yes"] {
+            assert_eq!(samples_for(Some(on)), 3, "{on:?}");
+        }
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl FlRunnerBuilder {
         // writes) a session it started itself — a binary that began
         // profiling before building the runner (e.g. apf-server --sim
         // --prof-file) keeps ownership of its session.
-        let prof_owned = apf_prof::init_from_env();
+        let prof_owned = apf_prof::init_from_env(None);
         FlRunner {
             clients,
             strategy,

@@ -104,14 +104,7 @@ fn run() -> Result<(), String> {
         Some(path) => apf_trace::init_file(path).map_err(|e| format!("{path}: {e}"))?,
         None => apf_trace::init_from_env(),
     }
-    let prof_owned = match &prof_file {
-        Some(path) => apf_prof::start_with(
-            apf_prof::env_interval(),
-            Some(path.clone()),
-            apf_prof::env_wants_alloc(),
-        ),
-        None => apf_prof::init_from_env(),
-    };
+    let prof_owned = apf_prof::init_from_env(prof_file);
     let addr = match (server, addr_file) {
         (Some(addr), None) => resolve(&addr)?,
         (None, Some(path)) => addr_from_file(&path, connect_timeout)?,

@@ -124,26 +124,13 @@ fn write_trajectory(
     Ok(())
 }
 
-/// Starts a profiler session for `--prof-file` (or defers to `APF_PROF`);
-/// returns whether this process owns the session and must finish it.
-fn init_profiling(prof_file: &Option<String>) -> bool {
-    match prof_file {
-        Some(path) => apf_prof::start_with(
-            apf_prof::env_interval(),
-            Some(path.clone()),
-            apf_prof::env_wants_alloc(),
-        ),
-        None => apf_prof::init_from_env(),
-    }
-}
-
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     match &args.trace_file {
         Some(path) => apf_trace::init_file(path).map_err(|e| format!("{path}: {e}"))?,
         None => apf_trace::init_from_env(),
     }
-    let prof_owned = init_profiling(&args.prof_file);
+    let prof_owned = apf_prof::init_from_env(args.prof_file.clone());
     if args.sim {
         let mut runner = args.spec.build_runner();
         if let Some(path) = &args.ledger {

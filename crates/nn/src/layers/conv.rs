@@ -1,4 +1,5 @@
-//! Convolutional layer wrapping the fused im2col kernels of `apf-tensor`.
+//! Convolutional layer wrapping the convolution entry points of `apf-tensor`
+//! (direct kernels at stride 1, `im2col` + `matmul` otherwise).
 
 use apf_tensor::Rng;
 use apf_tensor::{
@@ -23,8 +24,8 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    // The forward input, kept for the fused backward pass (which re-derives
-    // im2col entries from it instead of caching the much larger `cols`).
+    // The forward input, kept for the backward pass (which takes it instead
+    // of a cached, much larger `cols`).
     cached_input: Option<Tensor>,
 }
 

@@ -233,30 +233,48 @@ fn backward_params_leaves_the_gradients_of_backward() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of every parameter of `model` after
+/// three Adam steps on one fixed batch of 16.
+fn training_trajectory_hash(mut model: Sequential) -> u64 {
+    use apf::FreezeMask;
+    use apf_nn::{train_batch, Adam};
+    let mut opt = Adam::new(0.001);
+    let frozen = FreezeMask::all_unfrozen(model.param_count());
+    let mut rng = seeded_rng(7);
+    let x = apf_tensor::uniform_init(&[16, 3, 16, 16], -1.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+    for _ in 0..3 {
+        train_batch(&mut model, &mut opt, &x, &labels, &frozen, None);
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in model.flat_params().iter().flat_map(|v| v.to_le_bytes()) {
+        hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// `lenet5(3)` after three Adam steps, hashed at the commit before the
 /// im2col packers and `backward_params` were introduced: the training step
 /// computes the same numbers as it did then, at any pool size.
 #[test]
 fn lenet_training_trajectory_is_pinned() {
-    use apf::FreezeMask;
-    use apf_nn::{models::lenet5, train_batch, Adam};
     for threads in [1usize, 2, 7] {
-        apf_par::with_threads(threads, || {
-            let mut model = lenet5(3);
-            let mut opt = Adam::new(0.001);
-            let frozen = FreezeMask::all_unfrozen(model.param_count());
-            let mut rng = seeded_rng(7);
-            let x = apf_tensor::uniform_init(&[16, 3, 16, 16], -1.0, 1.0, &mut rng);
-            let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
-            for _ in 0..3 {
-                train_batch(&mut model, &mut opt, &x, &labels, &frozen, None);
-            }
-            // FNV-1a over the little-endian bytes of every parameter.
-            let mut hash = 0xcbf2_9ce4_8422_2325u64;
-            for byte in model.flat_params().iter().flat_map(|v| v.to_le_bytes()) {
-                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            assert_eq!(hash, 0x9b75_3218_db2d_c4b1, "threads={threads}");
+        let hash = apf_par::with_threads(threads, || {
+            training_trajectory_hash(apf_nn::models::lenet5(3))
         });
+        assert_eq!(hash, 0x9b75_3218_db2d_c4b1, "threads={threads}");
+    }
+}
+
+/// `resnet(3)` likewise, hashed at the commit before the fused im2col-GEMM
+/// tier was deleted. `rb2-c1` is the model zoo's one strided convolution, so
+/// this is the test that fails if a strided call ever changes bits.
+#[test]
+fn resnet_training_trajectory_is_pinned() {
+    for threads in [1usize, 2, 7] {
+        let hash = apf_par::with_threads(threads, || {
+            training_trajectory_hash(apf_nn::models::resnet(3))
+        });
+        assert_eq!(hash, 0x3b5d_9358_ab90_05fc, "threads={threads}");
     }
 }

@@ -236,44 +236,42 @@ pub fn sample_window(window: Duration, interval: Duration) -> Profile {
 /// * `APF_PROF` — unset/`0`/`off` = disabled; `1`/`on`/`cpu` = sampling;
 ///   `alloc` = sampling + allocation-site attribution.
 /// * `APF_PROF_FILE` — path [`finish`] writes the folded output to.
-/// * `APF_PROF_INTERVAL_US` — sampling interval override (see
-///   [`env_interval`]).
+/// * `APF_PROF_INTERVAL_US` — sampling interval override, clamped to
+///   20 µs – 1 s so a typo can neither spin a core nor silence the
+///   profiler (default [`DEFAULT_INTERVAL`]; short runs sample finer to
+///   catch sub-millisecond phases).
+///
+/// `file` is a binary's `--prof-file` argument: given, it turns sampling on
+/// whatever `APF_PROF` says (which still picks allocation attribution) and
+/// wins over `APF_PROF_FILE`.
 ///
 /// Returns whether THIS call started the profiler — callers that get
 /// `true` own the session and are responsible for calling [`finish`];
 /// `false` means either profiling is off or someone else already started
 /// it (e.g. a binary that handled `--prof-file` before building a runner).
-pub fn init_from_env() -> bool {
+pub fn init_from_env(file: Option<String>) -> bool {
+    // `None` = off, else whether allocation attribution is asked for.
     let mode = std::env::var("APF_PROF").unwrap_or_default();
     let with_alloc = match mode.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "off" | "false" | "none" => return false,
-        "alloc" => true,
-        _ => false,
+        "" | "0" | "off" | "false" | "none" => None,
+        "alloc" => Some(true),
+        _ => Some(false),
     };
-    let file = std::env::var("APF_PROF_FILE")
-        .ok()
-        .filter(|s| !s.is_empty());
-    start_with(env_interval(), file, with_alloc)
-}
-
-/// The sampling interval: `APF_PROF_INTERVAL_US` (clamped to 20 µs – 1 s so
-/// a typo can neither spin a core nor silence the profiler) or
-/// [`DEFAULT_INTERVAL`]. Short runs sample finer to catch sub-millisecond
-/// phases; the default suits multi-second runs.
-pub fn env_interval() -> Duration {
-    std::env::var("APF_PROF_INTERVAL_US")
+    if file.is_none() && with_alloc.is_none() {
+        return false;
+    }
+    let file = file.or_else(|| {
+        std::env::var("APF_PROF_FILE")
+            .ok()
+            .filter(|s| !s.is_empty())
+    });
+    let interval = std::env::var("APF_PROF_INTERVAL_US")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map_or(DEFAULT_INTERVAL, |us| {
             Duration::from_micros(us.clamp(20, 1_000_000))
-        })
-}
-
-/// Whether `APF_PROF=alloc` asks for allocation-site attribution. Binaries
-/// combining a `--prof-file` flag with the env mode switch use this to
-/// pick the [`start_with`] arguments.
-pub fn env_wants_alloc() -> bool {
-    std::env::var("APF_PROF").is_ok_and(|v| v.trim().eq_ignore_ascii_case("alloc"))
+        });
+    start_with(interval, file, with_alloc == Some(true))
 }
 
 /// One allocation site: the innermost open span when the allocations
@@ -487,7 +485,7 @@ mod tests {
         // path indirectly by asserting the off-state contract.
         let _guard = SESSION.lock().unwrap();
         if std::env::var("APF_PROF").is_err() {
-            assert!(!init_from_env());
+            assert!(!init_from_env(None));
             assert!(!is_running());
         }
     }

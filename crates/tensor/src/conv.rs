@@ -1,29 +1,33 @@
-//! Convolution and pooling kernels (im2col-based), with full backward passes.
+//! Convolution and pooling kernels, with full backward passes.
 //!
 //! Layout conventions: activations are `[N, C, H, W]`, convolution weights are
 //! `[O, C * kh * kw]` (pre-flattened), and the im2col matrix is
 //! `[C * kh * kw, N * out_h * out_w]` so that the forward pass is a single
 //! matrix product `weight x cols`.
 //!
-//! The hot path is the **fused** pair [`conv2d_forward_fused`] /
-//! [`conv2d_backward_fused`]: instead of materializing the full im2col
-//! matrix they generate its entries *directly into the packed GEMM panels*
-//! (the B-operand packing closure of [`crate::gemm`]), so the column matrix
-//! never exists in memory and the working set per task is one KC×NR panel.
-//! Stride-1 calls skip the panels too: the fused entry points hand them to
-//! the packing-free kernels of [`crate::direct`] — forward, weight gradient
-//! and input gradient — chosen from the call's shape alone and
-//! bit-identical, which leaves the GEMM the strided layers.
-//! The unfused [`im2col`]/[`conv2d_forward`]/[`conv2d_backward`] entry
-//! points are kept — they are the reference the fused path is tested
-//! against, and some callers want the explicit matrix.
+//! A convolution takes one of two paths, chosen from the call's shape alone:
+//!
+//! * the **oracle** — [`im2col`] + `matmul` ([`conv2d_forward`],
+//!   [`conv2d_backward`]): the column matrix is materialized and the GEMM of
+//!   [`crate::gemm`] does the arithmetic. It serves every geometry, is the
+//!   reference the other path is tested against, and some callers want the
+//!   explicit matrix;
+//! * the **direct** kernels of [`crate::direct`] — forward, weight gradient
+//!   and input gradient with no column matrix and no packed panels — for
+//!   stride-1 calls of at least `PACK_OPS_MIN` (4096) multiply-adds, bit
+//!   for bit the oracle's results.
+//!
+//! [`conv2d_forward_fused`], [`conv2d_backward_fused`] and
+//! [`conv2d_backward_params_fused`] are the dispatching entry points the
+//! layers call: direct where the shape allows, the oracle otherwise (every
+//! strided call — in the model zoo, `resnet`'s `rb2-c1` alone — and every
+//! tiny one). "Fused" is historical: they take and return no `cols`.
 //!
 //! The im2col/col2im transforms and the layout-shuffling assembly loops are
 //! parallelized over contiguous row or plane blocks; within each block the
 //! per-element operation order matches the serial code, so outputs are
-//! bitwise identical at any `APF_PAR_THREADS`. The fused path reuses the
-//! GEMM's ascending-`k` accumulation, so its outputs are bitwise identical
-//! to the unfused `matmul`-based path too.
+//! bitwise identical at any `APF_PAR_THREADS`. The direct kernels keep the
+//! GEMM's ascending-`k` accumulation, so both paths agree bit for bit.
 
 use crate::direct;
 use crate::gemm;
@@ -40,7 +44,8 @@ pub struct ConvSpec {
     pub out_channels: usize,
     /// Square kernel side.
     pub kernel: usize,
-    /// Stride (same in both dimensions).
+    /// Stride (same in both dimensions). A stride of 1 is what the direct
+    /// kernels take; any other runs the `im2col` + `matmul` oracle.
     pub stride: usize,
     /// Zero padding (same on all sides).
     pub padding: usize,
@@ -331,257 +336,21 @@ fn bias_sums(grad_mat: &Tensor, n: usize, o: usize, hw: usize) -> Tensor {
     b
 }
 
-/// Convolution geometry prepared for generating im2col entries on the fly.
-///
-/// The fused GEMM path never materializes the `[C*k*k, N*oh*ow]` column
-/// matrix; instead the B-operand packing closures ask this struct for panels
-/// of it, computed straight from the input tensor. Entry `(row, col)` of the
-/// virtual matrix is `input[ni, ci, iy, ix]` with
-/// `row = ci*k*k + ky*k + kx`, `col = ni*oh*ow + oy*ow + ox`,
-/// `iy = oy*stride + ky - pad`, `ix = ox*stride + kx - pad` (0.0 when the
-/// sample falls in the zero padding) — exactly what [`im2col`] writes, so
-/// the fused and unfused paths feed the GEMM bitwise-identical panels.
-///
-/// Neither packer does index arithmetic per entry: a stretch of consecutive
-/// `col`s inside one output row (an [`OutRun`]) reads one input row at a
-/// fixed step, and `(ci, ky, kx)` and `(ni, oy, ox)` are carried as counters
-/// from one division per panel. (Only strided calls pack any more; the
-/// stride-1 ones go to [`crate::direct`].)
-struct ColsGeom {
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: isize,
-    oh: usize,
-    ow: usize,
+/// Whether a convolution of `ops` multiply-adds takes the direct kernels:
+/// unit stride (a window's taps are then plain offsets from its first) and
+/// a product past the size where `matmul` itself leaves its naive kernel.
+/// Every other call is the oracle's.
+fn takes_direct(spec: &ConvSpec, ops: usize) -> bool {
+    spec.stride == 1 && ops >= gemm::PACK_OPS_MIN
 }
 
-/// `len` consecutive columns of the virtual matrix that share one output
-/// row: output positions `(oy, ox0..ox0+len)` of one sample.
-#[derive(Clone, Copy, Default)]
-struct OutRun {
-    /// Offset of the sample's `[C, H, W]` block in the input data.
-    base: usize,
-    /// `oy*stride - pad`: the input row that kernel row `ky = 0` reads.
-    iy0: isize,
-    /// `ox0*stride - pad`: the input column that `kx = 0` reads at `ox0`.
-    ix0: isize,
-    len: usize,
-}
-
-impl ColsGeom {
-    fn new(spec: &ConvSpec, h: usize, w: usize) -> Self {
-        let (oh, ow) = spec.out_size(h, w);
-        ColsGeom {
-            c: spec.in_channels,
-            h,
-            w,
-            k: spec.kernel,
-            stride: spec.stride,
-            pad: spec.padding as isize,
-            oh,
-            ow,
-        }
-    }
-
-    /// Decomposes a virtual-matrix row index into `(ci, ky, kx)`.
-    #[inline]
-    fn row_parts(&self, row: usize) -> (usize, usize, usize) {
-        (
-            row / (self.k * self.k),
-            (row / self.k) % self.k,
-            row % self.k,
-        )
-    }
-
-    /// Steps `(ci, ky, kx)` to the next virtual-matrix row.
-    #[inline]
-    fn next_row(&self, (ci, ky, kx): (usize, usize, usize)) -> (usize, usize, usize) {
-        if kx + 1 < self.k {
-            (ci, ky, kx + 1)
-        } else if ky + 1 < self.k {
-            (ci, ky + 1, 0)
-        } else {
-            (ci + 1, 0, 0)
-        }
-    }
-
-    /// Splits columns `col0..col0+count` into output-row runs, calling
-    /// `f(offset, run)` for each in ascending column order (`offset` is the
-    /// run's first column minus `col0`).
-    #[inline]
-    fn for_each_out_run(&self, col0: usize, count: usize, mut f: impl FnMut(usize, OutRun)) {
-        let ohw = self.oh * self.ow;
-        let (mut ni, rem) = (col0 / ohw, col0 % ohw);
-        let (mut oy, mut ox) = (rem / self.ow, rem % self.ow);
-        let mut done = 0;
-        while done < count {
-            let len = (self.ow - ox).min(count - done);
-            f(
-                done,
-                OutRun {
-                    base: ni * self.c * self.h * self.w,
-                    iy0: (oy * self.stride) as isize - self.pad,
-                    ix0: (ox * self.stride) as isize - self.pad,
-                    len,
-                },
-            );
-            done += len;
-            ox = 0;
-            oy += 1;
-            if oy == self.oh {
-                oy = 0;
-                ni += 1;
-            }
-        }
-    }
-
-    /// The input row that `run` reads at kernel row `ky` of the channel
-    /// whose plane starts `chan = ci*h*w` into a sample, or `None` when it
-    /// lies in the zero padding.
-    #[inline]
-    fn in_row<'a>(
-        &self,
-        data: &'a [f32],
-        run: &OutRun,
-        chan: usize,
-        ky: usize,
-    ) -> Option<&'a [f32]> {
-        let iy = run.iy0 + ky as isize;
-        if iy < 0 || iy >= self.h as isize {
-            return None;
-        }
-        Some(&data[run.base + chan + iy as usize * self.w..][..self.w])
-    }
-
-    /// B-packing closure body for the forward GEMM: NR-column panels of
-    /// `cols` at depth `pc..pc+kc_eff`, columns `jc..jc+nc_eff`.
-    ///
-    /// A panel's NR columns are split into output-row runs once. Its rows are
-    /// taken a kernel row at a time — the up to `k` consecutive rows that
-    /// share `(ci, ky)` — so each run looks its input row up once per kernel
-    /// row and fills one panel row per `kx` from it.
-    fn pack_cols_panels(
-        &self,
-        data: &[f32],
-        dst: &mut [f32],
-        pc: usize,
-        kc_eff: usize,
-        jc: usize,
-        nc_eff: usize,
-    ) {
-        for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
-            let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-            let mut runs = [(0usize, OutRun::default()); gemm::NR];
-            let mut n_runs = 0;
-            self.for_each_out_run(jc + jr * gemm::NR, cols_n, |j, run| {
-                runs[n_runs] = (j, run);
-                n_runs += 1;
-            });
-            let (mut ci, mut ky, mut kx) = self.row_parts(pc);
-            let mut rest = panel;
-            while !rest.is_empty() {
-                let rows = (self.k - kx).min(rest.len() / gemm::NR);
-                let (kernel_row, tail) = rest.split_at_mut(rows * gemm::NR);
-                for &(j, run) in &runs[..n_runs] {
-                    let in_row = self.in_row(data, &run, ci * self.h * self.w, ky);
-                    for (i, out) in kernel_row.chunks_exact_mut(gemm::NR).enumerate() {
-                        let out = &mut out[j..j + run.len];
-                        match in_row {
-                            Some(in_row) => self.fill_run(in_row, run.ix0 + (kx + i) as isize, out),
-                            None => out.fill(0.0),
-                        }
-                    }
-                }
-                if cols_n < gemm::NR {
-                    for out in kernel_row.chunks_exact_mut(gemm::NR) {
-                        out[cols_n..].fill(0.0);
-                    }
-                }
-                rest = tail;
-                kx = 0;
-                ky += 1;
-                if ky == self.k {
-                    ky = 0;
-                    ci += 1;
-                }
-            }
-        }
-    }
-
-    /// Fills `dst[t]` with input column `ix0 + t*stride` of `in_row`, 0.0
-    /// where that falls outside the image.
-    #[inline]
-    fn fill_run(&self, in_row: &[f32], ix0: isize, dst: &mut [f32]) {
-        for (t, d) in dst.iter_mut().enumerate() {
-            // A negative column wraps to a huge one.
-            let ix = (ix0 + (t * self.stride) as isize) as usize;
-            *d = if ix < self.w { in_row[ix] } else { 0.0 };
-        }
-    }
-
-    /// B-packing closure body for the grad-weight GEMM, whose B operand is
-    /// the *transpose* `colsᵀ [N*oh*ow, C*k*k]`: panel entry `(p, j)` is
-    /// `cols[jc + j][pc + p]` — lane `j` is one `(ci, ky, kx)`, and going
-    /// down the panel walks the output positions `pc..pc+kc_eff`.
-    ///
-    /// Those positions are split into output-row runs, and each position
-    /// gathers its lanes with the row and column offsets precomputed.
-    fn pack_cols_t_panels(
-        &self,
-        data: &[f32],
-        dst: &mut [f32],
-        pc: usize,
-        kc_eff: usize,
-        jc: usize,
-        nc_eff: usize,
-    ) {
-        for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
-            let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-            if cols_n < gemm::NR {
-                for out in panel.chunks_exact_mut(gemm::NR) {
-                    out[cols_n..].fill(0.0);
-                }
-            }
-            // Per lane: its channel plane's offset within a sample, ky, kx.
-            let mut lanes = [(0usize, 0usize, 0usize); gemm::NR];
-            let mut row = self.row_parts(jc + jr * gemm::NR);
-            for lane in lanes.iter_mut().take(cols_n) {
-                *lane = (row.0 * self.h * self.w, row.1, row.2);
-                row = self.next_row(row);
-            }
-            let lanes = &lanes[..cols_n];
-            self.for_each_out_run(pc, kc_eff, |p, run| {
-                let rows = &mut panel[p * gemm::NR..(p + run.len) * gemm::NR];
-                for (t, out) in rows.chunks_exact_mut(gemm::NR).enumerate() {
-                    let ix0 = run.ix0 + (t * self.stride) as isize;
-                    for (o, &(chan, ky, kx)) in out.iter_mut().zip(lanes) {
-                        // Negative coordinates wrap to huge values.
-                        let iy = (run.iy0 + ky as isize) as usize;
-                        let ix = (ix0 + kx as isize) as usize;
-                        *o = if iy < self.h && ix < self.w {
-                            data[run.base + chan + iy * self.w + ix]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// Fused 2-D convolution forward pass: im2col directly into the packed GEMM
-/// panels, so the column matrix never exists in memory — or, for a stride-1
-/// call, no panels at all ([`crate::direct`]).
-///
-/// Takes the same operands as [`conv2d_forward`] and produces a bitwise
-/// identical output tensor (asserted in debug builds for small problems);
-/// it just skips materializing (and returning) `cols`. Pair it with
-/// [`conv2d_backward_fused`], which re-derives the column entries from the
-/// input instead of consuming a cached `cols`.
+/// 2-D convolution forward pass without the column matrix: the operands of
+/// [`conv2d_forward`], a bitwise identical output tensor, no `cols`
+/// returned. A stride-1 call of at least `PACK_OPS_MIN` (4096)
+/// multiply-adds runs the direct kernel ([`crate::direct`]; checked against
+/// the oracle in debug builds for small problems); any other call *is*
+/// [`conv2d_forward`] with its `cols` recycled. Pair it with
+/// [`conv2d_backward_fused`], which takes the input instead of `cols`.
 ///
 /// # Panics
 /// Panics on any shape mismatch.
@@ -604,67 +373,38 @@ pub fn conv2d_forward_fused(
     assert_eq!(bias.numel(), spec.out_channels, "bias shape mismatch");
     let (oh, ow) = spec.out_size(h, w);
     let o = spec.out_channels;
-    let ckk = c * k * k;
-    let cols_w = n * oh * ow;
-    let ops = o * ckk * cols_w;
-    if ops < gemm::PACK_OPS_MIN {
-        // Tiny problem: the unfused path already uses the naive reference
-        // matmul here, and packing traffic would dominate.
+    let ops = o * c * k * k * n * oh * ow;
+    if !takes_direct(spec, ops) {
         let (out, cols) = conv2d_forward(input, weight, bias, spec);
         cols.recycle();
         return out;
     }
-    let shape = direct_geom(spec, n, (h, w), (oh, ow));
-    let out = if shape.forward_is_direct(spec.stride) {
-        let mut out = Tensor::scratch(&[n, o, oh, ow]);
-        direct::forward(
-            input.data(),
-            weight.data(),
-            bias.data(),
-            out.data_mut(),
-            &shape,
-        );
-        out
-    } else {
-        let geom = ColsGeom::new(spec, h, w);
-        let wdata = weight.data();
-        let idata = input.data();
-        let mut out_mat = Tensor::scratch(&[o, cols_w]);
-        gemm::gemm_packed(
-            o,
-            ckk,
-            cols_w,
-            &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
-                gemm::pack_a_rowmajor(dst, wdata, ckk, ic, mc_eff, pc, kc_eff)
-            },
-            &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
-                geom.pack_cols_panels(idata, dst, pc, kc_eff, jc, nc_eff)
-            },
-            out_mat.data_mut(),
-        );
-        let mut out = Tensor::scratch(&[n, o, oh, ow]);
-        assemble_output(out.data_mut(), out_mat.data(), bias.data(), n, o, oh * ow);
-        out_mat.recycle();
-        out
-    };
+    let mut out = Tensor::scratch(&[n, o, oh, ow]);
+    direct::forward(
+        input.data(),
+        weight.data(),
+        bias.data(),
+        out.data_mut(),
+        &direct_geom(spec, n, (h, w), (oh, ow)),
+    );
     #[cfg(debug_assertions)]
     if ops <= gemm::REF_CHECK_OPS_MAX {
         let (want, cols) = conv2d_forward(input, weight, bias, spec);
         cols.recycle();
-        assert_same_bits(&out, &want, "fused conv2d forward");
+        assert_same_bits(&out, &want, "direct conv2d forward");
         want.recycle();
     }
     out
 }
 
-/// Fused 2-D convolution backward pass.
-///
-/// Unlike [`conv2d_backward`] it takes the forward `input` instead of the
-/// cached im2col matrix: the grad-weight GEMM regenerates the column entries
-/// (transposed) directly into its packed B panels, and a stride-1 call
-/// builds neither panels nor the `[O, N*oh*ow]` and `[C*k*k, N*oh*ow]`
-/// gradient matrices ([`crate::direct`]). Gradients are bitwise identical
-/// to the unfused path (asserted in debug builds for small problems).
+/// 2-D convolution backward pass from the forward `input` instead of the
+/// cached im2col matrix, bitwise identical to [`conv2d_backward`]. A
+/// stride-1 call of at least `PACK_OPS_MIN` multiply-adds takes its
+/// parameter gradients, and its input gradient where there are input
+/// channels and output positions to fill a vector, from [`crate::direct`] —
+/// neither `cols` nor the `[O, N*oh*ow]` and `[C*k*k, N*oh*ow]` gradient
+/// matrices are built (checked against the oracle in debug builds for small
+/// problems). Any other call *is* [`im2col`] + [`conv2d_backward`].
 ///
 /// # Panics
 /// Panics on any shape mismatch.
@@ -675,35 +415,41 @@ pub fn conv2d_backward_fused(
     spec: &ConvSpec,
 ) -> Conv2dGrads {
     let dims = backward_dims(grad_out, input, spec);
-    let direct_params = direct_param_grads(grad_out, input, spec, &dims);
-    let direct_input = direct_input_grad(grad_out, weight, spec, &dims);
-    // Only the GEMMs read the gradient as `[O, N*oh*ow]`.
-    let grad_mat = (direct_params.is_none() || direct_input.is_none())
-        .then(|| rearrange_grad(grad_out, dims.n, dims.o, dims.hw));
-    let gemm_operand = || grad_mat.as_ref().expect("built for the GEMM path");
-    let (grad_weight, grad_bias) =
-        direct_params.unwrap_or_else(|| param_grads(gemm_operand(), input, spec, &dims));
-    let grad_input = direct_input.unwrap_or_else(|| {
-        let grad_cols = weight.matmul_tn(gemm_operand()); // [CKK, N*oh*ow]
+    let oracle = || {
+        let cols = im2col(input, spec);
+        let grads = conv2d_backward(grad_out, &cols, weight, spec, (dims.h, dims.w));
+        cols.recycle();
+        grads
+    };
+    if !takes_direct(spec, dims.ops()) {
+        return oracle();
+    }
+    let shape = dims.direct_geom(spec);
+    let (grad_weight, grad_bias) = direct_param_grads(grad_out, input, &dims, &shape);
+    let grad_input = if shape.input_grad_is_direct() {
+        assert_eq!(weight.shape(), &[dims.o, dims.ckk], "weight shape mismatch");
+        let mut grad_input = Tensor::scratch(&[dims.n, spec.in_channels, dims.h, dims.w]);
+        direct::input_grad(
+            grad_out.data(),
+            weight.data(),
+            grad_input.data_mut(),
+            &shape,
+        );
+        grad_input
+    } else {
+        let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
+        let grad_cols = weight.matmul_tn(&grad_mat); // [CKK, N*oh*ow]
         let grad_input = col2im(&grad_cols, spec, dims.n, dims.h, dims.w);
         grad_cols.recycle();
-        grad_input
-    });
-    if let Some(grad_mat) = grad_mat {
         grad_mat.recycle();
-    }
+        grad_input
+    };
     #[cfg(debug_assertions)]
     if dims.ops() <= gemm::REF_CHECK_OPS_MAX {
-        let cols = im2col(input, spec);
-        let want = conv2d_backward(grad_out, &cols, weight, spec, (dims.h, dims.w));
-        cols.recycle();
-        assert_same_bits(&grad_input, &want.input, "fused conv2d backward grad_input");
-        assert_same_bits(
-            &grad_weight,
-            &want.weight,
-            "fused conv2d backward grad_weight",
-        );
-        assert_same_bits(&grad_bias, &want.bias, "fused conv2d backward grad_bias");
+        let want = oracle();
+        assert_same_bits(&grad_input, &want.input, "direct conv2d grad_input");
+        assert_same_bits(&grad_weight, &want.weight, "direct conv2d grad_weight");
+        assert_same_bits(&grad_bias, &want.bias, "direct conv2d grad_bias");
     }
     Conv2dGrads {
         input: grad_input,
@@ -725,33 +471,31 @@ pub fn conv2d_backward_params_fused(
     spec: &ConvSpec,
 ) -> (Tensor, Tensor) {
     let dims = backward_dims(grad_out, input, spec);
-    let (grad_weight, grad_bias) =
-        direct_param_grads(grad_out, input, spec, &dims).unwrap_or_else(|| {
-            let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
-            let grads = param_grads(&grad_mat, input, spec, &dims);
-            grad_mat.recycle();
-            grads
-        });
-    #[cfg(debug_assertions)]
-    if dims.ops() <= gemm::REF_CHECK_OPS_MAX {
-        // The parameter half of `conv2d_backward`, spelled out.
+    // The parameter half of `conv2d_backward`, spelled out.
+    let oracle = || {
         let cols = im2col(input, spec);
         let grad_mat = rearrange_grad(grad_out, dims.n, dims.o, dims.hw);
-        let want_weight = grad_mat.matmul_nt(&cols);
-        let want_bias = bias_sums(&grad_mat, dims.n, dims.o, dims.hw);
-        assert_same_bits(
-            &grad_weight,
-            &want_weight,
-            "fused conv2d params grad_weight",
-        );
-        assert_same_bits(&grad_bias, &want_bias, "fused conv2d params grad_bias");
+        let grad_weight = grad_mat.matmul_nt(&cols);
+        let grad_bias = bias_sums(&grad_mat, dims.n, dims.o, dims.hw);
         cols.recycle();
         grad_mat.recycle();
+        (grad_weight, grad_bias)
+    };
+    if !takes_direct(spec, dims.ops()) {
+        return oracle();
+    }
+    let (grad_weight, grad_bias) =
+        direct_param_grads(grad_out, input, &dims, &dims.direct_geom(spec));
+    #[cfg(debug_assertions)]
+    if dims.ops() <= gemm::REF_CHECK_OPS_MAX {
+        let (want_weight, want_bias) = oracle();
+        assert_same_bits(&grad_weight, &want_weight, "direct conv2d grad_weight");
+        assert_same_bits(&grad_bias, &want_bias, "direct conv2d grad_bias");
     }
     (grad_weight, grad_bias)
 }
 
-/// Checked shapes of one fused backward call.
+/// Checked shapes of one backward call.
 struct BackwardDims {
     n: usize,
     o: usize,
@@ -761,14 +505,18 @@ struct BackwardDims {
     ow: usize,
     /// `oh*ow`, output positions per sample.
     hw: usize,
-    /// `C*k*k`, the depth of the virtual column matrix.
+    /// `C*k*k`, the depth of the column matrix.
     ckk: usize,
 }
 
 impl BackwardDims {
-    /// Multiply-adds of the grad-weight GEMM.
+    /// Multiply-adds of the grad-weight product.
     fn ops(&self) -> usize {
         self.o * self.n * self.hw * self.ckk
+    }
+
+    fn direct_geom(&self, spec: &ConvSpec) -> direct::Geom {
+        direct_geom(spec, self.n, (self.h, self.w), (self.oh, self.ow))
     }
 }
 
@@ -795,7 +543,7 @@ fn backward_dims(grad_out: &Tensor, input: &Tensor, spec: &ConvSpec) -> Backward
     }
 }
 
-/// Shapes of a convolution call as the direct kernels take them.
+/// Shapes of a stride-1 convolution call as the direct kernels take them.
 fn direct_geom(
     spec: &ConvSpec,
     n: usize,
@@ -815,19 +563,14 @@ fn direct_geom(
     }
 }
 
-/// The parameter gradients from the direct kernels, when the call's shape
-/// is theirs: they read `grad_out` `[N, O, oh, ow]` as it lies, so no
-/// `grad_mat` is built for them.
+/// The parameter gradients from the direct kernels, which read `grad_out`
+/// `[N, O, oh, ow]` as it lies: no `grad_mat` is built for them.
 fn direct_param_grads(
     grad_out: &Tensor,
     input: &Tensor,
-    spec: &ConvSpec,
     dims: &BackwardDims,
-) -> Option<(Tensor, Tensor)> {
-    let shape = direct_geom(spec, dims.n, (dims.h, dims.w), (dims.oh, dims.ow));
-    if dims.ops() < gemm::PACK_OPS_MIN || !shape.param_grads_are_direct(spec.stride) {
-        return None;
-    }
+    shape: &direct::Geom,
+) -> (Tensor, Tensor) {
     let mut grad_weight = Tensor::scratch(&[dims.o, dims.ckk]);
     let mut grad_bias = Tensor::scratch(&[dims.o]);
     direct::param_grads(
@@ -835,66 +578,7 @@ fn direct_param_grads(
         input.data(),
         grad_weight.data_mut(),
         grad_bias.data_mut(),
-        &shape,
-    );
-    Some((grad_weight, grad_bias))
-}
-
-/// The input gradient from the direct kernel, when the call's shape is its.
-fn direct_input_grad(
-    grad_out: &Tensor,
-    weight: &Tensor,
-    spec: &ConvSpec,
-    dims: &BackwardDims,
-) -> Option<Tensor> {
-    let shape = direct_geom(spec, dims.n, (dims.h, dims.w), (dims.oh, dims.ow));
-    if dims.ops() < gemm::PACK_OPS_MIN || !shape.input_grad_is_direct(spec.stride) {
-        return None;
-    }
-    assert_eq!(weight.shape(), &[dims.o, dims.ckk], "weight shape mismatch");
-    let mut grad_input = Tensor::scratch(&[dims.n, spec.in_channels, dims.h, dims.w]);
-    direct::input_grad(
-        grad_out.data(),
-        weight.data(),
-        grad_input.data_mut(),
-        &shape,
-    );
-    Some(grad_input)
-}
-
-/// `grad_weight = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK]` with the column
-/// entries generated into the packed B panels, and the bias row sums.
-fn param_grads(
-    grad_mat: &Tensor,
-    input: &Tensor,
-    spec: &ConvSpec,
-    dims: &BackwardDims,
-) -> (Tensor, Tensor) {
-    let o = dims.o;
-    let cols_w = dims.n * dims.hw;
-    let grad_bias = bias_sums(grad_mat, dims.n, o, dims.hw);
-    if dims.ops() < gemm::PACK_OPS_MIN {
-        // Tiny problem: `matmul_nt` takes the naive reference kernel here.
-        let cols = im2col(input, spec);
-        let grad_weight = grad_mat.matmul_nt(&cols);
-        cols.recycle();
-        return (grad_weight, grad_bias);
-    }
-    let geom = ColsGeom::new(spec, dims.h, dims.w);
-    let gm = grad_mat.data();
-    let idata = input.data();
-    let mut grad_weight = Tensor::scratch(&[o, dims.ckk]);
-    gemm::gemm_packed(
-        o,
-        cols_w,
-        dims.ckk,
-        &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
-            gemm::pack_a_rowmajor(dst, gm, cols_w, ic, mc_eff, pc, kc_eff)
-        },
-        &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
-            geom.pack_cols_t_panels(idata, dst, pc, kc_eff, jc, nc_eff)
-        },
-        grad_weight.data_mut(),
+        shape,
     );
     (grad_weight, grad_bias)
 }
@@ -1115,183 +799,6 @@ pub fn avgpool2d_backward(grad_out: &Tensor, spec: &PoolSpec, input_shape: &[usi
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The packers the run-based ones replaced, verbatim, kept as their
-    /// oracle: index divisions per span or per entry, a bounds test per
-    /// entry.
-    impl ColsGeom {
-        fn fill_row_span(&self, data: &[f32], row: usize, col0: usize, dst: &mut [f32]) {
-            let (ci, ky, kx) = self.row_parts(row);
-            let ohw = self.oh * self.ow;
-            let mut j = 0;
-            while j < dst.len() {
-                let col = col0 + j;
-                let ni = col / ohw;
-                let rem = col % ohw;
-                let (oy, ox0) = (rem / self.ow, rem % self.ow);
-                let run = (self.ow - ox0).min(dst.len() - j);
-                let iy = (oy * self.stride) as isize + ky as isize - self.pad;
-                if iy < 0 || iy >= self.h as isize {
-                    dst[j..j + run].fill(0.0);
-                } else {
-                    let in_row =
-                        &data[((ni * self.c + ci) * self.h + iy as usize) * self.w..][..self.w];
-                    for (t, d) in dst[j..j + run].iter_mut().enumerate() {
-                        let ix = ((ox0 + t) * self.stride) as isize + kx as isize - self.pad;
-                        *d = if ix < 0 || ix >= self.w as isize {
-                            0.0
-                        } else {
-                            in_row[ix as usize]
-                        };
-                    }
-                }
-                j += run;
-            }
-        }
-
-        fn pack_cols_panels_oracle(
-            &self,
-            data: &[f32],
-            dst: &mut [f32],
-            pc: usize,
-            kc_eff: usize,
-            jc: usize,
-            nc_eff: usize,
-        ) {
-            for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
-                let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-                let col0 = jc + jr * gemm::NR;
-                for p in 0..kc_eff {
-                    let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
-                    self.fill_row_span(data, pc + p, col0, &mut out[..cols_n]);
-                    out[cols_n..].fill(0.0);
-                }
-            }
-        }
-
-        fn pack_cols_t_panels_oracle(
-            &self,
-            data: &[f32],
-            dst: &mut [f32],
-            pc: usize,
-            kc_eff: usize,
-            jc: usize,
-            nc_eff: usize,
-        ) {
-            let ohw = self.oh * self.ow;
-            for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
-                let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-                let mut rows = [(0usize, 0usize, 0usize); gemm::NR];
-                for (j, r) in rows.iter_mut().enumerate().take(cols_n) {
-                    *r = self.row_parts(jc + jr * gemm::NR + j);
-                }
-                for p in 0..kc_eff {
-                    let col = pc + p;
-                    let ni = col / ohw;
-                    let rem = col % ohw;
-                    let (oy, ox) = (rem / self.ow, rem % self.ow);
-                    let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
-                    for (o, &(ci, ky, kx)) in out.iter_mut().zip(&rows).take(cols_n) {
-                        let iy = (oy * self.stride) as isize + ky as isize - self.pad;
-                        let ix = (ox * self.stride) as isize + kx as isize - self.pad;
-                        *o = if iy < 0 || iy >= self.h as isize || ix < 0 || ix >= self.w as isize {
-                            0.0
-                        } else {
-                            data[((ni * self.c + ci) * self.h + iy as usize) * self.w + ix as usize]
-                        };
-                    }
-                    out[cols_n..].fill(0.0);
-                }
-            }
-        }
-    }
-
-    /// Every geometry of the conv test grid that has a non-empty output:
-    /// runs shorter than, equal to and longer than NR, panels that straddle
-    /// a sample boundary, `cols_w` not a multiple of NR or NC.
-    fn geometry_grid() -> Vec<(ConvSpec, [usize; 4])> {
-        let mut grid = Vec::new();
-        for kernel in [1usize, 3, 5] {
-            for stride in [1usize, 2] {
-                for padding in [0usize, 1, 2] {
-                    for hw in [4usize, 5, 8, 9, 16] {
-                        for n in [1usize, 3, 16] {
-                            if hw + 2 * padding < kernel {
-                                continue;
-                            }
-                            let spec = ConvSpec {
-                                in_channels: 3,
-                                out_channels: 4,
-                                kernel,
-                                stride,
-                                padding,
-                            };
-                            grid.push((spec, [n, 3, hw, hw]));
-                        }
-                    }
-                }
-            }
-        }
-        grid
-    }
-
-    #[test]
-    fn run_packers_match_per_element_oracle_byte_for_byte() {
-        for (spec, shape) in geometry_grid() {
-            let [n, c, h, w] = shape;
-            // Distinct non-zero values: a misplaced or wrongly padded entry
-            // cannot coincide with the right one.
-            let data: Vec<f32> = (0..n * c * h * w).map(|i| i as f32 + 1.0).collect();
-            let geom = ColsGeom::new(&spec, h, w);
-            let ckk = c * spec.kernel * spec.kernel;
-            let cols_w = n * geom.oh * geom.ow;
-            type Packer = fn(&ColsGeom, &[f32], &mut [f32], usize, usize, usize, usize);
-            let cases: [(&str, usize, usize, Packer, Packer); 2] = [
-                (
-                    "cols",
-                    ckk,
-                    cols_w,
-                    ColsGeom::pack_cols_panels,
-                    ColsGeom::pack_cols_panels_oracle,
-                ),
-                (
-                    "cols_t",
-                    cols_w,
-                    ckk,
-                    ColsGeom::pack_cols_t_panels,
-                    ColsGeom::pack_cols_t_panels_oracle,
-                ),
-            ];
-            for (what, depth, width, new, oracle) in cases {
-                // The GEMM's own (KC, NC) block grid, then one block that
-                // starts mid-kernel-row and mid-output-row.
-                let mut blocks = Vec::new();
-                for pc in (0..depth).step_by(gemm::KC) {
-                    for jc in (0..width).step_by(gemm::NC) {
-                        blocks.push((pc, gemm::KC.min(depth - pc), jc, gemm::NC.min(width - jc)));
-                    }
-                }
-                if depth > 3 && width > 5 {
-                    blocks.push((3, depth - 3, 5, (width - 5).min(gemm::NC + 3)));
-                }
-                for (pc, kc_eff, jc, nc_eff) in blocks {
-                    let len = nc_eff.div_ceil(gemm::NR) * gemm::NR * kc_eff;
-                    let mut got = vec![f32::NAN; len];
-                    let mut want = vec![f32::NAN; len];
-                    new(&geom, &data, &mut got, pc, kc_eff, jc, nc_eff);
-                    oracle(&geom, &data, &mut want, pc, kc_eff, jc, nc_eff);
-                    for (i, (g, r)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            r.to_bits(),
-                            "{what} {spec:?} {shape:?} block pc={pc} kc={kc_eff} jc={jc} \
-                             nc={nc_eff}: entry {i}: {g} vs {r}"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     fn naive_conv(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
         let s = input.shape();
@@ -1523,48 +1030,27 @@ mod tests {
 
     #[test]
     fn fused_forward_is_bitwise_identical_to_unfused() {
-        // Covers padded/strided geometry and a batch large enough that the
-        // GEMM takes the packed path (ops >= PACK_OPS_MIN), across thread
-        // counts. The debug-build parity assert inside the fused functions
-        // double-checks every case too.
-        for (spec, shape) in [
-            (
-                ConvSpec {
-                    in_channels: 3,
-                    out_channels: 5,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                [4usize, 3, 9, 9],
-            ),
-            (
-                ConvSpec {
-                    in_channels: 2,
-                    out_channels: 4,
-                    kernel: 2,
-                    stride: 2,
-                    padding: 0,
-                },
-                [3, 2, 8, 8],
-            ),
-        ] {
-            let input = det_input(&shape);
-            let weight = det_input(&[
-                spec.out_channels,
-                spec.in_channels * spec.kernel * spec.kernel,
-            ]);
-            let bias = det_input(&[spec.out_channels]);
-            let (want, cols) = conv2d_forward(&input, &weight, &bias, &spec);
-            cols.recycle();
-            for t in [1usize, 2, 7] {
-                let got = apf_par::with_threads(t, || {
-                    conv2d_forward_fused(&input, &weight, &bias, &spec)
-                });
-                assert_eq!(got.shape(), want.shape());
-                for (g, r) in got.data().iter().zip(want.data()) {
-                    assert_eq!(g.to_bits(), r.to_bits(), "threads={t}: {g} vs {r}");
-                }
+        // A stride-1 batch past PACK_OPS_MIN: the direct kernel against the
+        // oracle, across thread counts. (Strided and tiny calls are the
+        // oracle itself; `tests/proptests.rs` pins that dispatch.)
+        let spec = ConvSpec {
+            in_channels: 3,
+            out_channels: 5,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let input = det_input(&[4, 3, 9, 9]);
+        let weight = det_input(&[5, 3 * 9]);
+        let bias = det_input(&[5]);
+        let (want, cols) = conv2d_forward(&input, &weight, &bias, &spec);
+        cols.recycle();
+        for t in [1usize, 2, 7] {
+            let got =
+                apf_par::with_threads(t, || conv2d_forward_fused(&input, &weight, &bias, &spec));
+            assert_eq!(got.shape(), want.shape());
+            for (g, r) in got.data().iter().zip(want.data()) {
+                assert_eq!(g.to_bits(), r.to_bits(), "threads={t}: {g} vs {r}");
             }
         }
     }

@@ -28,7 +28,8 @@
 //!   splat(g)` over the output channels, then `pixel = pixel + t`.
 //!
 //! [`Geom`]'s predicates pick one kernel per product from the call's shape
-//! alone (EXPERIMENTS.md has the measurements that set them).
+//! alone (PERFLOG.md has the measurements that set them); `conv.rs` sends
+//! them stride-1 calls only.
 //!
 //! # Determinism
 //!
@@ -131,22 +132,11 @@ impl Geom {
         self.o.is_multiple_of(LANES * channel_vectors(self.o))
     }
 
-    /// Whether the forward pass goes direct: unit stride (a window's taps
-    /// are then plain offsets from its first).
-    pub(crate) fn forward_is_direct(&self, stride: usize) -> bool {
-        stride == 1
-    }
-
     /// Row lanes where an output row fills two vectors, or fills one while
     /// the channels would leave channel lanes idle; channel lanes
     /// otherwise.
     fn forward_by_rows(&self) -> bool {
         self.ow >= 2 * LANES || (self.ow >= LANES && !self.channels_fill_lanes())
-    }
-
-    /// Whether the parameter gradients go direct: the forward rule.
-    pub(crate) fn param_grads_are_direct(&self, stride: usize) -> bool {
-        stride == 1
     }
 
     /// Tap lanes where an output row fills a vector and a kernel row fits
@@ -156,10 +146,10 @@ impl Geom {
         self.ow >= LANES && self.k <= LANES && 2 * self.k > LANES && !self.channels_fill_lanes()
     }
 
-    /// Whether the input gradient goes direct: unit stride, input channels
-    /// to put in the lanes, and a tile of output positions per sample.
-    pub(crate) fn input_grad_is_direct(&self, stride: usize) -> bool {
-        stride == 1 && self.c > 1 && self.hw() >= LANES
+    /// Whether the input gradient goes direct: input channels to put in
+    /// the lanes, and a tile of output positions per sample.
+    pub(crate) fn input_grad_is_direct(&self) -> bool {
+        self.c > 1 && self.hw() >= LANES
     }
 }
 

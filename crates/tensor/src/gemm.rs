@@ -14,9 +14,9 @@
 //!   panels laid out k-major (for each `k`, MR consecutive values), B into
 //!   NR-column panels (for each `k`, NR consecutive values). The microkernel
 //!   then streams both panels linearly regardless of the original operand
-//!   layout — which is how the transposed variants (`matmul_tn`,
-//!   `matmul_nt`) and the im2col-fused convolution share one kernel: they
-//!   only differ in their packing closures.
+//!   layout — which is how `matmul` and the transposed variants
+//!   (`matmul_tn`, `matmul_nt`) share one kernel: they only differ in
+//!   their packing closures.
 //! * Loops are **cache-blocked** with [`KC`]/[`MC`]/[`NC`]: a KC-deep slab
 //!   of B panels is packed once per NC-wide column block and reused across
 //!   all row blocks; an MC×KC slab of A panels lives in L1/L2 while it is
@@ -46,17 +46,17 @@
 use crate::scratch;
 
 /// Microkernel tile rows.
-pub(crate) const MR: usize = 8;
+const MR: usize = 8;
 /// Microkernel tile columns: one AVX vector (or two SSE vectors) per row.
-pub(crate) const NR: usize = 8;
+const NR: usize = 8;
 /// K-blocking: one packed A panel (MR×KC) is 4 KiB, one B panel (NR×KC) is
 /// 8 KiB — both live in L1 while the microkernel streams them.
-pub(crate) const KC: usize = 256;
+const KC: usize = 256;
 /// Row blocking: an MC×KC slab of packed A (64 KiB) stays L2-resident.
-pub(crate) const MC: usize = 64;
+const MC: usize = 64;
 /// Column blocking: an NC×KC slab of packed B (64 KiB) stays L2-resident.
 /// MC×NC also fixes the parallel block grid — see [`gemm_packed`].
-pub(crate) const NC: usize = 64;
+const NC: usize = 64;
 
 /// Below this many multiply-adds the packing traffic is not worth it and
 /// the callers use the naive reference kernels instead.
@@ -252,7 +252,7 @@ unsafe fn tile(
 
 /// Packs rows `ic..ic+mc_eff`, depth `pc..pc+kc_eff` of row-major
 /// `src[·, lda]` into MR-row panels (k-major, zero-padded to MR).
-pub(crate) fn pack_a_rowmajor(
+fn pack_a_rowmajor(
     dst: &mut [f32],
     src: &[f32],
     lda: usize,
@@ -280,7 +280,7 @@ pub(crate) fn pack_a_rowmajor(
 /// Packs columns `ic..ic+mc_eff`, depth `pc..pc+kc_eff` of the *transposed*
 /// operand `src` (stored `[k_total, m]`, so A[i][p] = src[p*m + i]) into
 /// MR-row panels.
-pub(crate) fn pack_a_colmajor(
+fn pack_a_colmajor(
     dst: &mut [f32],
     src: &[f32],
     m: usize,
@@ -302,7 +302,7 @@ pub(crate) fn pack_a_colmajor(
 
 /// Packs depth `pc..pc+kc_eff`, columns `jc..jc+nc_eff` of row-major
 /// `src[·, ldb]` into NR-column panels (k-major, zero-padded to NR).
-pub(crate) fn pack_b_rowmajor(
+fn pack_b_rowmajor(
     dst: &mut [f32],
     src: &[f32],
     ldb: usize,
@@ -324,7 +324,7 @@ pub(crate) fn pack_b_rowmajor(
 
 /// Packs the *transposed* operand `src` (stored `[n_total, k]`, so
 /// B[p][j] = src[j*k + p]) into NR-column panels.
-pub(crate) fn pack_b_colmajor(
+fn pack_b_colmajor(
     dst: &mut [f32],
     src: &[f32],
     ldb: usize,
@@ -354,22 +354,16 @@ pub(crate) fn pack_b_colmajor(
 /// `pack_a(dst, ic, mc_eff, pc, kc_eff)` must fill `dst` with the MR-row
 /// panels of A rows `ic..ic+mc_eff` at depth `pc..pc+kc_eff`;
 /// `pack_b(dst, pc, kc_eff, jc, nc_eff)` with the NR-column panels of B.
-/// This indirection is what lets `conv2d` im2col straight into packed
-/// panels without ever materializing the column matrix.
+/// This indirection is what lets the three operand layouts
+/// ([`gemm_nn`], [`gemm_tn`], [`gemm_nt`]) share one driver.
 ///
 /// C is fully overwritten (no pre-zeroing needed); `k == 0` zero-fills.
 /// Parallelism: one pool task per (MC, NC) block of the output grid — each
 /// task packs the A/B slabs it needs into thread-local scratch buffers and
 /// owns its C block exclusively. Packing is re-done per block (a few percent
 /// of the kernel's own traffic) in exchange for tasks that share nothing.
-pub(crate) fn gemm_packed<PA, PB>(
-    m: usize,
-    k: usize,
-    n: usize,
-    pack_a: &PA,
-    pack_b: &PB,
-    c: &mut [f32],
-) where
+fn gemm_packed<PA, PB>(m: usize, k: usize, n: usize, pack_a: &PA, pack_b: &PB, c: &mut [f32])
+where
     PA: Fn(&mut [f32], usize, usize, usize, usize) + Sync,
     PB: Fn(&mut [f32], usize, usize, usize, usize) + Sync,
 {

@@ -7,10 +7,9 @@
 //!
 //! Everything is implemented from scratch (no BLAS, no ndarray): the matmul
 //! family runs on an in-tree packed, register-tiled GEMM (see `gemm.rs` and
-//! the "Kernel design" section of EXPERIMENTS.md), convolution runs the
+//! the "Kernel design" section of PERFLOG.md), convolution runs the
 //! packing-free kernels of `direct.rs` at stride 1 (forward and both
-//! gradients) and im2cols straight into the packed panels otherwise, and
-//! hot-path buffers come
+//! gradients) and `im2col` + `matmul` otherwise, and hot-path buffers come
 //! from the thread-local [`scratch`] pool, keeping the whole reproduction
 //! self-contained, auditable, and allocation-free at steady state.
 //!

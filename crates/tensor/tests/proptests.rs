@@ -122,8 +122,9 @@ fn fused_conv_matches_unfused_on_the_lenet_shapes() {
 /// kernels' shape rules (stride 1; an output row narrower than a vector, of
 /// one, of two; a kernel row of at most one vector and more than half of
 /// one; output channels that fill their vectors or leave lanes idle; one
-/// input channel or several), and each width once at stride 2; channels,
-/// batch and padding cycle.
+/// input channel or several), and each width once at stride 2 — a strided
+/// call is the oracle, so that draw is what catches a direct kernel being
+/// handed `stride = 2`; channels, batch and padding cycle.
 #[test]
 fn fused_conv_matches_unfused_across_the_dispatch_edges() {
     let mut case = 0usize;
@@ -179,7 +180,7 @@ fn fused_conv_matches_unfused_across_the_dispatch_edges() {
 
 /// `inf`, `-inf` and NaN planted in the weight, the input and the gradient:
 /// every finite result keeps its bits and every NaN its place, on the
-/// row- and tap-lane kernels (conv1's shape), on the GEMM path (stride 2)
+/// row- and tap-lane kernels (conv1's shape), on the oracle path (stride 2)
 /// and on the channel-lane kernels (conv2's shape, padded). A padding zero
 /// times an `inf` weight is a NaN the direct forward must not skip, while
 /// the input gradient must not carry an `inf` weight to the pixels whose
@@ -467,8 +468,8 @@ property! {
         // past it, two vectors and their neighbours; kernel rows of one
         // lane, half a vector, a whole one and one past it; output channels
         // around the 6-channel tile and the 8- and 16-channel vectors; one
-        // input channel, a vector of them, one past; panels that straddle
-        // a sample boundary on the GEMM side.
+        // input channel, a vector of them, one past. The stride-2 half pins
+        // that a strided call is the oracle, never a direct kernel.
         let mut pick = geometry;
         let mut draw = |choices: &[usize]| {
             let v = choices[pick % choices.len()];

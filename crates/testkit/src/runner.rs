@@ -44,10 +44,17 @@ impl Config {
     /// Builds the config from the environment: `APF_TESTKIT_CASES` and
     /// `APF_TESTKIT_SEED` override the defaults.
     pub fn from_env() -> Self {
+        Self::from_env_or(DEFAULT_CASES)
+    }
+
+    /// [`Config::from_env`] with `cases` per property where
+    /// `APF_TESTKIT_CASES` does not say. The one place either variable is
+    /// read.
+    fn from_env_or(cases: usize) -> Self {
         let cases = std::env::var("APF_TESTKIT_CASES")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CASES);
+            .unwrap_or(cases);
         let seed = std::env::var("APF_TESTKIT_SEED")
             .ok()
             .and_then(|v| parse_seed(&v))
@@ -89,11 +96,7 @@ pub fn run_cases<T: Clone + Debug + 'static>(
     gen: &Gen<T>,
     prop: impl Fn(&T) -> TestCaseResult,
 ) {
-    let mut cfg = Config::from_env();
-    if std::env::var("APF_TESTKIT_CASES").is_err() {
-        cfg.cases = cases;
-    }
-    run_config(name, cfg, gen, prop);
+    run_config(name, Config::from_env_or(cases), gen, prop);
 }
 
 /// Evaluates the property, converting panics into failures.

@@ -137,7 +137,46 @@ if [ "$builders" -ne 1 ] || ! grep -q '^    fn build_mask(&self' crates/core/src
   echo "found $builders 'FreezeMask::from_fn(self.n' call(s)" >&2
   exit 1
 fi
-echo "OK: one mask type, one splitmix64, one JSON string escaper, one mask builder"
+# A convolution is a direct kernel or the im2col + matmul oracle: the fused
+# im2col-GEMM tier that sat between them stays deleted.
+offenders=$(grep -nE 'ColsGeom|pack_cols|gemm_packed' crates/tensor/src/conv.rs || true)
+if [ -n "$offenders" ]; then
+  echo "a third convolution path in crates/tensor/src/conv.rs (direct or oracle only):" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
+# Every binary has a named user: this script or a README recipe.
+for path in crates/*/src/bin/*; do
+  name=$(basename "$path" .rs | tr _ -)
+  if ! grep -qE -- "(^|[^a-z-])$name([^a-z-]|\$)" scripts/verify.sh README.md; then
+    echo "$path: binary '$name' is named by neither scripts/verify.sh nor README.md" >&2
+    exit 1
+  fi
+done
+# Every APF_* variable is read in one function of non-test code (parse it
+# there; everyone else calls that function).
+reads=$(for f in $(find crates/*/src -name '*.rs'); do
+  awk -v f="$f" '
+    /^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    {
+      line = $0
+      while (match(line, /(env::var|var_os)\([ \t]*"APF_[A-Z_0-9]+"/)) {
+        lit = substr(line, RSTART, RLENGTH)
+        gsub(/^[^"]*"|"$/, "", lit)
+        print lit, f "::" fn
+        line = substr(line, RSTART + RLENGTH)
+      }
+    }' "$f"
+done | sort -u)
+dupes=$(echo "$reads" | awk '{ n[$1]++; at[$1] = at[$1] " " $2 } END { for (v in n) if (n[v] > 1) print v ":" at[v] }')
+if [ -n "$dupes" ]; then
+  echo "an APF_* variable is read in more than one function:" >&2
+  echo "$dupes" >&2
+  exit 1
+fi
+echo "OK: one mask type, one splitmix64, one JSON string escaper, one mask builder,"
+echo "    two convolution paths, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each"
 
 echo "== live telemetry smoke (obs server + ledger regression gate) =="
 # Two identical 2-round runs with the HTTP server on an ephemeral port:
@@ -146,7 +185,7 @@ echo "== live telemetry smoke (obs server + ledger regression gate) =="
 # throwaway ledger; the second run must then pass `ledger-report check`
 # (identical re-runs are within tolerance by construction).
 for i in 1 2; do
-  APF_OBS_ADDR=127.0.0.1:0 APF_LEDGER_FILE="$tmp/smoke.jsonl" bench_bin obs-smoke
+  APF_LEDGER_FILE="$tmp/smoke.jsonl" bench_bin obs-smoke
 done
 bench_bin ledger-report check --ledger "$tmp/smoke.jsonl"
 echo "OK: telemetry endpoints healthy, identical re-run passes the gate"
