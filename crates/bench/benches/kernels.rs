@@ -1,8 +1,10 @@
 //! Benchmarks for the numerical substrate: matmul, LeNet-5's two
 //! convolutions through the fused entry points training calls, the
-//! skip-frozen optimizer steps and sparse aggregation by frozen ratio, the
-//! manager's from-scratch mask build, and a full forward pass of each paper
-//! model (the compute side of Table 3).
+//! skip-frozen optimizer steps and sparse aggregation by frozen ratio on
+//! filter-granular masks, the six masked kernels on the Bernoulli masks
+//! per-scalar freezing produces, the manager's mask build, stability check
+//! and aggregate application on the same masks, and a full forward pass of
+//! each paper model (the compute side of Table 3).
 //!
 //! Plain harness (`apf_bench::harness`); run with
 //! `cargo bench -p apf-bench --bench kernels`. Nothing here is gated: the
@@ -13,8 +15,9 @@ use apf::{Aimd, ApfConfig, ApfManager, FreezeMask};
 use apf_bench::harness::{black_box, BenchGroup};
 use apf_nn::{models, Adam, Mode, Optimizer, Sequential, Sgd};
 use apf_tensor::{
-    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, masked_axpy,
-    masked_div, normal_init, seeded_rng, ConvSpec, Tensor,
+    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, mask_copy,
+    mask_fill, mask_scatter, mask_select, masked_axpy, masked_div, normal_init, seeded_rng,
+    splitmix64, ConvSpec, Tensor,
 };
 
 /// Training batch size of the LeNet-5 convolution rows.
@@ -44,9 +47,14 @@ const LENET_CONV2: (ConvSpec, usize) = (
 
 /// Scalars in each masked-compute row (a mid-sized model's flat vector).
 const MASKED_N: usize = 1 << 20;
-/// Frozen-block granularity of the synthetic masks: real APF masks are
-/// clustered (stability is spatially correlated within filters and layers),
-/// so the rows freeze whole blocks rather than Bernoulli scalars.
+/// Frozen-block granularity of the `masked_2e20_filter_granular_*` rows: the
+/// shape `FreezeGranularity::Filter` coarsening produces (whole words frozen
+/// or unfrozen). It is not Alg. 1's: a census of `sim-mlp-sync` and
+/// `net-loopback-f16` (seed 7, 3 117 mask words) found every word mixed from
+/// round 10 on, none all-frozen or all-unfrozen, and a mean unfrozen run of
+/// 7.6 / 4.8 / 3.3 / 2.4 / 1.9 scalars at 13 / 21 / 30 / 42 / 53 % frozen —
+/// 1 / share, independent per-scalar freezing. The `masked_bernoulli` and
+/// `core` rows measure that traffic.
 const MASKED_BLOCK: usize = 512;
 
 fn forward_once(model: &mut Sequential, x: &Tensor) -> f32 {
@@ -139,21 +147,109 @@ fn bench_masked(g: &mut BenchGroup, pct: usize) {
 /// Scalars of the benchmark's MLP (`sim-mlp-sync`, `net-loopback-f16`).
 const MLP_N: usize = 199_434;
 
-/// `ApfManager`'s from-scratch mask build over [`MLP_N`] scalars with `pct`%
-/// of them frozen: a restored manager holds no mask, so every
-/// `frozen_mask_packed` call builds one.
-fn bench_mask_build(g: &mut BenchGroup, pct: usize) {
-    let fresh = ApfManager::new(
-        &vec![0.0; MLP_N],
-        ApfConfig::default(),
-        Box::new(Aimd::default()),
-    );
-    let mut state = fresh.expect("default config").snapshot();
+/// Whether scalar `j` is frozen in the `pct`% Bernoulli mask of the
+/// `masked_bernoulli` and `core` rows.
+fn bernoulli_frozen(j: usize, pct: usize) -> bool {
+    splitmix64(j as u64) % 100 < pct as u64
+}
+
+/// The six masked kernels over [`MLP_N`] scalars with `pct`% frozen
+/// independently per scalar: every word mixed, the traffic Alg. 1 produces.
+fn bench_masked_bernoulli(g: &mut BenchGroup, pct: usize) {
+    let mask = FreezeMask::from_fn(MLP_N, |j| bernoulli_frozen(j, pct));
+    let words = mask.words();
+    let mut rng = seeded_rng(13);
+    let x = normal_init(&[MLP_N], 0.0, 1.0, &mut rng);
+    let x = x.data();
+    let mut y = vec![1.0f32; MLP_N];
+    g.bench(&format!("fill_f{pct}"), || {
+        mask_fill(black_box(&mut y), x, words);
+    });
+    g.bench(&format!("copy_f{pct}"), || {
+        mask_copy(black_box(&mut y), x, words);
+    });
+    g.bench(&format!("axpy_f{pct}"), || {
+        masked_axpy(black_box(&mut y), x, 1e-3, words);
+    });
+    g.bench(&format!("div_f{pct}"), || {
+        masked_div(black_box(&mut y), 1.0001, words);
+    });
+    let mut compact = Vec::with_capacity(MLP_N);
+    g.bench(&format!("select_f{pct}"), || {
+        compact.clear();
+        mask_select(black_box(x), words, &mut compact);
+    });
+    g.bench(&format!("scatter_f{pct}"), || {
+        mask_scatter(black_box(&mut y), &compact, words);
+    });
+}
+
+/// A manager over [`MLP_N`] scalars whose mask is the `pct`% Bernoulli one
+/// at every round: the frozen scalars never thaw, and the rest are checked
+/// each round — half of them reading stable — under a controller that
+/// leaves their period at zero, so every `finish_round` sweeps the same
+/// words.
+fn bernoulli_manager(pct: usize) -> ApfManager {
+    let cfg = ApfConfig {
+        check_every_rounds: 1,
+        threshold_decay: None,
+        ..ApfConfig::default()
+    };
+    let steady = || {
+        Box::new(Aimd {
+            increment: 0,
+            decrease_factor: 2,
+        })
+    };
+    let fresh = ApfManager::new(&vec![0.0; MLP_N], cfg, steady());
+    let mut state = fresh.expect("valid config").snapshot();
     state.unfreeze_round = (0..MLP_N)
-        .map(|j| u64::from((j + 1) * pct / 100 > j * pct / 100) * 10)
+        .map(|j| u64::from(bernoulli_frozen(j, pct)) * u64::MAX)
         .collect();
-    let mgr = ApfManager::restore(state, Box::new(Aimd::default()));
-    assert_eq!(mgr.frozen_count(1), MLP_N * pct / 100);
+    state.ema_a = vec![1.0; MLP_N];
+    state.ema_e = (0..MLP_N).map(|j| (j % 2) as f32).collect();
+    state.ema_updates = 1;
+    let mut mgr = ApfManager::restore(state, steady());
+    mgr.hold_round(0);
+    mgr
+}
+
+/// `finish_round` with a stability check due, on the `pct`% Bernoulli mask.
+fn bench_stability_check(g: &mut BenchGroup, pct: usize) {
+    let mut mgr = bernoulli_manager(pct);
+    let params = vec![0.0f32; MLP_N];
+    let mut round = 0;
+    g.bench(&format!("stability_check_f{pct}"), || {
+        let report = mgr.finish_round(black_box(&params), round);
+        assert!(report.checked);
+        round += 1;
+    });
+    assert_eq!(
+        mgr.frozen_count(round),
+        (0..MLP_N).filter(|&j| bernoulli_frozen(j, pct)).count(),
+        "the mask moved"
+    );
+}
+
+/// Aggregate application on the `pct`% Bernoulli mask: the compact form the
+/// wire delivers and the dense form the simulator's streaming reduce leaves.
+fn bench_apply_aggregate(g: &mut BenchGroup, pct: usize) {
+    let mut mgr = bernoulli_manager(pct);
+    let mut params = vec![0.0f32; MLP_N];
+    let dense = vec![0.5f32; MLP_N];
+    let compact = mgr.select_unfrozen(&dense, 0);
+    g.bench(&format!("apply_aggregate_f{pct}"), || {
+        mgr.apply_aggregate(black_box(&mut params), &compact, 0);
+    });
+    g.bench(&format!("apply_aggregate_dense_f{pct}"), || {
+        mgr.apply_aggregate_dense(black_box(&mut params), &dense, 0);
+    });
+}
+
+/// `ApfManager`'s from-scratch mask build on the `pct`% Bernoulli mask: the
+/// manager holds round 0, so every `frozen_mask_packed(1)` builds one.
+fn bench_mask_build(g: &mut BenchGroup, pct: usize) {
+    let mgr = bernoulli_manager(pct);
     g.bench(&format!("mask_build_f{pct}"), || {
         black_box(mgr.frozen_mask_packed(1));
     });
@@ -193,17 +289,26 @@ fn main() {
 
         // Step time must fall as the frozen ratio rises — the whole point of
         // the masked fast paths.
-        let mut g = BenchGroup::new("masked_2e20_by_frozen_pct_t1");
+        let mut g = BenchGroup::new("masked_2e20_filter_granular_by_frozen_pct_t1");
         for pct in [0, 50, 90, 99] {
             bench_masked(&mut g, pct);
         }
 
-        // One per manager per round; scalar-frozen bits, the worst case for
-        // a branchy builder.
+        let mut g = BenchGroup::new("masked_bernoulli");
+        for pct in [1, 5, 35, 50, 90] {
+            bench_masked_bernoulli(&mut g, pct);
+        }
+
+        // The manager's per-round work on scalar-frozen bits (the worst case
+        // for a branchy builder or a run-driven sweep).
         let mut g = BenchGroup::new("core");
         for pct in [0, 35, 90] {
             bench_mask_build(&mut g, pct);
         }
+        for pct in [0, 35, 90] {
+            bench_stability_check(&mut g, pct);
+        }
+        bench_apply_aggregate(&mut g, 35);
     });
 
     let mut g = BenchGroup::new("model_forward_batch16");

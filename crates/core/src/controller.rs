@@ -11,6 +11,20 @@ pub trait FreezeController: Send + Sync {
     /// was judged stable. A result of 0 means "do not freeze".
     fn next_len(&self, current: u32, stable: bool) -> u32;
 
+    /// [`FreezeController::next_len`] for one mask word's checked scalars:
+    /// `lens[b]` is updated for every set bit `b` of `active`, with bit `b`
+    /// of `stable` as its verdict. One dynamic call per word instead of one
+    /// per scalar; the default body is compiled per implementation, so the
+    /// `next_len` inside it is a static call.
+    ///
+    /// # Panics
+    /// Panics if `active` has a bit at or beyond `lens.len()`.
+    fn step_word(&self, lens: &mut [u32], active: u64, stable: u64) {
+        crate::mask::for_each_set_bit(active, |b| {
+            lens[b] = self.next_len(lens[b], stable >> b & 1 == 1);
+        });
+    }
+
     /// Short name for logs.
     fn name(&self) -> &'static str;
 }
@@ -183,6 +197,45 @@ mod tests {
         assert_eq!(c.next_len(0, true), 10);
         assert_eq!(c.next_len(10, true), 10);
         assert_eq!(c.next_len(10, false), 0);
+    }
+
+    #[test]
+    fn step_word_is_next_len_on_exactly_the_active_lanes() {
+        let controllers: [Box<dyn FreezeController>; 4] = [
+            Box::new(Aimd::default()),
+            Box::new(PureAdditive::default()),
+            Box::new(PureMultiplicative::default()),
+            Box::new(FixedPeriod { len: 7 }),
+        ];
+        let before: Vec<u32> = (0..64).map(|b| b % 9).collect();
+        let words = [
+            0u64,
+            1,
+            1 << 63,
+            u64::MAX,
+            0x5555_5555_5555_5555,
+            0x0123_4567_89AB_CDEF,
+        ];
+        for c in &controllers {
+            for active in words {
+                for stable in words {
+                    let mut lens = before.clone();
+                    c.step_word(&mut lens, active, stable);
+                    for b in 0..64 {
+                        let want = match active >> b & 1 {
+                            1 => c.next_len(before[b], stable >> b & 1 == 1),
+                            _ => before[b],
+                        };
+                        assert_eq!(lens[b], want, "{} lane {b} of {active:#x}", c.name());
+                    }
+                }
+            }
+            // A ragged tail word: 5 lanes.
+            let mut lens = vec![4u32; 5];
+            c.step_word(&mut lens, 0b10110, 0b00100);
+            let (up, down) = (c.next_len(4, true), c.next_len(4, false));
+            assert_eq!(lens, [4, down, up, 4, down], "{}", c.name());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use apf_trace::{event, span, Level};
 use crate::config::{ApfConfig, FreezeGranularity};
 use crate::controller::FreezeController;
 use crate::error::ApfError;
-use crate::mask::FreezeMask;
+use crate::mask::{for_each_set_bit, low_mask, FreezeMask};
 use crate::perturbation::EmaPerturbation;
 use crate::state::ApfState;
 
@@ -271,8 +271,10 @@ impl ApfManager {
     }
 
     /// The from-scratch derivation of round `round`'s mask from
-    /// `unfreeze_round`, coarsened to whole filters when configured — the
-    /// only place a mask is built (`apf.manager.mask_builds` counts them).
+    /// `unfreeze_round`, coarsened to whole filters when configured. The
+    /// only other source of a mask is [`ApfManager::stability_check`], which
+    /// packs the same predicate word by word while it holds the entries;
+    /// `apf.manager.mask_builds` counts both.
     fn build_mask(&self, round: u64) -> FreezeMask {
         let _sp = span!(Level::Debug, target: "apf.manager", "mask_build", round = round);
         apf_trace::metrics::counter("apf.manager.mask_builds").inc();
@@ -361,12 +363,14 @@ impl ApfManager {
         let mask = self.mask(round);
         let unfrozen = mask.unfrozen_count();
         assert!(
-            agg.len() >= unfrozen,
-            "aggregate shorter than unfrozen count"
-        );
-        assert!(
-            agg.len() <= unfrozen,
-            "aggregate longer than unfrozen count"
+            agg.len() == unfrozen,
+            "aggregate {} than unfrozen count: {} values for {unfrozen} unfrozen scalars",
+            if agg.len() < unfrozen {
+                "shorter"
+            } else {
+                "longer"
+            },
+            agg.len()
         );
         apf_tensor::mask_scatter(params, agg, mask.words());
         // Frozen scalars must still hold their pinned value.
@@ -511,19 +515,60 @@ impl ApfManager {
     /// scalars produce zero deltas that would spuriously look "stable").
     /// `mask` is round `round`'s; returns the mask of `round + 1` that the
     /// new freezing periods imply.
+    ///
+    /// One sweep over `mask`'s words. Per-scalar freezing makes nearly every
+    /// word mixed, so a word's Eq. 17 and verdicts are computed for all its
+    /// lanes with no mask in the arithmetic (which vectorizes) into stack
+    /// arrays, and only the lanes that trained are committed, bit by bit.
+    /// The word's `round + 1` bits are packed from the `unfreeze_round`
+    /// entries while they are at hand — what [`ApfManager::build_mask`]
+    /// would derive from scratch, and counted as the round's mask build.
     fn stability_check(&mut self, params: &[f32], round: u64, mask: &FreezeMask) -> FreezeMask {
         let _sp = span!(Level::Debug, target: "apf.manager", "stability_check", round = round);
+        assert_eq!(mask.len(), self.n, "mask length mismatch");
         self.checks_run += 1;
-        // A scalar participated in training this round iff the *effective*
-        // (possibly filter-coarsened) mask left it unfrozen.
-        self.ema.update_unfrozen(params, &self.check_ref, mask);
-        for j in mask.iter_unfrozen_runs().flatten() {
-            let stable = self.ema.value(j) < self.threshold;
-            self.freeze_len[j] = self.controller.next_len(self.freeze_len[j], stable);
-            self.unfreeze_round[j] = round + 1 + u64::from(self.freeze_len[j]);
+        apf_trace::metrics::counter("apf.manager.mask_builds").inc();
+        let next_round = round + 1;
+        let threshold = self.threshold;
+        let (alpha, e, a) = self.ema.begin_update();
+        let mut next_words = Vec::with_capacity(mask.words().len());
+        for (w, &word) in mask.words().iter().enumerate() {
+            let span = w * 64..(w * 64 + 64).min(self.n);
+            let (now, reference) = (&params[span.clone()], &mut self.check_ref[span.clone()]);
+            let (e, a) = (&mut e[span.clone()], &mut a[span.clone()]);
+            let lens = &mut self.freeze_len[span.clone()];
+            let until = &mut self.unfreeze_round[span];
+            // A scalar trained this round iff the *effective* (possibly
+            // filter-coarsened) mask left it unfrozen.
+            let trained = !word & low_mask(now.len());
+            if trained != 0 {
+                let (mut e_new, mut a_new) = ([0.0f32; 64], [0.0f32; 64]);
+                let mut is_stable = [false; 64];
+                for b in 0..now.len() {
+                    let (en, an) = EmaPerturbation::step(alpha, e[b], a[b], now[b] - reference[b]);
+                    (e_new[b], a_new[b]) = (en, an);
+                    is_stable[b] = EmaPerturbation::ratio(en, an) < threshold;
+                }
+                let mut stable = 0u64;
+                for_each_set_bit(trained, |b| {
+                    (e[b], a[b]) = (e_new[b], a_new[b]);
+                    stable |= u64::from(is_stable[b]) << b;
+                });
+                self.controller.step_word(lens, trained, stable);
+                for_each_set_bit(trained, |b| until[b] = next_round + u64::from(lens[b]));
+            }
+            reference.copy_from_slice(now);
+            let mut next = 0u64;
+            for (b, &u) in until.iter().enumerate() {
+                next |= u64::from(next_round < u) << b;
+            }
+            next_words.push(next);
         }
-        self.check_ref.copy_from_slice(params);
-        let mask_next = self.build_mask(round + 1);
+        let scalar = FreezeMask::from_words(next_words, self.n);
+        let mask_next = match self.filter_active() {
+            Some(threshold) => scalar.coarsen(&self.filter_segments, threshold),
+            None => scalar,
+        };
         if let Some(decay) = self.cfg.threshold_decay {
             let frozen_next = mask_next.frozen_count();
             if frozen_next as f32 >= decay.trigger_fraction * self.n as f32 && self.n > 0 {
@@ -655,8 +700,9 @@ impl ApfManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ApfVariant;
-    use crate::controller::Aimd;
+    use crate::config::{ApfVariant, ThresholdDecay};
+    use crate::controller::{Aimd, FixedPeriod, PureAdditive, PureMultiplicative};
+    use apf_testkit::{prop_assert, prop_assert_eq, property, u64s, TestCaseError};
 
     fn cfg_every(check_every_rounds: u32) -> ApfConfig {
         ApfConfig {
@@ -1016,6 +1062,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "aggregate longer than unfrozen count: 4 values for 3")]
+    fn long_aggregate_panics() {
+        let init = vec![0.0f32; 3];
+        let mut mgr =
+            ApfManager::new(&init, ApfConfig::default(), Box::new(Aimd::default())).unwrap();
+        let mut p = init.clone();
+        mgr.apply_aggregate(&mut p, &[1.0; 4], 0);
+    }
+
+    #[test]
     fn filter_granularity_coarsens_mask_and_bytes() {
         // 2 segments of 4 scalars. Freeze 3 of 4 in segment 0 and 1 of 4 in
         // segment 1; at threshold 0.75 the whole first segment freezes and
@@ -1116,5 +1172,200 @@ mod tests {
             vec![false, false, false, false, true, false, false, false, false, true]
         );
         assert_eq!(mgr.checks_run(), 2);
+    }
+
+    impl ApfManager {
+        /// The `stability_check` the word sweep replaced, kept as its
+        /// oracle: four passes (Eq. 17 over the trained scalars, the
+        /// controller scalar by scalar through `next_len`, the reference
+        /// copy, a from-scratch build of the next mask).
+        fn stability_check_oracle(
+            &mut self,
+            params: &[f32],
+            round: u64,
+            mask: &FreezeMask,
+        ) -> FreezeMask {
+            self.checks_run += 1;
+            self.ema.update_unfrozen(params, &self.check_ref, mask);
+            for j in (0..self.n).filter(|&j| !mask.is_frozen(j)) {
+                let stable = self.ema.value(j) < self.threshold;
+                self.freeze_len[j] = self.controller.next_len(self.freeze_len[j], stable);
+                self.unfreeze_round[j] = round + 1 + u64::from(self.freeze_len[j]);
+            }
+            self.check_ref.copy_from_slice(params);
+            let mask_next = self.build_mask(round + 1);
+            if let Some(decay) = self.cfg.threshold_decay {
+                let frozen_next = mask_next.frozen_count();
+                if frozen_next as f32 >= decay.trigger_fraction * self.n as f32 && self.n > 0 {
+                    self.threshold *= decay.factor;
+                }
+            }
+            mask_next
+        }
+
+        /// [`ApfManager::finish_round`]'s freezing decisions with the
+        /// oracle in the sweep's place.
+        fn finish_round_oracle(&mut self, params: &[f32], round: u64) {
+            let mask_now = self.frozen_mask_packed(round);
+            let checked = (round + 1).is_multiple_of(u64::from(self.cfg.check_every_rounds));
+            let after_check =
+                checked.then(|| self.stability_check_oracle(params, round, &mask_now));
+            let refroze = self.random_freeze(round);
+            let mask_next = match after_check {
+                Some(mask) if !refroze => mask,
+                _ => self.build_mask(round + 1),
+            };
+            self.resident = Some((round + 1, mask_next));
+        }
+    }
+
+    fn controllers() -> [fn() -> Box<dyn FreezeController>; 4] {
+        [
+            || Box::new(Aimd::default()),
+            || Box::new(PureAdditive::default()),
+            || Box::new(PureMultiplicative::default()),
+            || Box::new(FixedPeriod { len: 3 }),
+        ]
+    }
+
+    /// One manager on the sweep and one on the oracle through `rounds`
+    /// rounds of one seeded update stream (a third of the scalars oscillate
+    /// and stabilise, the rest drift), every piece of state compared bit
+    /// for bit after each round. Returns the largest frozen count seen.
+    fn sweep_vs_oracle(
+        n: usize,
+        cfg: ApfConfig,
+        controller: fn() -> Box<dyn FreezeController>,
+        rounds: u64,
+    ) -> Result<usize, TestCaseError> {
+        let init = vec![0.0f32; n];
+        let mut sweep = ApfManager::new(&init, cfg, controller()).unwrap();
+        let mut oracle = ApfManager::new(&init, cfg, controller()).unwrap();
+        // Segments of 7 scalars (and the remainder): none word-aligned.
+        let segments: Vec<usize> = (0..n).step_by(7).map(|s| (n - s).min(7)).collect();
+        sweep.set_filter_layout(segments.clone()).unwrap();
+        oracle.set_filter_layout(segments).unwrap();
+        let mut params = init;
+        let mut max_frozen = 0;
+        for round in 0..rounds {
+            let mask = sweep.frozen_mask_packed(round);
+            max_frozen = max_frozen.max(mask.frozen_count());
+            for (j, p) in params.iter_mut().enumerate() {
+                if mask.is_frozen(j) {
+                    continue;
+                }
+                let h = splitmix64(cfg.seed ^ (round * 1009 + j as u64));
+                let step = 0.05 + (h % 100) as f32 * 1e-3;
+                *p += match (j % 3, round % 2) {
+                    (0, 0) => step,
+                    (0, _) => -step,
+                    _ => 0.1,
+                };
+            }
+            sweep.finish_round(&params, round);
+            oracle.finish_round_oracle(&params, round);
+            let at = format!("n={n} {cfg:?} {} round {round}", sweep.controller.name());
+            let (got, want) = (sweep.snapshot(), oracle.snapshot());
+            // The first index where two vectors differ, not 199 434 values.
+            let same = |what: &str, differ: Option<usize>| match differ {
+                Some(j) => Err(TestCaseError::Fail(format!(
+                    "{what} differs at scalar {j}, {at}"
+                ))),
+                None => Ok(()),
+            };
+            let floats = |x: &[f32], y: &[f32]| (0..n).find(|&j| x[j].to_bits() != y[j].to_bits());
+            same("E", floats(&got.ema_e, &want.ema_e))?;
+            same("A", floats(&got.ema_a, &want.ema_a))?;
+            same("check_ref", floats(&got.check_ref, &want.check_ref))?;
+            same(
+                "freeze_len",
+                (0..n).find(|&j| got.freeze_len[j] != want.freeze_len[j]),
+            )?;
+            same(
+                "unfreeze_round",
+                (0..n).find(|&j| got.unfreeze_round[j] != want.unfreeze_round[j]),
+            )?;
+            prop_assert_eq!(got.ema_updates, want.ema_updates, "EMA updates, {at}");
+            prop_assert_eq!(
+                got.threshold.to_bits(),
+                want.threshold.to_bits(),
+                "threshold, {at}"
+            );
+            prop_assert_eq!(got.checks_run, want.checks_run, "checks_run, {at}");
+            prop_assert!(
+                sweep.held(round + 1).is_some() && sweep.held(round + 1) == oracle.held(round + 1),
+                "resident mask of round {}, {at}",
+                round + 1
+            );
+        }
+        Ok(max_frozen)
+    }
+
+    fn sweep_grid(seed: u64) -> Vec<ApfConfig> {
+        let variants = [
+            ApfVariant::Standard,
+            ApfVariant::Sharp { prob: 0.3 },
+            ApfVariant::PlusPlus {
+                a1: 1.0 / 40.0,
+                a2: 1.0 / 4.0,
+            },
+        ];
+        // 7-scalar segments hold 2 or 3 oscillators: some coarsen, some not.
+        let granularities = [
+            FreezeGranularity::Scalar,
+            FreezeGranularity::Filter { threshold: 0.3 },
+        ];
+        let mut grid = Vec::new();
+        for variant in variants {
+            for granularity in granularities {
+                for check_every_rounds in [1, 3] {
+                    for threshold_decay in [None, Some(ThresholdDecay::default())] {
+                        grid.push(ApfConfig {
+                            stability_threshold: 0.3,
+                            ema_alpha: 0.9,
+                            check_every_rounds,
+                            threshold_decay,
+                            variant,
+                            granularity,
+                            seed,
+                            ..ApfConfig::default()
+                        });
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    property! {
+        // The word sweep is the four-pass check, bit for bit, across the
+        // variants, both granularities, both cadences, decay on and off and
+        // the four controllers (so `step_word` is `next_len` per lane), at
+        // lengths on either side of a mask word.
+        fn stability_sweep_matches_the_four_pass_oracle(seed in u64s(0..1_000_000)) {
+            let (mut combos, mut froze) = (0, 0);
+            for cfg in sweep_grid(seed) {
+                for controller in controllers() {
+                    for n in [1usize, 63, 64, 65] {
+                        combos += 1;
+                        froze += usize::from(sweep_vs_oracle(n, cfg, controller, 18)? > 0);
+                    }
+                }
+            }
+            // Not vacuous: masks have to be in play.
+            prop_assert!(froze * 2 > combos, "only {froze}/{combos} runs froze anything");
+        }
+    }
+
+    #[test]
+    fn stability_sweep_matches_the_oracle_at_the_benchmark_length() {
+        // 199 434 scalars (the benchmark's MLP): 3 116 full words and a
+        // 42-lane tail, long enough for every word to end up mixed.
+        let grid = sweep_grid(7);
+        let picks = [0, 5, 14, 19];
+        for (&pick, controller) in picks.iter().zip(controllers()) {
+            let frozen = sweep_vs_oracle(199_434, grid[pick], controller, 7).unwrap();
+            assert!(frozen > 199_434 / 10, "config {pick}: only {frozen} frozen");
+        }
     }
 }

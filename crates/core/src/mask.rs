@@ -38,12 +38,21 @@ pub fn rle_transfer_bytes(runs: usize, unfrozen: usize, bytes_per_scalar: u64) -
 }
 
 /// The low `k` bits set, for `k <= 64`.
-fn low_mask(k: usize) -> u64 {
+pub(crate) fn low_mask(k: usize) -> u64 {
     debug_assert!(k <= 64);
     if k == 64 {
         u64::MAX
     } else {
         (1u64 << k) - 1
+    }
+}
+
+/// Calls `f` with the position of each set bit of `word`, ascending.
+#[inline]
+pub(crate) fn for_each_set_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
 
@@ -147,6 +156,27 @@ impl FreezeMask {
             words.push(word(len / 64 * 64, len % 64));
         }
         FreezeMask { words, len }
+    }
+
+    /// Wraps words a caller packed itself (the manager's stability sweep).
+    ///
+    /// # Panics
+    /// Panics unless there is one word per 64 scalars with the tail bits
+    /// beyond `len` clear.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> FreezeMask {
+        assert_eq!(words.len(), len.div_ceil(64), "mask word count");
+        let mask = FreezeMask { words, len };
+        assert!(mask.tail_is_clear(), "mask tail bits set");
+        mask
+    }
+
+    /// Whether the invariant holds: no bit at or beyond `len` is set.
+    fn tail_is_clear(&self) -> bool {
+        self.len.is_multiple_of(64)
+            || self
+                .words
+                .last()
+                .is_none_or(|last| last & !low_mask(self.len % 64) == 0)
     }
 
     /// Zeroes the invariant tail bits of the last word.
@@ -303,12 +333,7 @@ impl FreezeMask {
         }
         let m = FreezeMask { words, len: n };
         // The encoder zeroes tail bits; anything else is corruption.
-        if let Some(&last) = m.words.last() {
-            if !n.is_multiple_of(64) && last & !low_mask(n % 64) != 0 {
-                return None;
-            }
-        }
-        Some(m)
+        m.tail_is_clear().then_some(m)
     }
 
     /// Coarsens the mask to whole segments (conv filters / matrix rows):

@@ -138,11 +138,38 @@ impl EmaPerturbation {
         self.updates == 0
     }
 
+    /// Eq. 17 for one scalar: `(E, A)` after the cumulative update `delta`.
+    #[inline]
+    pub(crate) fn step(alpha: f32, e: f32, a: f32, delta: f32) -> (f32, f32) {
+        (
+            alpha * e + (1.0 - alpha) * delta,
+            alpha * a + (1.0 - alpha) * delta.abs(),
+        )
+    }
+
+    /// `P = |E| / A` of a scalar that has been observed: 0.0 when it never
+    /// moved (indistinguishable from converged), capped at 1.0.
+    #[inline]
+    pub(crate) fn ratio(e: f32, a: f32) -> f32 {
+        if a == 0.0 {
+            0.0
+        } else {
+            (e.abs() / a).min(1.0)
+        }
+    }
+
     /// Eq. 17 for scalar `j` with cumulative update `delta`.
     #[inline]
     fn record(&mut self, j: usize, delta: f32) {
-        self.e[j] = self.alpha * self.e[j] + (1.0 - self.alpha) * delta;
-        self.a[j] = self.alpha * self.a[j] + (1.0 - self.alpha) * delta.abs();
+        (self.e[j], self.a[j]) = Self::step(self.alpha, self.e[j], self.a[j], delta);
+    }
+
+    /// `(α, E, A)` for a caller that applies [`EmaPerturbation::step`] inside
+    /// a sweep of its own (`ApfManager::stability_check`); counts as one
+    /// update, like [`EmaPerturbation::update_unfrozen`].
+    pub(crate) fn begin_update(&mut self) -> (f32, &mut [f32], &mut [f32]) {
+        self.updates += 1;
+        (self.alpha, &mut self.e, &mut self.a)
     }
 
     /// Records the cumulative update `Δ_K = params − reference` since the
@@ -181,18 +208,12 @@ impl EmaPerturbation {
     /// (unobserved ⇒ assumed unstable); 0.0 if the scalar has history but
     /// zero accumulated movement.
     pub fn value(&self, j: usize) -> f32 {
-        if self.a[j] == 0.0 {
-            if self.updates == 0 {
-                1.0
-            } else {
-                // Has been observed but never moved: maximally stable...
-                // unless it was never genuinely updated (e/a both zero from
-                // masking), which we treat the same way — a scalar that
-                // produced no movement is indistinguishable from converged.
-                0.0
-            }
+        if self.updates == 0 && self.a[j] == 0.0 {
+            1.0
         } else {
-            (self.e[j].abs() / self.a[j]).min(1.0)
+            // A scalar never genuinely updated (E and A both zero from
+            // masking) reads like one that never moved: maximally stable.
+            Self::ratio(self.e[j], self.a[j])
         }
     }
 

@@ -5,33 +5,25 @@
 //! flat parameter vector wastes work proportional to the frozen fraction.
 //! These kernels take the mask as packed 64-bit words (bit `j % 64` of word
 //! `j / 64` set = scalar `j` frozen, the `apf-core` `FreezeMask` layout) and
-//! work **word-at-a-time**: an all-frozen word is skipped with one compare,
-//! an all-unfrozen word runs a full-width SIMD block, and mixed words are
-//! decomposed into bit runs with `trailing_zeros`/`trailing_ones` — cost
-//! scales with `len / 64` plus the unfrozen work, never with the frozen
-//! scalar count.
+//! work **word-at-a-time** over three word classes: a word with no active
+//! lane is skipped with one compare, a word whose lanes are all active runs
+//! one full-width SIMD block, and a *mixed* word visits its active lanes one
+//! by one (`trailing_zeros`, clear the lowest set bit) with the scalar op
+//! inline. Alg. 1 freezes per scalar, so once freezing starts its masks are
+//! Bernoulli: every word is mixed and the mean active run is 1 / frozen
+//! share (7.6 scalars at 13 % frozen, 1.9 at 53 %), too short to pay for a
+//! block-kernel call per run. Cost scales with `len / 64` plus the active
+//! scalar count, never with the inactive one.
 //!
 //! # Determinism
 //!
-//! Same contract as `gemm.rs`: the x86-64 paths (runtime AVX/SSE2 dispatch,
-//! scalar fallback elsewhere) use only per-lane `mul`/`add`/`div` — every
-//! lane performs exactly the scalar op sequence on its own index, so results
-//! are bitwise identical to the portable reference at any lane width and on
-//! any host. Frozen lanes are never read or written by the arithmetic
-//! kernels, so `NaN`/`inf` garbage in frozen slots cannot leak.
-
-/// Calls `f(start, end)` for each maximal run of **set** bits in `bits`
-/// (relative bit indices within one word).
-#[inline]
-fn for_each_one_run(mut bits: u64, mut f: impl FnMut(usize, usize)) {
-    while bits != 0 {
-        let s = bits.trailing_zeros() as usize;
-        let run = (bits >> s).trailing_ones() as usize;
-        f(s, s + run);
-        // Adding 1 << s carries through the lowest run and clears it.
-        bits &= bits.wrapping_add(1u64 << s);
-    }
-}
+//! Same contract as `gemm.rs`: the x86-64 block paths (runtime AVX/SSE2
+//! dispatch, scalar fallback elsewhere) use only per-lane `mul`/`add`/`div`
+//! and the mixed-word path is the scalar expression itself — every lane
+//! performs exactly the scalar op sequence on its own index, so results are
+//! bitwise identical to the portable reference at any lane width and on any
+//! host. Inactive lanes are never read or written, so `NaN`/`inf` garbage in
+//! frozen slots cannot leak.
 
 /// The valid-bit mask for a word covering `nbits` scalars (`1..=64`).
 #[inline]
@@ -44,14 +36,34 @@ fn word_limit_mask(nbits: usize) -> u64 {
     }
 }
 
-/// Drives a kernel over `len` scalars word-at-a-time, calling
-/// `f(run_start, run_end)` for each maximal run of *active* scalars.
-/// Inactive words cost one compare, fully-active words yield one whole-word
-/// run (merged with the neighbors' runs only at word granularity, which is
-/// enough for block kernels). Active means unfrozen, or frozen when
-/// `invert` is set (the [`mask_fill`] direction).
+/// The set bits of one word's `active` lanes as ascending scalar indices
+/// from `base`. Counted up front, so the iterator knows its length and
+/// `Vec::extend` reserves once.
 #[inline]
-fn drive(len: usize, words: &[u64], invert: bool, mut f: impl FnMut(usize, usize)) {
+fn lanes(base: usize, mut active: u64) -> impl Iterator<Item = usize> {
+    (0..active.count_ones()).map(move |_| {
+        let j = base + active.trailing_zeros() as usize;
+        active &= active - 1;
+        j
+    })
+}
+
+/// Drives a kernel over `len` scalars word-at-a-time. A word with no active
+/// lane costs one compare; a fully active word is one `block(state, start,
+/// end)` call; a mixed word is one `mixed(state, base, active)` call, which
+/// visits [`lanes`]`(base, active)` with the scalar op inline. `state` is
+/// what both callbacks mutate (the destination, a cursor) and comes back
+/// when the sweep ends. Active means unfrozen, or frozen when `invert` is
+/// set (the [`mask_fill`] direction).
+#[inline]
+fn drive<S>(
+    len: usize,
+    words: &[u64],
+    invert: bool,
+    mut state: S,
+    block: impl Fn(&mut S, usize, usize),
+    mixed: impl Fn(&mut S, usize, u64),
+) -> S {
     assert!(
         words.len() >= len.div_ceil(64),
         "mask words too short: {} words for {len} scalars",
@@ -65,24 +77,26 @@ fn drive(len: usize, words: &[u64], invert: bool, mut f: impl FnMut(usize, usize
         let limit = (base + 64).min(len);
         let valid = word_limit_mask(limit - base);
         let active = if invert { word } else { !word } & valid;
-        if active == 0 {
-            continue;
-        }
         if active == valid {
-            f(base, limit);
-        } else {
-            for_each_one_run(active, |s, e| f(base + s, base + e));
+            block(&mut state, base, limit);
+        } else if active != 0 {
+            mixed(&mut state, base, active);
         }
     }
+    state
 }
 
 /// Appends the **unfrozen** scalars of `src` to `out`, in index order.
-/// This is the compact-upload gather: no dense boolean pass, no per-scalar
-/// branch.
+/// This is the compact-upload gather: no dense boolean pass.
 pub fn mask_select(src: &[f32], words: &[u64], out: &mut Vec<f32>) {
-    drive(src.len(), words, false, |s, e| {
-        out.extend_from_slice(&src[s..e]);
-    });
+    drive(
+        src.len(),
+        words,
+        false,
+        out,
+        |out, s, e| out.extend_from_slice(&src[s..e]),
+        |out, base, active| out.extend(lanes(base, active).map(|j| src[j])),
+    );
 }
 
 /// Scatters compact `values` into the **unfrozen** slots of `dst` in index
@@ -91,16 +105,41 @@ pub fn mask_select(src: &[f32], words: &[u64], out: &mut Vec<f32>) {
 /// # Panics
 /// Panics if `values` does not hold exactly one value per unfrozen slot.
 pub fn mask_scatter(dst: &mut [f32], values: &[f32], words: &[u64]) {
-    let mut cursor = 0;
-    drive(dst.len(), words, false, |s, e| {
-        let n = e - s;
+    // The next `n` compact values, advancing the cursor past them.
+    let take = |cursor: &mut usize, n: usize| {
         let chunk = values
-            .get(cursor..cursor + n)
+            .get(*cursor..*cursor + n)
             .expect("scatter value count mismatch");
-        dst[s..e].copy_from_slice(chunk);
-        cursor += n;
-    });
-    assert_eq!(cursor, values.len(), "scatter value count mismatch");
+        *cursor += n;
+        chunk
+    };
+    let (_, used) = drive(
+        dst.len(),
+        words,
+        false,
+        (dst, 0usize),
+        |(dst, cursor), s, e| dst[s..e].copy_from_slice(take(cursor, e - s)),
+        |(dst, cursor), base, active| {
+            let chunk = take(cursor, active.count_ones() as usize);
+            for (j, &v) in lanes(base, active).zip(chunk) {
+                dst[j] = v;
+            }
+        },
+    );
+    assert_eq!(used, values.len(), "scatter value count mismatch");
+}
+
+/// `dst[j] = src[j]` on the active lanes: what [`mask_fill`] (frozen lanes)
+/// and [`mask_copy`] (unfrozen lanes) both are.
+fn copy_active(dst: &mut [f32], src: &[f32], words: &[u64], invert: bool) {
+    drive(
+        dst.len(),
+        words,
+        invert,
+        dst,
+        |dst, s, e| copy_block(&mut dst[s..e], &src[s..e]),
+        |dst, base, active| lanes(base, active).for_each(|j| dst[j] = src[j]),
+    );
 }
 
 /// Overwrites the **frozen** slots of `dst` from the dense `src` — the
@@ -110,9 +149,7 @@ pub fn mask_scatter(dst: &mut [f32], values: &[f32], words: &[u64]) {
 /// Panics if `dst` and `src` lengths disagree.
 pub fn mask_fill(dst: &mut [f32], src: &[f32], words: &[u64]) {
     assert_eq!(dst.len(), src.len(), "fill length mismatch");
-    drive(dst.len(), words, true, |s, e| {
-        copy_block(&mut dst[s..e], &src[s..e]);
-    });
+    copy_active(dst, src, words, true);
 }
 
 /// Overwrites the **unfrozen** slots of `dst` from the dense `src` — the
@@ -122,9 +159,7 @@ pub fn mask_fill(dst: &mut [f32], src: &[f32], words: &[u64]) {
 /// Panics if `dst` and `src` lengths disagree.
 pub fn mask_copy(dst: &mut [f32], src: &[f32], words: &[u64]) {
     assert_eq!(dst.len(), src.len(), "copy length mismatch");
-    drive(dst.len(), words, false, |s, e| {
-        copy_block(&mut dst[s..e], &src[s..e]);
-    });
+    copy_active(dst, src, words, false);
 }
 
 /// `y[j] += a * x[j]` for every **unfrozen** `j` — the sparse-aggregation
@@ -134,18 +169,28 @@ pub fn mask_copy(dst: &mut [f32], src: &[f32], words: &[u64]) {
 /// Panics if `y` and `x` lengths disagree.
 pub fn masked_axpy(y: &mut [f32], x: &[f32], a: f32, words: &[u64]) {
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    drive(y.len(), words, false, |s, e| {
-        axpy_block(&mut y[s..e], &x[s..e], a);
-    });
+    drive(
+        y.len(),
+        words,
+        false,
+        y,
+        |y, s, e| axpy_block(&mut y[s..e], &x[s..e], a),
+        |y, base, active| lanes(base, active).for_each(|j| y[j] += a * x[j]),
+    );
 }
 
 /// `y[j] /= d` for every **unfrozen** `j` — the weighted-mean normalizer.
 /// Division (not multiplication by a reciprocal) to stay bitwise identical
 /// to the scalar reference.
 pub fn masked_div(y: &mut [f32], d: f32, words: &[u64]) {
-    drive(y.len(), words, false, |s, e| {
-        div_block(&mut y[s..e], d);
-    });
+    drive(
+        y.len(),
+        words,
+        false,
+        y,
+        |y, s, e| div_block(&mut y[s..e], d),
+        |y, base, active| lanes(base, active).for_each(|j| y[j] /= d),
+    );
 }
 
 /// Dense block copy, runtime-dispatched like the GEMM microkernel.
@@ -348,20 +393,32 @@ mod tests {
     }
 
     /// Masks exercising every word class: none frozen, all frozen, whole
-    /// frozen/unfrozen words, runs crossing word boundaries, ragged tails.
+    /// frozen/unfrozen words, runs crossing word boundaries, and the mixed
+    /// words per-scalar freezing makes — alternating bits either way round
+    /// (`0x5555…` / `0xAAAA…`), one bit set or clear per word, Bernoulli at
+    /// 1–99 % — each over whatever ragged tail `n` leaves.
     fn mask_cases(n: usize) -> Vec<Vec<bool>> {
-        vec![
+        let mut cases = vec![
             vec![false; n],
             vec![true; n],
             (0..n).map(|j| j % 3 == 0).collect(),
             (0..n).map(|j| (j / 64) % 2 == 0).collect(),
             (0..n).map(|j| !(60..70).contains(&(j % 150))).collect(),
-        ]
+            (0..n).map(|j| j % 2 == 0).collect(),
+            (0..n).map(|j| j % 2 == 1).collect(),
+            (0..n).map(|j| j % 64 == (j / 64 * 37) % 64).collect(),
+            (0..n).map(|j| j % 64 != (j / 64 * 37) % 64).collect(),
+        ];
+        for pct in [1u64, 5, 35, 50, 65, 95, 99] {
+            let frozen = |j: usize| crate::splitmix64(j as u64 ^ pct << 32) % 100 < pct;
+            cases.push((0..n).map(frozen).collect());
+        }
+        cases
     }
 
     #[test]
     fn select_and_scatter_roundtrip_match_reference() {
-        for n in [0usize, 1, 64, 65, 200, 333] {
+        for n in (0usize..=65).chain([127, 128, 200, 333]) {
             let src = pseudo(n, 1);
             for frozen in mask_cases(n) {
                 let words = pack_words(&frozen);
@@ -382,7 +439,7 @@ mod tests {
 
     #[test]
     fn fill_and_copy_match_reference() {
-        for n in [0usize, 1, 63, 64, 65, 257] {
+        for n in (0usize..=65).chain([127, 128, 257]) {
             let src = pseudo(n, 3);
             for frozen in mask_cases(n) {
                 let words = pack_words(&frozen);
@@ -406,7 +463,7 @@ mod tests {
 
     #[test]
     fn axpy_and_div_are_bitwise_scalar() {
-        for n in [0usize, 1, 64, 100, 321] {
+        for n in (0usize..=65).chain([100, 127, 128, 321]) {
             let x = pseudo(n, 5);
             for frozen in mask_cases(n) {
                 let words = pack_words(&frozen);
@@ -428,14 +485,48 @@ mod tests {
     }
 
     #[test]
-    fn frozen_garbage_does_not_leak() {
-        // NaN in frozen slots of x must not propagate into y.
-        let frozen = [true, false, true, false];
-        let words = pack_words(&frozen);
-        let x = [f32::NAN, 1.0, f32::INFINITY, 2.0];
-        let mut y = [1.0f32, 1.0, 1.0, 1.0];
-        masked_axpy(&mut y, &x, 2.0, &words);
-        assert_eq!(y, [1.0, 3.0, 1.0, 5.0]);
+    fn inactive_lanes_are_neither_read_into_results_nor_written() {
+        // NaN/inf in the lanes a kernel must skip (frozen ones, or unfrozen
+        // ones for `mask_fill`) reach no output, and those lanes of the
+        // destination keep their bits — in mixed words of every density and
+        // in the whole-word classes.
+        let n = 64 * 3 + 17;
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for frozen in mask_cases(n) {
+            let words = pack_words(&frozen);
+            let clean = pseudo(n, 7);
+            let poisoned = |skip_frozen: bool| -> Vec<f32> {
+                (0..n)
+                    .map(|j| match frozen[j] == skip_frozen {
+                        true => poison[j % 3],
+                        false => clean[j],
+                    })
+                    .collect()
+            };
+            let x = poisoned(true);
+            let base = pseudo(n, 8);
+
+            let mut y = base.clone();
+            masked_axpy(&mut y, &x, 2.0, &words);
+            masked_div(&mut y, 4.0, &words);
+            let mut copied = base.clone();
+            mask_copy(&mut copied, &x, &words);
+            let mut selected = Vec::new();
+            mask_select(&x, &words, &mut selected);
+            let mut filled = base.clone();
+            mask_fill(&mut filled, &poisoned(false), &words);
+            assert!(selected.iter().all(|v| v.is_finite()), "select read poison");
+            for j in 0..n {
+                let (want_y, want_copy, want_fill) = if frozen[j] {
+                    (base[j], base[j], clean[j])
+                } else {
+                    ((base[j] + 2.0 * clean[j]) / 4.0, clean[j], base[j])
+                };
+                assert_eq!(y[j].to_bits(), want_y.to_bits(), "axpy/div j={j}");
+                assert_eq!(copied[j].to_bits(), want_copy.to_bits(), "copy j={j}");
+                assert_eq!(filled[j].to_bits(), want_fill.to_bits(), "fill j={j}");
+            }
+        }
     }
 
     #[test]
@@ -445,19 +536,42 @@ mod tests {
         mask_scatter(&mut [0.0, 0.0], &[1.0], &words);
     }
 
+    /// Scatters `unfrozen + extra` values over one full word and a mixed
+    /// tail word (`0x5555…`: the shortfall or surplus lands in it).
+    fn scatter_into_mixed_tail(extra: isize) {
+        let frozen: Vec<bool> = (0..100).map(|j| j >= 64 && j % 2 == 0).collect();
+        let unfrozen = frozen.iter().filter(|&&f| !f).count() as isize;
+        let values = vec![1.0f32; (unfrozen + extra) as usize];
+        mask_scatter(&mut [0.0; 100], &values, &pack_words(&frozen));
+    }
+
     #[test]
-    fn one_run_decomposition_is_exact() {
+    fn scatter_accepts_the_exact_count_into_a_mixed_word() {
+        scatter_into_mixed_tail(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter value count mismatch")]
+    fn scatter_rejects_one_value_too_few_in_a_mixed_word() {
+        scatter_into_mixed_tail(-1);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter value count mismatch")]
+    fn scatter_rejects_one_value_too_many_in_a_mixed_word() {
+        scatter_into_mixed_tail(1);
+    }
+
+    #[test]
+    fn lanes_visit_exactly_the_set_bits_in_ascending_order() {
         for bits in [0u64, 1, u64::MAX, 0b1011_0111, 1 << 63, (1 << 63) | 1] {
-            let mut got = [false; 64];
-            for_each_one_run(bits, |s, e| {
-                for slot in got.iter_mut().take(e).skip(s) {
-                    assert!(!*slot, "overlap");
-                    *slot = true;
-                }
-            });
-            for (j, &g) in got.iter().enumerate() {
-                assert_eq!(g, bits >> j & 1 == 1, "bits={bits:#x} j={j}");
-            }
+            let got: Vec<usize> = lanes(128, bits).collect();
+            let want: Vec<usize> = (0..64)
+                .filter(|b| bits >> b & 1 == 1)
+                .map(|b| 128 + b)
+                .collect();
+            assert_eq!(got, want, "bits={bits:#x}");
+            assert_eq!(lanes(0, bits).size_hint(), (want.len(), Some(want.len())));
         }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Each kernel is checked bitwise (`f32::to_bits`) against a naive
 //! per-scalar reference over randomly generated masks. Masks are built
-//! word-by-word from a class generator so the word-level special cases the
-//! driver optimizes — all-frozen words (skipped with one compare),
-//! all-unfrozen words (one whole-word run), and mixed words (bit-run
-//! decomposition) — all appear in every run, including a ragged tail word.
+//! word-by-word from a class generator so the three word classes the driver
+//! tells apart — all-frozen words (skipped with one compare), all-unfrozen
+//! words (one SIMD block), and mixed words (visited lane by lane: the only
+//! class per-scalar freezing produces once it starts) — all appear in every
+//! run, including a ragged tail word of 1 to 64 lanes.
 
 use apf_testkit::{prop_assert, prop_assert_eq, property, u64s, u8s, usizes, vecs};
 
@@ -23,28 +24,49 @@ fn pack(frozen: &[bool]) -> Vec<u64> {
 
 /// Expands per-word classes into a dense frozen vector of
 /// `(classes.len() - 1) * 64 + tail` scalars. Classes: 0 = all frozen,
-/// 1 = all unfrozen, 2 = alternating bits, 3 = seeded pseudo-random.
+/// 1 = all unfrozen, 2 = `0x5555…`, 3 = `0xAAAA…`, 4 = one bit set,
+/// 5 = one bit clear, 6 = seeded coin flips, 7 = seeded Bernoulli at a
+/// per-word share of 1–99 % frozen.
 fn mask_from_classes(classes: &[u8], tail: usize, seed: u64) -> Vec<bool> {
     let mut state = seed | 1;
+    // xorshift64*: cheap, deterministic, well mixed.
+    let mut draw = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32
+    };
     let mut frozen = Vec::with_capacity(classes.len() * 64);
     for (w, &class) in classes.iter().enumerate() {
         let nbits = if w + 1 == classes.len() { tail } else { 64 };
+        let lone = draw() as usize % nbits;
+        let pct = 1 + draw() % 99;
         for j in 0..nbits {
             frozen.push(match class {
                 0 => true,
                 1 => false,
                 2 => j % 2 == 0,
-                _ => {
-                    // xorshift64*: cheap, deterministic, well mixed.
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state.wrapping_mul(0x2545_f491_4f6c_dd1d) & (1 << 63) != 0
-                }
+                3 => j % 2 == 1,
+                4 => j == lone,
+                5 => j != lone,
+                6 => draw() % 2 == 0,
+                _ => draw() % 100 < pct,
             });
         }
     }
     frozen
+}
+
+/// The mask classes of [`mask_from_classes`].
+const CLASSES: std::ops::Range<u8> = 0..8;
+
+/// `clean` with NaN / ±inf in every slot where `skipped` says the kernel
+/// under test must not look.
+fn poison(clean: &[f32], skipped: impl Fn(usize) -> bool) -> Vec<f32> {
+    let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    (0..clean.len())
+        .map(|j| if skipped(j) { bad[j % 3] } else { clean[j] })
+        .collect()
 }
 
 /// Deterministic well-formed f32 data (no NaN/inf so bit comparisons see
@@ -69,13 +91,14 @@ property! {
     // mask_select gathers exactly the unfrozen scalars in index order, and
     // mask_scatter is its exact inverse back into the same mask.
     fn select_matches_reference_and_scatter_inverts(
-        classes in vecs(u8s(0..4), 1..6),
+        classes in vecs(u8s(CLASSES), 1..6),
         tail in usizes(1..65),
         seed in u64s(0..u64::MAX)
     ) {
         let frozen = mask_from_classes(&classes, tail, seed);
         let words = pack(&frozen);
-        let src = data(frozen.len(), seed ^ 0xa5a5);
+        // Frozen slots of the source hold NaN/inf: none may be gathered.
+        let src = poison(&data(frozen.len(), seed ^ 0xa5a5), |j| frozen[j]);
 
         let mut compact = Vec::new();
         apf_tensor::mask_select(&src, &words, &mut compact);
@@ -86,6 +109,7 @@ property! {
             .map(|(&x, _)| x)
             .collect();
         prop_assert_eq!(bits(&compact), bits(&reference));
+        prop_assert!(compact.iter().all(|v| v.is_finite()), "gathered a frozen slot");
 
         // Scatter the selection into a poisoned buffer: unfrozen slots get
         // the compact values back, frozen slots keep their sentinel.
@@ -104,7 +128,7 @@ property! {
     // kernel) writes exactly the frozen slots — together they tile the
     // vector with no overlap and no gap.
     fn copy_and_fill_partition_the_vector(
-        classes in vecs(u8s(0..4), 1..6),
+        classes in vecs(u8s(CLASSES), 1..6),
         tail in usizes(1..65),
         seed in u64s(0..u64::MAX)
     ) {
@@ -114,10 +138,11 @@ property! {
         let src = data(n, seed ^ 0x1111);
         let base = data(n, seed ^ 0x2222);
 
+        // Each kernel's source is poisoned exactly where it must not read.
         let mut copied = base.clone();
-        apf_tensor::mask_copy(&mut copied, &src, &words);
+        apf_tensor::mask_copy(&mut copied, &poison(&src, |j| frozen[j]), &words);
         let mut filled = base.clone();
-        apf_tensor::mask_fill(&mut filled, &src, &words);
+        apf_tensor::mask_fill(&mut filled, &poison(&src, |j| !frozen[j]), &words);
         for j in 0..n {
             let (exp_copy, exp_fill) = if frozen[j] {
                 (base[j], src[j])
@@ -136,7 +161,7 @@ property! {
     // bit on unfrozen slots and never touch frozen ones — NaN poison in the
     // frozen slots of `x` must not leak into `y`.
     fn axpy_and_div_match_scalar_reference(
-        classes in vecs(u8s(0..4), 1..6),
+        classes in vecs(u8s(CLASSES), 1..6),
         tail in usizes(1..65),
         seed in u64s(0..u64::MAX),
         a_raw in u8s(0..200),
@@ -147,12 +172,7 @@ property! {
         let n = frozen.len();
         let a = (a_raw as f32 - 100.0) / 32.0;
         let d = d_raw as f32 / 16.0;
-        let mut x = data(n, seed ^ 0x3333);
-        for (xj, &f) in x.iter_mut().zip(&frozen) {
-            if f {
-                *xj = f32::NAN;
-            }
-        }
+        let x = poison(&data(n, seed ^ 0x3333), |j| frozen[j]);
         let base = data(n, seed ^ 0x4444);
 
         let mut y = base.clone();
@@ -166,6 +186,45 @@ property! {
                 prop_assert!(!y[j].is_nan(), "NaN leaked into unfrozen slot {j}");
                 prop_assert_eq!(y[j].to_bits(), expect.to_bits(), "slot {j}");
             }
+        }
+    }
+}
+
+property! {
+    // mask_scatter takes exactly one value per unfrozen slot: one too few
+    // and one too many both panic with the same message, wherever the
+    // shortfall lands — here in a mixed last word.
+    fn scatter_rejects_a_miscounted_compact_vector(
+        classes in vecs(u8s(CLASSES), 0..4),
+        last in u8s(2..8),
+        tail in usizes(2..65),
+        seed in u64s(0..u64::MAX)
+    ) {
+        let mut classes = classes;
+        classes.push(last);
+        let frozen = mask_from_classes(&classes, tail, seed);
+        let words = pack(&frozen);
+        let unfrozen = frozen.iter().filter(|&&f| !f).count();
+        for count in [unfrozen.wrapping_sub(1), unfrozen + 1] {
+            if count == usize::MAX {
+                continue;
+            }
+            let values = vec![1.0f32; count];
+            let mut dst = vec![0.0f32; frozen.len()];
+            let words = words.clone();
+            let caught = std::panic::catch_unwind(move || {
+                apf_tensor::mask_scatter(&mut dst, &values, &words);
+            });
+            let message = caught.expect_err("a miscounted scatter must panic");
+            let message = message
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| message.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            prop_assert!(
+                message.contains("scatter value count mismatch"),
+                "{count} values for {unfrozen} slots panicked with {message:?}"
+            );
         }
     }
 }

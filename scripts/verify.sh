@@ -137,6 +137,19 @@ if [ "$builders" -ne 1 ] || ! grep -q '^    fn build_mask(&self' crates/core/src
   echo "found $builders 'FreezeMask::from_fn(self.n' call(s)" >&2
   exit 1
 fi
+# One mixed-word path in the masked kernels (active lanes, not bit runs), and
+# one sweep in the stability check (no run walk over the mask).
+offenders=$(grep -rn for_each_one_run crates/tensor/src || true)
+if [ -n "$offenders" ]; then
+  echo "a second mixed-word path in crates/tensor/src (a mixed word visits its active lanes):" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
+walks=$(grep -c iter_unfrozen_runs crates/core/src/manager.rs || true)
+if [ "$walks" -ne 0 ]; then
+  echo "crates/core/src/manager.rs walks iter_unfrozen_runs $walks time(s): stability_check is one sweep per mask word" >&2
+  exit 1
+fi
 # A convolution is a direct kernel or the im2col + matmul oracle: the fused
 # im2col-GEMM tier that sat between them stays deleted.
 offenders=$(grep -nE 'ColsGeom|pack_cols|gemm_packed' crates/tensor/src/conv.rs || true)
@@ -176,7 +189,7 @@ if [ -n "$dupes" ]; then
   exit 1
 fi
 echo "OK: one mask type, one splitmix64, one JSON string escaper, one mask builder,"
-echo "    two convolution paths, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each"
+echo "    one mixed-word path, one stability sweep, two convolution paths, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each"
 
 echo "== live telemetry smoke (obs server + ledger regression gate) =="
 # Two identical 2-round runs with the HTTP server on an ephemeral port:
