@@ -29,7 +29,7 @@ fn samples_per_bench() -> usize {
 }
 
 /// Samples per row when `APF_BENCH_QUICK` reads `quick`: unset, empty and
-/// `0` are the full run, the way `APF_MASKED_STEP` and `APF_PROF` read off.
+/// `0` are the full run, the way `APF_PROF` reads off.
 fn samples_for(quick: Option<&str>) -> usize {
     match quick.map(str::trim) {
         None | Some("" | "0") => 11,
@@ -37,6 +37,7 @@ fn samples_for(quick: Option<&str>) -> usize {
     }
 }
 
+// Public because `BenchGroup::bench` and `BenchGroup::results` return it.
 /// One measured benchmark result.
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -55,7 +56,7 @@ pub struct Measurement {
 }
 
 /// Formats a duration with an appropriate unit.
-pub fn fmt_duration(d: Duration) -> String {
+fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns} ns")
@@ -84,7 +85,7 @@ impl BenchGroup {
 
     /// Starts a group writing progress to `out` (e.g. a buffer in tests, or
     /// `io::sink()` for silent runs). Write errors are ignored.
-    pub fn with_writer(name: &str, mut out: Box<dyn Write + Send>) -> Self {
+    fn with_writer(name: &str, mut out: Box<dyn Write + Send>) -> Self {
         let _ = writeln!(out, "\n== {name} ==");
         BenchGroup {
             name: name.to_owned(),

@@ -9,6 +9,7 @@ use apf_tensor::{derive_seed, seeded_rng, SliceRandom};
 
 use crate::setups::ModelKind;
 
+// Public because `train_local_traced` returns it.
 /// The trace of one instrumented local-training run.
 #[derive(Debug)]
 pub struct LocalTrace {

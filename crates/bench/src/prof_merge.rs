@@ -150,6 +150,7 @@ fn parse_header(path: &str, rest: &str) -> Result<(u64, String, u64, u64, u64), 
     }
 }
 
+// Public because `merge` returns it.
 /// The cross-process merge of one run's profiles.
 #[derive(Debug, Default)]
 pub struct MergedProfile {

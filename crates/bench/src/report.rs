@@ -10,7 +10,7 @@ use apf_trace::{event, Level};
 
 /// Directory all experiment artifacts are written to: `results/` under the
 /// working directory.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let p = PathBuf::from("results");
     let _ = fs::create_dir_all(&p);
     p
@@ -97,11 +97,6 @@ pub fn load_log(stem: &str) -> Option<ExperimentLog> {
 /// Formats a byte count as MB with two decimals.
 pub fn fmt_mb(bytes: u64) -> String {
     format!("{:.2} MB", bytes as f64 / 1e6)
-}
-
-/// Checks whether `path` exists under `results/`.
-pub fn results_file_exists(name: &str) -> bool {
-    results_dir().join(name).exists()
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ impl Scale {
     }
 
     /// Held-out test-set size.
-    pub fn test_samples(self) -> usize {
+    fn test_samples(self) -> usize {
         match self {
             Scale::Quick => 60,
             Scale::Standard | Scale::Paper => 300,

@@ -22,6 +22,7 @@ use apf_trace::Role;
 
 use crate::trace_model::{EventRec, ProcessTrace, SpanRec};
 
+// Public because `MergedTrace::timeline` returns it.
 /// How one client spent one round, on the server's clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSlice {
@@ -42,11 +43,27 @@ pub struct RoundSlice {
 }
 
 impl RoundSlice {
+    /// Wall time the three phases explain, µs.
+    pub fn attributed_us(&self) -> u64 {
+        self.compute_us + self.transfer_us + self.server_wait_us
+    }
+
     /// Fraction of the round's wall time the three phases explain.
     pub fn coverage(&self) -> f64 {
-        let attributed = self.compute_us + self.transfer_us + self.server_wait_us;
-        attributed as f64 / self.wall_us.max(1) as f64
+        self.attributed_us() as f64 / self.wall_us.max(1) as f64
     }
+}
+
+/// The lower median of the slices' coverages (0 for no slices). A coverage
+/// gate reads this rather than the worst slice: one descheduled thread
+/// stretches a single slice's wall time without the program doing anything
+/// different.
+pub fn median_coverage(slices: &[RoundSlice]) -> f64 {
+    let mut cov: Vec<f64> = slices.iter().map(RoundSlice::coverage).collect();
+    cov.sort_by(f64::total_cmp);
+    cov.get(cov.len().saturating_sub(1) / 2)
+        .copied()
+        .unwrap_or(0.0)
 }
 
 /// One run's merged traces: the server plus every client, clock-aligned.
@@ -363,6 +380,7 @@ impl MergedTrace {
     }
 }
 
+// Public because `MergedTrace::reconcile` returns it.
 /// The result of [`MergedTrace::reconcile`].
 #[derive(Debug, Default)]
 pub struct ReconcileReport {
@@ -504,6 +522,27 @@ mod tests {
             // Aligned onto the server clock, both rounds start at 210.
             assert_eq!(s.start_us, 210);
         }
+    }
+
+    #[test]
+    fn median_coverage_ignores_one_stretched_slice() {
+        let slice = |wall_us| RoundSlice {
+            round: 0,
+            client: 0,
+            start_us: 0,
+            wall_us,
+            compute_us: 90,
+            transfer_us: 0,
+            server_wait_us: 0,
+        };
+        assert_eq!(median_coverage(&[]), 0.0);
+        // 90/100 ×3 and one slice stretched to 900 µs by the scheduler.
+        let mut slices = vec![slice(100), slice(900), slice(100), slice(100)];
+        assert_eq!(median_coverage(&slices), 0.9);
+        // Two of four stretched: the lower median is a stretched one.
+        slices[0] = slice(900);
+        assert_eq!(median_coverage(&slices), 0.1);
+        assert_eq!(median_coverage(&slices[1..2]), 0.1);
     }
 
     #[test]

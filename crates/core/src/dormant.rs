@@ -204,11 +204,6 @@ impl DormantApfState {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Wraps raw bytes produced by [`DormantApfState::as_bytes`].
-    pub fn from_bytes(bytes: Vec<u8>) -> DormantApfState {
-        DormantApfState { bytes }
-    }
 }
 
 #[cfg(test)]
@@ -334,20 +329,18 @@ mod tests {
         let dormant = DormantApfState::encode(&state, EmaCodec::Dense);
         let mut bad = dormant.as_bytes().to_vec();
         bad[0] = b'X';
-        assert!(DormantApfState::from_bytes(bad).decode(state.cfg).is_err());
+        assert!(DormantApfState { bytes: bad }.decode(state.cfg).is_err());
         let mut truncated = dormant.as_bytes().to_vec();
         truncated.truncate(truncated.len() - 2);
-        assert!(DormantApfState::from_bytes(truncated)
+        assert!(DormantApfState { bytes: truncated }
             .decode(state.cfg)
             .is_err());
         let mut padded = dormant.as_bytes().to_vec();
         padded.push(7);
-        assert!(DormantApfState::from_bytes(padded)
-            .decode(state.cfg)
-            .is_err());
+        assert!(DormantApfState { bytes: padded }.decode(state.cfg).is_err());
         let mut bad_codec = dormant.as_bytes().to_vec();
         bad_codec[4] = 9;
-        assert!(DormantApfState::from_bytes(bad_codec)
+        assert!(DormantApfState { bytes: bad_codec }
             .decode(state.cfg)
             .is_err());
     }

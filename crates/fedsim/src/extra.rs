@@ -144,11 +144,6 @@ impl LayerFreeze {
         }
     }
 
-    /// Number of currently frozen layers.
-    pub fn frozen_layers(&self) -> usize {
-        self.frozen_layers
-    }
-
     fn frozen_scalars(&self) -> usize {
         self.layers[..self.frozen_layers]
             .iter()

@@ -140,7 +140,7 @@ impl ExperimentLog {
     }
 
     /// Serializes the log as a CSV table.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::from(
             "round,loss,accuracy,best_accuracy,frozen_ratio,bytes_up,bytes_down,cum_bytes,compute_secs,comm_secs,cum_secs\n",
         );

@@ -402,7 +402,7 @@ impl RunSpec {
     }
 
     /// Instantiates the strategy.
-    pub fn make_strategy(&self) -> Box<dyn SyncStrategy> {
+    fn make_strategy(&self) -> Box<dyn SyncStrategy> {
         match self.strategy {
             SpecStrategy::Fedavg => Box::new(FullSync::new()),
             SpecStrategy::Apf { f16, .. } => {

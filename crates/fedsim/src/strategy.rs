@@ -244,6 +244,7 @@ impl SyncStrategy for PartialSync {
 // APF family (plus strawman 2 via permanent freezing)
 // ---------------------------------------------------------------------------
 
+// Public because `ApfStrategy::with_controller` takes it.
 /// Builds the freezing-period controller of an [`ApfStrategy`]'s manager.
 pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + Sync>;
 

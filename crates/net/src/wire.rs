@@ -35,14 +35,14 @@ use apf_trace::{span, Level, TraceContext};
 pub const MAGIC: [u8; 4] = *b"APFW";
 /// Protocol version carried in every header. v2 added the trailing
 /// [`TraceContext`] on Join/Welcome/Push/Pull.
-pub const VERSION: u8 = 2;
+const VERSION: u8 = 2;
 /// Bytes of the [`TraceContext`] trailer on Join/Welcome/Push/Pull frames.
 pub const CTX_WIRE_LEN: usize = TraceContext::WIRE_LEN;
 /// Hard cap on a frame's payload length. A header declaring more is
 /// rejected as [`WireError::Oversized`] before any payload allocation.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Header size: magic (4) + version (1) + type (1) + payload length (4).
-pub const HEADER_LEN: usize = 10;
+const HEADER_LEN: usize = 10;
 
 /// Incremental payload read granularity; also bounds how far allocation can
 /// run ahead of bytes actually received.
@@ -192,12 +192,12 @@ impl MaskedPayload {
 
 /// Frame type bytes on the wire.
 mod ty {
-    pub const JOIN: u8 = 1;
-    pub const WELCOME: u8 = 2;
-    pub const PUSH: u8 = 3;
-    pub const PULL: u8 = 4;
-    pub const DONE: u8 = 5;
-    pub const ABORT: u8 = 6;
+    pub(super) const JOIN: u8 = 1;
+    pub(super) const WELCOME: u8 = 2;
+    pub(super) const PUSH: u8 = 3;
+    pub(super) const PULL: u8 = 4;
+    pub(super) const DONE: u8 = 5;
+    pub(super) const ABORT: u8 = 6;
 }
 
 /// One protocol message.

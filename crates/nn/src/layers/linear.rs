@@ -36,13 +36,8 @@ impl Linear {
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    fn in_features(&self) -> usize {
         self.weight.shape()[1]
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.weight.shape()[0]
     }
 
     /// Consumes the cached forward input into the parameter gradients:

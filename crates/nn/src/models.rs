@@ -194,6 +194,7 @@ pub fn mlp(name: &str, dims: &[usize], seed: u64) -> Sequential {
     model
 }
 
+// Public because `by_name` returns it.
 /// The error returned by [`by_name`] for an unrecognized model name.
 ///
 /// `Display` lists the valid names so CLI callers can print it as usage.
@@ -217,12 +218,12 @@ impl std::fmt::Display for ModelError {
 impl std::error::Error for ModelError {}
 
 /// The model names [`by_name`] accepts.
-pub const MODEL_NAMES: [&str; 4] = ["lenet5", "resnet", "vgg", "lstm"];
+const MODEL_NAMES: [&str; 4] = ["lenet5", "resnet", "vgg", "lstm"];
 
 /// Builds one of the bundled models by name.
 ///
 /// # Errors
-/// Returns [`ModelError`] for a name outside [`MODEL_NAMES`].
+/// Returns [`ModelError`] for a name outside `MODEL_NAMES`.
 pub fn by_name(name: &str, seed: u64) -> Result<Sequential, ModelError> {
     match name {
         "lenet5" => Ok(lenet5(seed)),

@@ -12,58 +12,24 @@
 //!
 //! Frozen scalars are skipped at *run* granularity: the bit-packed
 //! [`FreezeMask`] is walked word-at-a-time, so an all-frozen 64-bit word
-//! costs one compare and unfrozen stretches run dense inner loops. Because
-//! the per-scalar arithmetic is unchanged and skipped scalars were never
-//! touched by the dense path either, the fast path is bitwise identical to
-//! the per-scalar reference (selectable with `APF_MASKED_STEP=0`).
+//! costs one compare and unfrozen stretches run dense inner loops. The
+//! per-scalar arithmetic is that of a dense loop that tests every scalar's
+//! bit, so the two are bitwise identical; that loop is kept as the test
+//! oracle.
 
 use apf::FreezeMask;
 
 /// Minimum scalars before an optimizer step is dispatched to the pool.
 const PAR_STEP_MIN: usize = 1 << 15;
 
-/// Whether the run-skipping masked step paths are enabled (`APF_MASKED_STEP`,
-/// default on; set `0` to force the per-scalar dense reference). Cached after
-/// the first read: 0 = unknown, 1 = off, 2 = on.
-fn masked_step_enabled() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static MASKED: AtomicU8 = AtomicU8::new(0);
-    match MASKED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = std::env::var("APF_MASKED_STEP").map_or(true, |v| v != "0");
-            MASKED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
 /// One chunk of a plain (no-momentum) SGD step over the global scalar range
 /// `off..off + p.len()`.
-fn sgd_chunk_plain(
-    lr: f32,
-    wd: f32,
-    p: &mut [f32],
-    g: &[f32],
-    frozen: &FreezeMask,
-    off: usize,
-    masked: bool,
-) {
-    if masked {
-        frozen.for_each_unfrozen_run_in(off, off + p.len(), |s, e| {
-            for i in s - off..e - off {
-                p[i] -= lr * (g[i] + wd * p[i]);
-            }
-        });
-        return;
-    }
-    for i in 0..p.len() {
-        if frozen.is_frozen(off + i) {
-            continue;
+fn sgd_chunk_plain(lr: f32, wd: f32, p: &mut [f32], g: &[f32], frozen: &FreezeMask, off: usize) {
+    frozen.for_each_unfrozen_run_in(off, off + p.len(), |s, e| {
+        for i in s - off..e - off {
+            p[i] -= lr * (g[i] + wd * p[i]);
         }
-        p[i] -= lr * (g[i] + wd * p[i]);
-    }
+    });
 }
 
 /// One chunk of a momentum SGD step over the global range `off..`.
@@ -77,28 +43,15 @@ fn sgd_chunk_momentum(
     g: &[f32],
     frozen: &FreezeMask,
     off: usize,
-    masked: bool,
 ) {
-    if masked {
-        frozen.for_each_unfrozen_run_in(off, off + p.len(), |s, e| {
-            for i in s - off..e - off {
-                let grad = g[i] + wd * p[i];
-                let vel = momentum * v[i] + grad;
-                v[i] = vel;
-                p[i] -= lr * vel;
-            }
-        });
-        return;
-    }
-    for i in 0..p.len() {
-        if frozen.is_frozen(off + i) {
-            continue;
+    frozen.for_each_unfrozen_run_in(off, off + p.len(), |s, e| {
+        for i in s - off..e - off {
+            let grad = g[i] + wd * p[i];
+            let vel = momentum * v[i] + grad;
+            v[i] = vel;
+            p[i] -= lr * vel;
         }
-        let grad = g[i] + wd * p[i];
-        let vel = momentum * v[i] + grad;
-        v[i] = vel;
-        p[i] -= lr * vel;
-    }
+    });
 }
 
 /// One chunk of an Adam step (`b1t`/`b2t` are the bias corrections) over the
@@ -116,34 +69,19 @@ fn adam_chunk(
     g: &[f32],
     frozen: &FreezeMask,
     off: usize,
-    masked: bool,
 ) {
     let (beta1, beta2) = betas;
     let (b1t, b2t) = corr;
-    if masked {
-        frozen.for_each_unfrozen_run_in(off, off + p.len(), |s, e| {
-            for i in s - off..e - off {
-                let grad = g[i] + wd * p[i];
-                m[i] = beta1 * m[i] + (1.0 - beta1) * grad;
-                v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad;
-                let mhat = m[i] / b1t;
-                let vhat = v[i] / b2t;
-                p[i] -= lr * mhat / (vhat.sqrt() + eps);
-            }
-        });
-        return;
-    }
-    for i in 0..p.len() {
-        if frozen.is_frozen(off + i) {
-            continue;
+    frozen.for_each_unfrozen_run_in(off, off + p.len(), |s, e| {
+        for i in s - off..e - off {
+            let grad = g[i] + wd * p[i];
+            m[i] = beta1 * m[i] + (1.0 - beta1) * grad;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad;
+            let mhat = m[i] / b1t;
+            let vhat = v[i] / b2t;
+            p[i] -= lr * mhat / (vhat.sqrt() + eps);
         }
-        let grad = g[i] + wd * p[i];
-        m[i] = beta1 * m[i] + (1.0 - beta1) * grad;
-        v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad;
-        let mhat = m[i] / b1t;
-        let vhat = v[i] / b2t;
-        p[i] -= lr * mhat / (vhat.sqrt() + eps);
-    }
+    });
 }
 
 /// A learning-rate schedule mapping a step index to a learning rate.
@@ -272,7 +210,6 @@ impl Optimizer for Sgd {
             self.velocity = vec![0.0; params.len()];
         }
         let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
-        let masked = masked_step_enabled();
         let serial = apf_par::threads() <= 1 || params.len() < PAR_STEP_MIN;
         if momentum != 0.0 {
             if serial {
@@ -285,7 +222,6 @@ impl Optimizer for Sgd {
                     grads,
                     frozen,
                     0,
-                    masked,
                 );
                 return;
             }
@@ -298,13 +234,11 @@ impl Optimizer for Sgd {
                     .enumerate()
                 {
                     let off = ci * chunk;
-                    s.spawn(move || {
-                        sgd_chunk_momentum(lr, momentum, wd, p, v, g, frozen, off, masked)
-                    });
+                    s.spawn(move || sgd_chunk_momentum(lr, momentum, wd, p, v, g, frozen, off));
                 }
             });
         } else if serial {
-            sgd_chunk_plain(lr, wd, params, grads, frozen, 0, masked);
+            sgd_chunk_plain(lr, wd, params, grads, frozen, 0);
         } else {
             let chunk = apf_par::chunk_len(params.len());
             apf_par::scope(|s| {
@@ -314,7 +248,7 @@ impl Optimizer for Sgd {
                     .enumerate()
                 {
                     let off = ci * chunk;
-                    s.spawn(move || sgd_chunk_plain(lr, wd, p, g, frozen, off, masked));
+                    s.spawn(move || sgd_chunk_plain(lr, wd, p, g, frozen, off));
                 }
             });
         }
@@ -399,7 +333,6 @@ impl Optimizer for Adam {
             self.eps,
             self.weight_decay,
         );
-        let masked = masked_step_enabled();
         if apf_par::threads() <= 1 || params.len() < PAR_STEP_MIN {
             adam_chunk(
                 lr,
@@ -413,7 +346,6 @@ impl Optimizer for Adam {
                 grads,
                 frozen,
                 0,
-                masked,
             );
             return;
         }
@@ -427,9 +359,7 @@ impl Optimizer for Adam {
                 .enumerate()
             {
                 let off = ci * chunk;
-                s.spawn(move || {
-                    adam_chunk(lr, betas, eps, wd, corr, p, m, v, g, frozen, off, masked)
-                });
+                s.spawn(move || adam_chunk(lr, betas, eps, wd, corr, p, m, v, g, frozen, off));
             }
         });
     }
@@ -607,77 +537,123 @@ mod tests {
         }
     }
 
+    // The per-scalar oracle: the same arithmetic as the chunk functions, one
+    // mask test per scalar instead of a walk over unfrozen runs.
+    fn sgd_chunk_plain_ref(
+        lr: f32,
+        wd: f32,
+        p: &mut [f32],
+        g: &[f32],
+        frozen: &FreezeMask,
+        off: usize,
+    ) {
+        for i in 0..p.len() {
+            if frozen.is_frozen(off + i) {
+                continue;
+            }
+            p[i] -= lr * (g[i] + wd * p[i]);
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn sgd_chunk_momentum_ref(
+        lr: f32,
+        momentum: f32,
+        wd: f32,
+        p: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        frozen: &FreezeMask,
+        off: usize,
+    ) {
+        for i in 0..p.len() {
+            if frozen.is_frozen(off + i) {
+                continue;
+            }
+            let grad = g[i] + wd * p[i];
+            let vel = momentum * v[i] + grad;
+            v[i] = vel;
+            p[i] -= lr * vel;
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn adam_chunk_ref(
+        lr: f32,
+        betas: (f32, f32),
+        eps: f32,
+        wd: f32,
+        corr: (f32, f32),
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        frozen: &FreezeMask,
+        off: usize,
+    ) {
+        let (beta1, beta2) = betas;
+        let (b1t, b2t) = corr;
+        for i in 0..p.len() {
+            if frozen.is_frozen(off + i) {
+                continue;
+            }
+            let grad = g[i] + wd * p[i];
+            m[i] = beta1 * m[i] + (1.0 - beta1) * grad;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad;
+            let mhat = m[i] / b1t;
+            let vhat = v[i] / b2t;
+            p[i] -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    }
+
     #[test]
     fn run_skipping_matches_per_scalar_reference() {
-        // The run-based fast path against the dense chunk functions forced
-        // into per-scalar mode — exact equality, mixed/all-frozen words
-        // included (scalars 64..128 form an all-frozen word).
-        let n = 300;
-        let params: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.017).sin()).collect();
-        let grads: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.029).cos()).collect();
-        let mask = FreezeMask::from_fn(n, |i| (64..128).contains(&i) || i % 5 == 0);
-        let mut fast = params.clone();
-        let mut fast_v = vec![0.0f32; n];
-        sgd_chunk_momentum(
-            0.05,
-            0.9,
-            0.01,
-            &mut fast,
-            &mut fast_v,
-            &grads,
-            &mask,
-            0,
-            true,
-        );
-        let mut dense = params.clone();
-        let mut dense_v = vec![0.0f32; n];
-        sgd_chunk_momentum(
-            0.05,
-            0.9,
-            0.01,
-            &mut dense,
-            &mut dense_v,
-            &grads,
-            &mask,
-            0,
-            false,
-        );
-        assert_eq!(fast, dense);
-        assert_eq!(fast_v, dense_v);
+        // Each 64-scalar mask word is all-frozen, all-unfrozen or mixed, in
+        // three rotations, so every length (ragged tails included) meets every
+        // word class; exact equality, from offset 0 and from a mid-word offset.
         let corr = (1.0 - 0.9f32, 1.0 - 0.999f32);
-        let (mut fa, mut fm, mut fv) = (params.clone(), vec![0.0f32; n], vec![0.0f32; n]);
-        adam_chunk(
-            0.05,
-            (0.9, 0.999),
-            1e-8,
-            0.01,
-            corr,
-            &mut fa,
-            &mut fm,
-            &mut fv,
-            &grads,
-            &mask,
-            0,
-            true,
-        );
-        let (mut da, mut dm, mut dv) = (params.clone(), vec![0.0f32; n], vec![0.0f32; n]);
-        adam_chunk(
-            0.05,
-            (0.9, 0.999),
-            1e-8,
-            0.01,
-            corr,
-            &mut da,
-            &mut dm,
-            &mut dv,
-            &grads,
-            &mask,
-            0,
-            false,
-        );
-        assert_eq!(fa, da);
-        assert_eq!(fm, dm);
-        assert_eq!(fv, dv);
+        for n in [1usize, 63, 64, 65, 300] {
+            let params: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.017).sin()).collect();
+            let grads: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.029).cos()).collect();
+            let moments: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.011).cos().abs()).collect();
+            for shift in 0..3 {
+                let mask = FreezeMask::from_fn(n, |i| match (i / 64 + shift) % 3 {
+                    0 => true,
+                    1 => false,
+                    _ => i % 5 == 0 || i % 7 == 3,
+                });
+                for off in [0, n / 3] {
+                    let ctx = format!("n={n} shift={shift} off={off}");
+                    let g = &grads[off..];
+
+                    let (mut fast, mut slow) = (params[off..].to_vec(), params[off..].to_vec());
+                    sgd_chunk_plain(0.05, 0.01, &mut fast, g, &mask, off);
+                    sgd_chunk_plain_ref(0.05, 0.01, &mut slow, g, &mask, off);
+                    assert_eq!(fast, slow, "plain sgd {ctx}");
+
+                    let (mut fast, mut slow) = (params[off..].to_vec(), params[off..].to_vec());
+                    let (mut fv, mut sv) = (moments[off..].to_vec(), moments[off..].to_vec());
+                    sgd_chunk_momentum(0.05, 0.9, 0.01, &mut fast, &mut fv, g, &mask, off);
+                    sgd_chunk_momentum_ref(0.05, 0.9, 0.01, &mut slow, &mut sv, g, &mask, off);
+                    assert_eq!(fast, slow, "momentum sgd params {ctx}");
+                    assert_eq!(fv, sv, "momentum sgd velocity {ctx}");
+
+                    let (mut fast, mut slow) = (params[off..].to_vec(), params[off..].to_vec());
+                    let (mut fm, mut sm) = (moments[off..].to_vec(), moments[off..].to_vec());
+                    let (mut fv, mut sv) = (moments[off..].to_vec(), moments[off..].to_vec());
+                    let (lr, betas, eps, wd) = (0.05, (0.9, 0.999), 1e-8, 0.01);
+                    adam_chunk(
+                        lr, betas, eps, wd, corr, &mut fast, &mut fm, &mut fv, g, &mask, off,
+                    );
+                    adam_chunk_ref(
+                        lr, betas, eps, wd, corr, &mut slow, &mut sm, &mut sv, g, &mask, off,
+                    );
+                    assert_eq!(fast, slow, "adam params {ctx}");
+                    assert_eq!(fm, sm, "adam m {ctx}");
+                    assert_eq!(fv, sv, "adam v {ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -152,18 +152,11 @@ impl Sequential {
     /// Copies all parameters into one flat vector (concatenation order).
     ///
     /// The returned buffer comes from the scratch pool; hot-loop callers
-    /// should hand it back via [`apf_tensor::scratch::give`] (or reuse
-    /// [`Sequential::flat_params_into`] with a persistent buffer).
+    /// should hand it back via [`apf_tensor::scratch::give`].
     pub fn flat_params(&mut self) -> Vec<f32> {
         let mut out = apf_tensor::scratch::take_reserved(self.param_count());
-        self.flat_params_into(&mut out);
-        out
-    }
-
-    /// Clears `out` and fills it with all parameters (concatenation order).
-    pub fn flat_params_into(&mut self, out: &mut Vec<f32>) {
-        out.clear();
         self.visit_params(&mut |_, _, v, _| out.extend_from_slice(v.data()));
+        out
     }
 
     /// Copies all gradients into one flat vector (same order).
@@ -171,14 +164,8 @@ impl Sequential {
     /// Scratch-pooled like [`Sequential::flat_params`].
     pub fn flat_grads(&mut self) -> Vec<f32> {
         let mut out = apf_tensor::scratch::take_reserved(self.param_count());
-        self.flat_grads_into(&mut out);
-        out
-    }
-
-    /// Clears `out` and fills it with all gradients (same order).
-    pub fn flat_grads_into(&mut self, out: &mut Vec<f32>) {
-        out.clear();
         self.visit_params(&mut |_, _, _, g| out.extend_from_slice(g.data()));
+        out
     }
 
     /// Loads parameters from a flat vector.

@@ -172,11 +172,6 @@ impl Trainer {
         self.prox = Some((mu, anchor));
     }
 
-    /// Disables the FedProx proximal term.
-    pub fn clear_prox(&mut self) {
-        self.prox = None;
-    }
-
     /// Runs one training step; returns the batch loss.
     pub fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         let lr = self.schedule.lr_at(self.step);

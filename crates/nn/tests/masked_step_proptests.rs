@@ -243,10 +243,6 @@ fn mostly_frozen_steps_skip_the_frozen_work() {
     // 512-scalar blocks (real APF masks are clustered), a step does a
     // hundredth of the work and reads 50-58x faster than the unfrozen step.
     // Losing the word skip makes the two equal; 4x leaves room for any host.
-    if std::env::var("APF_MASKED_STEP").is_ok_and(|v| v == "0") {
-        println!("skipped: APF_MASKED_STEP=0 selects the dense reference, which skips nothing");
-        return;
-    }
     const N: usize = 1 << 20;
     let clustered = |pct: usize| {
         FreezeMask::from_fn(N, |j| {

@@ -6,7 +6,7 @@
 //! samples, histograms as cumulative `_bucket{le="..."}` series closed by
 //! `le="+Inf"` plus `_sum` and `_count` — exactly the shape
 //! `histogram_quantile()` expects. Metric names from the registry use dots
-//! (`fedsim.bytes_up`); [`sanitize_name`] maps them onto the Prometheus
+//! (`fedsim.bytes_up`); `sanitize_name` maps them onto the Prometheus
 //! grammar (`fedsim_bytes_up`).
 
 use apf_trace::metrics::Snapshot;
@@ -14,7 +14,7 @@ use apf_trace::metrics::Snapshot;
 /// Maps an arbitrary registry name onto the Prometheus metric-name grammar
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` by replacing every other character with `_`
 /// (and prefixing `_` if the first character is a digit).
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || c.is_ascii_digit();

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 /// Default per-series point capacity.
 pub const DEFAULT_CAPACITY: usize = 1024;
 /// Default bound on the number of distinct series.
-pub const DEFAULT_MAX_SERIES: usize = 256;
+const DEFAULT_MAX_SERIES: usize = 256;
 
 struct Ring {
     points: VecDeque<(f64, f64)>,

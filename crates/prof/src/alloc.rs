@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Attribution table size. Slot 0 = allocations outside any span; interned
 /// name ids at or past the last slot share it (reported as `"(other)"`).
-pub const SLOTS: usize = 256;
+const SLOTS: usize = 256;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -125,14 +125,10 @@ mod tests {
 
     #[test]
     fn overflow_ids_share_the_last_slot() {
-        reset();
-        set_enabled(true);
-        // Simulate a deep interned id via the public hook path: the slot
-        // clamp is internal, so exercise it through attribute() with a
-        // synthetic current id is not possible — assert the clamp logic
-        // via slot arithmetic instead.
+        // attribute() cannot be handed a synthetic current id, so assert the
+        // clamp logic via slot arithmetic. No table or flag access: the
+        // table is process-global and the round-trip test above runs
+        // concurrently.
         assert_eq!((SLOTS + 50).min(SLOTS - 1), SLOTS - 1);
-        set_enabled(false);
-        reset();
     }
 }

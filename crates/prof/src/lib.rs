@@ -118,7 +118,7 @@ pub fn start(interval: Duration) -> bool {
 /// [`start`] with an output file for [`finish`] and optional
 /// allocation-site attribution (only yields data in binaries that install
 /// [`alloc::ProfAlloc`] as their global allocator).
-pub fn start_with(interval: Duration, file: Option<String>, with_alloc: bool) -> bool {
+fn start_with(interval: Duration, file: Option<String>, with_alloc: bool) -> bool {
     let Ok(mut guard) = RUNNING.lock() else {
         return false;
     };
@@ -195,7 +195,7 @@ pub fn stop() -> Option<Profile> {
 }
 
 /// Stops the sampler and writes the folded output to the file configured at
-/// [`start_with`]/[`init_from_env`] time (no file configured = no write).
+/// [`init_from_env`] time (no file configured = no write).
 /// Returns the profile. `None` when no profiler was running.
 pub fn finish() -> Option<Profile> {
     let (profile, file) = stop_inner()?;
@@ -274,6 +274,7 @@ pub fn init_from_env(file: Option<String>) -> bool {
     start_with(interval, file, with_alloc == Some(true))
 }
 
+// Public because it is the element type of `Profile::allocs`.
 /// One allocation site: the innermost open span when the allocations
 /// happened (`"(no span)"` = outside any span).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,6 +287,7 @@ pub struct AllocSite {
     pub bytes: u64,
 }
 
+// Public because `stop`, `finish` and `sample_window` return it.
 /// An aggregated sampling profile, ready to render as folded stacks.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {

@@ -73,11 +73,6 @@ impl ConvSpec {
             (pw - self.kernel) / self.stride + 1,
         )
     }
-
-    /// Number of weight scalars: `out_channels * in_channels * kernel^2`.
-    pub fn weight_len(&self) -> usize {
-        self.out_channels * self.in_channels * self.kernel * self.kernel
-    }
 }
 
 /// Geometry of a 2-D pooling window.

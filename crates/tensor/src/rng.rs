@@ -83,7 +83,7 @@ impl Rng {
 
     /// The next 32 random bits (upper half of [`Rng::next_u64`]).
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
@@ -101,12 +101,6 @@ impl Rng {
     #[inline]
     pub fn gen_range<T: SampleRange>(&mut self, range: Range<T>) -> T {
         T::sample_range(self, range.start, range.end)
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen::<f64>() < p
     }
 
     /// One standard-normal sample (Box–Muller, `f32`).
@@ -161,15 +155,6 @@ impl Rng {
         for i in (1..xs.len()).rev() {
             let j = self.gen_range(0..i + 1);
             xs.swap(i, j);
-        }
-    }
-
-    /// A uniformly chosen element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.gen_range(0..xs.len())])
         }
     }
 
@@ -284,26 +269,16 @@ impl SampleRange for f64 {
     }
 }
 
-/// `rand`-style shuffle/choose methods on slices, for call sites that read
+/// A `rand`-style shuffle method on slices, for call sites that read
 /// more naturally as `xs.shuffle(&mut rng)`.
 pub trait SliceRandom {
-    /// Element type.
-    type Item;
     /// Fisher–Yates shuffle in place.
     fn shuffle(&mut self, rng: &mut Rng);
-    /// A uniformly chosen element, or `None` if empty.
-    fn choose<'a>(&'a self, rng: &mut Rng) -> Option<&'a Self::Item>;
 }
 
 impl<T> SliceRandom for [T] {
-    type Item = T;
-
     fn shuffle(&mut self, rng: &mut Rng) {
         rng.shuffle(self);
-    }
-
-    fn choose<'a>(&'a self, rng: &mut Rng) -> Option<&'a T> {
-        rng.choose(self)
     }
 }
 
@@ -416,26 +391,6 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left input in order"
         );
-    }
-
-    #[test]
-    fn choose_covers_all_elements() {
-        let mut r = Rng::new(6);
-        let xs = [1, 2, 3, 4];
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            let &v = r.choose(&xs).unwrap();
-            seen[v - 1] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        assert!(r.choose::<i32>(&[]).is_none());
-    }
-
-    #[test]
-    fn gen_bool_tracks_probability() {
-        let mut r = Rng::new(7);
-        let hits = (0..100_000).filter(|_| r.gen_bool(0.3)).count();
-        assert!((hits as f64 / 100_000.0 - 0.3).abs() < 0.01);
     }
 
     #[test]

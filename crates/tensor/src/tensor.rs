@@ -305,16 +305,6 @@ impl Tensor {
         self.data[i * c + j]
     }
 
-    /// Sets the element at a 2-D index.
-    ///
-    /// # Panics
-    /// Panics if the tensor is not rank 2 or indices are out of bounds.
-    pub fn set2(&mut self, i: usize, j: usize, v: f32) {
-        assert_eq!(self.shape.len(), 2, "set2 requires a rank-2 tensor");
-        let c = self.shape[1];
-        self.data[i * c + j] = v;
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     ///
     /// Large tensors are mapped in parallel chunks; elements are independent,
@@ -716,25 +706,6 @@ impl Tensor {
             .collect()
     }
 
-    /// Copies `rows` (by index) of an `[m,n]` matrix into a new `[rows.len(),n]`
-    /// matrix.
-    ///
-    /// # Panics
-    /// Panics if the tensor is not rank 2 or any index is out of bounds.
-    pub fn select_rows(&self, rows: &[usize]) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "select_rows requires rank 2");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = Vec::with_capacity(rows.len() * n);
-        for &r in rows {
-            assert!(r < m, "row index {r} out of bounds for {m} rows");
-            out.extend_from_slice(&self.data[r * n..(r + 1) * n]);
-        }
-        Tensor {
-            data: out,
-            shape: vec![rows.len(), n],
-        }
-    }
-
     /// Squared L2 norm of all elements.
     ///
     /// Uses the same fixed-grain deterministic reduction as
@@ -853,13 +824,6 @@ mod tests {
     fn argmax_rows_ties_go_low() {
         let a = Tensor::from_vec(vec![1.0, 1.0, 0.0, 0.5, 2.0, 2.0], &[2, 3]);
         assert_eq!(a.argmax_rows(), vec![0, 1]);
-    }
-
-    #[test]
-    fn select_rows_copies() {
-        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[3, 2]);
-        let s = a.select_rows(&[2, 0]);
-        assert_eq!(s.data(), &[4.0, 5.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl<T: 'static> Gen<T> {
     }
 
     /// A generator with both a sampler and a shrinker.
-    pub fn with_shrink(
+    fn with_shrink(
         sample: impl Fn(&mut TkRng) -> T + 'static,
         shrink: impl Fn(&T) -> Vec<T> + 'static,
     ) -> Self {
@@ -69,29 +69,6 @@ impl<T: 'static> Gen<T> {
     /// Builds a dependent generator (shrinking is not preserved).
     pub fn flat_map<U: 'static>(self, f: impl Fn(T) -> Gen<U> + 'static) -> Gen<U> {
         Gen::from_fn(move |rng| f(self.sample(rng)).sample(rng))
-    }
-
-    /// Keeps only values satisfying `pred`; both sampling and shrink
-    /// candidates are filtered.
-    ///
-    /// # Panics
-    /// Sampling panics if 1000 consecutive draws all fail the predicate.
-    pub fn such_that(self, pred: impl Fn(&T) -> bool + 'static) -> Gen<T> {
-        let pred = Rc::new(pred);
-        let sampler = self.clone();
-        let p2 = Rc::clone(&pred);
-        Gen {
-            sample: Rc::new(move |rng| {
-                for _ in 0..1000 {
-                    let v = sampler.sample(rng);
-                    if pred(&v) {
-                        return v;
-                    }
-                }
-                panic!("such_that: predicate rejected 1000 consecutive samples")
-            }),
-            shrink: Rc::new(move |v| (self.shrink)(v).into_iter().filter(|c| p2(c)).collect()),
-        }
     }
 }
 

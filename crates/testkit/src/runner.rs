@@ -43,7 +43,7 @@ pub struct Config {
 impl Config {
     /// Builds the config from the environment: `APF_TESTKIT_CASES` and
     /// `APF_TESTKIT_SEED` override the defaults.
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         Self::from_env_or(DEFAULT_CASES)
     }
 

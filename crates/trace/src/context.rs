@@ -110,7 +110,7 @@ impl TraceContext {
     }
 
     /// Whether any identity is present.
-    pub fn is_set(&self) -> bool {
+    fn is_set(&self) -> bool {
         self.run_id != 0 || self.pid != 0 || self.role != Role::Unset
     }
 

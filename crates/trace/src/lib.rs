@@ -156,7 +156,10 @@ pub fn enabled(level: Level) -> bool {
     level as u8 <= GATE.load(Ordering::Relaxed) & LEVEL_MASK
 }
 
+// Public, but hidden, because the exported `span!` macro reaches it through
+// `$crate::`.
 /// What a span at some level should do right now; see [`span_gate`].
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanGate {
     /// Record the span to the sink (and track its name if profiling is on).
@@ -171,6 +174,8 @@ pub enum SpanGate {
 /// record (level enabled), stack-only (level disabled but profiler stack
 /// tracking on), or off entirely. The `Off` path evaluates no fields and
 /// allocates nothing.
+// Public, but hidden, for the same reason as `SpanGate`.
+#[doc(hidden)]
 #[inline(always)]
 pub fn span_gate(level: Level) -> SpanGate {
     let g = GATE.load(Ordering::Relaxed);

@@ -130,7 +130,7 @@ impl Histogram {
     }
 
     /// Per-bucket counts (one extra overflow bucket at the end).
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
@@ -235,6 +235,7 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Arc<Histogram> {
     )
 }
 
+// Public because it is the element type of `Snapshot::histograms`.
 /// One histogram in a [`Snapshot`]: `(name, bounds, bucket_counts, count,
 /// sum)`.
 pub type HistogramSnapshot = (String, Vec<f64>, Vec<u64>, u64, f64);

@@ -150,11 +150,6 @@ impl Span {
         self.active.as_ref().map_or(0, |a| a.id)
     }
 
-    /// Whether the span is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Attaches an extra field after entry (e.g. a result computed inside
     /// the span). No-op when disabled.
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
@@ -208,7 +203,6 @@ mod tests {
     fn disabled_span_is_inert() {
         crate::set_level(None);
         let s = Span::enter(Level::Info, "t", "n", &[]);
-        assert!(!s.is_recording());
         assert_eq!(s.id(), 0);
         assert_eq!(current_span_id(), 0);
     }
@@ -220,7 +214,6 @@ mod tests {
         let id = crate::stack::intern_name("span.test.stack_only");
         {
             let s = Span::stack_only("span.test.stack_only");
-            assert!(!s.is_recording());
             assert_eq!(s.id(), 0);
             assert_eq!(crate::stack::current_name_id(), id);
         }
@@ -228,7 +221,6 @@ mod tests {
         crate::set_stack_tracking(false);
         // With both tracing and tracking off, enter() is fully inert.
         let s = Span::enter(Level::Info, "t", "span.test.stack_only", &[]);
-        assert!(!s.is_recording());
         drop(s);
         assert_eq!(crate::stack::current_name_id(), 0);
     }
