@@ -11,9 +11,9 @@ use apf_nn::models;
 
 fn model_sizes() -> Vec<(&'static str, usize)> {
     vec![
-        ("lenet5", models::lenet5(0).num_params()),
-        ("resnet", models::resnet(0).num_params()),
-        ("lstm", models::lstm_classifier(0).num_params()),
+        ("lenet5", models::lenet5(0).param_count()),
+        ("resnet", models::resnet(0).param_count()),
+        ("lstm", models::lstm_classifier(0).param_count()),
     ]
 }
 

@@ -55,7 +55,8 @@ fn run_set(ctx: &Ctx, model: ModelKind, base_rounds: usize, tag: &str) -> [Exper
 fn cached(ctx: &Ctx) -> Vec<(String, [ExperimentLog; 3])> {
     let mut out = Vec::new();
     for (model, base_rounds, tag) in SETS {
-        let logs = ["apf", "gaia", "cmfl"].map(|arm| load_log(&format!("fig13_{tag}_{arm}")));
+        let r = rounds(ctx, base_rounds);
+        let logs = ["apf", "gaia", "cmfl"].map(|arm| load_log(&format!("fig13_{tag}_{arm}"), r));
         match logs {
             [Some(a), Some(g), Some(c)] => out.push((tag.to_owned(), [a, g, c])),
             _ => out.push((tag.to_owned(), run_set(ctx, model, base_rounds, tag))),

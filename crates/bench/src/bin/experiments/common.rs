@@ -185,7 +185,9 @@ pub fn volume_csv(name: &str, logs: &[&ExperimentLog]) {
     apf_bench::report::write_csv(name, &headers, &rows);
 }
 
-/// Rounds budget scaled by the context (respects `--scale quick`).
+/// Rounds budget scaled by the context (respects `--scale quick`). Takes an
+/// unscaled standard-scale count: never pass it `ModelKind::default_rounds`,
+/// which is scaled already.
 pub fn rounds(ctx: &Ctx, standard: usize) -> usize {
     match ctx.scale {
         Scale::Quick => (standard / 10).max(4),

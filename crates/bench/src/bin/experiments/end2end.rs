@@ -21,7 +21,8 @@ fn stem(tag: &str, arm: &str) -> String {
 fn arms(ctx: &Ctx) -> Vec<(String, ExperimentLog, ExperimentLog)> {
     let mut out = Vec::new();
     for (model, tag) in MODELS {
-        let r = crate::common::rounds(ctx, model.default_rounds(ctx.scale));
+        // `default_rounds` is already scaled: apply no second factor.
+        let r = model.default_rounds(ctx.scale);
         let spec = |label: String| RunSpec {
             model,
             clients: 4,
@@ -56,9 +57,10 @@ fn arms(ctx: &Ctx) -> Vec<(String, ExperimentLog, ExperimentLog)> {
 /// Loads the fig11 logs from `results/` or reruns them.
 fn arms_cached(ctx: &Ctx) -> Vec<(String, ExperimentLog, ExperimentLog)> {
     let mut out = Vec::new();
-    for (_, tag) in MODELS {
-        let f = load_log(&stem(tag, "fedavg").replace('/', "_"));
-        let a = load_log(&stem(tag, "apf").replace('/', "_"));
+    for (model, tag) in MODELS {
+        let r = model.default_rounds(ctx.scale);
+        let f = load_log(&stem(tag, "fedavg").replace('/', "_"), r);
+        let a = load_log(&stem(tag, "apf").replace('/', "_"), r);
         match (f, a) {
             (Some(f), Some(a)) => out.push((tag.to_owned(), f, a)),
             _ => return arms(ctx),

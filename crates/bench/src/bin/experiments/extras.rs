@@ -66,7 +66,7 @@ pub fn extra_granularity(ctx: &Ctx) {
     // Layer layout of LeNet-5 for the FreezeOut-style baseline: freeze one
     // tensor every r/12 rounds (roughly matching APF's end-of-run frozen
     // fraction so the comparison is accuracy-at-equal-savings).
-    let mut model = ModelKind::Lenet5.build(0);
+    let model = ModelKind::Lenet5.build(0);
     let layers: Vec<(usize, usize)> = model
         .flat_spec()
         .params()

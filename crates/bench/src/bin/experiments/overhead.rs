@@ -26,8 +26,8 @@ pub fn table4(ctx: &Ctx) {
         (ModelKind::Resnet, "resnet"),
         (ModelKind::Lstm, "lstm"),
     ] {
-        let mut net = model.build(ctx.seed);
-        let n = net.num_params();
+        let net = model.build(ctx.seed);
+        let n = net.param_count();
         let flat = net.flat_params();
         let cfg = ApfConfig {
             seed: ctx.seed,

@@ -113,7 +113,7 @@ pub fn train_local_traced(
     };
     let mut trainer = Trainer::new(model.build(seed), optimizer, LrSchedule::Constant(base_lr));
 
-    let spec = trainer.model_mut().flat_spec();
+    let spec = trainer.model().flat_spec();
     let tensors: Vec<(String, usize, usize)> = spec
         .params()
         .iter()

@@ -87,11 +87,17 @@ fn announce_written(path: &str, rows: u64) {
     event!(Level::Info, target: "bench.report", "wrote", path = path, rows = rows);
 }
 
-/// Loads a previously saved log, if present.
-pub fn load_log(stem: &str) -> Option<ExperimentLog> {
+/// Loads a previously saved log of `rounds` rounds, if present.
+///
+/// A saved log of any other length was made at another scale, so it is not
+/// returned and the caller reruns. This is a stopgap: the round count is
+/// the only part of a run's configuration the saved JSON carries. Keying
+/// each file by its run's canonical spec string replaces it.
+pub fn load_log(stem: &str, rounds: usize) -> Option<ExperimentLog> {
     let path = results_dir().join(format!("{stem}.json"));
     let data = fs::read_to_string(path).ok()?;
-    ExperimentLog::from_json(&data).ok()
+    let log = ExperimentLog::from_json(&data).ok()?;
+    (log.records.len() == rounds).then_some(log)
 }
 
 /// Formats a byte count as MB with two decimals.
@@ -125,30 +131,60 @@ mod tests {
         assert!(s.ends_with('\n'));
     }
 
-    #[test]
-    fn save_and_load_log_roundtrip() {
-        // Lands in `results/` under the test's working directory (this
-        // package's root, not the repository's); removed again below.
-        let mut log = ExperimentLog::new("roundtrip-test");
-        log.push(apf_fedsim::RoundRecord {
-            round: 0,
-            loss: 1.0,
-            accuracy: Some(0.5),
-            best_accuracy: 0.5,
-            frozen_ratio: 0.0,
-            bytes_up: 1,
-            bytes_down: 1,
-            cum_bytes: 2,
-            compute_secs: 0.0,
-            comm_secs: 0.0,
-            cum_secs: 0.0,
-        });
-        save_log(&log, "roundtrip-test");
-        let back = load_log("roundtrip-test").expect("log should load");
-        assert_eq!(back, log);
+    /// Serializes the tests that create and remove `results/` (under the
+    /// test's working directory: this package's root, not the repository's).
+    static RESULTS_DIR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// A one-record-per-round log of `rounds` rounds.
+    fn log_of(name: &str, rounds: u64) -> ExperimentLog {
+        let mut log = ExperimentLog::new(name);
+        for round in 0..rounds {
+            log.push(apf_fedsim::RoundRecord {
+                round,
+                loss: 1.0,
+                accuracy: Some(0.5),
+                best_accuracy: 0.5,
+                frozen_ratio: 0.0,
+                bytes_up: 1,
+                bytes_down: 1,
+                cum_bytes: 2,
+                compute_secs: 0.0,
+                comm_secs: 0.0,
+                cum_secs: 0.0,
+            });
+        }
+        log
+    }
+
+    /// Saves `log` as `stem`, runs `check`, then removes the files again.
+    fn with_saved(log: &ExperimentLog, stem: &str, check: impl FnOnce()) {
+        let _dir = RESULTS_DIR.lock().unwrap_or_else(|e| e.into_inner());
+        save_log(log, stem);
+        check();
         for ext in ["csv", "json"] {
-            fs::remove_file(results_dir().join(format!("roundtrip-test.{ext}"))).unwrap();
+            fs::remove_file(results_dir().join(format!("{stem}.{ext}"))).unwrap();
         }
         let _ = fs::remove_dir(results_dir());
+    }
+
+    #[test]
+    fn save_and_load_log_roundtrip() {
+        let log = log_of("roundtrip-test", 1);
+        with_saved(&log, "roundtrip-test", || {
+            let back = load_log("roundtrip-test", 1).expect("log should load");
+            assert_eq!(back, log);
+        });
+    }
+
+    #[test]
+    fn load_log_reruns_a_log_of_another_round_count() {
+        // A quick-scale run saved under the stem a standard-scale table
+        // asks for must not be printed as the standard run.
+        let quick = log_of("scale-test", 4);
+        with_saved(&quick, "scale-test", || {
+            assert!(load_log("scale-test", 4).is_some());
+            assert!(load_log("scale-test", 25).is_none());
+            assert!(load_log("scale-test", 3).is_none());
+        });
     }
 }

@@ -191,10 +191,23 @@ mod tests {
     }
 
     #[test]
+    fn default_rounds_per_scale_and_model() {
+        // The fig11 / Table 1–3 horizons: the scale factor applies once.
+        let models = [ModelKind::Lenet5, ModelKind::Resnet, ModelKind::Lstm];
+        for (scale, want) in [
+            (Scale::Quick, [25, 8, 12]),
+            (Scale::Standard, [250, 80, 120]),
+            (Scale::Paper, [625, 200, 300]),
+        ] {
+            assert_eq!(models.map(|m| m.default_rounds(scale)), want, "{scale:?}");
+        }
+    }
+
+    #[test]
     fn model_kinds_build() {
         for m in [ModelKind::Lenet5, ModelKind::Resnet, ModelKind::Lstm] {
-            let mut model = m.build(0);
-            assert!(model.num_params() > 0);
+            let model = m.build(0);
+            assert!(model.param_count() > 0);
             let (train, test) = m.datasets(20, 10, 0);
             assert_eq!(train.len(), 20);
             assert_eq!(test.len(), 10);

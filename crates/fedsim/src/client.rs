@@ -98,8 +98,9 @@ impl Client {
     }
 
     /// Runs one round of local training: `ceil(workload * local_iters)`
-    /// mini-batch steps, invoking `post_iteration` on the flat parameter
-    /// vector after every step (the APF rollback hook, Alg. 1 line 2).
+    /// mini-batch steps, invoking `post_iteration` on the model's parameter
+    /// arena, in place, after every step (the APF rollback hook, Alg. 1
+    /// line 2).
     ///
     /// Returns the mean batch loss.
     ///
@@ -120,10 +121,7 @@ impl Client {
             let pass = self.data.batches(self.batch_size, &mut self.rng);
             for (x, y) in pass.take(iters - done) {
                 total += self.trainer.train_batch(&x, &y);
-                let mut flat = self.trainer.model_mut().flat_params();
-                post_iteration(&mut flat);
-                self.trainer.model_mut().load_flat(&flat);
-                apf_tensor::scratch::give(flat);
+                post_iteration(self.trainer.model_mut().params_mut());
                 done += 1;
             }
         }

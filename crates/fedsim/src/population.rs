@@ -232,7 +232,7 @@ impl PopulationRunner {
                 "partition does not cover the registered population"
             );
         }
-        let mut eval_model = model_factory(derive_seed(cfg.fl.seed, 0x30DE1));
+        let eval_model = model_factory(derive_seed(cfg.fl.seed, 0x30DE1));
         let init = eval_model.flat_params();
         strategy.init(&init, cfg.registered);
         let strategy_label = if cfg.wire_f16 { "apf-pop+q" } else { "apf-pop" };
@@ -435,10 +435,11 @@ impl PopulationRunner {
             // order as FlRunner's fleet-wide `sync_round`.
             let _s = span!(Level::Info, target: "fedsim", "aggregate",
                 round = round, clients = clients);
+            // Straight from each shell's arena: `absorb` may overwrite the
+            // scalars it reads, and the next `materialize` reloads them all.
             for (slot, &id) in block.iter().enumerate() {
-                let mut flat = self.shells[slot].flat_params();
-                self.strategy.absorb(round, &mut flat, 1.0);
-                apf_tensor::scratch::give(flat);
+                let params = self.shells[slot].trainer_mut().model_mut().params_mut();
+                self.strategy.absorb(round, params, 1.0);
                 self.suspend(slot, id);
             }
         }

@@ -143,7 +143,7 @@ impl RoundBook {
         strategy: &str,
         config_digest: u64,
         cfg: &FlConfig,
-        mut eval: EvalSetup,
+        eval: EvalSetup,
     ) -> Self {
         RoundBook {
             log: ExperimentLog::new(name),
@@ -155,7 +155,7 @@ impl RoundBook {
             config_digest,
             rounds: cfg.rounds,
             eval_every: cfg.eval_every,
-            model_bytes: eval.model.num_params() as u64 * 4,
+            model_bytes: eval.model.param_count() as u64 * 4,
             eval,
             joined: (0, 0.0),
         }

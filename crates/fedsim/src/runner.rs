@@ -244,7 +244,7 @@ impl FlRunnerBuilder {
         }
         let mut strategy = self.strategy.unwrap_or_else(|| Box::new(FullSync::new()));
         let init = clients[0].flat_params();
-        let mut eval_model = (self.model_factory)(model_seed);
+        let eval_model = (self.model_factory)(model_seed);
         let layout: Vec<(String, usize)> = eval_model
             .flat_spec()
             .params()
@@ -438,14 +438,18 @@ impl FlRunner {
         }
         let comm = {
             let _s = span!(Level::Info, target: "fedsim", "aggregate", round = round);
-            let mut locals: Vec<Vec<f32>> =
-                self.clients.iter_mut().map(Client::flat_params).collect();
+            // Each client's arena is its local: moved out and back, never
+            // copied.
+            let mut locals: Vec<Vec<f32>> = self
+                .clients
+                .iter_mut()
+                .map(|c| c.trainer_mut().model_mut().take_arena())
+                .collect();
             let comm = self
                 .strategy
                 .sync_round(round, &mut locals, &weights, &mut self.global);
             for (c, l) in self.clients.iter_mut().zip(locals) {
-                c.load_flat(&l);
-                apf_tensor::scratch::give(l);
+                c.trainer_mut().model_mut().put_arena(l);
             }
             comm
         };

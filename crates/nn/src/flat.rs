@@ -1,10 +1,13 @@
-//! Flat parameter views: the model as one vector of scalars.
+//! The model's flat parameter layout.
 //!
 //! APF manipulates the model at scalar granularity (§3.2.2): "that vector can
 //! be obtained by first expanding all the model tensors into a vector and
-//! then concatenating those vectors together". [`FlatSpec`] records that
-//! concatenation order once, so per-tensor names can be mapped back onto
-//! ranges of the flat vector (used by the Fig. 3 per-layer analysis).
+//! then concatenating those vectors together". Here that vector is not a
+//! view but the storage itself: every [`crate::Sequential`] keeps its
+//! parameters in one contiguous arena (and its gradients in a second one of
+//! the same layout). [`FlatSpec`] records the concatenation order, so
+//! per-tensor names and shapes can be mapped back onto ranges of the arena
+//! (the Fig. 3 per-layer analysis, filter-granular segments).
 
 use apf::FreezeMask;
 
@@ -17,6 +20,8 @@ pub struct ParamSpec {
     pub offset: usize,
     /// Number of scalars.
     pub len: usize,
+    /// Tensor shape; its product is `len`.
+    pub shape: Vec<usize>,
     /// Whether optimizers may update these scalars (false for buffers such
     /// as batch-norm running statistics).
     pub trainable: bool,
@@ -30,23 +35,17 @@ pub struct FlatSpec {
 }
 
 impl FlatSpec {
-    /// Builds a spec from `(name, len, trainable)` triples in traversal order.
-    pub fn from_entries(entries: impl IntoIterator<Item = (String, usize, bool)>) -> Self {
-        let mut params = Vec::new();
-        let mut offset = 0;
-        for (name, len, trainable) in entries {
-            params.push(ParamSpec {
-                name,
-                offset,
-                len,
-                trainable,
-            });
-            offset += len;
-        }
-        FlatSpec {
-            params,
-            total: offset,
-        }
+    /// Appends a tensor after the ones already recorded.
+    pub(crate) fn push(&mut self, name: String, shape: &[usize], trainable: bool) {
+        let len = shape.iter().product();
+        self.params.push(ParamSpec {
+            name,
+            offset: self.total,
+            len,
+            shape: shape.to_vec(),
+            trainable,
+        });
+        self.total += len;
     }
 
     /// Total number of scalars.
@@ -84,11 +83,11 @@ mod tests {
     use super::*;
 
     fn spec() -> FlatSpec {
-        FlatSpec::from_entries(vec![
-            ("conv1-w".to_owned(), 4, true),
-            ("conv1-b".to_owned(), 2, true),
-            ("bn-rm".to_owned(), 2, false),
-        ])
+        let mut s = FlatSpec::default();
+        s.push("conv1-w".to_owned(), &[2, 2], true);
+        s.push("conv1-b".to_owned(), &[2], true);
+        s.push("bn-rm".to_owned(), &[2], false);
+        s
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub(crate) fn sigmoid(x: f32) -> f32 {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let mut out = x;
         match self.kind {
             ActivationKind::Relu => out.map_in_place(|v| v.max(0.0)),
@@ -59,7 +59,7 @@ impl Layer for Activation {
         out
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         let y = self
             .cached_output
             .take()
@@ -95,8 +95,8 @@ mod tests {
         // straddle the kink.
         let xs = [-2.0f32, -0.5, 0.1, 0.3, 1.7];
         let x = Tensor::from_vec(xs.to_vec(), &[1, 5]);
-        let _ = act.forward(x.clone(), Mode::Train, &mut rng);
-        let gi = act.backward(Tensor::ones(&[1, 5]));
+        let _ = act.forward(&mut [], x.clone(), Mode::Train, &mut rng);
+        let gi = act.backward(&[], &mut [], Tensor::ones(&[1, 5]));
         let eps = 1e-3;
         #[allow(clippy::needless_range_loop)]
         for i in 0..5 {
@@ -104,10 +104,10 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let yp = act.forward(xp, Mode::Train, &mut rng).sum();
-            let _ = act.backward(Tensor::ones(&[1, 5]));
-            let ym = act.forward(xm, Mode::Train, &mut rng).sum();
-            let _ = act.backward(Tensor::ones(&[1, 5]));
+            let yp = act.forward(&mut [], xp, Mode::Train, &mut rng).sum();
+            let _ = act.backward(&[], &mut [], Tensor::ones(&[1, 5]));
+            let ym = act.forward(&mut [], xm, Mode::Train, &mut rng).sum();
+            let _ = act.backward(&[], &mut [], Tensor::ones(&[1, 5]));
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
                 (fd - gi.data()[i]).abs() < 1e-2,
@@ -138,6 +138,7 @@ mod tests {
         let mut rng = seeded_rng(1);
         let mut act = Activation::relu();
         let y = act.forward(
+            &mut [],
             Tensor::from_vec(vec![-1.0, 2.0], &[2]),
             Mode::Eval,
             &mut rng,
@@ -150,6 +151,7 @@ mod tests {
         let mut rng = seeded_rng(2);
         let mut act = Activation::new(ActivationKind::Sigmoid);
         let y = act.forward(
+            &mut [],
             Tensor::from_vec(vec![-100.0, 0.0, 100.0], &[3]),
             Mode::Eval,
             &mut rng,

@@ -3,7 +3,7 @@
 use apf_tensor::Rng;
 use apf_tensor::Tensor;
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, Param};
 
 const EPS: f32 = 1e-5;
 
@@ -11,26 +11,18 @@ const EPS: f32 = 1e-5;
 /// the batch and spatial dimensions.
 ///
 /// Trainable parameters are `"<name>-g"` (gamma) and `"<name>-b"` (beta).
-/// The running mean/variance are exposed to the parameter traversal as
-/// *non-trainable buffers* (`"<name>-rm"` / `"<name>-rv"`): they take part in
-/// federated synchronization and in APF freezing, but optimizers never touch
-/// them — this mirrors how FedAvg synchronizes BN state in practice.
+/// The running mean/variance follow them in the arena as *non-trainable
+/// buffers* (`"<name>-rm"` / `"<name>-rv"`): they take part in federated
+/// synchronization and in APF freezing, but optimizers never touch them —
+/// this mirrors how FedAvg synchronizes BN state in practice. Their
+/// gradient slots stay zero.
 #[derive(Debug)]
 pub struct BatchNorm2d {
-    /// `-g`, `-b`, `-rm`, `-rv` names, built once: `visit_params` runs
-    /// several times per training step.
-    param_names: [String; 4],
     channels: usize,
     momentum: f32,
-    gamma: Tensor,
-    beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
-    running_mean: Tensor,
-    running_var: Tensor,
-    // Zero-filled grad slots so buffers fit the uniform traversal signature.
-    zero_grad_rm: Tensor,
-    zero_grad_rv: Tensor,
+    /// The initial gamma, beta and running statistics, until the model
+    /// takes them.
+    init: Vec<Param>,
     cache: Option<BnCache>,
 }
 
@@ -46,17 +38,14 @@ impl BatchNorm2d {
     /// Creates a batch-norm layer for `channels` channels.
     pub fn new(name: &str, channels: usize) -> Self {
         BatchNorm2d {
-            param_names: ["g", "b", "rm", "rv"].map(|suffix| format!("{name}-{suffix}")),
             channels,
             momentum: 0.1,
-            gamma: Tensor::ones(&[channels]),
-            beta: Tensor::zeros(&[channels]),
-            grad_gamma: Tensor::zeros(&[channels]),
-            grad_beta: Tensor::zeros(&[channels]),
-            running_mean: Tensor::zeros(&[channels]),
-            running_var: Tensor::ones(&[channels]),
-            zero_grad_rm: Tensor::zeros(&[channels]),
-            zero_grad_rv: Tensor::zeros(&[channels]),
+            init: vec![
+                Param::trainable(format!("{name}-g"), Tensor::ones(&[channels])),
+                Param::trainable(format!("{name}-b"), Tensor::zeros(&[channels])),
+                Param::buffer(format!("{name}-rm"), Tensor::zeros(&[channels])),
+                Param::buffer(format!("{name}-rv"), Tensor::ones(&[channels])),
+            ],
             cache: None,
         }
     }
@@ -94,34 +83,34 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: Tensor, mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn take_params(&mut self) -> Vec<Param> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode, _rng: &mut Rng) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 4, "batchnorm expects [N,C,H,W]");
         assert_eq!(s[1], self.channels, "channel count mismatch");
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+        let (affine, running) = params.split_at_mut(2 * c);
+        let (g, b) = affine.split_at(c);
+        let (rm, rv) = running.split_at_mut(c);
         let (mean, var) = match mode {
             Mode::Train => {
                 let (mean, var) = self.channel_stats(&x);
                 for ci in 0..c {
-                    let rm = self.running_mean.data_mut();
                     rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean[ci];
-                    let rv = self.running_var.data_mut();
                     rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * var[ci];
                 }
                 (mean, var)
             }
-            Mode::Eval => (
-                self.running_mean.data().to_vec(),
-                self.running_var.data().to_vec(),
-            ),
+            Mode::Eval => (rm.to_vec(), rv.to_vec()),
         };
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
         let mut xhat = vec![0.0f32; x.numel()];
         let mut xmm = vec![0.0f32; x.numel()];
         let mut out = vec![0.0f32; x.numel()];
         let data = x.data();
-        let g = self.gamma.data();
-        let b = self.beta.data();
         for ni in 0..n {
             for ci in 0..c {
                 let base = (ni * c + ci) * h * w;
@@ -143,7 +132,7 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, &s)
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         let cache = self
             .cache
             .take()
@@ -153,7 +142,7 @@ impl Layer for BatchNorm2d {
         let m = (n * h * w) as f32;
         let gd = grad.data();
         let xhat = cache.xhat.data();
-        let gamma = self.gamma.data().to_vec();
+        let gamma = &params[..c];
 
         // Parameter gradients (identical for train and eval mode).
         let mut dgamma = vec![0.0f32; c];
@@ -167,9 +156,10 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
+        let (grad_gamma, grad_beta) = grads[..2 * c].split_at_mut(c);
         for ci in 0..c {
-            self.grad_gamma.data_mut()[ci] += dgamma[ci];
-            self.grad_beta.data_mut()[ci] += dbeta[ci];
+            grad_gamma[ci] += dgamma[ci];
+            grad_beta[ci] += dbeta[ci];
         }
 
         let mut out = vec![0.0f32; grad.numel()];
@@ -205,14 +195,6 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, &s)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let [g, b, rm, rv] = &self.param_names;
-        f(g, true, &mut self.gamma, &mut self.grad_gamma);
-        f(b, true, &mut self.beta, &mut self.grad_beta);
-        f(rm, false, &mut self.running_mean, &mut self.zero_grad_rm);
-        f(rv, false, &mut self.running_var, &mut self.zero_grad_rv);
-    }
-
     fn kind(&self) -> &'static str {
         "batchnorm2d"
     }
@@ -221,14 +203,19 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sequential;
     use apf_tensor::{normal_init, seeded_rng};
+
+    fn model(name: &str, channels: usize) -> Sequential {
+        Sequential::new("t", 0).push(BatchNorm2d::new(name, channels))
+    }
 
     #[test]
     fn train_forward_normalizes() {
         let mut rng = seeded_rng(0);
-        let mut bn = BatchNorm2d::new("bn", 2);
+        let mut bn = model("bn", 2);
         let x = normal_init(&[4, 2, 3, 3], 5.0, 3.0, &mut rng);
-        let y = bn.forward(x, Mode::Train, &mut rng);
+        let y = bn.forward(x, Mode::Train);
         // Per-channel output should be ~N(0,1) since gamma=1, beta=0.
         let s = y.shape();
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -249,22 +236,22 @@ mod tests {
     #[test]
     fn running_stats_track_batch_stats() {
         let mut rng = seeded_rng(1);
-        let mut bn = BatchNorm2d::new("bn", 1);
+        let mut bn = model("bn", 1);
         let x = normal_init(&[8, 1, 4, 4], 2.0, 1.0, &mut rng);
         for _ in 0..200 {
-            let _ = bn.forward(x.clone(), Mode::Train, &mut rng);
+            let _ = bn.forward(x.clone(), Mode::Train);
         }
-        let rm = bn.running_mean.data()[0];
+        let rm = bn.flat_params()[bn.flat_spec().get("bn-rm").unwrap().offset];
         assert!((rm - 2.0).abs() < 0.2, "running mean {rm}");
     }
 
     #[test]
     fn eval_uses_running_stats() {
         let mut rng = seeded_rng(2);
-        let mut bn = BatchNorm2d::new("bn", 1);
+        let mut bn = model("bn", 1);
         // With default running stats (mean 0, var 1) eval is ~identity.
         let x = normal_init(&[2, 1, 2, 2], 0.0, 1.0, &mut rng);
-        let y = bn.forward(x.clone(), Mode::Eval, &mut rng);
+        let y = bn.forward(x.clone(), Mode::Eval);
         for (a, b) in x.data().iter().zip(y.data()) {
             assert!((a - b).abs() < 1e-3);
         }
@@ -273,15 +260,15 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference() {
         let mut rng = seeded_rng(3);
-        let mut bn = BatchNorm2d::new("bn", 2);
+        let mut bn = model("bn", 2);
         let x = normal_init(&[2, 2, 2, 2], 1.0, 2.0, &mut rng);
         // Loss: weighted sum to get non-uniform gradients.
         let wvec: Vec<f32> = (0..x.numel()).map(|i| ((i % 5) as f32) - 2.0).collect();
-        let loss = |bn: &mut BatchNorm2d, x: &Tensor, rng: &mut Rng| -> f32 {
-            let y = bn.forward(x.clone(), Mode::Train, rng);
+        let loss = |bn: &mut Sequential, x: &Tensor| -> f32 {
+            let y = bn.forward(x.clone(), Mode::Train);
             y.data().iter().zip(&wvec).map(|(a, b)| a * b).sum()
         };
-        let _ = loss(&mut bn, &x, &mut rng);
+        let _ = loss(&mut bn, &x);
         let grad = Tensor::from_vec(wvec.clone(), x.shape());
         let gi = bn.backward(grad);
         let eps = 1e-2;
@@ -291,10 +278,8 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
             // Fresh layers so running-stat updates don't pollute the check.
-            let mut bn2 = BatchNorm2d::new("bn", 2);
-            let yp = loss(&mut bn2, &xp, &mut rng);
-            let mut bn3 = BatchNorm2d::new("bn", 2);
-            let ym = loss(&mut bn3, &xm, &mut rng);
+            let yp = loss(&mut model("bn", 2), &xp);
+            let ym = loss(&mut model("bn", 2), &xm);
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
                 (fd - gi.data()[idx]).abs() < 0.05 * (1.0 + fd.abs()),
@@ -306,16 +291,20 @@ mod tests {
 
     #[test]
     fn buffers_are_not_trainable() {
-        let mut bn = BatchNorm2d::new("bn1", 3);
-        let mut seen = Vec::new();
-        bn.visit_params(&mut |n, t, _, _| seen.push((n.to_owned(), t)));
+        let bn = model("bn1", 3);
+        let seen: Vec<(&str, bool)> = bn
+            .flat_spec()
+            .params()
+            .iter()
+            .map(|p| (p.name.as_str(), p.trainable))
+            .collect();
         assert_eq!(
             seen,
             vec![
-                ("bn1-g".to_owned(), true),
-                ("bn1-b".to_owned(), true),
-                ("bn1-rm".to_owned(), false),
-                ("bn1-rv".to_owned(), false),
+                ("bn1-g", true),
+                ("bn1-b", true),
+                ("bn1-rm", false),
+                ("bn1-rv", false),
             ]
         );
     }

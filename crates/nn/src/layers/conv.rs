@@ -3,27 +3,22 @@
 
 use apf_tensor::Rng;
 use apf_tensor::{
-    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, kaiming_uniform,
-    ConvSpec, Tensor,
+    axpy, conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused,
+    kaiming_uniform, ConvSpec, Tensor,
 };
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, Param};
 
 /// A 2-D convolution layer with square kernels.
 ///
-/// Weight is stored pre-flattened as `[out_channels, in_channels*k*k]`;
-/// parameter names are `"<name>-w"` / `"<name>-b"` (cf. `conv1-w` in Fig. 3
-/// of the paper).
+/// Weight is stored pre-flattened as `[out_channels, in_channels*k*k]`,
+/// followed by the `[out_channels]` bias; parameter names are `"<name>-w"` /
+/// `"<name>-b"` (cf. `conv1-w` in Fig. 3 of the paper).
 #[derive(Debug)]
 pub struct Conv2d {
-    /// `-w`, `-b` names, built once: `visit_params` runs several times per
-    /// training step.
-    param_names: [String; 2],
     spec: ConvSpec,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    /// The initial weight and bias, until the model takes them.
+    init: Vec<Param>,
     // The forward input, kept for the backward pass (which takes it instead
     // of a cached, much larger `cols`).
     cached_input: Option<Tensor>,
@@ -34,12 +29,14 @@ impl Conv2d {
     pub fn new(name: &str, spec: ConvSpec, rng: &mut Rng) -> Self {
         let fan_in = spec.in_channels * spec.kernel * spec.kernel;
         Conv2d {
-            param_names: ["w", "b"].map(|suffix| format!("{name}-{suffix}")),
             spec,
-            weight: kaiming_uniform(&[spec.out_channels, fan_in], fan_in, rng),
-            bias: Tensor::zeros(&[spec.out_channels]),
-            grad_weight: Tensor::zeros(&[spec.out_channels, fan_in]),
-            grad_bias: Tensor::zeros(&[spec.out_channels]),
+            init: vec![
+                Param::trainable(
+                    format!("{name}-w"),
+                    kaiming_uniform(&[spec.out_channels, fan_in], fan_in, rng),
+                ),
+                Param::trainable(format!("{name}-b"), Tensor::zeros(&[spec.out_channels])),
+            ],
             cached_input: None,
         }
     }
@@ -56,18 +53,24 @@ impl Conv2d {
             .expect("conv2d backward before forward")
     }
 
-    fn accumulate(&mut self, grad_weight: Tensor, grad_bias: Tensor) {
-        self.grad_weight.axpy(1.0, &grad_weight);
-        self.grad_bias.axpy(1.0, &grad_bias);
+    fn accumulate(&self, grads: &mut [f32], grad_weight: Tensor, grad_bias: Tensor) {
+        let (gw, gb) = grads.split_at_mut(grads.len() - self.spec.out_channels);
+        axpy(gw, 1.0, grad_weight.data());
+        axpy(gb, 1.0, grad_bias.data());
         grad_weight.recycle();
         grad_bias.recycle();
     }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn take_params(&mut self) -> Vec<Param> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         assert_eq!(x.shape().len(), 4, "conv2d expects [N,C,H,W]");
-        let out = conv2d_forward_fused(&x, &self.weight, &self.bias, &self.spec);
+        let (weight, bias) = params.split_at(params.len() - self.spec.out_channels);
+        let out = conv2d_forward_fused(&x, weight, bias, &self.spec);
         // Replace-and-recycle so eval-only loops return the stale cached
         // input to the scratch pool instead of dropping it every batch.
         if let Some(old) = self.cached_input.replace(x) {
@@ -76,27 +79,22 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         let x = self.take_input();
-        let grads = conv2d_backward_fused(&grad, &x, &self.weight, &self.spec);
-        self.accumulate(grads.weight, grads.bias);
+        let weight = &params[..params.len() - self.spec.out_channels];
+        let g = conv2d_backward_fused(&grad, &x, weight, &self.spec);
+        self.accumulate(grads, g.weight, g.bias);
         grad.recycle();
         x.recycle();
-        grads.input
+        g.input
     }
 
-    fn backward_params(&mut self, grad: Tensor) {
+    fn backward_params(&mut self, _params: &[f32], grads: &mut [f32], grad: Tensor) {
         let x = self.take_input();
         let (grad_weight, grad_bias) = conv2d_backward_params_fused(&grad, &x, &self.spec);
-        self.accumulate(grad_weight, grad_bias);
+        self.accumulate(grads, grad_weight, grad_bias);
         grad.recycle();
         x.recycle();
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let [w, b] = &self.param_names;
-        f(w, true, &mut self.weight, &mut self.grad_weight);
-        f(b, true, &mut self.bias, &mut self.grad_bias);
     }
 
     fn kind(&self) -> &'static str {
@@ -107,11 +105,16 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sequential;
     use apf_tensor::seeded_rng;
+
+    fn model(spec: ConvSpec, seed: u64) -> Sequential {
+        let mut rng = seeded_rng(seed);
+        Sequential::new("t", 0).push(Conv2d::new("c", spec, &mut rng))
+    }
 
     #[test]
     fn forward_output_shape() {
-        let mut rng = seeded_rng(0);
         let spec = ConvSpec {
             in_channels: 3,
             out_channels: 6,
@@ -119,15 +122,13 @@ mod tests {
             stride: 1,
             padding: 2,
         };
-        let mut conv = Conv2d::new("conv1", spec, &mut rng);
-        let x = Tensor::zeros(&[2, 3, 16, 16]);
-        let y = conv.forward(x, Mode::Train, &mut rng);
+        let mut m = model(spec, 0);
+        let y = m.forward(Tensor::zeros(&[2, 3, 16, 16]), Mode::Train);
         assert_eq!(y.shape(), &[2, 6, 16, 16]);
     }
 
     #[test]
     fn backward_finite_difference_on_weight() {
-        let mut rng = seeded_rng(1);
         let spec = ConvSpec {
             in_channels: 2,
             out_channels: 2,
@@ -135,42 +136,30 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        let mut conv = Conv2d::new("c", spec, &mut rng);
+        let mut m = model(spec, 1);
         let x = Tensor::from_vec(
             (0..2 * 2 * 4 * 4).map(|i| (i as f32 * 0.7).sin()).collect(),
             &[2, 2, 4, 4],
         );
-        let y = conv.forward(x.clone(), Mode::Train, &mut rng);
-        conv.backward(Tensor::ones(y.shape()));
-        let mut analytic = Tensor::default();
-        conv.visit_params(&mut |n, _, _, g| {
-            if n.ends_with("-w") {
-                analytic = g.clone();
-            }
-        });
+        let y = m.forward(x.clone(), Mode::Train);
+        m.backward(Tensor::ones(y.shape()));
+        let analytic = m.flat_grads();
+        let w = m.flat_spec().get("c-w").unwrap().offset;
         let eps = 1e-2;
         for idx in [0usize, 7, 17, 35] {
-            let bump = |d: f32, c: &mut Conv2d| {
-                c.visit_params(&mut |n, _, v, _| {
-                    if n.ends_with("-w") {
-                        v.data_mut()[idx] += d;
-                    }
-                });
-            };
-            bump(eps, &mut conv);
-            let yp = conv.forward(x.clone(), Mode::Train, &mut rng).sum();
-            bump(-2.0 * eps, &mut conv);
-            let ym = conv.forward(x.clone(), Mode::Train, &mut rng).sum();
-            bump(eps, &mut conv);
+            m.params_mut()[w + idx] += eps;
+            let yp = m.forward(x.clone(), Mode::Train).sum();
+            m.params_mut()[w + idx] -= 2.0 * eps;
+            let ym = m.forward(x.clone(), Mode::Train).sum();
+            m.params_mut()[w + idx] += eps;
             let fd = (yp - ym) / (2.0 * eps);
-            let an = analytic.data()[idx];
+            let an = analytic[w + idx];
             assert!((fd - an).abs() < 0.05 * (1.0 + an.abs()), "fd={fd} an={an}");
         }
     }
 
     #[test]
     fn backward_input_gradient_shape() {
-        let mut rng = seeded_rng(2);
         let spec = ConvSpec {
             in_channels: 1,
             out_channels: 4,
@@ -178,11 +167,10 @@ mod tests {
             stride: 2,
             padding: 1,
         };
-        let mut conv = Conv2d::new("c", spec, &mut rng);
-        let x = Tensor::ones(&[3, 1, 8, 8]);
-        let y = conv.forward(x, Mode::Train, &mut rng);
+        let mut m = model(spec, 2);
+        let y = m.forward(Tensor::ones(&[3, 1, 8, 8]), Mode::Train);
         assert_eq!(y.shape(), &[3, 4, 4, 4]);
-        let gi = conv.backward(Tensor::ones(y.shape()));
+        let gi = m.backward(Tensor::ones(y.shape()));
         assert_eq!(gi.shape(), &[3, 1, 8, 8]);
     }
 }

@@ -31,7 +31,7 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: Tensor, mode: Mode, rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, mode: Mode, rng: &mut Rng) -> Tensor {
         match mode {
             Mode::Eval => {
                 self.mask = None;
@@ -53,7 +53,7 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         match self.mask.take() {
             None => grad,
             Some(mask) => grad.zip_map(&mask, |g, m| g * m),
@@ -75,9 +75,9 @@ mod tests {
         let mut rng = seeded_rng(0);
         let mut d = Dropout::new(0.5);
         let x = Tensor::ones(&[2, 8]);
-        let y = d.forward(x.clone(), Mode::Eval, &mut rng);
+        let y = d.forward(&mut [], x.clone(), Mode::Eval, &mut rng);
         assert_eq!(y, x);
-        let g = d.backward(Tensor::ones(&[2, 8]));
+        let g = d.backward(&[], &mut [], Tensor::ones(&[2, 8]));
         assert_eq!(g, Tensor::ones(&[2, 8]));
     }
 
@@ -86,7 +86,7 @@ mod tests {
         let mut rng = seeded_rng(1);
         let mut d = Dropout::new(0.3);
         let x = Tensor::ones(&[1, 20000]);
-        let y = d.forward(x, Mode::Train, &mut rng);
+        let y = d.forward(&mut [], x, Mode::Train, &mut rng);
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
     }
 
@@ -94,8 +94,8 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut rng = seeded_rng(2);
         let mut d = Dropout::new(0.5);
-        let y = d.forward(Tensor::ones(&[1, 64]), Mode::Train, &mut rng);
-        let g = d.backward(Tensor::ones(&[1, 64]));
+        let y = d.forward(&mut [], Tensor::ones(&[1, 64]), Mode::Train, &mut rng);
+        let g = d.backward(&[], &mut [], Tensor::ones(&[1, 64]));
         // Zeroed positions in the output must be zeroed in the gradient too.
         for (a, b) in y.data().iter().zip(g.data()) {
             assert_eq!(*a == 0.0, *b == 0.0);

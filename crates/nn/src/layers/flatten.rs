@@ -19,7 +19,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let shape = x.shape().to_vec();
         assert!(shape.len() >= 2, "flatten expects rank >= 2");
         let n = shape[0];
@@ -30,7 +30,7 @@ impl Layer for Flatten {
         out
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         let shape = self
             .cached_shape
             .take()
@@ -55,9 +55,9 @@ mod tests {
         let mut rng = seeded_rng(0);
         let mut fl = Flatten::new();
         let x = Tensor::zeros(&[3, 2, 4, 4]);
-        let y = fl.forward(x, Mode::Eval, &mut rng);
+        let y = fl.forward(&mut [], x, Mode::Eval, &mut rng);
         assert_eq!(y.shape(), &[3, 32]);
-        let g = fl.backward(Tensor::ones(&[3, 32]));
+        let g = fl.backward(&[], &mut [], Tensor::ones(&[3, 32]));
         assert_eq!(g.shape(), &[3, 2, 4, 4]);
     }
 }

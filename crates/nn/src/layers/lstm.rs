@@ -2,30 +2,23 @@
 //! adapter that feeds the final hidden state into a classification head.
 
 use apf_tensor::Rng;
-use apf_tensor::{xavier_uniform, Tensor};
+use apf_tensor::{axpy, matmul_nt_slices, matmul_slices, xavier_uniform, Tensor};
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, Param};
 use crate::layers::activation::sigmoid;
 
 /// A single LSTM layer processing a whole sequence.
 ///
 /// Input is `[N, T, input_size]`, output is the hidden sequence
 /// `[N, T, hidden]`. Gates are packed `i, f, g, o` along the `4H` axis.
-/// Parameters: `"<name>-wih"` (`[4H, D]`), `"<name>-whh"` (`[4H, H]`),
-/// `"<name>-b"` (`[4H]`).
+/// Parameters, in arena order: `"<name>-wih"` (`[4H, D]`), `"<name>-whh"`
+/// (`[4H, H]`), `"<name>-b"` (`[4H]`).
 pub struct LstmLayer {
     name: String,
-    /// `-wih`, `-whh`, `-b` names, built once: `visit_params` runs several
-    /// times per training step.
-    param_names: [String; 3],
     input_size: usize,
     hidden: usize,
-    w_ih: Tensor,
-    w_hh: Tensor,
-    bias: Tensor,
-    grad_w_ih: Tensor,
-    grad_w_hh: Tensor,
-    grad_bias: Tensor,
+    /// The initial weights and bias, until the model takes them.
+    init: Vec<Param>,
     cache: Option<LstmCache>,
 }
 
@@ -62,17 +55,17 @@ impl LstmLayer {
         for i in hidden..2 * hidden {
             bias.data_mut()[i] = 1.0;
         }
+        let w_ih = xavier_uniform(&[4 * hidden, input_size], input_size, hidden, rng);
+        let w_hh = xavier_uniform(&[4 * hidden, hidden], hidden, hidden, rng);
         LstmLayer {
             name: name.to_owned(),
-            param_names: ["wih", "whh", "b"].map(|suffix| format!("{name}-{suffix}")),
             input_size,
             hidden,
-            w_ih: xavier_uniform(&[4 * hidden, input_size], input_size, hidden, rng),
-            w_hh: xavier_uniform(&[4 * hidden, hidden], hidden, hidden, rng),
-            bias,
-            grad_w_ih: Tensor::zeros(&[4 * hidden, input_size]),
-            grad_w_hh: Tensor::zeros(&[4 * hidden, hidden]),
-            grad_bias: Tensor::zeros(&[4 * hidden]),
+            init: vec![
+                Param::trainable(format!("{name}-wih"), w_ih),
+                Param::trainable(format!("{name}-whh"), w_hh),
+                Param::trainable(format!("{name}-b"), bias),
+            ],
             cache: None,
         }
     }
@@ -81,15 +74,28 @@ impl LstmLayer {
     pub fn hidden(&self) -> usize {
         self.hidden
     }
+
+    /// Splits the layer's arena slice into `(w_ih, w_hh, bias)`.
+    fn split<'a>(&self, slice: &'a mut [f32]) -> (&'a mut [f32], &'a mut [f32], &'a mut [f32]) {
+        let four_h = 4 * self.hidden;
+        let (w_ih, rest) = slice.split_at_mut(four_h * self.input_size);
+        let (w_hh, bias) = rest.split_at_mut(four_h * self.hidden);
+        (w_ih, w_hh, bias)
+    }
 }
 
 impl Layer for LstmLayer {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn take_params(&mut self) -> Vec<Param> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 3, "lstm expects [N, T, D]");
         let (n, t, d) = (s[0], s[1], s[2]);
         assert_eq!(d, self.input_size, "lstm input width mismatch");
         let h = self.hidden;
+        let (w_ih, w_hh, bias) = self.split(params);
 
         let mut xs = Vec::with_capacity(t);
         for ti in 0..t {
@@ -109,9 +115,9 @@ impl Layer for LstmLayer {
 
         for ti in 0..t {
             // pre = x_t W_ih^T + h_{t-1} W_hh^T + b  -> [N, 4H]
-            let mut pre = xs[ti].matmul_nt(&self.w_ih);
-            pre.axpy(1.0, &hs[ti].matmul_nt(&self.w_hh));
-            pre.add_row_in_place(&self.bias);
+            let mut pre = matmul_nt_slices(xs[ti].data(), w_ih, n, d, 4 * h);
+            pre.axpy(1.0, &matmul_nt_slices(hs[ti].data(), w_hh, n, h, 4 * h));
+            pre.add_row_in_place(bias);
 
             let mut gate = vec![0.0f32; n * 4 * h];
             let mut c_t = vec![0.0f32; n * h];
@@ -152,11 +158,14 @@ impl Layer for LstmLayer {
         Tensor::from_vec(out, &[n, t, h])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         let cache = self.cache.take().expect("lstm backward before forward");
         let (n, t, h) = (cache.n, cache.t, self.hidden);
         assert_eq!(grad.shape(), &[n, t, h], "lstm grad shape mismatch");
         let d = self.input_size;
+        let (w_ih, w_hh) = params.split_at(4 * h * d);
+        let w_hh = &w_hh[..4 * h * h];
+        let (grad_w_ih, grad_w_hh, grad_bias) = self.split(grads);
 
         let mut dh_next = Tensor::zeros(&[n, h]);
         let mut dc_next = Tensor::zeros(&[n, h]);
@@ -201,29 +210,22 @@ impl Layer for LstmLayer {
             let dpre_t = Tensor::from_vec(dpre, &[n, 4 * h]);
 
             // Parameter gradients.
-            self.grad_w_ih.axpy(1.0, &dpre_t.matmul_tn(&cache.xs[ti]));
-            self.grad_w_hh.axpy(1.0, &dpre_t.matmul_tn(&cache.hs[ti]));
-            self.grad_bias.axpy(1.0, &dpre_t.sum_rows());
+            axpy(grad_w_ih, 1.0, dpre_t.matmul_tn(&cache.xs[ti]).data());
+            axpy(grad_w_hh, 1.0, dpre_t.matmul_tn(&cache.hs[ti]).data());
+            axpy(grad_bias, 1.0, dpre_t.sum_rows().data());
 
             // Input and recurrent gradients.
-            let dx_t = dpre_t.matmul(&self.w_ih); // [N, D]
+            let dx_t = matmul_slices(dpre_t.data(), w_ih, n, 4 * h, d); // [N, D]
             for ni in 0..n {
                 let dst = &mut grad_x[(ni * t + ti) * d..(ni * t + ti + 1) * d];
                 let src = &dx_t.data()[ni * d..(ni + 1) * d];
                 dst.copy_from_slice(src);
             }
-            dh_next = dpre_t.matmul(&self.w_hh); // [N, H]
+            dh_next = matmul_slices(dpre_t.data(), w_hh, n, 4 * h, h); // [N, H]
             dc_next = Tensor::from_vec(dc_prev, &[n, h]);
         }
 
         Tensor::from_vec(grad_x, &[n, t, d])
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
-        let [wih, whh, b] = &self.param_names;
-        f(wih, true, &mut self.w_ih, &mut self.grad_w_ih);
-        f(whh, true, &mut self.w_hh, &mut self.grad_w_hh);
-        f(b, true, &mut self.bias, &mut self.grad_bias);
     }
 
     fn kind(&self) -> &'static str {
@@ -248,7 +250,7 @@ impl LastStep {
 }
 
 impl Layer for LastStep {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 3, "last-step expects [N, T, H]");
         let (n, t, h) = (s[0], s[1], s[2]);
@@ -261,7 +263,7 @@ impl Layer for LastStep {
         Tensor::from_vec(out, &[n, h])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         let s = self
             .cached_shape
             .take()
@@ -283,31 +285,33 @@ impl Layer for LastStep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sequential;
     use apf_tensor::seeded_rng;
+
+    fn model(d: usize, h: usize, seed: u64) -> Sequential {
+        let mut rng = seeded_rng(seed);
+        Sequential::new("t", 0).push(LstmLayer::new("l", d, h, &mut rng))
+    }
 
     #[test]
     fn forward_shapes() {
-        let mut rng = seeded_rng(0);
-        let mut lstm = LstmLayer::new("l1", 5, 7, &mut rng);
-        let x = Tensor::zeros(&[3, 4, 5]);
-        let y = lstm.forward(x, Mode::Train, &mut rng);
+        let mut lstm = model(5, 7, 0);
+        let y = lstm.forward(Tensor::zeros(&[3, 4, 5]), Mode::Train);
         assert_eq!(y.shape(), &[3, 4, 7]);
     }
 
     #[test]
     fn zero_input_zero_weights_gives_zero_hidden() {
-        let mut rng = seeded_rng(1);
-        let mut lstm = LstmLayer::new("l", 2, 3, &mut rng);
-        lstm.visit_params(&mut |_, _, v, _| v.fill(0.0));
-        let y = lstm.forward(Tensor::zeros(&[1, 3, 2]), Mode::Train, &mut rng);
+        let mut lstm = model(2, 3, 1);
+        lstm.params_mut().fill(0.0);
+        let y = lstm.forward(Tensor::zeros(&[1, 3, 2]), Mode::Train);
         // All gates 0.5/0, c stays 0, h = 0.5*tanh(0) = 0.
         assert!(y.data().iter().all(|&v| v.abs() < 1e-6));
     }
 
     #[test]
     fn backward_matches_finite_difference_weights() {
-        let mut rng = seeded_rng(2);
-        let mut lstm = LstmLayer::new("l", 3, 4, &mut rng);
+        let mut lstm = model(3, 4, 2);
         let x = Tensor::from_vec(
             (0..2 * 3 * 3)
                 .map(|i| ((i * 13 % 7) as f32 - 3.0) * 0.2)
@@ -315,28 +319,18 @@ mod tests {
             &[2, 3, 3],
         );
         // Loss: sum of all hidden outputs.
-        let y = lstm.forward(x.clone(), Mode::Train, &mut rng);
+        let y = lstm.forward(x.clone(), Mode::Train);
         lstm.backward(Tensor::ones(y.shape()));
-        for (pick, idx) in [("-wih", 5usize), ("-whh", 9), ("-b", 2), ("-b", 6)] {
-            let mut analytic = 0.0;
-            lstm.visit_params(&mut |n, _, _, g| {
-                if n.ends_with(pick) {
-                    analytic = g.data()[idx];
-                }
-            });
+        let grads = lstm.flat_grads();
+        for (pick, idx) in [("l-wih", 5usize), ("l-whh", 9), ("l-b", 2), ("l-b", 6)] {
+            let at = lstm.flat_spec().get(pick).unwrap().offset + idx;
+            let analytic = grads[at];
             let eps = 1e-3;
-            let bump = |d: f32, l: &mut LstmLayer| {
-                l.visit_params(&mut |n, _, v, _| {
-                    if n.ends_with(pick) {
-                        v.data_mut()[idx] += d;
-                    }
-                });
-            };
-            bump(eps, &mut lstm);
-            let yp = lstm.forward(x.clone(), Mode::Train, &mut rng).sum();
-            bump(-2.0 * eps, &mut lstm);
-            let ym = lstm.forward(x.clone(), Mode::Train, &mut rng).sum();
-            bump(eps, &mut lstm);
+            lstm.params_mut()[at] += eps;
+            let yp = lstm.forward(x.clone(), Mode::Train).sum();
+            lstm.params_mut()[at] -= 2.0 * eps;
+            let ym = lstm.forward(x.clone(), Mode::Train).sum();
+            lstm.params_mut()[at] += eps;
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
                 (fd - analytic).abs() < 0.02 * (1.0 + fd.abs()),
@@ -347,13 +341,12 @@ mod tests {
 
     #[test]
     fn backward_matches_finite_difference_input() {
-        let mut rng = seeded_rng(3);
-        let mut lstm = LstmLayer::new("l", 2, 3, &mut rng);
+        let mut lstm = model(2, 3, 3);
         let x = Tensor::from_vec(
             (0..4 * 2).map(|i| (i as f32 * 0.37).cos() * 0.5).collect(),
             &[1, 4, 2],
         );
-        let y = lstm.forward(x.clone(), Mode::Train, &mut rng);
+        let y = lstm.forward(x.clone(), Mode::Train);
         let gi = lstm.backward(Tensor::ones(y.shape()));
         let eps = 1e-3;
         for idx in [0usize, 3, 5, 7] {
@@ -361,8 +354,8 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let yp = lstm.forward(xp, Mode::Train, &mut rng).sum();
-            let ym = lstm.forward(xm, Mode::Train, &mut rng).sum();
+            let yp = lstm.forward(xp, Mode::Train).sum();
+            let ym = lstm.forward(xm, Mode::Train).sum();
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
                 (fd - gi.data()[idx]).abs() < 0.02 * (1.0 + fd.abs()),
@@ -377,10 +370,10 @@ mod tests {
         let mut rng = seeded_rng(4);
         let mut ls = LastStep::new();
         let x = Tensor::from_vec((0..2 * 3 * 2).map(|i| i as f32).collect(), &[2, 3, 2]);
-        let y = ls.forward(x, Mode::Eval, &mut rng);
+        let y = ls.forward(&mut [], x, Mode::Eval, &mut rng);
         assert_eq!(y.shape(), &[2, 2]);
         assert_eq!(y.data(), &[4.0, 5.0, 10.0, 11.0]);
-        let g = ls.backward(Tensor::ones(&[2, 2]));
+        let g = ls.backward(&[], &mut [], Tensor::ones(&[2, 2]));
         assert_eq!(g.shape(), &[2, 3, 2]);
         assert_eq!(g.sum(), 4.0);
         assert_eq!(g.data()[4], 1.0);
@@ -389,13 +382,10 @@ mod tests {
 
     #[test]
     fn forget_bias_initialized_to_one() {
-        let mut rng = seeded_rng(5);
-        let mut lstm = LstmLayer::new("l", 2, 3, &mut rng);
-        lstm.visit_params(&mut |n, _, v, _| {
-            if n.ends_with("-b") {
-                assert_eq!(&v.data()[3..6], &[1.0, 1.0, 1.0]);
-                assert_eq!(&v.data()[0..3], &[0.0, 0.0, 0.0]);
-            }
-        });
+        let lstm = model(2, 3, 5);
+        let b = lstm.flat_spec().get("l-b").unwrap().offset;
+        let params = lstm.flat_params();
+        assert_eq!(&params[b + 3..b + 6], &[1.0, 1.0, 1.0]);
+        assert_eq!(&params[b..b + 3], &[0.0, 0.0, 0.0]);
     }
 }

@@ -27,7 +27,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let out = maxpool2d_forward_into(&x, &self.spec, &mut self.argmax);
         self.input_shape.clear();
         self.input_shape.extend_from_slice(x.shape());
@@ -35,7 +35,7 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(
             !self.input_shape.is_empty(),
             "maxpool backward before forward"
@@ -65,7 +65,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 4, "global avg pool expects [N,C,H,W]");
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -79,7 +79,7 @@ impl Layer for GlobalAvgPool {
         out
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         let s = self
             .cached_shape
             .take()
@@ -110,10 +110,10 @@ mod tests {
         let mut rng = seeded_rng(1);
         let mut gap = GlobalAvgPool::new();
         let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[1, 2, 2, 2]);
-        let y = gap.forward(x, Mode::Eval, &mut rng);
+        let y = gap.forward(&mut [], x, Mode::Eval, &mut rng);
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[1.5, 5.5]);
-        let g = gap.backward(Tensor::from_vec(vec![4.0, 8.0], &[1, 2]));
+        let g = gap.backward(&[], &mut [], Tensor::from_vec(vec![4.0, 8.0], &[1, 2]));
         assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -122,10 +122,10 @@ mod tests {
         let mut rng = seeded_rng(0);
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
-        let y = pool.forward(x, Mode::Train, &mut rng);
+        let y = pool.forward(&mut [], x, Mode::Train, &mut rng);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
-        let g = pool.backward(Tensor::ones(&[1, 1, 2, 2]));
+        let g = pool.backward(&[], &mut [], Tensor::ones(&[1, 1, 2, 2]));
         assert_eq!(g.sum(), 4.0);
         assert_eq!(g.data()[5], 1.0);
         assert_eq!(g.data()[15], 1.0);

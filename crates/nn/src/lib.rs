@@ -5,8 +5,8 @@
 //! backward passes, a [`Sequential`] container with *named* parameter tensors
 //! (the per-tensor names drive the Fig. 3 stability analysis), cross-entropy
 //! loss, SGD/Adam optimizers with learning-rate schedules, and — crucially for
-//! APF — *flat parameter views*: the whole model as one `Vec<f32>` of scalars,
-//! which is the representation §3.2.2 of the paper operates on.
+//! APF — the whole model stored as one `Vec<f32>` of scalars (plus one of
+//! gradients), which is the representation §3.2.2 of the paper operates on.
 //!
 //! # Parallelism
 //!
@@ -38,7 +38,7 @@ mod sequential;
 mod train;
 
 pub use flat::{FlatSpec, ParamSpec};
-pub use layer::{Layer, Mode};
+pub use layer::{Layer, Mode, Param};
 pub use layers::{
     Activation, ActivationKind, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, LastStep,
     Linear, LstmLayer, MaxPool2d, ResidualBlock,

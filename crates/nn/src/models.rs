@@ -262,12 +262,12 @@ mod tests {
 
     #[test]
     fn lenet_param_count() {
-        let mut m = lenet5(0);
+        let m = lenet5(0);
         // conv1: 6*3*25+6, conv2: 16*6*25+16, fc1: 120*64+120,
         // fc2: 84*120+84, fc3: 10*84+10.
         let expected =
             (6 * 75 + 6) + (16 * 150 + 16) + (120 * 64 + 120) + (84 * 120 + 84) + (10 * 84 + 10);
-        assert_eq!(m.num_params(), expected);
+        assert_eq!(m.param_count(), expected);
     }
 
     #[test]
@@ -275,9 +275,9 @@ mod tests {
         let mut m = resnet(1);
         let y = m.forward(Tensor::zeros(&[2, 3, 16, 16]), Mode::Eval);
         assert_eq!(y.shape(), &[2, 10]);
-        let mut lenet = lenet5(1);
+        let lenet = lenet5(1);
         assert!(
-            m.num_params() > lenet.num_params(),
+            m.param_count() > lenet.param_count(),
             "resnet should be larger"
         );
     }
@@ -288,7 +288,7 @@ mod tests {
         let y = m.forward(Tensor::zeros(&[3, 20, 10]), Mode::Eval);
         assert_eq!(y.shape(), &[3, 10]);
         // 2 recurrent layers, hidden 64, like the paper.
-        assert!(m.num_params() > 50_000);
+        assert!(m.param_count() > 50_000);
     }
 
     #[test]
@@ -304,9 +304,9 @@ mod tests {
         let mut v = vgg(0);
         let y = v.forward(Tensor::zeros(&[1, 3, 16, 16]), Mode::Eval);
         assert_eq!(y.shape(), &[1, 10]);
-        let mut r = resnet(0);
-        assert!(v.num_params() > r.num_params());
-        assert!(v.num_params() > 80_000);
+        let r = resnet(0);
+        assert!(v.param_count() > r.param_count());
+        assert!(v.param_count() > 80_000);
     }
 
     #[test]
@@ -324,6 +324,6 @@ mod tests {
         let mut m = mlp("m", &[4, 16, 8, 3], 0);
         let y = m.forward(Tensor::zeros(&[1, 4]), Mode::Eval);
         assert_eq!(y.shape(), &[1, 3]);
-        assert_eq!(m.num_params(), 4 * 16 + 16 + 16 * 8 + 8 + 8 * 3 + 3);
+        assert_eq!(m.param_count(), 4 * 16 + 16 + 16 * 8 + 8 + 8 * 3 + 3);
     }
 }

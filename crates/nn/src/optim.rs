@@ -1,6 +1,10 @@
 //! Optimizers operating on flat parameter/gradient vectors, plus
 //! learning-rate schedules.
 //!
+//! The vectors are a model's own arenas ([`crate::Sequential`] stores its
+//! parameters and gradients as two flat `Vec<f32>`s), so a training step
+//! updates the model in place, with no copy in or out.
+//!
 //! The paper's setup (§7.1): Adam for LeNet-5, SGD for ResNet-18 and LSTM,
 //! with weight decay 0.01; §7.8 additionally evaluates a multiplicative
 //! learning-rate decay.

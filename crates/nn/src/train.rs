@@ -39,14 +39,15 @@ pub fn train_batch(
         model.backward_params(grad);
     }
     let _s = span!(Level::Debug, target: "nn.train", "optimizer");
-    let mut params = model.flat_params();
-    let mut grads = model.flat_grads();
+    // The model's own arenas: the step updates the model in place.
+    let (params, grads) = model.params_and_grads_mut();
     if let Some((mu, anchor)) = prox {
         assert_eq!(anchor.len(), params.len(), "prox anchor length mismatch");
         // Elementwise, so chunking over the pool cannot change any value;
         // the run iterator skips whole frozen words.
         let chunk = apf_par::chunk_len(grads.len());
-        apf_par::par_chunks_mut(&mut grads, chunk, |ci, g| {
+        let params = &*params;
+        apf_par::par_chunks_mut(grads, chunk, |ci, g| {
             let off = ci * chunk;
             frozen.for_each_unfrozen_run_in(off, off + g.len(), |s, e| {
                 for i in s..e {
@@ -55,10 +56,7 @@ pub fn train_batch(
             });
         });
     }
-    optimizer.step(&mut params, &grads, frozen);
-    model.load_flat(&params);
-    apf_tensor::scratch::give(params);
-    apf_tensor::scratch::give(grads);
+    optimizer.step(params, grads, frozen);
     loss
 }
 
@@ -115,6 +113,7 @@ impl std::fmt::Debug for Trainer {
 impl Trainer {
     /// Wraps a model with an optimizer and learning-rate schedule.
     pub fn new(mut model: Sequential, optimizer: Box<dyn Optimizer>, schedule: LrSchedule) -> Self {
+        model.ensure_grads();
         let frozen = model.flat_spec().freeze_mask();
         Trainer {
             model,

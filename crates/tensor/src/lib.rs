@@ -45,4 +45,4 @@ pub use masked::{mask_copy, mask_fill, mask_scatter, mask_select, masked_axpy, m
 pub use rng::{derive_seed, seeded_rng, splitmix64, Rng, Sample, SampleRange, SliceRandom};
 pub use scratch::ScratchStats;
 pub use stats::{l1_norm, l2_norm, mean, percentile, variance};
-pub use tensor::Tensor;
+pub use tensor::{axpy, matmul_nt_slices, matmul_slices, matmul_tn_slices, Tensor};

@@ -135,6 +135,12 @@ impl fmt::Debug for Tensor {
     }
 }
 
+impl AsRef<[f32]> for Tensor {
+    fn as_ref(&self) -> &[f32] {
+        &self.data
+    }
+}
+
 impl Default for Tensor {
     fn default() -> Self {
         Tensor::zeros(&[0])
@@ -408,19 +414,7 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        if self.data.len() < PAR_ELEM_MIN || apf_par::threads() <= 1 {
-            for (a, &b) in self.data.iter_mut().zip(&other.data) {
-                *a += alpha * b;
-            }
-            return;
-        }
-        let chunk = apf_par::chunk_len(self.data.len());
-        apf_par::par_chunks_mut(&mut self.data, chunk, |i, c| {
-            let src = &other.data[i * chunk..i * chunk + c.len()];
-            for (a, &b) in c.iter_mut().zip(src) {
-                *a += alpha * b;
-            }
-        });
+        axpy(&mut self.data, alpha, &other.data);
     }
 
     /// Multiplies every element by `s` in place.
@@ -468,30 +462,25 @@ impl Tensor {
         }
     }
 
-    /// Matrix product of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
+    /// The `(rows, cols)` of a rank-2 tensor.
     ///
-    /// Dispatches to the packed, register-tiled GEMM above a small size
-    /// threshold; tiny products use the naive reference kernel (the packing
-    /// traffic would dominate). Both paths accumulate every output element
-    /// ascending in `k` from 0.0, so they are bitwise identical to each
-    /// other — and, in debug builds, small packed calls are asserted against
-    /// the reference.
+    /// # Panics
+    /// Panics if the tensor is not rank 2.
+    fn dims2(&self, what: &str) -> (usize, usize) {
+        assert_eq!(self.shape.len(), 2, "{what} must be rank 2");
+        (self.shape[0], self.shape[1])
+    }
+
+    /// Matrix product of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`
+    /// ([`matmul_slices`] on the two buffers).
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or inner dimensions mismatch.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (m, k) = self.dims2("matmul lhs");
+        let (k2, n) = other.dims2("matmul rhs");
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        if m * k * n < gemm::PACK_OPS_MIN {
-            return self.matmul_reference(other);
-        }
-        let mut out = Tensor::scratch(&[m, n]);
-        gemm::gemm_nn(&self.data, &other.data, m, k, n, &mut out.data);
-        debug_assert_matches_reference(&out, || self.matmul_reference(other), m * k * n, "matmul");
-        out
+        matmul_slices(&self.data, &other.data, m, k, n)
     }
 
     /// Naive triple-loop `[m,k] x [k,n]` — the reference kernel the packed
@@ -501,44 +490,22 @@ impl Tensor {
     /// # Panics
     /// Panics if either tensor is not rank 2 or inner dimensions mismatch.
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (m, k) = self.dims2("matmul lhs");
+        let (k2, n) = other.dims2("matmul rhs");
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let mut out = Tensor::scratch(&[m, n]);
-        if n > 0 {
-            mm_block(&self.data, &other.data, &mut out.data, 0, k, n);
-        }
-        out
+        mm_reference(&self.data, &other.data, m, k, n)
     }
 
     /// `self^T x other`: `[k,m]^T x [k,n] -> [m,n]`, without materializing the
-    /// transpose.
-    ///
-    /// Packed above the size threshold (the packing step absorbs the strided
-    /// column reads), naive reference below; bitwise identical either way.
+    /// transpose ([`matmul_tn_slices`] on the two buffers).
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_tn lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_tn rhs must be rank 2");
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (k, m) = self.dims2("matmul_tn lhs");
+        let (k2, n) = other.dims2("matmul_tn rhs");
         assert_eq!(k, k2, "matmul_tn shared dimension mismatch");
-        if m * k * n < gemm::PACK_OPS_MIN {
-            return self.matmul_tn_reference(other);
-        }
-        let mut out = Tensor::scratch(&[m, n]);
-        gemm::gemm_tn(&self.data, &other.data, m, k, n, &mut out.data);
-        debug_assert_matches_reference(
-            &out,
-            || self.matmul_tn_reference(other),
-            m * k * n,
-            "matmul_tn",
-        );
-        out
+        matmul_tn_slices(&self.data, &other.data, m, k, n)
     }
 
     /// Naive reference for [`matmul_tn`](Tensor::matmul_tn): strided column
@@ -547,55 +514,22 @@ impl Tensor {
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_tn_reference(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_tn lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_tn rhs must be rank 2");
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (k, m) = self.dims2("matmul_tn lhs");
+        let (k2, n) = other.dims2("matmul_tn rhs");
         assert_eq!(k, k2, "matmul_tn shared dimension mismatch");
-        let mut out = Tensor::scratch(&[m, n]);
-        if n == 0 {
-            return out;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        for (i, o_row) in out.data.chunks_mut(n).enumerate() {
-            for p in 0..k {
-                let av = a[p * m + i];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
+        mm_tn_reference(&self.data, &other.data, m, k, n)
     }
 
     /// `self x other^T`: `[m,k] x [n,k]^T -> [m,n]`, without materializing the
-    /// transpose.
-    ///
-    /// Packed above the size threshold, naive dot-product reference below;
-    /// bitwise identical either way.
+    /// transpose ([`matmul_nt_slices`] on the two buffers).
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_nt rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
+        let (m, k) = self.dims2("matmul_nt lhs");
+        let (n, k2) = other.dims2("matmul_nt rhs");
         assert_eq!(k, k2, "matmul_nt shared dimension mismatch");
-        if m * k * n < gemm::PACK_OPS_MIN {
-            return self.matmul_nt_reference(other);
-        }
-        let mut out = Tensor::scratch(&[m, n]);
-        gemm::gemm_nt(&self.data, &other.data, m, k, n, &mut out.data);
-        debug_assert_matches_reference(
-            &out,
-            || self.matmul_nt_reference(other),
-            m * k * n,
-            "matmul_nt",
-        );
-        out
+        matmul_nt_slices(&self.data, &other.data, m, k, n)
     }
 
     /// Naive reference for [`matmul_nt`](Tensor::matmul_nt): independent
@@ -604,29 +538,10 @@ impl Tensor {
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_nt_reference(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_nt rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
+        let (m, k) = self.dims2("matmul_nt lhs");
+        let (n, k2) = other.dims2("matmul_nt rhs");
         assert_eq!(k, k2, "matmul_nt shared dimension mismatch");
-        let mut out = Tensor::scratch(&[m, n]);
-        if n == 0 {
-            return out;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        for (i, o_row) in out.data.chunks_mut(n).enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
-        out
+        mm_nt_reference(&self.data, &other.data, m, k, n)
     }
 
     /// Transpose of a rank-2 tensor.
@@ -652,12 +567,12 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if shapes are incompatible.
-    pub fn add_row_in_place(&mut self, row: &Tensor) {
+    pub fn add_row_in_place(&mut self, row: &[f32]) {
         assert_eq!(self.shape.len(), 2, "add_row_in_place requires rank 2");
         let n = self.shape[1];
-        assert_eq!(row.numel(), n, "row length mismatch");
+        assert_eq!(row.len(), n, "row length mismatch");
         for chunk in self.data.chunks_mut(n) {
-            for (c, &b) in chunk.iter_mut().zip(&row.data) {
+            for (c, &b) in chunk.iter_mut().zip(row) {
                 *c += b;
             }
         }
@@ -719,6 +634,149 @@ impl Tensor {
         )
         .unwrap_or(0.0)
     }
+}
+
+/// `y += alpha * x`, elementwise — the one implementation behind
+/// [`Tensor::axpy`], also used to accumulate gradients into a model's
+/// gradient arena.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "axpy length mismatch");
+    if y.len() < PAR_ELEM_MIN || apf_par::threads() <= 1 {
+        for (a, &b) in y.iter_mut().zip(x) {
+            *a += alpha * b;
+        }
+        return;
+    }
+    let chunk = apf_par::chunk_len(y.len());
+    apf_par::par_chunks_mut(y, chunk, |i, c| {
+        let src = &x[i * chunk..i * chunk + c.len()];
+        for (a, &b) in c.iter_mut().zip(src) {
+            *a += alpha * b;
+        }
+    });
+}
+
+/// `[m,k] x [k,n] -> [m,n]` over row-major slices: the one implementation
+/// behind [`Tensor::matmul`], for operands that live inside a larger buffer
+/// (a model's parameter arena).
+///
+/// Dispatches to the packed, register-tiled GEMM above a small size
+/// threshold; tiny products use the naive reference kernel (the packing
+/// traffic would dominate). Both paths accumulate every output element
+/// ascending in `k` from 0.0, so they are bitwise identical to each
+/// other — and, in debug builds, small packed calls are asserted against
+/// the reference.
+///
+/// # Panics
+/// Panics if a slice length disagrees with its dimensions.
+pub fn matmul_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    assert_eq!(a.len(), m * k, "matmul lhs length");
+    assert_eq!(b.len(), k * n, "matmul rhs length");
+    if m * k * n < gemm::PACK_OPS_MIN {
+        return mm_reference(a, b, m, k, n);
+    }
+    let mut out = Tensor::scratch(&[m, n]);
+    gemm::gemm_nn(a, b, m, k, n, &mut out.data);
+    debug_assert_matches_reference(&out, || mm_reference(a, b, m, k, n), m * k * n, "matmul");
+    out
+}
+
+/// `a^T x b` for `a` `[k,m]` and `b` `[k,n]`, row-major slices: the one
+/// implementation behind [`Tensor::matmul_tn`]. Packed above the size
+/// threshold (the packing step absorbs the strided column reads), naive
+/// reference below; bitwise identical either way.
+///
+/// # Panics
+/// Panics if a slice length disagrees with its dimensions.
+pub fn matmul_tn_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    assert_eq!(a.len(), k * m, "matmul_tn lhs length");
+    assert_eq!(b.len(), k * n, "matmul_tn rhs length");
+    if m * k * n < gemm::PACK_OPS_MIN {
+        return mm_tn_reference(a, b, m, k, n);
+    }
+    let mut out = Tensor::scratch(&[m, n]);
+    gemm::gemm_tn(a, b, m, k, n, &mut out.data);
+    debug_assert_matches_reference(
+        &out,
+        || mm_tn_reference(a, b, m, k, n),
+        m * k * n,
+        "matmul_tn",
+    );
+    out
+}
+
+/// `a x b^T` for `a` `[m,k]` and `b` `[n,k]`, row-major slices: the one
+/// implementation behind [`Tensor::matmul_nt`]. Packed above the size
+/// threshold, naive dot-product reference below; bitwise identical either
+/// way.
+///
+/// # Panics
+/// Panics if a slice length disagrees with its dimensions.
+pub fn matmul_nt_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    assert_eq!(a.len(), m * k, "matmul_nt lhs length");
+    assert_eq!(b.len(), n * k, "matmul_nt rhs length");
+    if m * k * n < gemm::PACK_OPS_MIN {
+        return mm_nt_reference(a, b, m, k, n);
+    }
+    let mut out = Tensor::scratch(&[m, n]);
+    gemm::gemm_nt(a, b, m, k, n, &mut out.data);
+    debug_assert_matches_reference(
+        &out,
+        || mm_nt_reference(a, b, m, k, n),
+        m * k * n,
+        "matmul_nt",
+    );
+    out
+}
+
+/// The reference `[m,k] x [k,n]` (see [`Tensor::matmul_reference`]).
+fn mm_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    let mut out = Tensor::scratch(&[m, n]);
+    if n > 0 {
+        mm_block(a, b, &mut out.data, 0, k, n);
+    }
+    out
+}
+
+/// The reference `[k,m]^T x [k,n]` (see [`Tensor::matmul_tn_reference`]).
+fn mm_tn_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    let mut out = Tensor::scratch(&[m, n]);
+    if n == 0 {
+        return out;
+    }
+    for (i, o_row) in out.data.chunks_mut(n).enumerate() {
+        for p in 0..k {
+            let av = a[p * m + i];
+            let b_row = &b[p * n..(p + 1) * n];
+            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
+/// The reference `[m,k] x [n,k]^T` (see [`Tensor::matmul_nt_reference`]).
+fn mm_nt_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    let mut out = Tensor::scratch(&[m, n]);
+    if n == 0 {
+        return out;
+    }
+    for (i, o_row) in out.data.chunks_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in o_row.iter_mut().enumerate() {
+            let b_row = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in a_row.iter().zip(b_row) {
+                acc += av * bv;
+            }
+            *o = acc;
+        }
+    }
+    out
 }
 
 impl Add<&Tensor> for &Tensor {
@@ -814,7 +872,7 @@ mod tests {
     fn add_row_and_sum_rows() {
         let mut a = Tensor::zeros(&[3, 2]);
         let bias = Tensor::from_vec(vec![1.0, -1.0], &[2]);
-        a.add_row_in_place(&bias);
+        a.add_row_in_place(bias.data());
         assert_eq!(a.data(), &[1.0, -1.0, 1.0, -1.0, 1.0, -1.0]);
         let s = a.sum_rows();
         assert_eq!(s.data(), &[3.0, -3.0]);

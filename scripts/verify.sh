@@ -229,8 +229,30 @@ if [ -n "$unnamed" ]; then
   echo "$unnamed" >&2
   exit 1
 fi
+# One parameter arena per model: the training step, a client's local round
+# and both runners' rounds (the absorb loop, the batch reduce) work on the
+# model's arena in place or move it, with no model-sized copy; no layer keeps
+# parameters of its own behind a traversal.
+copies=$(
+  {
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/nn/src/train.rs
+    for fn_file in local_round:crates/fedsim/src/client.rs run_round:crates/fedsim/src/population.rs \
+      run_round:crates/fedsim/src/runner.rs; do
+      awk -v fn="${fn_file%%:*}" '
+        $0 ~ "^    pub fn " fn "\\(" { on = 1 }
+        on { print FILENAME ":" FNR ": " $0 }
+        on && /^    }$/ { exit }' "${fn_file#*:}"
+    done
+  } | grep -wE 'flat_params|flat_grads|load_flat' || true
+  grep -rn 'fn visit_params' crates src tests examples || true
+)
+if [ -n "$copies" ]; then
+  echo "a model-sized copy in the training path, or a per-layer parameter traversal (work on Sequential's arena):" >&2
+  echo "$copies" >&2
+  exit 1
+fi
 echo "OK: one mask type, one splitmix64, one JSON string escaper, one mask builder,"
-echo "    one mixed-word path, one stability sweep, two convolution paths, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each,"
+echo "    one mixed-word path, one stability sweep, two convolution paths, one parameter arena per model, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each,"
 echo "    $(echo "$pub_items" | grep -c .) pub items each named by another file or kept for a stated reason ($(echo "$keep" | grep -c .) kept)"
 
 echo "== live telemetry smoke (obs server + ledger regression gate) =="
