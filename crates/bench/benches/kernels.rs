@@ -1,7 +1,6 @@
 //! Benchmarks for the numerical substrate: matmul, LeNet-5's two
-//! convolutions through the fused entry points training calls, the
-//! skip-frozen optimizer steps and sparse aggregation by frozen ratio on
-//! filter-granular masks, the six masked kernels on the Bernoulli masks
+//! convolutions through the fused entry points training calls, the six
+//! masked kernels and the skip-frozen optimizer steps on the Bernoulli masks
 //! per-scalar freezing produces, the manager's mask build, stability check
 //! and aggregate application on the same masks, and a full forward pass of
 //! each paper model (the compute side of Table 3).
@@ -44,18 +43,6 @@ const LENET_CONV2: (ConvSpec, usize) = (
     },
     8,
 );
-
-/// Scalars in each masked-compute row (a mid-sized model's flat vector).
-const MASKED_N: usize = 1 << 20;
-/// Frozen-block granularity of the `masked_2e20_filter_granular_*` rows: the
-/// shape `FreezeGranularity::Filter` coarsening produces (whole words frozen
-/// or unfrozen). It is not Alg. 1's: a census of `sim-mlp-sync` and
-/// `net-loopback-f16` (seed 7, 3 117 mask words) found every word mixed from
-/// round 10 on, none all-frozen or all-unfrozen, and a mean unfrozen run of
-/// 7.6 / 4.8 / 3.3 / 2.4 / 1.9 scalars at 13 / 21 / 30 / 42 / 53 % frozen —
-/// 1 / share, independent per-scalar freezing. The `masked_bernoulli` and
-/// `core` rows measure that traffic.
-const MASKED_BLOCK: usize = 512;
 
 fn forward_once(model: &mut Sequential, x: &Tensor) -> f32 {
     model.forward(x.clone(), Mode::Eval).sum()
@@ -103,47 +90,6 @@ fn bench_conv(g: &mut BenchGroup, name: &str, (spec, side): (ConvSpec, usize), i
     }
 }
 
-/// One skip-frozen SGD (momentum) step, one Adam step and one 4-client
-/// sparse aggregation over [`MASKED_N`] scalars with `pct`% frozen as evenly
-/// spread [`MASKED_BLOCK`]-sized blocks.
-fn bench_masked(g: &mut BenchGroup, pct: usize) {
-    let mask = FreezeMask::from_fn(MASKED_N, |j| {
-        let b = j / MASKED_BLOCK;
-        (b + 1) * pct / 100 > b * pct / 100
-    });
-    let mut rng = seeded_rng(11);
-    let params0 = normal_init(&[MASKED_N], 0.0, 1.0, &mut rng);
-    let grads = normal_init(&[MASKED_N], 0.0, 0.1, &mut rng);
-    let mut params = params0.data().to_vec();
-
-    let mut sgd = Sgd::new(0.01).with_momentum(0.9);
-    g.bench(&format!("sgd_step_f{pct}"), || {
-        sgd.step(&mut params, grads.data(), &mask);
-        black_box(&params);
-    });
-    params.copy_from_slice(params0.data());
-    let mut adam = Adam::new(0.001);
-    g.bench(&format!("adam_step_f{pct}"), || {
-        adam.step(&mut params, grads.data(), &mask);
-        black_box(&params);
-    });
-
-    // Sparse aggregation straight into the unfrozen slots: clear + axpy per
-    // client + divide, all run-driven, never touching frozen scalars.
-    let clients: Vec<Tensor> = (0..4)
-        .map(|_| normal_init(&[MASKED_N], 0.0, 1.0, &mut rng))
-        .collect();
-    let mut agg = vec![0.0f32; MASKED_N];
-    g.bench(&format!("sparse_agg_f{pct}"), || {
-        mask.for_each_unfrozen_run_in(0, MASKED_N, |s, e| agg[s..e].fill(0.0));
-        for l in &clients {
-            masked_axpy(&mut agg, l.data(), 1.0, mask.words());
-        }
-        masked_div(&mut agg, clients.len() as f32, mask.words());
-        black_box(&agg);
-    });
-}
-
 /// Scalars of the benchmark's MLP (`sim-mlp-sync`, `net-loopback-f16`).
 const MLP_N: usize = 199_434;
 
@@ -153,8 +99,9 @@ fn bernoulli_frozen(j: usize, pct: usize) -> bool {
     splitmix64(j as u64) % 100 < pct as u64
 }
 
-/// The six masked kernels over [`MLP_N`] scalars with `pct`% frozen
-/// independently per scalar: every word mixed, the traffic Alg. 1 produces.
+/// The six masked kernels and one skip-frozen SGD (momentum) and Adam step
+/// over [`MLP_N`] scalars with `pct`% frozen independently per scalar:
+/// every word mixed, the traffic Alg. 1 produces.
 fn bench_masked_bernoulli(g: &mut BenchGroup, pct: usize) {
     let mask = FreezeMask::from_fn(MLP_N, |j| bernoulli_frozen(j, pct));
     let words = mask.words();
@@ -181,6 +128,15 @@ fn bench_masked_bernoulli(g: &mut BenchGroup, pct: usize) {
     });
     g.bench(&format!("scatter_f{pct}"), || {
         mask_scatter(black_box(&mut y), &compact, words);
+    });
+    let grads = normal_init(&[MLP_N], 0.0, 0.1, &mut rng);
+    let mut sgd = Sgd::new(0.01).with_momentum(0.9);
+    g.bench(&format!("sgd_step_f{pct}"), || {
+        sgd.step(black_box(&mut y), grads.data(), &mask);
+    });
+    let mut adam = Adam::new(0.001);
+    g.bench(&format!("adam_step_f{pct}"), || {
+        adam.step(black_box(&mut y), grads.data(), &mask);
     });
 }
 
@@ -286,13 +242,6 @@ fn main() {
         let mut g = BenchGroup::new("lenet_conv_batch16_t1");
         bench_conv(&mut g, "conv1", LENET_CONV1, false);
         bench_conv(&mut g, "conv2", LENET_CONV2, true);
-
-        // Step time must fall as the frozen ratio rises — the whole point of
-        // the masked fast paths.
-        let mut g = BenchGroup::new("masked_2e20_filter_granular_by_frozen_pct_t1");
-        for pct in [0, 50, 90, 99] {
-            bench_masked(&mut g, pct);
-        }
 
         let mut g = BenchGroup::new("masked_bernoulli");
         for pct in [1, 5, 35, 50, 90] {

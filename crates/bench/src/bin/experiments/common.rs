@@ -100,7 +100,6 @@ pub fn apf_cfg(ctx: &Ctx, check_every_rounds: u32) -> ApfConfig {
         variant: apf::ApfVariant::Standard,
         seed: ctx.seed,
         bytes_per_scalar: 4,
-        granularity: apf::FreezeGranularity::Scalar,
     }
 }
 

@@ -6,13 +6,12 @@
 //!
 //! `<id>` is one of: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig9 fig11 fig12
 //! fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 table1 table2
-//! table3 table4 extra-granularity extra-dp motivation all`. Each experiment prints the paper-style
+//! table3 table4 motivation all`. Each experiment prints the paper-style
 //! rows/series and writes CSVs under `results/`.
 
 mod baselines;
 mod common;
 mod end2end;
-mod extras;
 mod motivation_figs;
 mod overhead;
 mod prox;
@@ -84,8 +83,6 @@ fn run_one(id: &str, ctx: &common::Ctx) {
         "fig21" => sensitivity::fig21(ctx),
         "fig22" => sensitivity::fig22(ctx),
         "table4" => overhead::table4(ctx),
-        "extra-granularity" => extras::extra_granularity(ctx),
-        "extra-dp" => extras::extra_dp(ctx),
         "all" => {
             motivation_figs::motivation(ctx);
             motivation_figs::fig9(ctx);
@@ -108,8 +105,6 @@ fn run_one(id: &str, ctx: &common::Ctx) {
             sensitivity::fig21(ctx);
             sensitivity::fig22(ctx);
             overhead::table4(ctx);
-            extras::extra_granularity(ctx);
-            extras::extra_dp(ctx);
         }
         other => die(&format!("unknown experiment id {other:?}")),
     }

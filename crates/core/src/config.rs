@@ -62,24 +62,6 @@ impl Default for ThresholdDecay {
     }
 }
 
-/// Freezing granularity: per scalar (the paper's mechanism) or per filter
-/// segment (the structured-sparsity direction of Becking et al., "Adaptive
-/// Differential Filters" — coarse masks compress and compute better).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FreezeGranularity {
-    /// Each scalar freezes independently (default; the paper's APF).
-    Scalar,
-    /// A whole conv filter / matrix row freezes when at least `threshold`
-    /// of its scalars are scalar-frozen; below the threshold the entire
-    /// filter keeps training. Requires a filter layout registered via
-    /// `ApfManager::set_filter_layout`, else behaves like `Scalar`.
-    Filter {
-        /// Scalar-frozen fraction at which the whole segment freezes,
-        /// in `(0, 1]`.
-        threshold: f32,
-    },
-}
-
 /// Full APF configuration.
 ///
 /// Defaults follow §7.1: stability threshold 0.05, EMA α 0.99, threshold
@@ -103,8 +85,6 @@ pub struct ApfConfig {
     /// Wire size of one scalar (4 for f32, 2 when stacked with fp16
     /// quantization, §7.7).
     pub bytes_per_scalar: u64,
-    /// Mask granularity: scalar freezing or whole-filter freezing.
-    pub granularity: FreezeGranularity,
 }
 
 impl Default for ApfConfig {
@@ -117,7 +97,6 @@ impl Default for ApfConfig {
             variant: ApfVariant::Standard,
             seed: 0,
             bytes_per_scalar: 4,
-            granularity: FreezeGranularity::Scalar,
         }
     }
 }
@@ -152,11 +131,6 @@ impl ApfConfig {
         }
         if self.bytes_per_scalar == 0 {
             return Err("bytes_per_scalar must be positive".to_owned());
-        }
-        if let FreezeGranularity::Filter { threshold } = self.granularity {
-            if !(threshold > 0.0 && threshold <= 1.0) {
-                return Err(format!("filter threshold {threshold} outside (0, 1]"));
-            }
         }
         Ok(())
     }
@@ -193,16 +167,6 @@ mod tests {
             ..ApfConfig::default()
         };
         assert!(c.validate().is_err());
-        c = ApfConfig {
-            granularity: FreezeGranularity::Filter { threshold: 0.0 },
-            ..ApfConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c = ApfConfig {
-            granularity: FreezeGranularity::Filter { threshold: 1.0 },
-            ..ApfConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

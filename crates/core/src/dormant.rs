@@ -108,7 +108,7 @@ impl DormantApfState {
     }
 
     /// Decodes back to a live snapshot. The non-scalar config fields
-    /// (variant, threshold decay, granularity, wire size) come from
+    /// (variant, threshold decay, wire size) come from
     /// `cfg_template`, which must match the original configuration.
     ///
     /// # Errors

@@ -50,11 +50,11 @@ mod mask;
 mod perturbation;
 mod state;
 
-pub use config::{ApfConfig, ApfVariant, FreezeGranularity, ThresholdDecay};
+pub use config::{ApfConfig, ApfVariant, ThresholdDecay};
 pub use controller::{Aimd, FixedPeriod, FreezeController, PureAdditive, PureMultiplicative};
 pub use dormant::DormantApfState;
 pub use error::ApfError;
 pub use manager::{ApfManager, SyncReport};
-pub use mask::{mask_bytes, masked_transfer_bytes, rle_transfer_bytes, FreezeMask, UnfrozenRuns};
+pub use mask::{mask_bytes, masked_transfer_bytes, FreezeMask, UnfrozenRuns};
 pub use perturbation::{EmaPerturbation, WindowedPerturbation};
 pub use state::ApfState;

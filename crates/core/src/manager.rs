@@ -6,7 +6,7 @@ use std::borrow::Cow;
 use apf_tensor::{derive_seed, splitmix64};
 use apf_trace::{event, span, Level};
 
-use crate::config::{ApfConfig, FreezeGranularity};
+use crate::config::ApfConfig;
 use crate::controller::FreezeController;
 use crate::error::ApfError;
 use crate::mask::{for_each_set_bit, low_mask, FreezeMask};
@@ -71,8 +71,7 @@ impl SyncReport {
 /// of exactly one round, tagged with that round, and every call above for
 /// that round borrows it. It is written only at `&mut self` points —
 /// [`ApfManager::new`] (round 0), the end of [`ApfManager::finish_round`]
-/// (round `r + 1`, the one place freezing decisions change),
-/// [`ApfManager::set_filter_layout`] (coarsening changes the mask) and
+/// (round `r + 1`, the one place freezing decisions change) and
 /// [`ApfManager::hold_round`] (once after [`ApfManager::restore`], which
 /// cannot know the round) — so a round costs one mask build per manager.
 /// There is no interior mutability: the `&self` readers
@@ -98,12 +97,6 @@ pub struct ApfManager {
     /// Optional `(layer name, scalar count)` layout over the flat vector,
     /// used only for per-layer trace telemetry.
     layout: Vec<(String, usize)>,
-    /// Optional filter-segment lengths (conv filters / matrix rows) over the
-    /// flat vector, consumed by [`FreezeGranularity::Filter`] coarsening.
-    filter_segments: Vec<usize>,
-    /// Prefix offsets of `filter_segments` (`len + 1` entries), for O(log)
-    /// segment lookup in [`ApfManager::is_frozen`].
-    filter_prefix: Vec<usize>,
     /// The resident mask and the round it belongs to (see the type docs);
     /// `None` only between [`ApfManager::restore`] and the first
     /// [`ApfManager::hold_round`] / [`ApfManager::finish_round`].
@@ -147,8 +140,6 @@ impl ApfManager {
             checks_run: 0,
             cfg,
             layout: Vec::new(),
-            filter_segments: Vec::new(),
-            filter_prefix: Vec::new(),
             resident: None,
         };
         manager.hold_round(0);
@@ -162,45 +153,6 @@ impl ApfManager {
     /// managed length are ignored.
     pub fn set_layout(&mut self, layout: Vec<(String, usize)>) {
         self.layout = layout;
-    }
-
-    /// Registers the filter-segment layout (consecutive scalar counts of
-    /// conv filters / matrix rows) that [`FreezeGranularity::Filter`]
-    /// coarsens over. Without a layout, filter granularity degrades to
-    /// scalar freezing.
-    ///
-    /// # Errors
-    /// Returns [`ApfError::InvalidConfig`] if the segments contain a zero
-    /// length or do not sum to the managed scalar count.
-    pub fn set_filter_layout(&mut self, segments: Vec<usize>) -> Result<(), ApfError> {
-        if segments.contains(&0) {
-            return Err(ApfError::InvalidConfig(
-                "zero-length filter segment".to_owned(),
-            ));
-        }
-        let total: usize = segments.iter().sum();
-        if total != self.n {
-            return Err(ApfError::InvalidConfig(format!(
-                "filter segments cover {total} scalars, model has {}",
-                self.n
-            )));
-        }
-        let mut prefix = Vec::with_capacity(segments.len() + 1);
-        let mut off = 0;
-        prefix.push(0);
-        for &s in &segments {
-            off += s;
-            prefix.push(off);
-        }
-        self.filter_segments = segments;
-        self.filter_prefix = prefix;
-        // Coarsening changes the masks themselves.
-        if self.filter_active().is_some() {
-            if let Some((round, _)) = self.resident.take() {
-                self.hold_round(round);
-            }
-        }
-        Ok(())
     }
 
     /// Number of managed scalars.
@@ -240,50 +192,20 @@ impl ApfManager {
         self.ema.values()
     }
 
-    /// Whether filter-granular coarsening is active (configured *and* a
-    /// filter layout is registered).
-    fn filter_active(&self) -> Option<f32> {
-        match self.cfg.granularity {
-            FreezeGranularity::Filter { threshold } if !self.filter_segments.is_empty() => {
-                Some(threshold)
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether scalar `j` is frozen during round `round` (under filter
-    /// granularity: whether its whole segment is).
+    /// Whether scalar `j` is frozen during round `round`.
     pub fn is_frozen(&self, j: usize, round: u64) -> bool {
-        match self.filter_active() {
-            None => round < self.unfreeze_round[j],
-            Some(threshold) => {
-                // partition_point gives the first prefix > j; the segment
-                // spans prefix[seg]..prefix[seg + 1].
-                let seg = self.filter_prefix.partition_point(|&p| p <= j) - 1;
-                let (a, b) = (self.filter_prefix[seg], self.filter_prefix[seg + 1]);
-                let frozen = self.unfreeze_round[a..b]
-                    .iter()
-                    .filter(|&&u| round < u)
-                    .count();
-                frozen as f32 >= threshold * (b - a) as f32
-            }
-        }
+        round < self.unfreeze_round[j]
     }
 
     /// The from-scratch derivation of round `round`'s mask from
-    /// `unfreeze_round`, coarsened to whole filters when configured. The
-    /// only other source of a mask is [`ApfManager::stability_check`], which
+    /// `unfreeze_round`. The only other source of a mask is [`ApfManager::stability_check`], which
     /// packs the same predicate word by word while it holds the entries;
     /// `apf.manager.mask_builds` counts both.
     fn build_mask(&self, round: u64) -> FreezeMask {
         let _sp = span!(Level::Debug, target: "apf.manager", "mask_build", round = round);
         apf_trace::metrics::counter("apf.manager.mask_builds").inc();
         let unfreeze_round = &self.unfreeze_round[..self.n];
-        let scalar = FreezeMask::from_fn(self.n, |j| round < unfreeze_round[j]);
-        match self.filter_active() {
-            Some(threshold) => scalar.coarsen(&self.filter_segments, threshold),
-            None => scalar,
-        }
+        FreezeMask::from_fn(self.n, |j| round < unfreeze_round[j])
     }
 
     /// The resident mask, if it is `round`'s.
@@ -304,9 +226,8 @@ impl ApfManager {
         }
     }
 
-    /// The freezing mask for round `round` (`M_is_frozen` of Alg. 1),
-    /// coarsened to whole filters when configured: the resident mask by
-    /// reference when the manager holds `round`, else built from scratch.
+    /// The freezing mask for round `round` (`M_is_frozen` of Alg. 1): the
+    /// resident mask by reference when the manager holds `round`, else built from scratch.
     /// This is the mask every masked kernel, payload builder, and byte
     /// accountant consumes.
     pub fn mask(&self, round: u64) -> Cow<'_, FreezeMask> {
@@ -422,21 +343,8 @@ impl ApfManager {
             _ => self.build_mask(round + 1),
         };
         self.resident = Some((round + 1, mask_next));
-        let bitmap_bytes =
+        let wire_bytes =
             crate::mask::masked_transfer_bytes(self.n, unfrozen_now, self.cfg.bytes_per_scalar);
-        // Under filter granularity the coarsened mask has few long runs, so
-        // a run-length encoding usually beats the dense bitmap; account for
-        // whichever encoding the wire would actually pick.
-        let wire_bytes = if self.filter_active().is_some() {
-            let rle = crate::mask::rle_transfer_bytes(
-                mask_now.unfrozen_run_count(),
-                unfrozen_now,
-                self.cfg.bytes_per_scalar,
-            );
-            bitmap_bytes.min(rle)
-        } else {
-            bitmap_bytes
-        };
         let report = SyncReport {
             round,
             total: self.n,
@@ -538,8 +446,7 @@ impl ApfManager {
             let (e, a) = (&mut e[span.clone()], &mut a[span.clone()]);
             let lens = &mut self.freeze_len[span.clone()];
             let until = &mut self.unfreeze_round[span];
-            // A scalar trained this round iff the *effective* (possibly
-            // filter-coarsened) mask left it unfrozen.
+            // A scalar trained this round iff the mask left it unfrozen.
             let trained = !word & low_mask(now.len());
             if trained != 0 {
                 let (mut e_new, mut a_new) = ([0.0f32; 64], [0.0f32; 64]);
@@ -564,11 +471,7 @@ impl ApfManager {
             }
             next_words.push(next);
         }
-        let scalar = FreezeMask::from_words(next_words, self.n);
-        let mask_next = match self.filter_active() {
-            Some(threshold) => scalar.coarsen(&self.filter_segments, threshold),
-            None => scalar,
-        };
+        let mask_next = FreezeMask::from_words(next_words, self.n);
         if let Some(decay) = self.cfg.threshold_decay {
             let frozen_next = mask_next.frozen_count();
             if frozen_next as f32 >= decay.trigger_fraction * self.n as f32 && self.n > 0 {
@@ -660,8 +563,6 @@ impl ApfManager {
             checks_run: state.checks_run,
             cfg: state.cfg,
             layout: Vec::new(),
-            filter_segments: Vec::new(),
-            filter_prefix: Vec::new(),
             resident: None,
         }
     }
@@ -1072,77 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_granularity_coarsens_mask_and_bytes() {
-        // 2 segments of 4 scalars. Freeze 3 of 4 in segment 0 and 1 of 4 in
-        // segment 1; at threshold 0.75 the whole first segment freezes and
-        // the second thaws entirely.
-        let init = vec![0.0f32; 8];
-        let cfg = ApfConfig {
-            granularity: FreezeGranularity::Filter { threshold: 0.75 },
-            ..ApfConfig::default()
-        };
-        let mut mgr = ApfManager::new(&init, cfg, Box::new(Aimd::default())).unwrap();
-        mgr.set_filter_layout(vec![4, 4]).unwrap();
-        for j in [0usize, 1, 2, 5] {
-            mgr.unfreeze_round[j] = 10;
-        }
-        let mask = mgr.frozen_mask_packed(1);
-        assert_eq!(mask, FreezeMask::from_fn(8, |j| j < 4));
-        assert_eq!(mgr.frozen_count(1), 4);
-        assert!(mgr.is_frozen(3, 1), "segment-frozen scalar");
-        assert!(
-            !mgr.is_frozen(5, 1),
-            "segment thawed its lone frozen scalar"
-        );
-        // Rollback must pin the whole frozen segment.
-        let mut p: Vec<f32> = (0..8).map(|j| j as f32 + 1.0).collect();
-        mgr.rollback(&mut p, 1);
-        assert_eq!(&p[..4], &[0.0; 4]);
-        assert_eq!(&p[4..], &[5.0, 6.0, 7.0, 8.0]);
-        // Byte accounting: one unfrozen run of 4 scalars — the RLE encoding
-        // (4 + 1*8 + 4*4 = 28) beats the bitmap (4*4 + 1 = 17)? No: bitmap
-        // is smaller here, so min() keeps the bitmap.
-        let rep = mgr.finish_round(&p, 1);
-        assert_eq!(rep.frozen, 4);
-        assert_eq!(rep.bytes_up, 16 + 1);
-        // A model large enough that RLE wins: 1024 scalars, one unfrozen
-        // run of 64 — RLE 4 + 8 + 64*4 = 268 < bitmap 128 + 256 = 384.
-        let init = vec![0.0f32; 1024];
-        let mut big = ApfManager::new(&init, cfg, Box::new(Aimd::default())).unwrap();
-        big.set_filter_layout(vec![64; 16]).unwrap();
-        for j in 64..1024 {
-            big.unfreeze_round[j] = 10;
-        }
-        let rep = big.finish_round(&init, 1);
-        assert_eq!(rep.frozen, 960);
-        assert_eq!(rep.bytes_up, 4 + 8 + 64 * 4);
-    }
-
-    #[test]
-    fn filter_layout_must_cover_model() {
-        let init = vec![0.0f32; 8];
-        let mut mgr =
-            ApfManager::new(&init, ApfConfig::default(), Box::new(Aimd::default())).unwrap();
-        assert!(mgr.set_filter_layout(vec![4, 3]).is_err());
-        assert!(mgr.set_filter_layout(vec![4, 0, 4]).is_err());
-        assert!(mgr.set_filter_layout(vec![4, 4]).is_ok());
-    }
-
-    #[test]
-    fn scalar_granularity_ignores_filter_layout() {
-        // With the default Scalar granularity a registered layout must not
-        // change masks — golden trajectories depend on this.
-        let init = vec![0.0f32; 8];
-        let mut mgr =
-            ApfManager::new(&init, ApfConfig::default(), Box::new(Aimd::default())).unwrap();
-        mgr.set_filter_layout(vec![4, 4]).unwrap();
-        mgr.unfreeze_round[1] = 10;
-        assert_eq!(mgr.frozen_count(1), 1);
-        assert!(mgr.is_frozen(1, 1));
-        assert!(!mgr.is_frozen(0, 1));
-    }
-
-    #[test]
     fn invalid_config_is_a_typed_error() {
         let err = ApfManager::new(
             &[0.0],
@@ -1241,10 +1071,6 @@ mod tests {
         let init = vec![0.0f32; n];
         let mut sweep = ApfManager::new(&init, cfg, controller()).unwrap();
         let mut oracle = ApfManager::new(&init, cfg, controller()).unwrap();
-        // Segments of 7 scalars (and the remainder): none word-aligned.
-        let segments: Vec<usize> = (0..n).step_by(7).map(|s| (n - s).min(7)).collect();
-        sweep.set_filter_layout(segments.clone()).unwrap();
-        oracle.set_filter_layout(segments).unwrap();
         let mut params = init;
         let mut max_frozen = 0;
         for round in 0..rounds {
@@ -1310,27 +1136,19 @@ mod tests {
                 a2: 1.0 / 4.0,
             },
         ];
-        // 7-scalar segments hold 2 or 3 oscillators: some coarsen, some not.
-        let granularities = [
-            FreezeGranularity::Scalar,
-            FreezeGranularity::Filter { threshold: 0.3 },
-        ];
         let mut grid = Vec::new();
         for variant in variants {
-            for granularity in granularities {
-                for check_every_rounds in [1, 3] {
-                    for threshold_decay in [None, Some(ThresholdDecay::default())] {
-                        grid.push(ApfConfig {
-                            stability_threshold: 0.3,
-                            ema_alpha: 0.9,
-                            check_every_rounds,
-                            threshold_decay,
-                            variant,
-                            granularity,
-                            seed,
-                            ..ApfConfig::default()
-                        });
-                    }
+            for check_every_rounds in [1, 3] {
+                for threshold_decay in [None, Some(ThresholdDecay::default())] {
+                    grid.push(ApfConfig {
+                        stability_threshold: 0.3,
+                        ema_alpha: 0.9,
+                        check_every_rounds,
+                        threshold_decay,
+                        variant,
+                        seed,
+                        ..ApfConfig::default()
+                    });
                 }
             }
         }
@@ -1339,7 +1157,7 @@ mod tests {
 
     property! {
         // The word sweep is the four-pass check, bit for bit, across the
-        // variants, both granularities, both cadences, decay on and off and
+        // variants, both cadences, decay on and off and
         // the four controllers (so `step_word` is `next_len` per lane), at
         // lengths on either side of a mask word.
         fn stability_sweep_matches_the_four_pass_oracle(seed in u64s(0..1_000_000)) {
@@ -1362,7 +1180,7 @@ mod tests {
         // 199 434 scalars (the benchmark's MLP): 3 116 full words and a
         // 42-lane tail, long enough for every word to end up mixed.
         let grid = sweep_grid(7);
-        let picks = [0, 5, 14, 19];
+        let picks = [0, 1, 6, 11];
         for (&pick, controller) in picks.iter().zip(controllers()) {
             let frozen = sweep_vs_oracle(199_434, grid[pick], controller, 7).unwrap();
             assert!(frozen > 199_434 / 10, "config {pick}: only {frozen} frozen");

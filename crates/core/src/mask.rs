@@ -28,15 +28,6 @@ pub fn masked_transfer_bytes(total: usize, unfrozen: usize, bytes_per_scalar: u6
     mask_bytes(total) as u64 + unfrozen as u64 * bytes_per_scalar
 }
 
-/// Wire bytes of one masked transfer whose mask is encoded as run lengths
-/// instead of a bitmap: a `u32` run count, two `u32`s (start, length) per
-/// unfrozen run, plus the packed values. Structured (filter-granular) masks
-/// have few long runs, so this beats the bitmap once
-/// `8 * runs + 4 < ceil(total / 8)`.
-pub fn rle_transfer_bytes(runs: usize, unfrozen: usize, bytes_per_scalar: u64) -> u64 {
-    4 + runs as u64 * 8 + unfrozen as u64 * bytes_per_scalar
-}
-
 /// The low `k` bits set, for `k <= 64`.
 pub(crate) fn low_mask(k: usize) -> u64 {
     debug_assert!(k <= 64);
@@ -236,7 +227,7 @@ impl FreezeMask {
     }
 
     /// Number of frozen scalars in `start..end` (clamped to `len`).
-    pub fn frozen_count_in(&self, start: usize, end: usize) -> usize {
+    fn frozen_count_in(&self, start: usize, end: usize) -> usize {
         let end = end.min(self.len);
         if start >= end {
             return 0;
@@ -298,11 +289,6 @@ impl FreezeMask {
         }
     }
 
-    /// Number of maximal unfrozen runs.
-    pub fn unfrozen_run_count(&self) -> usize {
-        self.iter_unfrozen_runs().count()
-    }
-
     /// The mask as `ceil(len / 8)` packed bytes, LSB-first within each byte
     /// (bit `j % 8` of byte `j / 8` holds scalar `j`); trailing bits of the
     /// last byte are zero.
@@ -334,31 +320,6 @@ impl FreezeMask {
         let m = FreezeMask { words, len: n };
         // The encoder zeroes tail bits; anything else is corruption.
         m.tail_is_clear().then_some(m)
-    }
-
-    /// Coarsens the mask to whole segments (conv filters / matrix rows):
-    /// a segment is frozen iff the fraction of its scalars already frozen is
-    /// `>= threshold`, otherwise fully unfrozen. `segments` are consecutive
-    /// lengths that must sum to `len`.
-    ///
-    /// # Panics
-    /// Panics if the segment lengths do not sum to `len` or any is zero.
-    pub fn coarsen(&self, segments: &[usize], threshold: f32) -> FreezeMask {
-        let mut out = FreezeMask::all_unfrozen(self.len);
-        let mut off = 0;
-        for &seg in segments {
-            assert!(seg > 0, "zero-length filter segment");
-            let frozen = self.frozen_count_in(off, off + seg);
-            if frozen as f32 >= threshold * seg as f32 {
-                for j in off..off + seg {
-                    out.words[j / 64] |= 1 << (j % 64);
-                }
-            }
-            off += seg;
-        }
-        assert_eq!(off, self.len, "filter segments must cover the mask");
-        out.clear_tail();
-        out
     }
 }
 
@@ -397,24 +358,12 @@ mod tests {
         assert_eq!(masked_transfer_bytes(0, 0, 4), 0);
     }
 
-    #[test]
-    fn rle_bytes_formula() {
-        // 2 runs of 3 unfrozen scalars total at f32: 4 + 16 + 12.
-        assert_eq!(rle_transfer_bytes(2, 3, 4), 32);
-        // A structured mask over 1M scalars with 4 runs beats the bitmap.
-        assert!(rle_transfer_bytes(4, 1000, 4) < masked_transfer_bytes(1 << 20, 1000, 4));
-    }
-
     fn reference_mask(n: usize, period: usize) -> Vec<bool> {
         (0..n).map(|j| j % period == 0 || j % 7 == 3).collect()
     }
 
     fn mask_of(bools: &[bool]) -> FreezeMask {
         FreezeMask::from_fn(bools.len(), |j| bools[j])
-    }
-
-    fn bools_of(m: &FreezeMask) -> Vec<bool> {
-        (0..m.len()).map(|j| m.is_frozen(j)).collect()
     }
 
     #[test]
@@ -538,8 +487,10 @@ mod tests {
         m.set(131, false);
         let runs: Vec<_> = m.iter_unfrozen_runs().collect();
         assert_eq!(runs, vec![64..128, 130..132]);
-        assert_eq!(m.unfrozen_run_count(), 2);
-        assert_eq!(FreezeMask::all_frozen(100).unfrozen_run_count(), 0);
+        assert_eq!(
+            FreezeMask::all_frozen(100).iter_unfrozen_runs().next(),
+            None
+        );
         let open = FreezeMask::all_unfrozen(100);
         assert_eq!(open.iter_unfrozen_runs().collect::<Vec<_>>(), vec![0..100]);
     }
@@ -598,28 +549,5 @@ mod tests {
         let over: Vec<_> = m.frozen_by_segment([300, 100, 5]).collect();
         assert_eq!(over[1].0, 300..333);
         assert_eq!(over[2], (333..333, 0));
-    }
-
-    #[test]
-    fn coarsen_freezes_whole_segments_by_threshold() {
-        // Segments of 4; freeze a segment when >= 50% of it is frozen.
-        let bools = [
-            true, true, false, false, // 50% -> frozen
-            true, false, false, false, // 25% -> unfrozen
-            true, true, true, true, // 100% -> frozen
-        ];
-        let m = mask_of(&bools).coarsen(&[4, 4, 4], 0.5);
-        let want: Vec<bool> = [true; 4]
-            .into_iter()
-            .chain([false; 4])
-            .chain([true; 4])
-            .collect();
-        assert_eq!(bools_of(&m), want);
-        // threshold 1.0 freezes only fully-frozen segments; an all-frozen
-        // input stays all-frozen, an all-unfrozen one stays open.
-        let full = FreezeMask::all_frozen(12).coarsen(&[4, 4, 4], 1.0);
-        assert_eq!(full.frozen_count(), 12);
-        let open = FreezeMask::all_unfrozen(12).coarsen(&[4, 4, 4], 0.5);
-        assert_eq!(open.frozen_count(), 0);
     }
 }

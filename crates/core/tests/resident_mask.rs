@@ -1,50 +1,35 @@
 //! Resident-mask coherence: the mask an [`ApfManager`] keeps for its round
 //! must equal, at every round and after every public call, the mask derived
-//! from scratch from its bookkeeping (`round < unfreeze_round[j]`, then
-//! `coarsen`) — across the variants, both granularities, both check
-//! cadences, threshold decay on and off, a filter layout registered mid-run,
-//! and a snapshot → dormant blob → restore hop mid-run under both codecs.
+//! from scratch from its bookkeeping (`round < unfreeze_round[j]`) — across
+//! the variants, both check cadences, threshold decay on and off, and a
+//! snapshot → dormant blob → restore hop mid-run under both codecs.
 
 use std::borrow::Cow;
 
-use apf::{
-    Aimd, ApfConfig, ApfManager, ApfVariant, DormantApfState, FreezeGranularity, FreezeMask,
-    ThresholdDecay,
-};
+use apf::{Aimd, ApfConfig, ApfManager, ApfVariant, DormantApfState, FreezeMask, ThresholdDecay};
 use apf_quant::EmaCodec;
 use apf_testkit::{prop_assert, property, u64s, TestCaseError};
 
 const N: usize = 203;
 const ROUNDS: u64 = 24;
-const LAYOUT_ROUND: u64 = 7;
 const HOP_ROUNDS: [(u64, EmaCodec); 2] = [(11, EmaCodec::Dense), (16, EmaCodec::F16)];
-const FILTER_THRESHOLD: f32 = 0.5;
-
-/// Segment lengths summing to [`N`], none a multiple of a mask word.
-fn segments() -> Vec<usize> {
-    vec![50, 3, 70, 80]
-}
 
 /// The from-scratch oracle, bit by bit from the snapshot's `unfreeze_round`
 /// (it does not go through `FreezeMask::from_fn`, which the manager builds
 /// with).
-fn oracle(unfreeze_round: &[u64], round: u64, filtered: bool) -> FreezeMask {
-    let mut scalar = FreezeMask::all_unfrozen(unfreeze_round.len());
+fn oracle(unfreeze_round: &[u64], round: u64) -> FreezeMask {
+    let mut mask = FreezeMask::all_unfrozen(unfreeze_round.len());
     for (j, &u) in unfreeze_round.iter().enumerate() {
-        scalar.set(j, round < u);
+        mask.set(j, round < u);
     }
-    if filtered {
-        scalar.coarsen(&segments(), FILTER_THRESHOLD)
-    } else {
-        scalar
-    }
+    mask
 }
 
 /// The manager holds `round` (a borrow, not a rebuild) and what it holds is
 /// the oracle's mask; a round it does not hold comes out right as well.
-fn coherent(mgr: &ApfManager, round: u64, filtered: bool, at: &str) -> Result<(), TestCaseError> {
+fn coherent(mgr: &ApfManager, round: u64, at: &str) -> Result<(), TestCaseError> {
     let unfreeze_round = mgr.snapshot().unfreeze_round;
-    let expected = |round| oracle(&unfreeze_round, round, filtered);
+    let expected = |round| oracle(&unfreeze_round, round);
     let held = mgr.mask(round);
     prop_assert!(
         matches!(held, Cow::Borrowed(_)),
@@ -71,34 +56,24 @@ fn coherent(mgr: &ApfManager, round: u64, filtered: bool, at: &str) -> Result<()
 /// of the scalars oscillate and stabilise, the rest drift), checking
 /// coherence after every public call.
 fn run(cfg: ApfConfig, seed: u64) -> Result<usize, TestCaseError> {
-    let filter = matches!(cfg.granularity, FreezeGranularity::Filter { .. });
     let init = vec![0.0f32; N];
     let mut mgr = ApfManager::new(&init, cfg, Box::new(Aimd::default())).unwrap();
     let mut params = init;
-    let mut filtered = false;
     let mut max_frozen = 0;
     for round in 0..ROUNDS {
         let at = |call: &str| format!("{cfg:?} seed {seed} round {round} after {call}");
-        if filter && round == LAYOUT_ROUND {
-            mgr.set_filter_layout(segments()).unwrap();
-            filtered = true;
-            coherent(&mgr, round, filtered, &at("set_filter_layout"))?;
-        }
         if let Some(&(_, codec)) = HOP_ROUNDS.iter().find(|(r, _)| *r == round) {
             let blob = DormantApfState::encode(&mgr.snapshot(), codec);
             mgr = ApfManager::restore(blob.decode(cfg).unwrap(), Box::new(Aimd::default()));
-            if filtered {
-                mgr.set_filter_layout(segments()).unwrap();
-            }
             prop_assert!(
                 matches!(mgr.mask(round), Cow::Owned(_)),
                 "{}: a restored manager cannot know its round",
                 at("restore")
             );
             mgr.hold_round(round);
-            coherent(&mgr, round, filtered, &at("restore + hold_round"))?;
+            coherent(&mgr, round, &at("restore + hold_round"))?;
         }
-        coherent(&mgr, round, filtered, &at("the previous round"))?;
+        coherent(&mgr, round, &at("the previous round"))?;
         max_frozen = max_frozen.max(mgr.frozen_count(round));
 
         for (j, p) in params.iter_mut().enumerate() {
@@ -111,19 +86,19 @@ fn run(cfg: ApfConfig, seed: u64) -> Result<usize, TestCaseError> {
             };
         }
         mgr.rollback(&mut params, round);
-        coherent(&mgr, round, filtered, &at("rollback"))?;
+        coherent(&mgr, round, &at("rollback"))?;
         let upload = mgr.select_unfrozen(&params, round);
-        coherent(&mgr, round, filtered, &at("select_unfrozen"))?;
+        coherent(&mgr, round, &at("select_unfrozen"))?;
         if round % 2 == 0 {
             mgr.apply_aggregate(&mut params, &upload, round);
-            coherent(&mgr, round, filtered, &at("apply_aggregate"))?;
+            coherent(&mgr, round, &at("apply_aggregate"))?;
         } else {
             let dense = params.clone();
             mgr.apply_aggregate_dense(&mut params, &dense, round);
-            coherent(&mgr, round, filtered, &at("apply_aggregate_dense"))?;
+            coherent(&mgr, round, &at("apply_aggregate_dense"))?;
         }
         mgr.finish_round(&params, round);
-        coherent(&mgr, round + 1, filtered, &at("finish_round"))?;
+        coherent(&mgr, round + 1, &at("finish_round"))?;
     }
     Ok(max_frozen)
 }
@@ -135,29 +110,22 @@ property! {
             ApfVariant::Sharp { prob: 0.3 },
             ApfVariant::PlusPlus { a1: 1.0 / 40.0, a2: 1.0 / 4.0 },
         ];
-        let granularities = [
-            FreezeGranularity::Scalar,
-            FreezeGranularity::Filter { threshold: FILTER_THRESHOLD },
-        ];
         let mut combos = 0;
         let mut froze = 0;
         for variant in variants {
-            for granularity in granularities {
-                for check_every_rounds in [1, 3] {
-                    for threshold_decay in [None, Some(ThresholdDecay::default())] {
-                        let cfg = ApfConfig {
-                            stability_threshold: 0.3,
-                            ema_alpha: 0.9,
-                            check_every_rounds,
-                            threshold_decay,
-                            variant,
-                            granularity,
-                            seed,
-                            ..ApfConfig::default()
-                        };
-                        combos += 1;
-                        froze += usize::from(run(cfg, seed)? > 0);
-                    }
+            for check_every_rounds in [1, 3] {
+                for threshold_decay in [None, Some(ThresholdDecay::default())] {
+                    let cfg = ApfConfig {
+                        stability_threshold: 0.3,
+                        ema_alpha: 0.9,
+                        check_every_rounds,
+                        threshold_decay,
+                        variant,
+                        seed,
+                        ..ApfConfig::default()
+                    };
+                    combos += 1;
+                    froze += usize::from(run(cfg, seed)? > 0);
                 }
             }
         }

@@ -36,7 +36,6 @@
 //! ```
 
 mod client;
-mod extra;
 pub mod ledger;
 mod metrics;
 mod network;
@@ -49,7 +48,6 @@ mod trajectory;
 
 pub use apf_trace::json;
 pub use client::Client;
-pub use extra::{DpGaussian, LayerFreeze, TopK};
 pub use ledger::{fnv1a64, ledger_path, load_ledger, peak_resident_bytes, LedgerRecord};
 pub use metrics::{ExperimentLog, RoundRecord};
 pub use network::NetworkModel;

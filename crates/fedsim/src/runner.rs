@@ -252,7 +252,6 @@ impl FlRunnerBuilder {
             .map(|p| (p.name.clone(), p.len))
             .collect();
         strategy.set_model_layout(layout);
-        strategy.set_filter_layout(eval_model.filter_segments());
         strategy.init(&init, clients.len());
         let name = self
             .name

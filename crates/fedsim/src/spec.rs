@@ -208,8 +208,13 @@ impl RunSpec {
     ///
     /// # Errors
     /// Returns [`SpecError`] on an unknown version, missing or duplicate
-    /// key, unparseable value, or a structurally invalid spec (zero clients,
-    /// zero rounds, ...).
+    /// key, unparseable value, or a spec no run could execute: a zero
+    /// count or size, fewer training samples than clients, a non-finite
+    /// optimizer setting, a label-noise fraction outside `[0, 1]`, a
+    /// Dirichlet `alpha` that is not positive and finite, or an APF
+    /// configuration [`ApfConfig::validate`] rejects. (Whether a Dirichlet
+    /// draw leaves a client without data depends on the seed; that stays a
+    /// runtime panic of the runner.)
     pub fn parse(s: &str) -> Result<RunSpec, SpecError> {
         let mut parts = s.trim().split(';');
         let version = parts.next().unwrap_or("");
@@ -278,10 +283,53 @@ impl RunSpec {
                 _ => return Err(SpecError(format!("unknown key {k:?}"))),
             }
         }
-        if spec.clients == 0 || spec.rounds == 0 || spec.train_n == 0 || spec.test_n == 0 {
+        let sizes = [
+            spec.clients,
+            spec.rounds,
+            spec.local_iters,
+            spec.batch_size,
+            spec.eval_batch,
+            spec.train_n,
+            spec.test_n,
+            spec.hidden,
+        ];
+        if sizes.contains(&0) {
             return Err(SpecError(
-                "clients/rounds/train_n/test_n must be > 0".into(),
+                "clients/rounds/local_iters/batch/eval_batch/train_n/test_n/hidden must be > 0"
+                    .into(),
             ));
+        }
+        if spec.train_n < spec.clients {
+            return Err(SpecError(format!(
+                "train_n {} leaves some of {} clients without data",
+                spec.train_n, spec.clients
+            )));
+        }
+        for (name, v) in [
+            ("lr", spec.lr),
+            ("momentum", spec.momentum),
+            ("weight_decay", spec.weight_decay),
+        ] {
+            if !v.is_finite() {
+                return Err(SpecError(format!("{name} {v} is not finite")));
+            }
+        }
+        if !(0.0..=1.0).contains(&spec.label_noise) {
+            return Err(SpecError(format!(
+                "label_noise {} outside [0, 1]",
+                spec.label_noise
+            )));
+        }
+        if let PartitionKind::Dirichlet { alpha, .. } = spec.partition {
+            if !(alpha > 0.0 && alpha.is_finite()) {
+                return Err(SpecError(format!(
+                    "dirichlet alpha {alpha} is not positive and finite"
+                )));
+            }
+        }
+        if let Some(cfg) = spec.apf_config() {
+            cfg.validate()
+                .map_err(|e| SpecError(format!("strategy: {e}")))?;
         }
         Ok(spec)
     }
@@ -558,6 +606,22 @@ mod tests {
             "apf-spec-v1;clients=2;clients=2",
             "apf-spec-v1;partition=ring,3",
             "apf-spec-v1;strategy=apf,1,0.1,0.9,f64",
+            // Each of these parsed once and then panicked in the run.
+            "apf-spec-v1;batch=0",
+            "apf-spec-v1;local_iters=0",
+            "apf-spec-v1;eval_batch=0",
+            "apf-spec-v1;hidden=0",
+            "apf-spec-v1;strategy=apf,0,0.1,0.9,f32",
+            "apf-spec-v1;strategy=apf,1,-1,0.9,f32",
+            "apf-spec-v1;strategy=apf,1,0.1,1.5,f32",
+            "apf-spec-v1;label_noise=2",
+            "apf-spec-v1;partition=dirichlet,0,7",
+            "apf-spec-v1;clients=200;train_n=96",
+            // These ran to the end on a meaningless loss.
+            "apf-spec-v1;lr=NaN",
+            "apf-spec-v1;lr=inf",
+            "apf-spec-v1;momentum=NaN",
+            "apf-spec-v1;weight_decay=inf",
         ] {
             assert!(RunSpec::parse(bad).is_err(), "accepted {bad:?}");
         }

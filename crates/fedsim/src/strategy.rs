@@ -3,7 +3,7 @@
 
 use apf::{
     Aimd, ApfConfig, ApfError, ApfManager, DormantApfState, EmaPerturbation, FixedPeriod,
-    FreezeController, FreezeGranularity, FreezeMask,
+    FreezeController, FreezeMask,
 };
 use apf_quant::{f16_roundtrip_in_place, EmaCodec};
 
@@ -53,9 +53,10 @@ pub trait SyncStrategy: Send + Sync {
         global: &mut Vec<f32>,
     ) -> RoundComm;
 
-    /// Registers the model's per-filter segment lengths (conv filters /
-    /// matrix rows over the flat vector) for strategies that support
-    /// filter-granular freezing. Default: ignored.
+    /// Ignores its argument: every strategy freezes per scalar. It stays
+    /// only because the benchmark harness (`benchmark/src/workloads.rs`)
+    /// still calls it with [`apf_nn::Sequential::filter_segments`]; both go
+    /// once that call does.
     fn set_filter_layout(&mut self, _segments: Vec<usize>) {}
 
     /// Per-local-iteration hook (Alg. 1 line 2 rollback for APF). Default:
@@ -283,7 +284,6 @@ pub struct ApfStrategy {
     quantize_f16: bool,
     label: String,
     layout: Vec<(String, usize)>,
-    filter_segments: Vec<usize>,
 }
 
 impl std::fmt::Debug for ApfStrategy {
@@ -323,7 +323,6 @@ impl ApfStrategy {
             quantize_f16: false,
             label: label.to_owned(),
             layout: Vec::new(),
-            filter_segments: Vec::new(),
         })
     }
 
@@ -348,38 +347,16 @@ impl ApfStrategy {
         self
     }
 
-    /// Switches to filter-granular freezing (Becking et al.): a whole filter
-    /// segment freezes once `threshold` of its scalars are scalar-frozen.
-    /// Takes effect when the runner registers a filter layout (see
-    /// [`SyncStrategy::set_filter_layout`]); without one it degrades to
-    /// scalar freezing.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `(0, 1]`.
-    pub fn with_filter_granularity(mut self, threshold: f32) -> Self {
-        self.cfg.granularity = FreezeGranularity::Filter { threshold };
-        self.cfg
-            .validate()
-            .expect("filter threshold must lie in (0, 1]");
-        self.label = format!("{}+filt", self.label);
-        self
-    }
-
     /// The fleet's manager as a one-element slice (empty before
     /// [`SyncStrategy::init`]), for inspection in tests/experiments.
     pub fn managers(&self) -> &[ApfManager] {
         self.manager.as_slice()
     }
 
-    /// Installs `manager` as the fleet's, with the registered layouts (a
-    /// restored manager comes back without them).
+    /// Installs `manager` as the fleet's, with the registered layout (a
+    /// restored manager comes back without it).
     fn install(&mut self, mut manager: ApfManager) {
         manager.set_layout(self.layout.clone());
-        if !self.filter_segments.is_empty() {
-            manager
-                .set_filter_layout(self.filter_segments.clone())
-                .expect("filter layout must cover the model");
-        }
         self.manager = Some(manager);
     }
 
@@ -487,14 +464,6 @@ impl SyncStrategy for ApfStrategy {
         }
     }
 
-    fn set_filter_layout(&mut self, segments: Vec<usize>) {
-        self.filter_segments = segments.clone();
-        if let Some(m) = &mut self.manager {
-            m.set_filter_layout(segments)
-                .expect("filter layout must cover the model");
-        }
-    }
-
     fn sync_round(
         &mut self,
         round: u64,
@@ -541,41 +510,6 @@ impl SyncStrategy for ApfStrategy {
             })
             .collect()
     }
-}
-
-/// The shared tail of a sparsifier's `sync_round` (Gaia, TopK): applies the
-/// weighted `delta` of the `touched` indices to `last_global`, then
-/// broadcasts them. A client that did *not* send its own update for a
-/// touched index (`sent[client][j]` false) keeps that residual (measured
-/// against the old global, which `global` still holds on entry) on top of
-/// the fresh global value — local accumulation. Leaves `global` equal to
-/// `last_global` and returns one client's download in bytes, 8 per touched
-/// `(index, value)`.
-pub(crate) fn broadcast_touched(
-    last_global: &mut [f32],
-    delta: &[f32],
-    total_w: f32,
-    touched: &[bool],
-    sent: &[Vec<bool>],
-    locals: &mut [Vec<f32>],
-    global: &mut [f32],
-) -> u64 {
-    let n = last_global.len();
-    for j in 0..n {
-        if touched[j] {
-            last_global[j] += delta[j] / total_w;
-        }
-    }
-    for (l, s) in locals.iter_mut().zip(sent) {
-        for j in 0..n {
-            if touched[j] {
-                let residual = if s[j] { 0.0 } else { l[j] - global[j] };
-                l[j] = last_global[j] + residual;
-            }
-        }
-    }
-    global.copy_from_slice(last_global);
-    touched.iter().filter(|&&t| t).count() as u64 * 8
 }
 
 // ---------------------------------------------------------------------------
@@ -660,15 +594,26 @@ impl SyncStrategy for Gaia {
             comm.max_client_up = comm.max_client_up.max(bytes);
             sent.push(s);
         }
-        let down = broadcast_touched(
-            &mut self.last_global,
-            &delta,
-            total_w,
-            &touched,
-            &sent,
-            locals,
-            global,
-        );
+        // Apply the touched deltas and broadcast them. A client that did
+        // *not* send its own update for a touched index keeps that residual
+        // (measured against the old global, which `global` still holds) on
+        // top of the fresh global value — local accumulation.
+        for j in 0..n {
+            if touched[j] {
+                self.last_global[j] += delta[j] / total_w;
+            }
+        }
+        for (l, s) in locals.iter_mut().zip(&sent) {
+            for j in 0..n {
+                if touched[j] {
+                    let residual = if s[j] { 0.0 } else { l[j] - global[j] };
+                    l[j] = self.last_global[j] + residual;
+                }
+            }
+        }
+        global.copy_from_slice(&self.last_global);
+        // Each touched `(index, value)` goes down as 8 bytes.
+        let down = touched.iter().filter(|&&t| t).count() as u64 * 8;
         comm.bytes_down = down * locals.len() as u64;
         comm.max_client_down = down;
         comm.frozen_ratio = excluded_total / locals.len().max(1) as f32;
@@ -959,53 +904,6 @@ mod tests {
             assert_eq!(ls, ref_ls, "round {r}: models diverged");
             assert_eq!(comm.bytes_up, ref_up, "round {r}: byte accounting diverged");
         }
-    }
-
-    #[test]
-    fn filter_granularity_coarsens_strategy_masks() {
-        let cfg = ApfConfig {
-            check_every_rounds: 1,
-            threshold_decay: None,
-            ..ApfConfig::default()
-        };
-        let mut s = ApfStrategy::new(cfg).unwrap().with_filter_granularity(0.5);
-        assert!(s.name().ends_with("+filt"));
-        let n = 8;
-        s.set_filter_layout(vec![4, 4]);
-        s.init(&vec![0.0f32; n], 2);
-        let mut g = vec![0.0f32; n];
-        let mut ls = locals(2, n, |_, _| 0.0);
-        // Scalars 0..3 oscillate (stabilize), 4..7 drift: at threshold 0.5
-        // the first whole segment must freeze while the second never does.
-        let mut saw_full_segment = false;
-        for r in 0..40u64 {
-            for l in ls.iter_mut() {
-                for (j, v) in l.iter_mut().enumerate() {
-                    if !s.managers()[0].is_frozen(j, r) {
-                        *v += if j < 4 {
-                            if r % 2 == 0 {
-                                0.1
-                            } else {
-                                -0.1
-                            }
-                        } else {
-                            0.1
-                        };
-                    }
-                }
-            }
-            s.sync_round(r, &mut ls, &[1.0, 1.0], &mut g);
-            assert_eq!(ls[0], ls[1], "round {r}");
-            let mask = s.managers()[0].frozen_mask_packed(r + 1);
-            let frozen_head = mask.frozen_count_in(0, 4);
-            assert!(
-                frozen_head == 0 || frozen_head == 4,
-                "round {r}: filter segment partially frozen ({frozen_head}/4)"
-            );
-            assert_eq!(mask.frozen_count_in(4, 8), 0, "round {r}: drifters froze");
-            saw_full_segment |= frozen_head == 4;
-        }
-        assert!(saw_full_segment, "oscillating segment never froze whole");
     }
 
     #[test]

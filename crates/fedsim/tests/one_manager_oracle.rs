@@ -7,7 +7,7 @@
 //! round's mask — is what licenses sharing one manager; that the oracle's
 //! own N masks equal one another is the §6.2 property underneath it.
 
-use apf::{Aimd, ApfConfig, ApfManager, ApfVariant, FreezeGranularity};
+use apf::{Aimd, ApfConfig, ApfManager, ApfVariant};
 use apf_fedsim::{ApfStrategy, RoundComm, SyncStrategy};
 use apf_quant::f16_roundtrip_in_place;
 use apf_testkit::{prop_assert, property, u64s, usizes, TestCaseError};
@@ -29,12 +29,6 @@ impl ReplicaOracle {
                 .map(|_| ApfManager::new(init, cfg, Box::new(Aimd::default())).unwrap())
                 .collect(),
             quantize_f16,
-        }
-    }
-
-    fn set_filter_layout(&mut self, segments: &[usize]) {
-        for m in &mut self.managers {
-            m.set_filter_layout(segments.to_vec()).unwrap();
         }
     }
 
@@ -132,23 +126,10 @@ impl Weights {
     }
 }
 
-/// Filter segments of uneven lengths covering `n` scalars.
-fn segments(n: usize, seed: u64) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut left = n;
-    while left > 0 {
-        let len = (1 + hash(seed, out.len() as u64, 0, 0) % 9).min(left as u64) as usize;
-        out.push(len);
-        left -= len;
-    }
-    out
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Combo {
     f16: bool,
     weights: Weights,
-    filter: bool,
     sharp: bool,
     check_every: u32,
     threads: usize,
@@ -163,19 +144,16 @@ fn combos() -> Vec<Combo> {
             Weights::Mixed,
             Weights::AllZero,
         ] {
-            for filter in [false, true] {
-                for sharp in [false, true] {
-                    for check_every in [1, 3] {
-                        for threads in [1, 2, 7] {
-                            out.push(Combo {
-                                f16,
-                                weights,
-                                filter,
-                                sharp,
-                                check_every,
-                                threads,
-                            });
-                        }
+            for sharp in [false, true] {
+                for check_every in [1, 3] {
+                    for threads in [1, 2, 7] {
+                        out.push(Combo {
+                            f16,
+                            weights,
+                            sharp,
+                            check_every,
+                            threads,
+                        });
                     }
                 }
             }
@@ -186,8 +164,7 @@ fn combos() -> Vec<Combo> {
 
 /// Drives the strategy and the oracle through the same update stream and
 /// returns whether anything froze. Round numbers mostly advance by one but
-/// sometimes repeat or skip, and the filter layout is registered either
-/// before `init` or a few rounds in — neither may ever use a stale mask.
+/// sometimes repeat or skip — neither may ever use a stale mask.
 fn run_combo(
     c: Combo,
     n: usize,
@@ -205,11 +182,6 @@ fn run_combo(
         } else {
             ApfVariant::Standard
         },
-        granularity: if c.filter {
-            FreezeGranularity::Filter { threshold: 0.5 }
-        } else {
-            FreezeGranularity::Scalar
-        },
         ..ApfConfig::default()
     };
     let init: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin()).collect();
@@ -218,13 +190,6 @@ fn run_combo(
         strategy = strategy.with_f16();
     }
     let mut oracle = ReplicaOracle::new(&init, cfg, clients, c.f16);
-    let segs = segments(n, seed);
-    // Even seeds register the layout before init, odd ones mid-run.
-    let late_layout_step = (c.filter && seed % 2 == 1).then_some(steps / 2);
-    if c.filter && late_layout_step.is_none() {
-        strategy.set_filter_layout(segs.clone());
-        oracle.set_filter_layout(&segs);
-    }
     strategy.init(&init, clients);
     prop_assert!(
         strategy.managers().len() == 1,
@@ -238,10 +203,6 @@ fn run_combo(
     let mut round = 0u64;
     let mut saw_frozen = false;
     for step in 0..steps {
-        if late_layout_step == Some(step) {
-            strategy.set_filter_layout(segs.clone());
-            oracle.set_filter_layout(&segs);
-        }
         // Local phase: the strategy's hooks run concurrently on the pool,
         // as under `FlConfig::parallel`; the oracle's serially.
         for (i, (l, rl)) in locals.iter_mut().zip(ref_locals.iter_mut()).enumerate() {
@@ -334,58 +295,4 @@ property! {
         // The comparison must not be vacuous: masks have to be in play.
         prop_assert!(froze * 2 > all.len(), "only {froze}/{} combos froze anything", all.len());
     }
-}
-
-#[test]
-fn filter_layout_after_init_drops_the_cached_mask() {
-    // Scalars 0..4 freeze (zero-mean noise), then a layout that makes them
-    // one segment with a drifting half is registered mid-round: the hook
-    // must follow the manager's fresh, coarsened mask at once.
-    let cfg = ApfConfig {
-        check_every_rounds: 1,
-        stability_threshold: 0.3,
-        ema_alpha: 0.9,
-        threshold_decay: None,
-        granularity: FreezeGranularity::Filter { threshold: 1.0 },
-        ..ApfConfig::default()
-    };
-    let n = 8;
-    let mut s = ApfStrategy::new(cfg).unwrap();
-    s.init(&vec![0.0f32; n], 2);
-    let mut locals = vec![vec![0.0f32; n]; 2];
-    let mut global = vec![0.0f32; n];
-    let mut round = 0;
-    while s.managers()[0].frozen_count(round) == 0 {
-        assert!(round < 60, "nothing froze");
-        for l in &mut locals {
-            for (j, v) in l.iter_mut().enumerate() {
-                *v += if j < 4 {
-                    if round % 2 == 0 {
-                        0.1
-                    } else {
-                        -0.1
-                    }
-                } else {
-                    0.1
-                };
-            }
-            s.post_local_iteration(round, 0, l);
-        }
-        s.sync_round(round, &mut locals, &[1.0, 1.0], &mut global);
-        round += 1;
-    }
-    let scalar_mask = s.managers()[0].frozen_mask_packed(round);
-    // One segment over everything: half of it drifts, so at threshold 1.0
-    // the coarsened mask freezes nothing.
-    s.set_filter_layout(vec![n]);
-    let coarse_mask = s.managers()[0].frozen_mask_packed(round);
-    assert_ne!(scalar_mask, coarse_mask, "layout must change the mask");
-    assert_eq!(coarse_mask.frozen_count(), 0);
-    let mut p = vec![7.0f32; n];
-    s.post_local_iteration(round, 1, &mut p);
-    assert_eq!(p, vec![7.0f32; n], "hook rolled back through a stale mask");
-    let mut fresh = vec![vec![7.0f32; n]; 2];
-    let comm = s.sync_round(round, &mut fresh, &[1.0, 1.0], &mut global);
-    assert_eq!(comm.frozen_ratio, 0.0, "sync used a stale mask");
-    assert_eq!(global, vec![7.0f32; n]);
 }

@@ -7,7 +7,7 @@
 //! parameters in one contiguous arena (and its gradients in a second one of
 //! the same layout). [`FlatSpec`] records the concatenation order, so
 //! per-tensor names and shapes can be mapped back onto ranges of the arena
-//! (the Fig. 3 per-layer analysis, filter-granular segments).
+//! (the Fig. 3 per-layer analysis, per-layer telemetry).
 
 use apf::FreezeMask;
 

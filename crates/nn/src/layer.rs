@@ -1,17 +1,16 @@
 //! The [`Layer`] trait: forward and backward over a slice of the model's
 //! parameter arena.
 
-use apf_tensor::Rng;
 use apf_tensor::Tensor;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Training mode enables dropout masks and batch-statistics in
-/// [`crate::BatchNorm2d`]; evaluation mode uses running statistics and
-/// disables stochastic regularizers.
+/// Training mode normalizes [`crate::BatchNorm2d`] by batch statistics and
+/// updates its running statistics; evaluation mode uses the running
+/// statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: stochastic regularizers active, batch statistics used.
+    /// Training: batch statistics used.
     Train,
     /// Evaluation: deterministic forward pass.
     Eval,
@@ -76,7 +75,7 @@ pub trait Layer: Send {
     /// Runs the layer forward, caching state for the next `backward` call.
     /// `params` is mutable because batch-norm writes its running statistics
     /// in training mode.
-    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode, rng: &mut Rng) -> Tensor;
+    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode) -> Tensor;
 
     /// Propagates `grad` (w.r.t. this layer's output) backward, accumulating
     /// parameter gradients into `grads` and returning the gradient w.r.t.

@@ -1,6 +1,5 @@
 //! Elementwise activation layers.
 
-use apf_tensor::Rng;
 use apf_tensor::Tensor;
 
 use crate::layer::{Layer, Mode};
@@ -43,7 +42,7 @@ pub(crate) fn sigmoid(x: f32) -> f32 {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         let mut out = x;
         match self.kind {
             ActivationKind::Relu => out.map_in_place(|v| v.max(0.0)),
@@ -86,16 +85,14 @@ impl Layer for Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apf_tensor::seeded_rng;
 
     fn fd_check(kind: ActivationKind) {
-        let mut rng = seeded_rng(0);
         let mut act = Activation::new(kind);
         // Avoid 0.0: ReLU is non-differentiable there and finite differences
         // straddle the kink.
         let xs = [-2.0f32, -0.5, 0.1, 0.3, 1.7];
         let x = Tensor::from_vec(xs.to_vec(), &[1, 5]);
-        let _ = act.forward(&mut [], x.clone(), Mode::Train, &mut rng);
+        let _ = act.forward(&mut [], x.clone(), Mode::Train);
         let gi = act.backward(&[], &mut [], Tensor::ones(&[1, 5]));
         let eps = 1e-3;
         #[allow(clippy::needless_range_loop)]
@@ -104,9 +101,9 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let yp = act.forward(&mut [], xp, Mode::Train, &mut rng).sum();
+            let yp = act.forward(&mut [], xp, Mode::Train).sum();
             let _ = act.backward(&[], &mut [], Tensor::ones(&[1, 5]));
-            let ym = act.forward(&mut [], xm, Mode::Train, &mut rng).sum();
+            let ym = act.forward(&mut [], xm, Mode::Train).sum();
             let _ = act.backward(&[], &mut [], Tensor::ones(&[1, 5]));
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
@@ -135,26 +132,18 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let mut rng = seeded_rng(1);
         let mut act = Activation::relu();
-        let y = act.forward(
-            &mut [],
-            Tensor::from_vec(vec![-1.0, 2.0], &[2]),
-            Mode::Eval,
-            &mut rng,
-        );
+        let y = act.forward(&mut [], Tensor::from_vec(vec![-1.0, 2.0], &[2]), Mode::Eval);
         assert_eq!(y.data(), &[0.0, 2.0]);
     }
 
     #[test]
     fn sigmoid_range() {
-        let mut rng = seeded_rng(2);
         let mut act = Activation::new(ActivationKind::Sigmoid);
         let y = act.forward(
             &mut [],
             Tensor::from_vec(vec![-100.0, 0.0, 100.0], &[3]),
             Mode::Eval,
-            &mut rng,
         );
         assert!(y.data()[0] < 1e-6);
         assert!((y.data()[1] - 0.5).abs() < 1e-6);

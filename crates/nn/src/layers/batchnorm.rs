@@ -1,6 +1,5 @@
 //! 2-D batch normalization with running statistics.
 
-use apf_tensor::Rng;
 use apf_tensor::Tensor;
 
 use crate::layer::{Layer, Mode, Param};
@@ -87,7 +86,7 @@ impl Layer for BatchNorm2d {
         std::mem::take(&mut self.init)
     }
 
-    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 4, "batchnorm expects [N,C,H,W]");
         assert_eq!(s[1], self.channels, "channel count mismatch");
@@ -207,7 +206,7 @@ mod tests {
     use apf_tensor::{normal_init, seeded_rng};
 
     fn model(name: &str, channels: usize) -> Sequential {
-        Sequential::new("t", 0).push(BatchNorm2d::new(name, channels))
+        Sequential::new("t").push(BatchNorm2d::new(name, channels))
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl Layer for Conv2d {
         std::mem::take(&mut self.init)
     }
 
-    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         assert_eq!(x.shape().len(), 4, "conv2d expects [N,C,H,W]");
         let (weight, bias) = params.split_at(params.len() - self.spec.out_channels);
         let out = conv2d_forward_fused(&x, weight, bias, &self.spec);
@@ -110,7 +110,7 @@ mod tests {
 
     fn model(spec: ConvSpec, seed: u64) -> Sequential {
         let mut rng = seeded_rng(seed);
-        Sequential::new("t", 0).push(Conv2d::new("c", spec, &mut rng))
+        Sequential::new("t").push(Conv2d::new("c", spec, &mut rng))
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Shape adapter from `[N, C, H, W]` (or any rank ≥ 2) to `[N, features]`.
 
-use apf_tensor::Rng;
 use apf_tensor::Tensor;
 
 use crate::layer::{Layer, Mode};
@@ -19,7 +18,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         let shape = x.shape().to_vec();
         assert!(shape.len() >= 2, "flatten expects rank >= 2");
         let n = shape[0];
@@ -48,14 +47,12 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apf_tensor::seeded_rng;
 
     #[test]
     fn roundtrip_shapes() {
-        let mut rng = seeded_rng(0);
         let mut fl = Flatten::new();
         let x = Tensor::zeros(&[3, 2, 4, 4]);
-        let y = fl.forward(&mut [], x, Mode::Eval, &mut rng);
+        let y = fl.forward(&mut [], x, Mode::Eval);
         assert_eq!(y.shape(), &[3, 32]);
         let g = fl.backward(&[], &mut [], Tensor::ones(&[3, 32]));
         assert_eq!(g.shape(), &[3, 2, 4, 4]);

@@ -59,7 +59,7 @@ impl Layer for Linear {
         std::mem::take(&mut self.init)
     }
 
-    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         assert_eq!(x.shape().len(), 2, "linear expects [N, in]");
         assert_eq!(
             x.shape()[1],
@@ -116,7 +116,7 @@ mod tests {
     use apf_tensor::seeded_rng;
 
     fn model(l: Linear) -> Sequential {
-        Sequential::new("t", 0).push(l)
+        Sequential::new("t").push(l)
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Layer for LstmLayer {
         std::mem::take(&mut self.init)
     }
 
-    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 3, "lstm expects [N, T, D]");
         let (n, t, d) = (s[0], s[1], s[2]);
@@ -250,7 +250,7 @@ impl LastStep {
 }
 
 impl Layer for LastStep {
-    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 3, "last-step expects [N, T, H]");
         let (n, t, h) = (s[0], s[1], s[2]);
@@ -290,7 +290,7 @@ mod tests {
 
     fn model(d: usize, h: usize, seed: u64) -> Sequential {
         let mut rng = seeded_rng(seed);
-        Sequential::new("t", 0).push(LstmLayer::new("l", d, h, &mut rng))
+        Sequential::new("t").push(LstmLayer::new("l", d, h, &mut rng))
     }
 
     #[test]
@@ -367,10 +367,9 @@ mod tests {
 
     #[test]
     fn last_step_extracts_and_scatters() {
-        let mut rng = seeded_rng(4);
         let mut ls = LastStep::new();
         let x = Tensor::from_vec((0..2 * 3 * 2).map(|i| i as f32).collect(), &[2, 3, 2]);
-        let y = ls.forward(&mut [], x, Mode::Eval, &mut rng);
+        let y = ls.forward(&mut [], x, Mode::Eval);
         assert_eq!(y.shape(), &[2, 2]);
         assert_eq!(y.data(), &[4.0, 5.0, 10.0, 11.0]);
         let g = ls.backward(&[], &mut [], Tensor::ones(&[2, 2]));

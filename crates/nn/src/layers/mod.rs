@@ -3,7 +3,6 @@
 mod activation;
 mod batchnorm;
 mod conv;
-mod dropout;
 mod flatten;
 mod linear;
 mod lstm;
@@ -13,7 +12,6 @@ mod residual;
 pub use activation::{Activation, ActivationKind};
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use lstm::{LastStep, LstmLayer};

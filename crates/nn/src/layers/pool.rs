@@ -1,6 +1,5 @@
 //! Pooling layers.
 
-use apf_tensor::Rng;
 use apf_tensor::{maxpool2d_backward, maxpool2d_forward_into, PoolSpec, Tensor};
 
 use crate::layer::{Layer, Mode};
@@ -27,7 +26,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         let out = maxpool2d_forward_into(&x, &self.spec, &mut self.argmax);
         self.input_shape.clear();
         self.input_shape.extend_from_slice(x.shape());
@@ -65,7 +64,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode, _rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, _params: &mut [f32], x: Tensor, _mode: Mode) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 4, "global avg pool expects [N,C,H,W]");
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -103,14 +102,12 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apf_tensor::seeded_rng;
 
     #[test]
     fn global_avg_pool_mean_and_grad() {
-        let mut rng = seeded_rng(1);
         let mut gap = GlobalAvgPool::new();
         let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[1, 2, 2, 2]);
-        let y = gap.forward(&mut [], x, Mode::Eval, &mut rng);
+        let y = gap.forward(&mut [], x, Mode::Eval);
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[1.5, 5.5]);
         let g = gap.backward(&[], &mut [], Tensor::from_vec(vec![4.0, 8.0], &[1, 2]));
@@ -119,10 +116,9 @@ mod tests {
 
     #[test]
     fn forward_backward_roundtrip() {
-        let mut rng = seeded_rng(0);
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
-        let y = pool.forward(&mut [], x, Mode::Train, &mut rng);
+        let y = pool.forward(&mut [], x, Mode::Train);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
         let g = pool.backward(&[], &mut [], Tensor::ones(&[1, 1, 2, 2]));

@@ -176,15 +176,15 @@ impl Layer for ResidualBlock {
         std::mem::take(&mut self.init)
     }
 
-    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode, rng: &mut Rng) -> Tensor {
+    fn forward(&mut self, params: &mut [f32], x: Tensor, mode: Mode) -> Tensor {
         let input_shape = x.shape().to_vec();
         let shortcut = self.shortcut(&x);
         let [c1, b1, c2, b2] = self.ranges.clone();
-        let mut y = self.conv1.forward(&mut params[c1], x, mode, rng);
-        y = self.bn1.forward(&mut params[b1], y, mode, rng);
-        y = self.relu1.forward(&mut [], y, mode, rng);
-        y = self.conv2.forward(&mut params[c2], y, mode, rng);
-        y = self.bn2.forward(&mut params[b2], y, mode, rng);
+        let mut y = self.conv1.forward(&mut params[c1], x, mode);
+        y = self.bn1.forward(&mut params[b1], y, mode);
+        y = self.relu1.forward(&mut [], y, mode);
+        y = self.conv2.forward(&mut params[c2], y, mode);
+        y = self.bn2.forward(&mut params[b2], y, mode);
         y.axpy(1.0, &shortcut);
         let pre_relu = y.clone();
         let out = y.map(|v| v.max(0.0));
@@ -231,7 +231,7 @@ mod tests {
 
     fn model(cin: usize, cout: usize, stride: usize, seed: u64) -> Sequential {
         let mut rng = seeded_rng(seed);
-        Sequential::new("t", 0).push(ResidualBlock::new("r", cin, cout, stride, &mut rng))
+        Sequential::new("t").push(ResidualBlock::new("r", cin, cout, stride, &mut rng))
     }
 
     /// Zeroes both convolutions (weights and biases) in the block's arena.

@@ -40,8 +40,8 @@ mod train;
 pub use flat::{FlatSpec, ParamSpec};
 pub use layer::{Layer, Mode, Param};
 pub use layers::{
-    Activation, ActivationKind, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, LastStep,
-    Linear, LstmLayer, MaxPool2d, ResidualBlock,
+    Activation, ActivationKind, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, LastStep, Linear,
+    LstmLayer, MaxPool2d, ResidualBlock,
 };
 pub use loss::{accuracy, softmax, softmax_cross_entropy, softmax_in_place};
 pub use optim::{Adam, LrSchedule, Optimizer, Sgd};

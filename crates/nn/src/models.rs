@@ -5,13 +5,12 @@
 //! |---|---|---|---|
 //! | LeNet-5 (CIFAR-10) | [`lenet5`] | `[N,3,16,16]` | classic conv-pool-fc stack |
 //! | ResNet-18 (CIFAR-10) | [`resnet`] | `[N,3,16,16]` | residual CNN, deliberately over-parameterized for the synthetic task (reproduces the Fig. 9 random-walk behaviour) |
-//! | VGG (Fig. 9) | [`vgg`] | `[N,3,16,16]` | plain conv-conv-pool stack with a wide FC head, the most over-parameterized model |
 //! | 2-layer LSTM, hidden 64 (KWS) | [`lstm_classifier`] | `[N,20,10]` | same depth/width as the paper |
 
 use apf_tensor::{seeded_rng, ConvSpec};
 
 use crate::layers::{
-    Activation, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, LastStep, Linear, LstmLayer,
+    Activation, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, LastStep, Linear, LstmLayer,
     MaxPool2d, ResidualBlock,
 };
 use crate::sequential::Sequential;
@@ -33,7 +32,7 @@ pub const SEQ_FEATURES: usize = 10;
 /// paper so the per-tensor stability analysis prints familiar labels.
 pub fn lenet5(seed: u64) -> Sequential {
     let mut rng = seeded_rng(seed);
-    Sequential::new("lenet5", seed)
+    Sequential::new("lenet5")
         .push(Conv2d::new(
             "conv1",
             ConvSpec {
@@ -76,7 +75,7 @@ pub fn lenet5(seed: u64) -> Sequential {
 /// APF++.
 pub fn resnet(seed: u64) -> Sequential {
     let mut rng = seeded_rng(seed);
-    Sequential::new("resnet", seed)
+    Sequential::new("resnet")
         .push(Conv2d::new(
             "stem",
             ConvSpec {
@@ -97,75 +96,11 @@ pub fn resnet(seed: u64) -> Sequential {
         .push(Linear::new("fc", 32, NUM_CLASSES, &mut rng))
 }
 
-/// A VGG-style plain CNN for `[N, 3, 16, 16]` inputs (Fig. 9 of the paper
-/// also samples VGG parameters when discussing over-parameterized models):
-/// two conv-conv-pool stages followed by a wide fully connected head —
-/// ~90k parameters, the most over-parameterized model in the zoo.
-pub fn vgg(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new("vgg", seed)
-        .push(Conv2d::new(
-            "conv1a",
-            ConvSpec {
-                in_channels: IMAGE_CHANNELS,
-                out_channels: 16,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            &mut rng,
-        ))
-        .push(Activation::relu())
-        .push(Conv2d::new(
-            "conv1b",
-            ConvSpec {
-                in_channels: 16,
-                out_channels: 16,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            &mut rng,
-        ))
-        .push(Activation::relu())
-        .push(MaxPool2d::new(2, 2)) // 16x16 -> 8x8
-        .push(Conv2d::new(
-            "conv2a",
-            ConvSpec {
-                in_channels: 16,
-                out_channels: 32,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            &mut rng,
-        ))
-        .push(Activation::relu())
-        .push(Conv2d::new(
-            "conv2b",
-            ConvSpec {
-                in_channels: 32,
-                out_channels: 32,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            &mut rng,
-        ))
-        .push(Activation::relu())
-        .push(MaxPool2d::new(2, 2)) // 8x8 -> 4x4
-        .push(Flatten::new())
-        .push(Linear::new("fc1", 32 * 4 * 4, 128, &mut rng))
-        .push(Activation::relu())
-        .push(Dropout::new(0.3))
-        .push(Linear::new("fc2", 128, NUM_CLASSES, &mut rng))
-}
-
 /// A 2-layer LSTM classifier (hidden size 64, as §7.1) for `[N, 20, 10]`
 /// sequences.
 pub fn lstm_classifier(seed: u64) -> Sequential {
     let mut rng = seeded_rng(seed);
-    Sequential::new("lstm", seed)
+    Sequential::new("lstm")
         .push(LstmLayer::new("lstm1", SEQ_FEATURES, 64, &mut rng))
         .push(LstmLayer::new("lstm2", 64, 64, &mut rng))
         .push(LastStep::new())
@@ -179,7 +114,7 @@ pub fn lstm_classifier(seed: u64) -> Sequential {
 pub fn mlp(name: &str, dims: &[usize], seed: u64) -> Sequential {
     assert!(dims.len() >= 2, "mlp needs at least input and output dims");
     let mut rng = seeded_rng(seed);
-    let mut model = Sequential::new(name, seed);
+    let mut model = Sequential::new(name);
     for (i, win) in dims.windows(2).enumerate() {
         model = model.push(Linear::new(
             &format!("fc{}", i + 1),
@@ -218,7 +153,7 @@ impl std::fmt::Display for ModelError {
 impl std::error::Error for ModelError {}
 
 /// The model names [`by_name`] accepts.
-const MODEL_NAMES: [&str; 4] = ["lenet5", "resnet", "vgg", "lstm"];
+const MODEL_NAMES: [&str; 3] = ["lenet5", "resnet", "lstm"];
 
 /// Builds one of the bundled models by name.
 ///
@@ -228,7 +163,6 @@ pub fn by_name(name: &str, seed: u64) -> Result<Sequential, ModelError> {
     match name {
         "lenet5" => Ok(lenet5(seed)),
         "resnet" => Ok(resnet(seed)),
-        "vgg" => Ok(vgg(seed)),
         "lstm" => Ok(lstm_classifier(seed)),
         other => Err(ModelError {
             name: other.to_owned(),
@@ -295,18 +229,7 @@ mod tests {
     fn by_name_dispatch() {
         assert_eq!(by_name("lenet5", 0).unwrap().name(), "lenet5");
         assert_eq!(by_name("resnet", 0).unwrap().name(), "resnet");
-        assert_eq!(by_name("vgg", 0).unwrap().name(), "vgg");
         assert_eq!(by_name("lstm", 0).unwrap().name(), "lstm");
-    }
-
-    #[test]
-    fn vgg_is_most_overparameterized() {
-        let mut v = vgg(0);
-        let y = v.forward(Tensor::zeros(&[1, 3, 16, 16]), Mode::Eval);
-        assert_eq!(y.shape(), &[1, 10]);
-        let r = resnet(0);
-        assert!(v.param_count() > r.param_count());
-        assert!(v.param_count() > 80_000);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use std::ops::Range;
 
-use apf_tensor::Rng;
-use apf_tensor::{derive_seed, seeded_rng, Tensor};
+use apf_tensor::Tensor;
 use apf_trace::{span, Level};
 
 use crate::flat::FlatSpec;
@@ -15,10 +14,8 @@ use crate::layer::{Layer, Mode};
 /// The arena *is* the model: the flat vector of §3.2.2, laid out as
 /// [`Sequential::flat_spec`] records. Each layer reads and writes its own
 /// contiguous sub-slice of it, so the optimizer, the FedProx term and the
-/// APF rollback all work on the model in place.
-///
-/// `Sequential` owns an internal RNG (for dropout masks); construct it with a
-/// seed so forward passes are reproducible.
+/// APF rollback all work on the model in place. Layers draw their initial
+/// values from the constructor's RNG; the forward pass is deterministic.
 pub struct Sequential {
     name: String,
     layers: Vec<Box<dyn Layer>>,
@@ -27,7 +24,6 @@ pub struct Sequential {
     spec: FlatSpec,
     params: Vec<f32>,
     grads: Vec<f32>,
-    rng: Rng,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -41,8 +37,8 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Sequential {
-    /// Creates an empty model with the given name and RNG seed.
-    pub fn new(name: &str, seed: u64) -> Self {
+    /// Creates an empty model with the given name.
+    pub fn new(name: &str) -> Self {
         Sequential {
             name: name.to_owned(),
             layers: Vec::new(),
@@ -50,7 +46,6 @@ impl Sequential {
             spec: FlatSpec::default(),
             params: Vec::new(),
             grads: Vec::new(),
-            rng: seeded_rng(derive_seed(seed, 0xF0F0)),
         }
     }
 
@@ -91,7 +86,7 @@ impl Sequential {
         for (i, (layer, r)) in self.layers.iter_mut().zip(&self.ranges).enumerate() {
             let _s = span!(Level::Trace, target: "nn.layer", "forward",
                 layer = i, kind = layer.kind());
-            cur = layer.forward(&mut self.params[r.clone()], cur, mode, &mut self.rng);
+            cur = layer.forward(&mut self.params[r.clone()], cur, mode);
         }
         cur
     }
@@ -141,11 +136,13 @@ impl Sequential {
         &self.spec
     }
 
-    /// Filter-granular segment lengths covering the flat parameter vector:
-    /// one segment per output filter / row for tensors with ≥2 dims, one
-    /// segment per whole tensor otherwise (biases, buffers). Segment lengths
-    /// sum to [`Sequential::param_count`], in concatenation order — the
-    /// layout `apf` expects for filter-granular freezing.
+    /// Per-filter segment lengths covering the flat parameter vector: one
+    /// segment per output filter / row for tensors with ≥2 dims, one segment
+    /// per whole tensor otherwise (biases, buffers), summing to
+    /// [`Sequential::param_count`] in concatenation order. Nothing in the
+    /// workspace consumes it — freezing is per scalar. It stays only because
+    /// the benchmark harness (`benchmark/src/workloads.rs`) passes it to
+    /// `SyncStrategy::set_filter_layout`; both go once that call does.
     pub fn filter_segments(&self) -> Vec<usize> {
         let mut segs = Vec::new();
         for p in self.spec.params() {
@@ -234,7 +231,7 @@ mod tests {
 
     fn tiny_model(seed: u64) -> Sequential {
         let mut rng = seeded_rng(seed);
-        Sequential::new("tiny", seed)
+        Sequential::new("tiny")
             .push(Linear::new("fc1", 3, 4, &mut rng))
             .push(Activation::relu())
             .push(Linear::new("fc2", 4, 2, &mut rng))

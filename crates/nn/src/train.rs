@@ -219,7 +219,7 @@ mod tests {
 
     fn toy_model(seed: u64) -> Sequential {
         let mut rng = seeded_rng(seed);
-        Sequential::new("toy", seed)
+        Sequential::new("toy")
             .push(Linear::new("fc1", 2, 8, &mut rng))
             .push(Activation::relu())
             .push(Linear::new("fc2", 8, 2, &mut rng))

@@ -122,6 +122,16 @@ for def in 'fn splitmix64' 'fn (write_str|push_json_str|write_escaped)'; do
     exit 1
   fi
 done
+# One freeze granularity: the mask is per scalar (§3.2.2). Filter-granular
+# coarsening, its run-length byte charge, and the TopK / LayerFreeze / DP /
+# VGG / Dropout extras that no figure, golden or workload ran stay deleted;
+# a structured mask comes back with a workload that shows it winning.
+offenders=$(grep -rnE 'FreezeGranularity|rle_transfer_bytes|unfrozen_run_count|fn coarsen|with_filter_granularity|struct Dropout|fn vgg|TopK|LayerFreeze|DpGaussian' crates || true)
+if [ -n "$offenders" ]; then
+  echo "a second freeze granularity or a deleted extra under crates/ (freeze per scalar):" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
 # One copy of the round's mask: the manager's resident one. The simulator
 # keeps no second cache, and the manager derives a mask from scratch in one
 # private function only.
@@ -251,7 +261,7 @@ if [ -n "$copies" ]; then
   echo "$copies" >&2
   exit 1
 fi
-echo "OK: one mask type, one splitmix64, one JSON string escaper, one mask builder,"
+echo "OK: one mask type, one freeze granularity, one splitmix64, one JSON string escaper, one mask builder,"
 echo "    one mixed-word path, one stability sweep, two convolution paths, one parameter arena per model, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each,"
 echo "    $(echo "$pub_items" | grep -c .) pub items each named by another file or kept for a stated reason ($(echo "$keep" | grep -c .) kept)"
 
