@@ -1,9 +1,10 @@
 //! Benchmarks for the numerical substrate: matmul, LeNet-5's two
 //! convolutions through the fused entry points training calls, the six
-//! masked kernels and the skip-frozen optimizer steps on the Bernoulli masks
-//! per-scalar freezing produces, the manager's mask build, stability check
-//! and aggregate application on the same masks, and a full forward pass of
-//! each paper model (the compute side of Table 3).
+//! masked kernels on the Bernoulli masks per-scalar freezing produces, the
+//! skip-frozen optimizer steps on the masks training hands them, the
+//! manager's mask build, stability check and aggregate application on the
+//! Bernoulli masks, and a full forward pass of each paper model (the compute
+//! side of Table 3).
 //!
 //! Plain harness (`apf_bench::harness`); run with
 //! `cargo bench -p apf-bench --bench kernels`. Nothing here is gated: the
@@ -99,9 +100,8 @@ fn bernoulli_frozen(j: usize, pct: usize) -> bool {
     splitmix64(j as u64) % 100 < pct as u64
 }
 
-/// The six masked kernels and one skip-frozen SGD (momentum) and Adam step
-/// over [`MLP_N`] scalars with `pct`% frozen independently per scalar:
-/// every word mixed, the traffic Alg. 1 produces.
+/// The six masked kernels over [`MLP_N`] scalars with `pct`% frozen
+/// independently per scalar: every word mixed, the traffic Alg. 1 produces.
 fn bench_masked_bernoulli(g: &mut BenchGroup, pct: usize) {
     let mask = FreezeMask::from_fn(MLP_N, |j| bernoulli_frozen(j, pct));
     let words = mask.words();
@@ -129,14 +129,24 @@ fn bench_masked_bernoulli(g: &mut BenchGroup, pct: usize) {
     g.bench(&format!("scatter_f{pct}"), || {
         mask_scatter(black_box(&mut y), &compact, words);
     });
-    let grads = normal_init(&[MLP_N], 0.0, 0.1, &mut rng);
+}
+
+/// One skip-frozen SGD (momentum) and Adam step on `mask`, a mask the
+/// program passes: `Trainer` hands `Optimizer::step` only
+/// `FlatSpec::freeze_mask()` (buffer lanes frozen), never APF's Bernoulli
+/// mask, which the rollback applies to the arena after the step.
+fn bench_optim_steps(g: &mut BenchGroup, name: &str, mask: &FreezeMask) {
+    let n = mask.len();
+    let mut rng = seeded_rng(13);
+    let mut y = normal_init(&[n], 0.0, 1.0, &mut rng).into_vec();
+    let grads = normal_init(&[n], 0.0, 0.1, &mut rng);
     let mut sgd = Sgd::new(0.01).with_momentum(0.9);
-    g.bench(&format!("sgd_step_f{pct}"), || {
-        sgd.step(black_box(&mut y), grads.data(), &mask);
+    g.bench(&format!("sgd_step_{name}"), || {
+        sgd.step(black_box(&mut y), grads.data(), mask);
     });
     let mut adam = Adam::new(0.001);
-    g.bench(&format!("adam_step_f{pct}"), || {
-        adam.step(black_box(&mut y), grads.data(), &mask);
+    g.bench(&format!("adam_step_{name}"), || {
+        adam.step(black_box(&mut y), grads.data(), mask);
     });
 }
 
@@ -247,6 +257,13 @@ fn main() {
         for pct in [1, 5, 35, 50, 90] {
             bench_masked_bernoulli(&mut g, pct);
         }
+
+        // The MLP has no buffers, so its mask is all unfrozen; ResNet's
+        // freezes its BatchNorm running statistics, in contiguous runs.
+        let mut g = BenchGroup::new("optim_step");
+        bench_optim_steps(&mut g, "mlp_unfrozen", &FreezeMask::all_unfrozen(MLP_N));
+        let resnet = models::by_name("resnet", 0).unwrap();
+        bench_optim_steps(&mut g, "resnet_buffers", &resnet.flat_spec().freeze_mask());
 
         // The manager's per-round work on scalar-frozen bits (the worst case
         // for a branchy builder or a run-driven sweep).

@@ -1,78 +1,34 @@
 //! End-to-end evaluation (§7.2): Fig. 11 accuracy/frozen-ratio curves and
 //! Tables 1–3.
 
-use apf_bench::report::{fmt_mb, load_log, print_table, write_csv};
+use apf_bench::report::{fmt_mb, print_table, write_csv};
 use apf_bench::setups::ModelKind;
-use apf_fedsim::{ApfStrategy, ExperimentLog, FullSync};
+use apf_fedsim::ExperimentLog;
 
-use crate::common::{aimd_for, apf_cfg, curves_csv, frozen_csv, run_fl, Ctx, Partition, RunSpec};
+use crate::common::{apf, curves_csv, frozen_csv, load_or_run, run, Ctx};
 
-const MODELS: [(ModelKind, &str); 3] = [
-    (ModelKind::Lenet5, "lenet5"),
-    (ModelKind::Resnet, "resnet"),
-    (ModelKind::Lstm, "lstm"),
-];
-
-fn stem(tag: &str, arm: &str) -> String {
-    format!("fig11/{tag}/{arm}")
-}
-
-/// Runs (or loads) the six fig11 arms: {lenet5, resnet, lstm} x {fedavg, apf}.
-fn arms(ctx: &Ctx) -> Vec<(String, ExperimentLog, ExperimentLog)> {
-    let mut out = Vec::new();
-    for (model, tag) in MODELS {
-        // `default_rounds` is already scaled: apply no second factor.
-        let r = model.default_rounds(ctx.scale);
-        let spec = |label: String| RunSpec {
-            model,
-            clients: 4,
-            rounds: r,
-            partition: Partition::Dirichlet(1.0),
-            label,
-        };
-        let full = run_fl(
-            ctx,
-            spec(stem(tag, "fedavg")),
-            Box::new(FullSync::new()),
-            |b| b,
-        );
-        let apf = run_fl(
-            ctx,
-            spec(stem(tag, "apf")),
-            Box::new(
-                ApfStrategy::with_controller(
-                    apf_cfg(ctx, 2),
-                    Box::new(|| Box::new(aimd_for(2))),
-                    "apf",
-                )
-                .unwrap(),
-            ),
-            |b| b,
-        );
-        out.push((tag.to_owned(), full, apf));
-    }
-    out
-}
-
-/// Loads the fig11 logs from `results/` or reruns them.
-fn arms_cached(ctx: &Ctx) -> Vec<(String, ExperimentLog, ExperimentLog)> {
-    let mut out = Vec::new();
-    for (model, tag) in MODELS {
-        let r = model.default_rounds(ctx.scale);
-        let f = load_log(&stem(tag, "fedavg").replace('/', "_"), r);
-        let a = load_log(&stem(tag, "apf").replace('/', "_"), r);
-        match (f, a) {
-            (Some(f), Some(a)) => out.push((tag.to_owned(), f, a)),
-            _ => return arms(ctx),
-        }
-    }
-    out
+/// The six fig11 arms, {lenet5, resnet, lstm} x {fedavg, apf}, run afresh
+/// or (for the tables) loaded from `results/` where a saved log is a run of
+/// the same spec.
+fn arms(ctx: &Ctx, reuse: bool) -> Vec<(String, ExperimentLog, ExperimentLog)> {
+    let go = if reuse { load_or_run } else { run };
+    [ModelKind::Lenet5, ModelKind::Resnet, ModelKind::Lstm]
+        .into_iter()
+        .map(|model| {
+            let tag = model.name();
+            // `default_rounds` is already scaled: apply no second factor.
+            let fedavg = model.spec(ctx.scale, 4, model.default_rounds(ctx.scale), ctx.seed);
+            let full = go(&format!("fig11/{tag}/fedavg"), &fedavg);
+            let apf = go(&format!("fig11/{tag}/apf"), &apf(fedavg, 2));
+            (tag.to_owned(), full, apf)
+        })
+        .collect()
 }
 
 /// Fig. 11: test-accuracy curves with and without APF, plus the frozen-ratio
 /// series, for all three models.
 pub fn fig11(ctx: &Ctx) {
-    for (tag, full, apf) in arms(ctx) {
+    for (tag, full, apf) in arms(ctx, false) {
         curves_csv(&format!("fig11_{tag}_accuracy.csv"), &[&full, &apf]);
         frozen_csv(&format!("fig11_{tag}_frozen_ratio.csv"), &[&apf]);
         println!(
@@ -86,7 +42,7 @@ pub fn fig11(ctx: &Ctx) {
 
 /// Table 1: best testing accuracy per model, with and without APF.
 pub fn table1(ctx: &Ctx) {
-    let arms = arms_cached(ctx);
+    let arms = arms(ctx, true);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (tag, full, apf) in &arms {
@@ -115,7 +71,7 @@ pub fn table1(ctx: &Ctx) {
 
 /// Table 2: cumulative transmission volume per model, with savings.
 pub fn table2(ctx: &Ctx) {
-    let arms = arms_cached(ctx);
+    let arms = arms(ctx, true);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (tag, full, apf) in &arms {
@@ -148,7 +104,7 @@ pub fn table2(ctx: &Ctx) {
 /// Table 3: average per-round time (measured compute + simulated 9/3 Mbps
 /// transfer).
 pub fn table3(ctx: &Ctx) {
-    let arms = arms_cached(ctx);
+    let arms = arms(ctx, true);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (tag, full, apf) in &arms {

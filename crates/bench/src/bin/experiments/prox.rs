@@ -3,45 +3,36 @@
 
 use apf_bench::report::print_table;
 use apf_bench::setups::ModelKind;
-use apf_fedsim::{ApfStrategy, FullSync};
+use apf_fedsim::{PartitionKind, RunSpec};
 
-use crate::common::{
-    aimd_for, apf_cfg, curves_csv, frozen_csv, rounds, run_fl, summary_row, Ctx, Partition, RunSpec,
-};
+use crate::common::{apf, curves_csv, frozen_csv, run, summary_row, Ctx};
 
 /// Fig. 19: 5 clients × 2 classes, with two stragglers processing 25% and
 /// 50% of each round's work. FedAvg drops straggler uploads; FedProx keeps
 /// them with a μ = 0.01 proximal term; FedProx+APF adds freezing.
 pub fn fig19(ctx: &Ctx) {
-    let r = rounds(ctx, 80);
-    let spec = |label: &str| RunSpec {
-        model: ModelKind::Lenet5,
-        clients: 5,
-        rounds: r,
-        partition: Partition::ClassesPerClient(2),
-        label: label.to_owned(),
+    let spec = RunSpec {
+        partition: PartitionKind::ClassesPerClient {
+            k: 2,
+            seed: ctx.seed,
+        },
+        stragglers: vec![0.25, 0.5],
+        ..ctx.arm(ModelKind::Lenet5, 5, 80)
     };
-    let with_stragglers = |b: apf_fedsim::FlRunnerBuilder| b.straggler(0, 0.25).straggler(1, 0.5);
-
-    let fedavg = run_fl(ctx, spec("fig19/fedavg"), Box::new(FullSync::new()), |b| {
-        with_stragglers(b).config(|c| c.drop_stragglers = true)
-    });
-    let fedprox = run_fl(ctx, spec("fig19/fedprox"), Box::new(FullSync::new()), |b| {
-        with_stragglers(b).config(|c| c.prox_mu = Some(0.01))
-    });
-    let fedprox_apf = run_fl(
-        ctx,
-        spec("fig19/fedprox-apf"),
-        Box::new(
-            ApfStrategy::with_controller(
-                apf_cfg(ctx, 2),
-                Box::new(|| Box::new(aimd_for(2))),
-                "fedprox+apf",
-            )
-            .unwrap(),
-        ),
-        |b| with_stragglers(b).config(|c| c.prox_mu = Some(0.01)),
+    let fedavg = run(
+        "fig19/fedavg",
+        &RunSpec {
+            drop_stragglers: true,
+            ..spec.clone()
+        },
     );
+    let fedprox = RunSpec {
+        prox_mu: Some(0.01),
+        ..spec
+    };
+    let fedprox_apf = apf(fedprox.clone(), 2);
+    let fedprox = run("fig19/fedprox", &fedprox);
+    let fedprox_apf = run("fig19/fedprox-apf", &fedprox_apf);
     curves_csv("fig19_accuracy.csv", &[&fedavg, &fedprox, &fedprox_apf]);
     frozen_csv("fig19_frozen.csv", &[&fedprox_apf]);
     print_table(

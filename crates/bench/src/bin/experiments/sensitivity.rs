@@ -2,15 +2,11 @@
 //! frequency (Fig. 20), learning rates (Fig. 21), synchronization frequency
 //! (Fig. 22).
 
-use apf::ApfConfig;
 use apf_bench::report::print_table;
 use apf_bench::setups::ModelKind;
-use apf_fedsim::{ApfStrategy, FullSync};
-use apf_nn::LrSchedule;
+use apf_fedsim::{Controller, PartitionKind, RunSpec, SpecOptimizer, SpecStrategy};
 
-use crate::common::{
-    aimd_for, apf_cfg, curves_csv, frozen_csv, rounds, run_fl, summary_row, Ctx, Partition, RunSpec,
-};
+use crate::common::{apf, curves_csv, frozen_csv, run, summary_row, Ctx};
 
 /// Fig. 20a: a deliberately loose initial stability threshold (0.5 instead
 /// of 0.05) — the runtime threshold decay must rectify it. Fig. 20b: a
@@ -18,40 +14,18 @@ use crate::common::{
 /// controller steps) must not hurt.
 pub fn fig20(ctx: &Ctx) {
     // (a) LeNet-5, loose threshold.
-    let r = rounds(ctx, 100);
-    let spec_lenet = |label: &str| RunSpec {
-        model: ModelKind::Lenet5,
-        clients: 4,
-        rounds: r,
-        partition: Partition::Dirichlet(1.0),
-        label: label.to_owned(),
+    let tight = apf(ctx.arm(ModelKind::Lenet5, 4, 100), 2);
+    let loose = RunSpec {
+        strategy: SpecStrategy::Apf {
+            check_every: 2,
+            threshold: 0.5,
+            ema_alpha: 0.95,
+            f16: false,
+        },
+        ..tight.clone()
     };
-    let tight = run_fl(
-        ctx,
-        spec_lenet("fig20/lenet5/threshold-default"),
-        Box::new(
-            ApfStrategy::with_controller(
-                apf_cfg(ctx, 2),
-                Box::new(|| Box::new(aimd_for(2))),
-                "Ts=0.1",
-            )
-            .unwrap(),
-        ),
-        |b| b,
-    );
-    let loose_cfg = ApfConfig {
-        stability_threshold: 0.5,
-        ..apf_cfg(ctx, 2)
-    };
-    let loose = run_fl(
-        ctx,
-        spec_lenet("fig20/lenet5/threshold-0.5"),
-        Box::new(
-            ApfStrategy::with_controller(loose_cfg, Box::new(|| Box::new(aimd_for(2))), "Ts=0.5")
-                .unwrap(),
-        ),
-        |b| b,
-    );
+    let tight = run("fig20/lenet5/threshold-default", &tight);
+    let loose = run("fig20/lenet5/threshold-0.5", &loose);
     curves_csv("fig20a_threshold_accuracy.csv", &[&tight, &loose]);
     frozen_csv("fig20a_threshold_frozen.csv", &[&tight, &loose]);
     print_table(
@@ -61,46 +35,17 @@ pub fn fig20(ctx: &Ctx) {
     );
 
     // (b) LSTM, F_c = F_s vs F_c = 5 F_s with matched controller steps.
-    let r = rounds(ctx, 50);
-    let spec_lstm = |label: &str| RunSpec {
-        model: ModelKind::Lstm,
-        clients: 4,
-        rounds: r,
-        partition: Partition::Dirichlet(1.0),
-        label: label.to_owned(),
-    };
-    let fc1 = run_fl(
-        ctx,
-        spec_lstm("fig20/lstm/fc-1"),
-        Box::new(
-            ApfStrategy::with_controller(
-                apf_cfg(ctx, 1),
-                Box::new(|| Box::new(aimd_for(1))),
-                "Fc=Fs",
-            )
-            .unwrap(),
-        ),
-        |b| b,
-    );
+    let lstm = ctx.arm(ModelKind::Lstm, 4, 50);
+    let fc1 = run("fig20/lstm/fc-1", &apf(lstm.clone(), 1));
     // §7.8: with F_c = 5, increment 5 and scale-down factor 5.
-    let fc5 = run_fl(
-        ctx,
-        spec_lstm("fig20/lstm/fc-5"),
-        Box::new(
-            ApfStrategy::with_controller(
-                apf_cfg(ctx, 5),
-                Box::new(|| {
-                    Box::new(apf::Aimd {
-                        increment: 5,
-                        decrease_factor: 5,
-                    })
-                }),
-                "Fc=5Fs",
-            )
-            .unwrap(),
-        ),
-        |b| b,
-    );
+    let fc5 = RunSpec {
+        controller: Controller::Aimd {
+            increment: 5,
+            decrease_factor: 5,
+        },
+        ..apf(lstm, 5)
+    };
+    let fc5 = run("fig20/lstm/fc-5", &fc5);
     curves_csv("fig20b_check_frequency_accuracy.csv", &[&fc1, &fc5]);
     frozen_csv("fig20b_check_frequency_frozen.csv", &[&fc1, &fc5]);
     print_table(
@@ -113,36 +58,16 @@ pub fn fig20(ctx: &Ctx) {
 /// Fig. 21: APF under different learning rates (0.01 vs 0.001, SGD) and
 /// under a multiplicatively decaying learning rate, vs FedAvg.
 pub fn fig21(ctx: &Ctx) {
-    let r = rounds(ctx, 100);
-    let spec = |label: &str| RunSpec {
-        model: ModelKind::Lenet5,
-        clients: 4,
-        rounds: r,
-        partition: Partition::Dirichlet(1.0),
-        label: label.to_owned(),
-    };
-    let apf_strategy = || {
-        Box::new(
-            ApfStrategy::with_controller(
-                apf_cfg(ctx, 2),
-                Box::new(|| Box::new(aimd_for(2))),
-                "apf",
-            )
-            .unwrap(),
-        )
-    };
-    let sgd = |lr: f32| apf_fedsim::OptimizerKind::Sgd {
+    let sgd = |lr: f32| RunSpec {
+        optimizer: SpecOptimizer::Sgd,
         lr,
         momentum: 0.9,
         weight_decay: 0.01,
+        ..ctx.arm(ModelKind::Lenet5, 4, 100)
     };
     // (a) two fixed learning rates.
-    let lr_hi = run_fl(ctx, spec("fig21/lr-0.01"), apf_strategy(), |b| {
-        b.optimizer(sgd(0.01))
-    });
-    let lr_lo = run_fl(ctx, spec("fig21/lr-0.001"), apf_strategy(), |b| {
-        b.optimizer(sgd(0.001))
-    });
+    let lr_hi = run("fig21/lr-0.01", &apf(sgd(0.01), 2));
+    let lr_lo = run("fig21/lr-0.001", &apf(sgd(0.001), 2));
     curves_csv("fig21a_lr_accuracy.csv", &[&lr_hi, &lr_lo]);
     frozen_csv("fig21a_lr_frozen.csv", &[&lr_hi, &lr_lo]);
     print_table(
@@ -150,22 +75,14 @@ pub fn fig21(ctx: &Ctx) {
         &["run", "best_acc", "volume", "mean_frozen"],
         &[summary_row(&lr_hi), summary_row(&lr_lo)],
     );
-    // (b) decaying learning rate: initial 0.1, x0.99 every 10 local epochs,
+    // (b) decaying learning rate: initial 0.01, x0.99 every 10 local steps,
     // APF vs FedAvg.
-    let decay = LrSchedule::Multiplicative {
-        initial: 0.01,
-        factor: 0.99,
-        every: 10,
+    let decay = RunSpec {
+        lr_decay: Some((0.99, 10)),
+        ..sgd(0.01)
     };
-    let apf_decay = run_fl(ctx, spec("fig21/decay-apf"), apf_strategy(), |b| {
-        b.optimizer(sgd(0.01)).schedule(decay)
-    });
-    let fedavg_decay = run_fl(
-        ctx,
-        spec("fig21/decay-fedavg"),
-        Box::new(FullSync::new()),
-        |b| b.optimizer(sgd(0.01)).schedule(decay),
-    );
+    let apf_decay = run("fig21/decay-apf", &apf(decay.clone(), 2));
+    let fedavg_decay = run("fig21/decay-fedavg", &decay);
     curves_csv("fig21b_decay_accuracy.csv", &[&apf_decay, &fedavg_decay]);
     frozen_csv("fig21b_decay_frozen.csv", &[&apf_decay]);
     print_table(
@@ -180,38 +97,23 @@ pub fn fig21(ctx: &Ctx) {
 /// 4/20/80.
 pub fn fig22(ctx: &Ctx) {
     let sweeps: [(usize, usize, &str); 3] = [(4, 60, "fs-4"), (20, 30, "fs-20"), (80, 12, "fs-80")];
-    let mut logs = Vec::new();
-    for (fs, base_rounds, tag) in sweeps {
-        let r = rounds(ctx, base_rounds);
+    let logs = sweeps.map(|(fs, base_rounds, tag)| {
         let spec = RunSpec {
-            model: ModelKind::Lenet5,
-            clients: 4,
-            rounds: r,
-            partition: Partition::ClassesPerClient(2),
-            label: format!("fig22/{tag}"),
+            local_iters: fs,
+            partition: PartitionKind::ClassesPerClient {
+                k: 2,
+                seed: ctx.seed,
+            },
+            ..ctx.arm(ModelKind::Lenet5, 4, base_rounds)
         };
-        let log = run_fl(
-            ctx,
-            spec,
-            Box::new(
-                ApfStrategy::with_controller(
-                    apf_cfg(ctx, 2),
-                    Box::new(|| Box::new(aimd_for(2))),
-                    tag,
-                )
-                .unwrap(),
-            ),
-            |b| b.config(|c| c.local_iters = fs),
-        );
-        logs.push(log);
-    }
-    let refs: Vec<&apf_fedsim::ExperimentLog> = logs.iter().collect();
+        run(&format!("fig22/{tag}"), &apf(spec, 2))
+    });
+    let refs: Vec<_> = logs.iter().collect();
     curves_csv("fig22_sync_frequency_accuracy.csv", &refs);
     frozen_csv("fig22_sync_frequency_frozen.csv", &refs);
-    let rows: Vec<Vec<String>> = logs.iter().map(summary_row).collect();
     print_table(
         "Fig. 22 — synchronization frequency sweep (extreme non-IID LeNet-5)",
         &["run", "best_acc", "volume", "mean_frozen"],
-        &rows,
+        &logs.each_ref().map(summary_row),
     );
 }

@@ -4,25 +4,43 @@
 
 use apf_bench::report::{print_table, write_csv};
 use apf_bench::setups::ModelKind;
-use apf_data::classes_per_client_partition;
-use apf_fedsim::{ApfStrategy, FullSync, PartialSync, SyncStrategy};
+use apf_fedsim::{Controller, PartialSync, PartitionKind, RunSpec, SpecStrategy, SyncStrategy};
 
-use crate::common::{
-    aimd_for, apf_cfg, curves_csv, rounds, run_fl, summary_row, Ctx, Partition, RunSpec,
+use crate::common::{apf, curves_csv, run, summary_row, Ctx};
+
+/// Strawman 1 with the harness's APF stability settings.
+const PARTIAL_SYNC: SpecStrategy = SpecStrategy::PartialSync {
+    check_every: 2,
+    threshold: 0.1,
+    ema_alpha: 0.95,
 };
+
+/// `model`'s arm on `clients` clients holding `k` classes each.
+fn non_iid(ctx: &Ctx, model: ModelKind, clients: usize, k: usize, base_rounds: usize) -> RunSpec {
+    RunSpec {
+        partition: PartitionKind::ClassesPerClient { k, seed: ctx.seed },
+        ..ctx.arm(model, clients, base_rounds)
+    }
+}
+
+/// Strawman 2: the harness's APF with stabilized scalars frozen forever.
+fn permanent_freeze(spec: RunSpec) -> RunSpec {
+    RunSpec {
+        controller: Controller::FixedPeriod { len: u32::MAX },
+        ..apf(spec, 2)
+    }
+}
 
 /// Fig. 4: once excluded from synchronization, a scalar's local values
 /// diverge across non-IID clients. Two clients, 5 distinct classes each.
 pub fn fig4(ctx: &Ctx) {
-    let r = rounds(ctx, 100);
+    let spec = non_iid(ctx, ModelKind::Lenet5, 2, 5, 100);
+    let r = spec.rounds;
     // Drive a bespoke two-client loop with the strategy API on raw flats so
     // we can watch per-client local values (FlRunner does not expose them).
-    let model = ModelKind::Lenet5;
-    let (train, _test) = model.datasets(2 * ctx.scale.per_client_samples(), 10, ctx.seed);
-    let parts = classes_per_client_partition(train.labels(), 2, 5, ctx.seed);
     let mut strategy = PartialSync::new(0.1, 0.95, 2);
-    let mut c0 = build_client(&model, &train, &parts[0], ctx.seed, 0);
-    let mut c1 = build_client(&model, &train, &parts[1], ctx.seed, 1);
+    let mut c0 = spec.make_client(0);
+    let mut c1 = spec.make_client(1);
     let init = c0.flat_params();
     c1.load_flat(&init);
     strategy.init(&init, 2);
@@ -88,69 +106,16 @@ pub fn fig4(ctx: &Ctx) {
     );
 }
 
-fn build_client(
-    model: &ModelKind,
-    train: &apf_data::Dataset,
-    part: &[usize],
-    seed: u64,
-    idx: u64,
-) -> apf_fedsim::Client {
-    use apf_nn::{LrSchedule, Trainer};
-    let kind = model.optimizer();
-    let (opt, lr): (Box<dyn apf_nn::Optimizer>, f32) = match kind {
-        apf_fedsim::OptimizerKind::Sgd {
-            lr,
-            momentum,
-            weight_decay,
-        } => (
-            Box::new(
-                apf_nn::Sgd::new(lr)
-                    .with_momentum(momentum)
-                    .with_weight_decay(weight_decay),
-            ),
-            lr,
-        ),
-        apf_fedsim::OptimizerKind::Adam { lr, weight_decay } => (
-            Box::new(apf_nn::Adam::new(lr).with_weight_decay(weight_decay)),
-            lr,
-        ),
-    };
-    let trainer = Trainer::new(
-        model.build(apf_tensor::derive_seed(seed, 0x30DE1)),
-        opt,
-        LrSchedule::Constant(lr),
-    );
-    apf_fedsim::Client::new(
-        trainer,
-        train.select(part),
-        16,
-        apf_tensor::derive_seed(seed, idx),
-    )
-}
-
 /// Fig. 5: partial synchronization loses accuracy vs full-model sync on
 /// non-IID data.
 pub fn fig5(ctx: &Ctx) {
-    let r = rounds(ctx, 80);
-    let spec = |label: &str| RunSpec {
-        model: ModelKind::Lenet5,
-        clients: 2,
-        rounds: r,
-        partition: Partition::ClassesPerClient(5),
-        label: label.to_owned(),
+    let spec = non_iid(ctx, ModelKind::Lenet5, 2, 5, 80);
+    let full = run("fig5/full-sync", &spec);
+    let partial = RunSpec {
+        strategy: PARTIAL_SYNC,
+        ..spec
     };
-    let full = run_fl(
-        ctx,
-        spec("fig5/full-sync"),
-        Box::new(FullSync::new()),
-        |b| b,
-    );
-    let partial = run_fl(
-        ctx,
-        spec("fig5/partial-sync"),
-        Box::new(PartialSync::new(0.1, 0.95, 2)),
-        |b| b,
-    );
+    let partial = run("fig5/partial-sync", &partial);
     curves_csv("fig5_partial_sync_accuracy.csv", &[&full, &partial]);
     print_table(
         "Fig. 5 — partial synchronization vs full sync (2 clients, 5 classes each)",
@@ -161,26 +126,9 @@ pub fn fig5(ctx: &Ctx) {
 
 /// Fig. 6: permanent freezing also loses accuracy.
 pub fn fig6(ctx: &Ctx) {
-    let r = rounds(ctx, 80);
-    let spec = |label: &str| RunSpec {
-        model: ModelKind::Lenet5,
-        clients: 2,
-        rounds: r,
-        partition: Partition::ClassesPerClient(5),
-        label: label.to_owned(),
-    };
-    let full = run_fl(
-        ctx,
-        spec("fig6/full-sync"),
-        Box::new(FullSync::new()),
-        |b| b,
-    );
-    let frozen = run_fl(
-        ctx,
-        spec("fig6/permanent-freeze"),
-        Box::new(ApfStrategy::permanent_freeze(apf_cfg(ctx, 2)).unwrap()),
-        |b| b,
-    );
+    let spec = non_iid(ctx, ModelKind::Lenet5, 2, 5, 80);
+    let full = run("fig6/full-sync", &spec);
+    let frozen = run("fig6/permanent-freeze", &permanent_freeze(spec));
     curves_csv("fig6_permanent_freeze_accuracy.csv", &[&full, &frozen]);
     print_table(
         "Fig. 6 — permanent freezing vs full sync",
@@ -192,62 +140,28 @@ pub fn fig6(ctx: &Ctx) {
 /// Fig. 12: FedAvg vs APF vs both strawmen on extremely non-IID data
 /// (5 clients × 2 classes), LeNet-5 and LSTM.
 pub fn fig12(ctx: &Ctx) {
-    for (model, base_rounds, tag) in [
-        (ModelKind::Lenet5, 80, "lenet5"),
-        (ModelKind::Lstm, 50, "lstm"),
-    ] {
-        let r = rounds(ctx, base_rounds);
-        let spec = |label: String| RunSpec {
-            model,
-            clients: 5,
-            rounds: r,
-            partition: Partition::ClassesPerClient(2),
-            label,
-        };
-        let full = run_fl(
-            ctx,
-            spec(format!("fig12/{tag}/fedavg")),
-            Box::new(FullSync::new()),
-            |b| b,
-        );
-        let apf = run_fl(
-            ctx,
-            spec(format!("fig12/{tag}/apf")),
-            Box::new(
-                ApfStrategy::with_controller(
-                    apf_cfg(ctx, 2),
-                    Box::new(|| Box::new(aimd_for(2))),
-                    "apf",
-                )
-                .unwrap(),
+    for (model, base_rounds) in [(ModelKind::Lenet5, 80), (ModelKind::Lstm, 50)] {
+        let tag = model.name();
+        let spec = non_iid(ctx, model, 5, 2, base_rounds);
+        let logs = [
+            ("fedavg", spec.clone()),
+            ("apf", apf(spec.clone(), 2)),
+            (
+                "partial-sync",
+                RunSpec {
+                    strategy: PARTIAL_SYNC,
+                    ..spec.clone()
+                },
             ),
-            |b| b,
-        );
-        let partial = run_fl(
-            ctx,
-            spec(format!("fig12/{tag}/partial-sync")),
-            Box::new(PartialSync::new(0.1, 0.95, 2)),
-            |b| b,
-        );
-        let perm = run_fl(
-            ctx,
-            spec(format!("fig12/{tag}/permanent-freeze")),
-            Box::new(ApfStrategy::permanent_freeze(apf_cfg(ctx, 2)).unwrap()),
-            |b| b,
-        );
-        curves_csv(
-            &format!("fig12_{tag}_accuracy.csv"),
-            &[&full, &apf, &partial, &perm],
-        );
+            ("permanent-freeze", permanent_freeze(spec)),
+        ]
+        .map(|(arm, spec)| run(&format!("fig12/{tag}/{arm}"), &spec));
+        let refs: Vec<_> = logs.iter().collect();
+        curves_csv(&format!("fig12_{tag}_accuracy.csv"), &refs);
         print_table(
             &format!("Fig. 12 — extremely non-IID ({tag}: 5 clients x 2 classes)"),
             &["run", "best_acc", "volume", "mean_excluded"],
-            &[
-                summary_row(&full),
-                summary_row(&apf),
-                summary_row(&partial),
-                summary_row(&perm),
-            ],
+            &logs.each_ref().map(summary_row),
         );
     }
 }

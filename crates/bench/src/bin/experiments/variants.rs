@@ -1,135 +1,55 @@
 //! Controller ablation (Fig. 15), APF# (Fig. 16), APF++ (Fig. 17), and
 //! APF+quantization (Fig. 18).
 
-use apf::{ApfVariant, FixedPeriod, PureAdditive, PureMultiplicative};
+use apf::ApfVariant;
 use apf_bench::report::print_table;
 use apf_bench::setups::ModelKind;
-use apf_fedsim::ApfStrategy;
+use apf_fedsim::{Controller, RunSpec, SpecStrategy};
 
-use crate::common::{
-    aimd_for, apf_cfg, curves_csv, frozen_csv, rounds, run_fl, summary_row, volume_csv, Ctx,
-    Partition, RunSpec,
-};
+use crate::common::{apf, curves_csv, frozen_csv, run, summary_row, volume_csv, Ctx};
 
 /// Fig. 15: the TCP-style AIMD controller vs pure-additive,
 /// pure-multiplicative, and fixed-period controllers.
 pub fn fig15(ctx: &Ctx) {
-    let r = rounds(ctx, 100);
-    let spec = |label: String| RunSpec {
-        model: ModelKind::Lenet5,
-        clients: 4,
-        rounds: r,
-        partition: Partition::Dirichlet(1.0),
-        label,
+    let aimd = apf(ctx.arm(ModelKind::Lenet5, 4, 100), 2);
+    let with = |controller| RunSpec {
+        controller,
+        ..aimd.clone()
     };
-    let cfg = apf_cfg(ctx, 2);
-    let aimd = run_fl(
-        ctx,
-        spec("fig15/aimd".into()),
-        Box::new(
-            ApfStrategy::with_controller(cfg, Box::new(|| Box::new(aimd_for(2))), "aimd").unwrap(),
+    let logs = [
+        ("aimd", aimd.clone()),
+        ("pure-additive", with(Controller::PureAdditive { step: 5 })),
+        (
+            "pure-multiplicative",
+            with(Controller::PureMultiplicative { factor: 2 }),
         ),
-        |b| b,
-    );
-    let additive = run_fl(
-        ctx,
-        spec("fig15/pure-additive".into()),
-        Box::new(
-            ApfStrategy::with_controller(
-                cfg,
-                Box::new(|| Box::new(PureAdditive { step: 5 })),
-                "pure-additive",
-            )
-            .unwrap(),
-        ),
-        |b| b,
-    );
-    let multiplicative = run_fl(
-        ctx,
-        spec("fig15/pure-multiplicative".into()),
-        Box::new(
-            ApfStrategy::with_controller(
-                cfg,
-                Box::new(|| Box::new(PureMultiplicative { factor: 2 })),
-                "pure-multiplicative",
-            )
-            .unwrap(),
-        ),
-        |b| b,
-    );
-    // Fixed: 10 stability checks = 10 * F_c rounds (§7.5).
-    let fixed = run_fl(
-        ctx,
-        spec("fig15/fixed".into()),
-        Box::new(
-            ApfStrategy::with_controller(
-                cfg,
-                Box::new(|| Box::new(FixedPeriod { len: 50 })),
-                "fixed-10-checks",
-            )
-            .unwrap(),
-        ),
-        |b| b,
-    );
-    curves_csv(
-        "fig15_controller_accuracy.csv",
-        &[&aimd, &additive, &multiplicative, &fixed],
-    );
-    frozen_csv(
-        "fig15_controller_frozen.csv",
-        &[&aimd, &additive, &multiplicative, &fixed],
-    );
+        // Fixed: 10 stability checks = 10 * F_c rounds (§7.5).
+        ("fixed", with(Controller::FixedPeriod { len: 50 })),
+    ]
+    .map(|(arm, spec)| run(&format!("fig15/{arm}"), &spec));
+    let refs: Vec<_> = logs.iter().collect();
+    curves_csv("fig15_controller_accuracy.csv", &refs);
+    frozen_csv("fig15_controller_frozen.csv", &refs);
     print_table(
         "Fig. 15 — freezing-period controllers (LeNet-5)",
         &["run", "best_acc", "volume", "mean_frozen"],
-        &[
-            summary_row(&aimd),
-            summary_row(&additive),
-            summary_row(&multiplicative),
-            summary_row(&fixed),
-        ],
+        &logs.each_ref().map(summary_row),
     );
 }
 
 /// Fig. 16: APF# vs vanilla APF (LeNet-5 and LSTM, `F_c = F_s`, random
 /// 1-round freezing of unstable scalars with p = 0.5).
 pub fn fig16(ctx: &Ctx) {
-    for (model, base_rounds, tag) in [
-        (ModelKind::Lenet5, 80, "lenet5"),
-        (ModelKind::Lstm, 50, "lstm"),
-    ] {
-        let r = rounds(ctx, base_rounds);
-        let spec = |label: String| RunSpec {
-            model,
-            clients: 5,
-            rounds: r,
-            partition: Partition::Dirichlet(1.0),
-            label,
-        };
+    for (model, base_rounds) in [(ModelKind::Lenet5, 80), (ModelKind::Lstm, 50)] {
+        let tag = model.name();
         // §7.6 uses F_c = F_s: check every round, increment 1.
-        let cfg = apf_cfg(ctx, 1);
-        let apf = run_fl(
-            ctx,
-            spec(format!("fig16/{tag}/apf")),
-            Box::new(
-                ApfStrategy::with_controller(cfg, Box::new(|| Box::new(aimd_for(1))), "apf")
-                    .unwrap(),
-            ),
-            |b| b,
-        );
-        let sharp_cfg = apf::ApfConfig {
+        let spec = apf(ctx.arm(model, 5, base_rounds), 1);
+        let apf = run(&format!("fig16/{tag}/apf"), &spec);
+        let sharp = RunSpec {
             variant: ApfVariant::Sharp { prob: 0.5 },
-            ..cfg
+            ..spec
         };
-        let sharp = run_fl(
-            ctx,
-            spec(format!("fig16/{tag}/apf-sharp")),
-            Box::new(
-                ApfStrategy::with_controller(sharp_cfg, Box::new(|| Box::new(aimd_for(1))), "apf#")
-                    .unwrap(),
-            ),
-            |b| b,
-        );
+        let sharp = run(&format!("fig16/{tag}/apf-sharp"), &sharp);
         curves_csv(&format!("fig16_{tag}_accuracy.csv"), &[&apf, &sharp]);
         frozen_csv(&format!("fig16_{tag}_frozen.csv"), &[&apf, &sharp]);
         print_table(
@@ -144,43 +64,18 @@ pub fn fig16(ctx: &Ctx) {
 /// coefficients (`a1 = K/4000`, lengths up to `1 + K/20`) are rescaled so the
 /// freezing probability reaches ~0.5 by the end of our (shorter) runs.
 pub fn fig17(ctx: &Ctx) {
-    for (model, base_rounds, tag) in [
-        (ModelKind::Lenet5, 80, "lenet5"),
-        (ModelKind::Resnet, 50, "resnet"),
-    ] {
-        let r = rounds(ctx, base_rounds);
-        let spec = |label: String| RunSpec {
-            model,
-            clients: 5,
-            rounds: r,
-            partition: Partition::Dirichlet(1.0),
-            label,
+    for (model, base_rounds) in [(ModelKind::Lenet5, 80), (ModelKind::Resnet, 50)] {
+        let tag = model.name();
+        let spec = apf(ctx.arm(model, 5, base_rounds), 1);
+        let apf = run(&format!("fig17/{tag}/apf"), &spec);
+        let pp = RunSpec {
+            variant: ApfVariant::PlusPlus {
+                a1: 1.0 / (2.0 * spec.rounds as f64),
+                a2: 1.0 / 20.0,
+            },
+            ..spec
         };
-        let cfg = apf_cfg(ctx, 1);
-        let apf = run_fl(
-            ctx,
-            spec(format!("fig17/{tag}/apf")),
-            Box::new(
-                ApfStrategy::with_controller(cfg, Box::new(|| Box::new(aimd_for(1))), "apf")
-                    .unwrap(),
-            ),
-            |b| b,
-        );
-        let a1 = 1.0 / (2.0 * r as f64);
-        let a2 = 1.0 / 20.0;
-        let pp_cfg = apf::ApfConfig {
-            variant: ApfVariant::PlusPlus { a1, a2 },
-            ..cfg
-        };
-        let pp = run_fl(
-            ctx,
-            spec(format!("fig17/{tag}/apf-plusplus")),
-            Box::new(
-                ApfStrategy::with_controller(pp_cfg, Box::new(|| Box::new(aimd_for(1))), "apf++")
-                    .unwrap(),
-            ),
-            |b| b,
-        );
+        let pp = run(&format!("fig17/{tag}/apf-plusplus"), &pp);
         curves_csv(&format!("fig17_{tag}_accuracy.csv"), &[&apf, &pp]);
         frozen_csv(&format!("fig17_{tag}_frozen.csv"), &[&apf, &pp]);
         print_table(
@@ -193,38 +88,20 @@ pub fn fig17(ctx: &Ctx) {
 
 /// Fig. 18: APF with fp16 quantization stacked on the wire (§7.7).
 pub fn fig18(ctx: &Ctx) {
-    for (model, base_rounds, tag) in [
-        (ModelKind::Lenet5, 80, "lenet5"),
-        (ModelKind::Lstm, 50, "lstm"),
-    ] {
-        let r = rounds(ctx, base_rounds);
-        let spec = |label: String| RunSpec {
-            model,
-            clients: 4,
-            rounds: r,
-            partition: Partition::Dirichlet(1.0),
-            label,
+    for (model, base_rounds) in [(ModelKind::Lenet5, 80), (ModelKind::Lstm, 50)] {
+        let tag = model.name();
+        let spec = apf(ctx.arm(model, 4, base_rounds), 2);
+        let apf = run(&format!("fig18/{tag}/apf"), &spec);
+        let quant = RunSpec {
+            strategy: SpecStrategy::Apf {
+                check_every: 2,
+                threshold: 0.1,
+                ema_alpha: 0.95,
+                f16: true,
+            },
+            ..spec
         };
-        let cfg = apf_cfg(ctx, 2);
-        let apf = run_fl(
-            ctx,
-            spec(format!("fig18/{tag}/apf")),
-            Box::new(
-                ApfStrategy::with_controller(cfg, Box::new(|| Box::new(aimd_for(2))), "apf")
-                    .unwrap(),
-            ),
-            |b| b,
-        );
-        let quant = run_fl(
-            ctx,
-            spec(format!("fig18/{tag}/apf-q")),
-            Box::new(
-                ApfStrategy::with_controller(cfg, Box::new(|| Box::new(aimd_for(2))), "apf")
-                    .unwrap()
-                    .with_f16(),
-            ),
-            |b| b,
-        );
+        let quant = run(&format!("fig18/{tag}/apf-q"), &quant);
         curves_csv(&format!("fig18_{tag}_accuracy.csv"), &[&apf, &quant]);
         volume_csv(&format!("fig18_{tag}_volume.csv"), &[&apf, &quant]);
         print_table(

@@ -17,19 +17,8 @@
 
 use std::process::ExitCode;
 
-use apf_data::Dataset;
-use apf_fedsim::{ledger_path, FlConfig, FlRunner};
-use apf_nn::models;
+use apf_fedsim::{ledger_path, RunSpec, SpecStrategy};
 use apf_obs::{http_get, prometheus};
-
-fn flat_images(n: usize, split: u64) -> Dataset {
-    let ds = apf_data::synth_images_split(n, 1, split);
-    Dataset::new(
-        ds.inputs().reshape(&[ds.len(), 3 * 16 * 16]),
-        ds.labels().to_vec(),
-        10,
-    )
-}
 
 fn fail(msg: &str) -> ExitCode {
     println!("obs-smoke: FAIL: {msg}");
@@ -49,31 +38,30 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let train = flat_images(120, 31);
-    let test = flat_images(60, 32);
-    let parts = apf_data::iid_partition(train.len(), 3, 7);
-    let cfg = FlConfig {
-        local_iters: 4,
+    // A spec-built run, so the ledger records its digest and the second
+    // identical run pairs with the first.
+    let spec = RunSpec {
         rounds,
+        local_iters: 4,
         batch_size: 10,
         eval_every: 1,
         eval_batch: 30,
         seed: 11,
-        parallel: true,
-        ..FlConfig::default()
+        train_n: 120,
+        test_n: 60,
+        hidden: 24,
+        lr: 0.1,
+        momentum: 0.0,
+        weight_decay: 0.0,
+        strategy: SpecStrategy::Fedavg,
+        ..RunSpec::golden()
     };
     // The smoke scrapes itself, so it always serves on an ephemeral port;
     // the ledger is APF_LEDGER_FILE's, or the git-ignored default.
     let ledger = ledger_path(None).unwrap_or_else(|| "results/ledger.jsonl".into());
-    let mut runner = FlRunner::builder(
-        |seed| models::mlp("smoke-mlp", &[3 * 16 * 16, 24, 10], seed),
-        cfg,
-    )
-    .clients_from_partition(&train, &parts)
-    .test_set(test)
-    .serve("127.0.0.1:0")
-    .ledger(ledger)
-    .build();
+    let mut runner = spec.build_runner();
+    runner.serve("127.0.0.1:0");
+    runner.ledger(ledger);
     let Some(addr) = runner.obs_addr() else {
         return fail("no telemetry server bound");
     };

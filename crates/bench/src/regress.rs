@@ -176,9 +176,13 @@ pub fn check_records(
 }
 
 /// Finds the baseline for `candidate` in `records`: the latest record
-/// *before* `candidate_index` with the same config digest.
+/// *before* `candidate_index` with the same config digest. A record with no
+/// digest (a run not built from a spec) has no baseline.
 pub fn find_baseline(records: &[LedgerRecord], candidate_index: usize) -> Option<usize> {
     let digest = &records.get(candidate_index)?.config_digest;
+    if digest.is_empty() {
+        return None;
+    }
     records[..candidate_index]
         .iter()
         .rposition(|r| &r.config_digest == digest)
@@ -255,6 +259,10 @@ mod tests {
         assert_eq!(find_baseline(&records, 2), Some(0));
         assert_eq!(find_baseline(&records, 1), None);
         assert_eq!(find_baseline(&records, 0), None);
+        // Runs built by hand carry no digest and pair with nothing.
+        let mut c = record(0.8, 1, 1.0);
+        c.config_digest = String::new();
+        assert_eq!(find_baseline(&[c.clone(), c], 1), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-use apf_fedsim::ExperimentLog;
+use apf_fedsim::{ExperimentLog, RunSpec};
 use apf_trace::{event, Level};
 
 /// Directory all experiment artifacts are written to: `results/` under the
@@ -87,17 +87,15 @@ fn announce_written(path: &str, rows: u64) {
     event!(Level::Info, target: "bench.report", "wrote", path = path, rows = rows);
 }
 
-/// Loads a previously saved log of `rounds` rounds, if present.
-///
-/// A saved log of any other length was made at another scale, so it is not
-/// returned and the caller reruns. This is a stopgap: the round count is
-/// the only part of a run's configuration the saved JSON carries. Keying
-/// each file by its run's canonical spec string replaces it.
-pub fn load_log(stem: &str, rounds: usize) -> Option<ExperimentLog> {
+/// Loads the log saved as `stem` if it is a run of `spec`: its recorded
+/// canonical spec string equals `spec`'s exactly. A log of any other run
+/// (another scale, α, learning rate, …) is not returned, and the caller
+/// reruns.
+pub fn load_log(stem: &str, spec: &RunSpec) -> Option<ExperimentLog> {
     let path = results_dir().join(format!("{stem}.json"));
     let data = fs::read_to_string(path).ok()?;
     let log = ExperimentLog::from_json(&data).ok()?;
-    (log.records.len() == rounds).then_some(log)
+    (log.spec.as_deref() == Some(spec.canonical().as_str())).then_some(log)
 }
 
 /// Formats a byte count as MB with two decimals.
@@ -135,10 +133,11 @@ mod tests {
     /// test's working directory: this package's root, not the repository's).
     static RESULTS_DIR: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// A one-record-per-round log of `rounds` rounds.
-    fn log_of(name: &str, rounds: u64) -> ExperimentLog {
+    /// A one-record-per-round log of a run of `spec`.
+    fn log_of(name: &str, spec: &RunSpec) -> ExperimentLog {
         let mut log = ExperimentLog::new(name);
-        for round in 0..rounds {
+        log.spec = Some(spec.canonical());
+        for round in 0..spec.rounds as u64 {
             log.push(apf_fedsim::RoundRecord {
                 round,
                 loss: 1.0,
@@ -169,22 +168,45 @@ mod tests {
 
     #[test]
     fn save_and_load_log_roundtrip() {
-        let log = log_of("roundtrip-test", 1);
+        let spec = RunSpec::golden();
+        let log = log_of("roundtrip-test", &spec);
         with_saved(&log, "roundtrip-test", || {
-            let back = load_log("roundtrip-test", 1).expect("log should load");
+            let back = load_log("roundtrip-test", &spec).expect("log should load");
             assert_eq!(back, log);
         });
     }
 
     #[test]
-    fn load_log_reruns_a_log_of_another_round_count() {
-        // A quick-scale run saved under the stem a standard-scale table
-        // asks for must not be printed as the standard run.
-        let quick = log_of("scale-test", 4);
-        with_saved(&quick, "scale-test", || {
-            assert!(load_log("scale-test", 4).is_some());
-            assert!(load_log("scale-test", 25).is_none());
-            assert!(load_log("scale-test", 3).is_none());
+    fn load_log_reruns_a_log_of_another_spec() {
+        // A run saved under the stem a table asks for is printed only if it
+        // is the run the table describes: same rounds (scale), same lr, same
+        // APF settings, ... — any difference in the spec string reruns.
+        let quick = RunSpec::golden();
+        let saved = log_of("spec-test", &quick);
+        with_saved(&saved, "spec-test", || {
+            assert!(load_log("spec-test", &quick).is_some());
+            for other in [
+                RunSpec {
+                    rounds: 25,
+                    ..RunSpec::golden()
+                },
+                RunSpec {
+                    lr: 0.01,
+                    ..RunSpec::golden()
+                },
+                RunSpec {
+                    strategy: apf_fedsim::SpecStrategy::Fedavg,
+                    ..RunSpec::golden()
+                },
+            ] {
+                assert!(load_log("spec-test", &other).is_none(), "{other:?}");
+            }
+        });
+        // A log that records no spec is never reused.
+        let mut unspecified = saved.clone();
+        unspecified.spec = None;
+        with_saved(&unspecified, "spec-test", || {
+            assert!(load_log("spec-test", &quick).is_none());
         });
     }
 }

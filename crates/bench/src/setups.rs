@@ -1,8 +1,8 @@
 //! Standard experiment setups: the paper's three model/dataset pairs at
-//! laptop scale, with the §7.1 optimizer assignments.
+//! laptop scale, with the §7.1 optimizer assignments, as run specs.
 
-use apf_data::{synth_images_split, synth_kws_split, Dataset};
-use apf_fedsim::{FlConfig, FlRunner, FlRunnerBuilder, OptimizerKind};
+use apf_data::Dataset;
+use apf_fedsim::{OptimizerKind, PartitionKind, RunSpec, SpecModel, SpecOptimizer, SpecStrategy};
 use apf_nn::{models, Sequential};
 
 /// Which of the paper's three workloads an experiment runs.
@@ -12,17 +12,21 @@ pub enum ModelKind {
     Lenet5,
     /// The residual CNN on the synthetic CIFAR-10 stand-in (SGD, lr 0.1).
     Resnet,
-    /// The 2-layer LSTM on the synthetic KWS stand-in (SGD, lr 0.01).
+    /// The 2-layer LSTM on the synthetic KWS stand-in (SGD, lr 0.05).
     Lstm,
 }
 
 impl ModelKind {
     /// Model name as used by `apf_nn::models::by_name`.
     pub fn name(self) -> &'static str {
+        self.spec_model().name()
+    }
+
+    fn spec_model(self) -> SpecModel {
         match self {
-            ModelKind::Lenet5 => "lenet5",
-            ModelKind::Resnet => "resnet",
-            ModelKind::Lstm => "lstm",
+            ModelKind::Lenet5 => SpecModel::Lenet5,
+            ModelKind::Resnet => SpecModel::Resnet,
+            ModelKind::Lstm => SpecModel::Lstm,
         }
     }
 
@@ -32,7 +36,7 @@ impl ModelKind {
     }
 
     /// The §7.1 optimizer for this model (Adam/0.001 for LeNet-5, SGD/0.1
-    /// for ResNet, SGD/0.01 for LSTM; weight decay 0.01 everywhere).
+    /// for ResNet, SGD/0.05 for LSTM; weight decay 0.01 everywhere).
     pub fn optimizer(self) -> OptimizerKind {
         match self {
             ModelKind::Lenet5 => OptimizerKind::Adam {
@@ -52,7 +56,8 @@ impl ModelKind {
         }
     }
 
-    /// Generates the train/test pair for this model's task.
+    /// Generates the train/test pair for this model's task: the splits
+    /// [`ModelKind::spec`]'s runs train and evaluate on.
     ///
     /// The training split carries 20% label noise: like real datasets (and
     /// unlike a noiseless synthetic task, which a network would interpolate
@@ -60,29 +65,64 @@ impl ModelKind {
     /// — the regime in which parameters *oscillate* around their optima,
     /// which is the §3 phenomenon APF exploits.
     pub fn datasets(self, train_n: usize, test_n: usize, seed: u64) -> (Dataset, Dataset) {
-        let (train, test) = match self {
-            ModelKind::Lenet5 | ModelKind::Resnet => (
-                synth_images_split(train_n, seed, 0),
-                synth_images_split(test_n, seed, 1),
-            ),
-            ModelKind::Lstm => (
-                synth_kws_split(train_n, seed, 0),
-                synth_kws_split(test_n, seed, 1),
-            ),
+        let spec = RunSpec {
+            train_n,
+            test_n,
+            ..self.spec(Scale::Quick, 1, 1, seed)
         };
-        (apf_data::with_label_noise(&train, 0.2, seed), test)
+        (spec.train_set(), spec.test_set())
     }
 
-    /// Default communication-round budget at the standard scale: the conv
-    /// nets need more rounds than the LSTM to show their full stabilization
-    /// arc, and the residual net is the most expensive per step.
+    /// Communication-round budget: the conv nets need more rounds than the
+    /// LSTM to show their full stabilization arc, and the residual net is
+    /// the most expensive per step.
     pub fn default_rounds(self, scale: Scale) -> usize {
-        let base = match self {
+        scale.rounds(match self {
             ModelKind::Lenet5 => 250,
             ModelKind::Resnet => 80,
             ModelKind::Lstm => 120,
+        })
+    }
+
+    /// The standard federated arm of this workload: `clients` clients with
+    /// `scale`'s samples each of the noisy task drawn from `seed`, a
+    /// Dirichlet(1) partition (the §7.1 default), the §7.1 optimizer,
+    /// evaluation every 5 rounds, on one core, under FedAvg. Arms override
+    /// fields from here.
+    pub fn spec(self, scale: Scale, clients: usize, rounds: usize, seed: u64) -> RunSpec {
+        let (optimizer, lr, momentum, weight_decay) = match self.optimizer() {
+            OptimizerKind::Sgd {
+                lr,
+                momentum,
+                weight_decay,
+            } => (SpecOptimizer::Sgd, lr, momentum, weight_decay),
+            OptimizerKind::Adam { lr, weight_decay } => {
+                (SpecOptimizer::Adam, lr, 0.0, weight_decay)
+            }
         };
-        (base as f64 * scale.round_factor()).max(4.0) as usize
+        RunSpec {
+            clients,
+            rounds,
+            local_iters: scale.local_iters(),
+            batch_size: scale.batch_size(),
+            eval_every: 5,
+            eval_batch: 100,
+            seed,
+            train_n: scale.per_client_samples() * clients,
+            test_n: scale.test_samples(),
+            lr,
+            momentum,
+            weight_decay,
+            label_noise: 0.2,
+            partition: PartitionKind::Dirichlet { alpha: 1.0, seed },
+            strategy: SpecStrategy::Fedavg,
+            model: self.spec_model(),
+            data_seed: seed,
+            optimizer,
+            // The harness targets a single core.
+            parallel: false,
+            ..RunSpec::golden()
+        }
     }
 }
 
@@ -110,16 +150,18 @@ impl Scale {
         }
     }
 
-    fn round_factor(self) -> f64 {
+    /// A standard-scale round budget at this scale: a tenth (at least 4)
+    /// for `Quick`, two and a half times for `Paper`.
+    pub fn rounds(self, standard: usize) -> usize {
         match self {
-            Scale::Quick => 0.1,
-            Scale::Standard => 1.0,
-            Scale::Paper => 2.5,
+            Scale::Quick => (standard / 10).max(4),
+            Scale::Standard => standard,
+            Scale::Paper => standard * 5 / 2,
         }
     }
 
     /// Per-client training samples.
-    pub fn per_client_samples(self) -> usize {
+    fn per_client_samples(self) -> usize {
         match self {
             Scale::Quick => 40,
             Scale::Standard | Scale::Paper => 400,
@@ -148,39 +190,9 @@ impl Scale {
     }
 }
 
-/// The standard federated setup: `clients` clients over a partition of the
-/// model's task, §7.1 optimizers, evaluation every 5 rounds.
-///
-/// Returns a builder so callers can attach a strategy/partition and tweak
-/// further.
-pub fn standard_builder(
-    model: ModelKind,
-    scale: Scale,
-    clients: usize,
-    rounds: usize,
-    seed: u64,
-) -> (FlRunnerBuilder, Dataset, Dataset) {
-    let train_n = scale.per_client_samples() * clients;
-    let (train, test) = model.datasets(train_n, scale.test_samples(), seed);
-    let cfg = FlConfig {
-        local_iters: scale.local_iters(),
-        rounds,
-        batch_size: scale.batch_size(),
-        eval_every: 5,
-        eval_batch: 100,
-        seed,
-        parallel: false, // the harness targets a single core
-        ..FlConfig::default()
-    };
-    let builder = FlRunner::builder(move |s| model.build(s), cfg).optimizer(model.optimizer());
-    (builder, train, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apf_data::iid_partition;
-    use apf_fedsim::FullSync;
 
     #[test]
     fn scale_parse() {
@@ -201,6 +213,7 @@ mod tests {
         ] {
             assert_eq!(models.map(|m| m.default_rounds(scale)), want, "{scale:?}");
         }
+        assert_eq!(Scale::Quick.rounds(30), 4);
     }
 
     #[test]
@@ -215,14 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn standard_builder_runs_a_round() {
-        let (builder, train, test) = standard_builder(ModelKind::Lenet5, Scale::Quick, 2, 1, 0);
-        let parts = iid_partition(train.len(), 2, 0);
-        let mut runner = builder
-            .clients_from_partition(&train, &parts)
-            .test_set(test)
-            .strategy(Box::new(FullSync::new()))
-            .build();
+    fn standard_spec_runs_a_round() {
+        let spec = ModelKind::Lenet5.spec(Scale::Quick, 2, 1, 0);
+        let canonical = spec.canonical();
+        assert_eq!(RunSpec::parse(&canonical).unwrap().canonical(), canonical);
+        let mut runner = spec.build_runner();
         let log = runner.run();
         assert_eq!(log.records.len(), 1);
     }

@@ -96,14 +96,17 @@ fn golden_networked_run_merges_into_a_complete_trace() {
     );
 
     // The traced byte flow reconciles exactly with a ledger record of the
-    // very run we just traced.
+    // very run we just traced, which carries the spec's digest.
     let ledger = [LedgerRecord::from_log(
         &outcome.log,
         "m",
         &spec.strategy_name(),
-        spec.config_digest(),
         0.0,
     )];
+    assert_eq!(
+        ledger[0].config_digest,
+        format!("{:016x}", spec.config_digest())
+    );
     let rep = merged.reconcile(&ledger);
     assert!(
         rep.problems.is_empty(),

@@ -65,7 +65,8 @@ pub struct LedgerRecord {
     pub model: String,
     /// Strategy label (`"bench"` for micro-bench records).
     pub strategy: String,
-    /// Hex FNV-1a digest of the canonical configuration string.
+    /// Hex FNV-1a digest of the run's canonical [`crate::RunSpec`] string;
+    /// empty for a run with no spec, which pairs with no other record.
     pub config_digest: String,
     /// Rounds completed.
     pub rounds: u64,
@@ -88,12 +89,12 @@ pub struct LedgerRecord {
 }
 
 impl LedgerRecord {
-    /// Builds a record from a finished run's [`ExperimentLog`].
+    /// Builds a record from a finished run's [`ExperimentLog`]; the digest
+    /// is that of the log's spec.
     pub fn from_log(
         log: &ExperimentLog,
         model: &str,
         strategy: &str,
-        config_digest: u64,
         wall_secs: f64,
     ) -> LedgerRecord {
         let mut series = BTreeMap::new();
@@ -114,7 +115,10 @@ impl LedgerRecord {
             name: log.name.clone(),
             model: model.to_owned(),
             strategy: strategy.to_owned(),
-            config_digest: format!("{config_digest:016x}"),
+            config_digest: log
+                .spec
+                .as_deref()
+                .map_or(String::new(), |s| format!("{:016x}", fnv1a64(s.as_bytes()))),
             rounds: log.records.len() as u64,
             final_accuracy: f64::from(log.best_accuracy()),
             total_bytes: log.total_bytes(),

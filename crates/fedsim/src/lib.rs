@@ -54,8 +54,9 @@ pub use network::NetworkModel;
 pub use population::{ClientRegistry, PopulationConfig, PopulationData, PopulationRunner};
 pub use round::{evaluates_at, sample_cohort, EvalSetup, RoundBook};
 pub use runner::{FlConfig, FlRunner, FlRunnerBuilder, OptimizerKind};
-pub use spec::{PartitionKind, RunSpec, SpecError, SpecStrategy};
+pub use spec::{PartitionKind, RunSpec, SpecError, SpecModel, SpecOptimizer, SpecStrategy};
 pub use strategy::{
-    weighted_mean, ApfStrategy, Cmfl, FullSync, Gaia, PartialSync, RoundComm, SyncStrategy,
+    weighted_mean, ApfStrategy, Cmfl, Controller, FullSync, Gaia, PartialSync, RoundComm,
+    SyncStrategy,
 };
 pub use trajectory::{Trajectory, TrajectoryRound};

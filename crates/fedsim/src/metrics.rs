@@ -97,6 +97,9 @@ pub struct ExperimentLog {
     pub name: String,
     /// One record per round.
     pub records: Vec<RoundRecord>,
+    /// The canonical [`crate::RunSpec`] string that reproduces the run
+    /// (`None` for a runner assembled by hand).
+    pub spec: Option<String>,
 }
 
 impl ExperimentLog {
@@ -105,6 +108,7 @@ impl ExperimentLog {
         ExperimentLog {
             name: name.to_owned(),
             records: Vec::new(),
+            spec: None,
         }
     }
 
@@ -184,6 +188,9 @@ impl ExperimentLog {
             "records".to_owned(),
             Value::Arr(self.records.iter().map(|r| r.to_value()).collect()),
         );
+        if let Some(spec) = &self.spec {
+            m.insert("spec".to_owned(), Value::Str(spec.clone()));
+        }
         Value::Obj(m).pretty()
     }
 
@@ -215,6 +222,7 @@ impl ExperimentLog {
         Ok(ExperimentLog {
             name: name.to_owned(),
             records,
+            spec: doc.get("spec").and_then(Value::as_str).map(str::to_owned),
         })
     }
 }
@@ -268,6 +276,9 @@ mod tests {
     fn json_roundtrip() {
         let mut log = ExperimentLog::new("t");
         log.push(rec(0, Some(0.1), 0.1, 5));
+        let back = ExperimentLog::from_json(&log.to_json()).unwrap();
+        assert_eq!(back, log);
+        log.spec = Some("apf-spec-v1;seed=3".to_owned());
         let back = ExperimentLog::from_json(&log.to_json()).unwrap();
         assert_eq!(back, log);
     }

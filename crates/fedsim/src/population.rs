@@ -48,10 +48,9 @@ use apf_tensor::{derive_seed, seeded_rng, slab, Tensor};
 use apf_trace::{event, span, Level};
 
 use crate::client::Client;
-use crate::ledger::fnv1a64;
 use crate::metrics::{ExperimentLog, RoundRecord};
 use crate::round::{sample_cohort, train_clients, EvalSetup, RoundBook};
-use crate::runner::{config_canonical, FlConfig, OptimizerKind};
+use crate::runner::{FlConfig, OptimizerKind};
 use crate::strategy::{ApfStrategy, SyncStrategy};
 
 /// Estimated per-entry bookkeeping overhead of the registry map, counted on
@@ -205,8 +204,9 @@ pub struct PopulationRunner {
 }
 
 impl PopulationRunner {
-    /// Assembles the runner. Live telemetry is served when `APF_OBS_ADDR`
-    /// is set (or after [`PopulationRunner::serve`]).
+    /// Assembles the runner, with the default AIMD controller and no spec
+    /// (so its ledger record pairs with nothing). Live telemetry is served
+    /// when `APF_OBS_ADDR` is set (or after [`PopulationRunner::serve`]).
     ///
     /// # Panics
     /// Panics when the configuration is structurally invalid: zero
@@ -218,13 +218,26 @@ impl PopulationRunner {
         data: PopulationData,
         test: Dataset,
     ) -> Self {
-        apf_trace::init_from_env();
-        assert!(cfg.registered > 0, "no registered clients");
-        assert!(cfg.shells > 0, "need at least one shell");
         let mut strategy = ApfStrategy::new(cfg.apf).expect("invalid APF config");
         if cfg.wire_f16 {
             strategy = strategy.with_f16();
         }
+        PopulationRunner::assemble(cfg, Box::new(model_factory), data, test, strategy, None)
+    }
+
+    /// [`PopulationRunner::new`] with the shared `strategy` and the run's
+    /// canonical spec string given (what [`crate::RunSpec`] builds).
+    pub(crate) fn assemble(
+        cfg: PopulationConfig,
+        model_factory: Box<dyn Fn(u64) -> Sequential>,
+        data: PopulationData,
+        test: Dataset,
+        mut strategy: ApfStrategy,
+        spec: Option<String>,
+    ) -> Self {
+        apf_trace::init_from_env();
+        assert!(cfg.registered > 0, "no registered clients");
+        assert!(cfg.shells > 0, "need at least one shell");
         if let PopulationData::Shared { parts, .. } = &data {
             assert_eq!(
                 parts.len(),
@@ -237,15 +250,13 @@ impl PopulationRunner {
         strategy.init(&init, cfg.registered);
         let strategy_label = if cfg.wire_f16 { "apf-pop+q" } else { "apf-pop" };
         let name = format!("{}/{strategy_label}", eval_model.name());
-        let config_digest =
-            fnv1a64(population_canonical(&cfg, eval_model.name(), strategy_label).as_bytes());
         event!(Level::Info, target: "fedsim.pop", "population_configured",
             name = name.as_str(), registered = cfg.registered, cohort = cfg.cohort,
             shells = cfg.shells, model_scalars = init.len(), dormant = cfg.codec.name());
         let mut book = RoundBook::new(
             &name,
             strategy_label,
-            config_digest,
+            spec,
             &cfg.fl,
             EvalSetup::new(eval_model, test, cfg.fl.eval_batch),
         );
@@ -253,7 +264,7 @@ impl PopulationRunner {
         PopulationRunner {
             cfg,
             data,
-            model_factory: Box::new(model_factory),
+            model_factory,
             strategy,
             mgr_dormant_bytes: 0,
             shells: Vec::new(),
@@ -481,19 +492,6 @@ impl PopulationRunner {
         self.book.finish(t0.elapsed().as_secs_f64(), &extra);
         self.book.log()
     }
-}
-
-/// Canonical configuration string behind the population runner's ledger
-/// digest: the shared [`FlConfig`] canonical plus the population knobs.
-pub(crate) fn population_canonical(cfg: &PopulationConfig, model: &str, strategy: &str) -> String {
-    format!(
-        "{};registered={};cohort={};dormant={};shells={}",
-        config_canonical(&cfg.fl, model, strategy, cfg.registered),
-        cfg.registered,
-        cfg.cohort,
-        cfg.codec.name(),
-        cfg.shells,
-    )
 }
 
 #[cfg(test)]

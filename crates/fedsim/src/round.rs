@@ -125,7 +125,6 @@ pub struct RoundBook {
     ledger_path: Option<PathBuf>,
     model: String,
     strategy: String,
-    config_digest: u64,
     rounds: usize,
     eval_every: usize,
     model_bytes: u64,
@@ -136,23 +135,27 @@ pub struct RoundBook {
 impl RoundBook {
     /// Opens the books of a run labelled `name`: `cfg` supplies the round
     /// count and evaluation cadence, `eval` the model (its name and size)
-    /// and the test split, `config_digest` pairs the run's ledger record
-    /// with its baseline. The link model is the paper's 9/3 Mbps.
+    /// and the test split. `spec`, the canonical [`crate::RunSpec`] string
+    /// of a spec-built run, goes into the log, and its digest pairs the
+    /// run's ledger record with its baseline. The link model is the paper's
+    /// 9/3 Mbps.
     pub fn new(
         name: &str,
         strategy: &str,
-        config_digest: u64,
+        spec: Option<String>,
         cfg: &FlConfig,
         eval: EvalSetup,
     ) -> Self {
         RoundBook {
-            log: ExperimentLog::new(name),
+            log: ExperimentLog {
+                spec,
+                ..ExperimentLog::new(name)
+            },
             network: NetworkModel::default(),
             obs: None,
             ledger_path: None,
             model: eval.model.name().to_owned(),
             strategy: strategy.to_owned(),
-            config_digest,
             rounds: cfg.rounds,
             eval_every: cfg.eval_every,
             model_bytes: eval.model.param_count() as u64 * 4,
@@ -348,9 +351,7 @@ impl RoundBook {
         let Some(path) = ledger_path(self.ledger_path.clone()) else {
             return;
         };
-        let digest = self.config_digest;
-        let mut record =
-            LedgerRecord::from_log(&self.log, &self.model, &self.strategy, digest, wall_secs);
+        let mut record = LedgerRecord::from_log(&self.log, &self.model, &self.strategy, wall_secs);
         let peak = peak_resident_bytes().map(|p| ("peak_resident_bytes", p as f64));
         for (name, value) in extra_metrics.iter().copied().chain(peak) {
             record.metrics.insert(name.to_owned(), value);
@@ -387,7 +388,7 @@ mod tests {
             ds.labels().to_vec(),
             10,
         );
-        RoundBook::new("t/s", "s", 0, &cfg, EvalSetup::new(model(1), test, 20))
+        RoundBook::new("t/s", "s", None, &cfg, EvalSetup::new(model(1), test, 20))
     }
 
     fn comm(up: u64, down: u64) -> RoundComm {

@@ -10,7 +10,6 @@ use apf_tensor::derive_seed;
 use apf_trace::{event, span, Level};
 
 use crate::client::Client;
-use crate::ledger::fnv1a64;
 use crate::metrics::{ExperimentLog, RoundRecord};
 use crate::round::{sample_cohort, train_clients, EvalSetup, RoundBook};
 use crate::strategy::{FullSync, SyncStrategy};
@@ -121,7 +120,7 @@ pub struct FlRunnerBuilder {
     stragglers: Vec<(usize, f32)>,
     test: Option<Dataset>,
     strategy: Option<Box<dyn SyncStrategy>>,
-    name: Option<String>,
+    spec: Option<String>,
     obs_addr: Option<String>,
     ledger_path: Option<PathBuf>,
 }
@@ -182,9 +181,11 @@ impl FlRunnerBuilder {
         self
     }
 
-    /// Sets the experiment label (default: `"<model>/<strategy>"`).
-    pub fn name(mut self, n: &str) -> Self {
-        self.name = Some(n.to_owned());
+    /// Records `canonical`, the [`crate::RunSpec`] this runner was built
+    /// from, in the log and as the ledger digest's input. A runner assembled
+    /// by hand has none, and its ledger record pairs with nothing.
+    pub(crate) fn spec(mut self, canonical: String) -> Self {
+        self.spec = Some(canonical);
         self
     }
 
@@ -253,19 +254,14 @@ impl FlRunnerBuilder {
             .collect();
         strategy.set_model_layout(layout);
         strategy.init(&init, clients.len());
-        let name = self
-            .name
-            .unwrap_or_else(|| format!("{}/{}", eval_model.name(), strategy.name()));
+        let name = format!("{}/{}", eval_model.name(), strategy.name());
         event!(Level::Info, target: "fedsim", "run_configured",
             name = name.as_str(), clients = clients.len(), model_scalars = init.len(),
             rounds = cfg.rounds, local_iters = cfg.local_iters, strategy = strategy.name());
-        let config_digest = fnv1a64(
-            config_canonical(&cfg, eval_model.name(), &strategy.name(), clients.len()).as_bytes(),
-        );
         let mut book = RoundBook::new(
             &name,
             &strategy.name(),
-            config_digest,
+            self.spec,
             &cfg,
             EvalSetup::new(eval_model, test, cfg.eval_batch),
         );
@@ -289,30 +285,6 @@ impl FlRunnerBuilder {
             prof_owned,
         }
     }
-}
-
-/// Canonical configuration string the ledger digest is computed over. Field
-/// order is fixed; changing any run-relevant knob changes the digest.
-pub(crate) fn config_canonical(
-    cfg: &FlConfig,
-    model: &str,
-    strategy: &str,
-    clients: usize,
-) -> String {
-    format!(
-        "model={model};strategy={strategy};clients={clients};local_iters={};rounds={};\
-         batch_size={};eval_every={};eval_batch={};seed={};prox_mu={:?};\
-         drop_stragglers={};participation={}",
-        cfg.local_iters,
-        cfg.rounds,
-        cfg.batch_size,
-        cfg.eval_every,
-        cfg.eval_batch,
-        cfg.seed,
-        cfg.prox_mu,
-        cfg.drop_stragglers,
-        cfg.participation,
-    )
 }
 
 /// Drives a federated-learning run and records per-round metrics.
@@ -346,7 +318,7 @@ impl FlRunner {
             stragglers: Vec::new(),
             test: None,
             strategy: None,
-            name: None,
+            spec: None,
             obs_addr: None,
             ledger_path: None,
         }
@@ -371,6 +343,11 @@ impl FlRunner {
     /// `:0` to the actual ephemeral port).
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
         self.book.obs_addr()
+    }
+
+    /// [`FlRunnerBuilder::serve`] for an already-built runner.
+    pub fn serve(&mut self, addr: &str) {
+        self.book.serve(Some(addr));
     }
 
     /// [`FlRunnerBuilder::ledger`] for an already-built runner.

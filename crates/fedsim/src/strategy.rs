@@ -3,7 +3,7 @@
 
 use apf::{
     Aimd, ApfConfig, ApfError, ApfManager, DormantApfState, EmaPerturbation, FixedPeriod,
-    FreezeController, FreezeMask,
+    FreezeController, FreezeMask, PureAdditive, PureMultiplicative,
 };
 use apf_quant::{f16_roundtrip_in_place, EmaCodec};
 
@@ -245,9 +245,78 @@ impl SyncStrategy for PartialSync {
 // APF family (plus strawman 2 via permanent freezing)
 // ---------------------------------------------------------------------------
 
-// Public because `ApfStrategy::with_controller` takes it.
-/// Builds the freezing-period controller of an [`ApfStrategy`]'s manager.
-pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + Sync>;
+/// The freezing-period controller of an [`ApfStrategy`]'s manager, as data:
+/// Fig. 8's AIMD or one of the §7.5 ablations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Controller {
+    /// [`apf::Aimd`]: add `increment` on a stable verdict, divide by
+    /// `decrease_factor` on drift.
+    Aimd {
+        /// Rounds added per stable verdict.
+        increment: u32,
+        /// Division factor on drift.
+        decrease_factor: u32,
+    },
+    /// [`apf::PureAdditive`]: add or subtract `step`.
+    PureAdditive {
+        /// Step in rounds.
+        step: u32,
+    },
+    /// [`apf::PureMultiplicative`]: multiply or divide by `factor`.
+    PureMultiplicative {
+        /// Multiplication/division factor.
+        factor: u32,
+    },
+    /// [`FixedPeriod`]: freeze every stable scalar for `len` rounds
+    /// (`u32::MAX` is strawman 2's permanent freezing).
+    FixedPeriod {
+        /// Freezing period in rounds.
+        len: u32,
+    },
+}
+
+impl Default for Controller {
+    /// Alg. 1's controller: `L += 1` on stability, halve on drift.
+    fn default() -> Self {
+        let Aimd {
+            increment,
+            decrease_factor,
+        } = Aimd::default();
+        Controller::Aimd {
+            increment,
+            decrease_factor,
+        }
+    }
+}
+
+impl Controller {
+    /// A fresh controller of this kind.
+    pub fn build(self) -> Box<dyn FreezeController> {
+        match self {
+            Controller::Aimd {
+                increment,
+                decrease_factor,
+            } => Box::new(Aimd {
+                increment,
+                decrease_factor,
+            }),
+            Controller::PureAdditive { step } => Box::new(PureAdditive { step }),
+            Controller::PureMultiplicative { factor } => Box::new(PureMultiplicative { factor }),
+            Controller::FixedPeriod { len } => Box::new(FixedPeriod { len }),
+        }
+    }
+
+    /// The display label of an [`ApfStrategy`] running this controller.
+    fn label(self) -> String {
+        match self {
+            Controller::Aimd { .. } => "apf".to_owned(),
+            Controller::PureAdditive { .. } => "pure-additive".to_owned(),
+            Controller::PureMultiplicative { .. } => "pure-multiplicative".to_owned(),
+            Controller::FixedPeriod { len: u32::MAX } => "permanent-freeze".to_owned(),
+            Controller::FixedPeriod { len } => format!("fixed-{len}"),
+        }
+    }
+}
 
 /// The APF strategy (§4–6): one [`ApfManager`] for the whole fleet;
 /// optionally stacked with fp16 quantization (§7.7).
@@ -272,7 +341,7 @@ pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + 
 /// [`ApfStrategy::permanent_freeze`].
 pub struct ApfStrategy {
     cfg: ApfConfig,
-    controller_factory: ControllerFactory,
+    controller: Controller,
     /// The fleet's manager; `None` before [`SyncStrategy::init`].
     manager: Option<ApfManager>,
     /// The running aggregate of the round being reduced: full length, only
@@ -300,28 +369,25 @@ impl ApfStrategy {
     /// # Errors
     /// Returns [`ApfError::InvalidConfig`] for an invalid `cfg`.
     pub fn new(cfg: ApfConfig) -> Result<Self, ApfError> {
-        ApfStrategy::with_controller(cfg, Box::new(|| Box::new(Aimd::default())), "apf")
+        ApfStrategy::with_controller(cfg, Controller::default())
     }
 
-    /// Creates APF with a custom controller (the §7.5 ablations).
+    /// Creates APF with a custom controller (the §7.5 ablations), labelled
+    /// by [`Controller::label`].
     ///
     /// # Errors
     /// Returns [`ApfError::InvalidConfig`] for an invalid `cfg`.
-    pub fn with_controller(
-        cfg: ApfConfig,
-        factory: ControllerFactory,
-        label: &str,
-    ) -> Result<Self, ApfError> {
+    pub fn with_controller(cfg: ApfConfig, controller: Controller) -> Result<Self, ApfError> {
         cfg.validate().map_err(ApfError::InvalidConfig)?;
         Ok(ApfStrategy {
             cfg,
-            controller_factory: factory,
+            controller,
             manager: None,
             agg: Vec::new(),
             total: 0.0,
             absorbed: 0,
             quantize_f16: false,
-            label: label.to_owned(),
+            label: controller.label(),
             layout: Vec::new(),
         })
     }
@@ -331,11 +397,7 @@ impl ApfStrategy {
     /// # Errors
     /// Returns [`ApfError::InvalidConfig`] for an invalid `cfg`.
     pub fn permanent_freeze(cfg: ApfConfig) -> Result<Self, ApfError> {
-        ApfStrategy::with_controller(
-            cfg,
-            Box::new(|| Box::new(FixedPeriod { len: u32::MAX })),
-            "permanent-freeze",
-        )
+        ApfStrategy::with_controller(cfg, Controller::FixedPeriod { len: u32::MAX })
     }
 
     /// Stacks fp16 quantization on the wire (§7.7): uploads and downloads are
@@ -436,7 +498,7 @@ impl ApfStrategy {
         let manager = self.manager.take().expect("strategy not initialized");
         let dormant = DormantApfState::encode(&manager.snapshot(), codec);
         let restored = dormant.decode(self.cfg).expect("self-encoded blob");
-        self.install(ApfManager::restore(restored, (self.controller_factory)()));
+        self.install(ApfManager::restore(restored, self.controller.build()));
         self.manager
             .as_mut()
             .expect("installed above")
@@ -451,7 +513,7 @@ impl SyncStrategy for ApfStrategy {
     }
 
     fn init(&mut self, init_params: &[f32], _num_clients: usize) {
-        let manager = ApfManager::new(init_params, self.cfg, (self.controller_factory)())
+        let manager = ApfManager::new(init_params, self.cfg, self.controller.build())
             .expect("config validated at strategy construction");
         self.install(manager);
         self.agg = vec![0.0; init_params.len()];

@@ -12,7 +12,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use apf::{Aimd, ApfManager};
+use apf::ApfManager;
 use apf_fedsim::RunSpec;
 use apf_trace::{event, span, Level, Role, TraceContext};
 
@@ -147,7 +147,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientOutcome, NetError> {
     }
     let mut client = spec.make_client(opts.id as usize);
     client.load_flat(&init);
-    let mut manager = ApfManager::new(&init, cfg, Box::new(Aimd::default()))
+    let mut manager = ApfManager::new(&init, cfg, spec.controller.build())
         .map_err(|e| NetError::Spec(e.to_string()))?;
     let wire_f16 = spec.wire_f16();
 

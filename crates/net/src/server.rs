@@ -32,7 +32,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use apf::{Aimd, ApfManager};
+use apf::ApfManager;
 use apf_fedsim::{weighted_mean, ExperimentLog, RoundBook, RoundComm, RunSpec};
 use apf_obs::Acceptor;
 use apf_quant::f16_roundtrip_in_place;
@@ -159,13 +159,19 @@ impl NetServer {
     /// Binds the listen address and validates the spec.
     ///
     /// # Errors
-    /// [`NetError::Unsupported`] for a non-APF spec, [`NetError::Io`] on
+    /// [`NetError::Unsupported`] for a non-APF spec or one with
+    /// FedProx or dropped stragglers, [`NetError::Io`] on
     /// bind failure.
     pub fn bind(opts: ServerOpts) -> Result<NetServer, NetError> {
         apf_trace::init_from_env();
         if opts.spec.apf_config().is_none() {
             return Err(NetError::Unsupported(
                 "the wire protocol carries masked APF deltas; use an apf strategy".to_owned(),
+            ));
+        }
+        if opts.spec.drop_stragglers || opts.spec.prox_mu.is_some() {
+            return Err(NetError::Unsupported(
+                "the server aggregates every upload and anchors no proximal term".to_owned(),
             ));
         }
         let acceptor = Acceptor::bind(opts.addr.as_str(), opts.io_timeout, 64)?;
@@ -211,7 +217,7 @@ impl NetServer {
         let mut book = RoundBook::new(
             &spec.run_name(),
             &spec.strategy_name(),
-            spec.config_digest(),
+            Some(canonical.clone()),
             &spec.fl_config(),
             spec.eval_setup(),
         );
@@ -228,7 +234,7 @@ impl NetServer {
 
         let init = spec.init_params();
         let cfg = spec.apf_config().expect("validated at bind");
-        let mut manager = ApfManager::new(&init, cfg, Box::new(Aimd::default()))
+        let mut manager = ApfManager::new(&init, cfg, spec.controller.build())
             .map_err(|e| NetError::Spec(e.to_string()))?;
         let wire_f16 = spec.wire_f16();
 

@@ -168,6 +168,16 @@ if [ -n "$offenders" ]; then
   echo "$offenders" >&2
   exit 1
 fi
+# One run description: RunSpec is the only struct that describes a run, and
+# its canonical string is the only input of the ledger digest.
+offenders=$(grep -rnE 'config_canonical|population_canonical' crates || true)
+specs=$(grep -rnE 'struct RunSpec\b' crates || true)
+if [ -n "$offenders" ] || [ "$(echo "$specs" | grep -c .)" -ne 1 ]; then
+  echo "a second run description under crates/ (describe the run with apf_fedsim::RunSpec):" >&2
+  echo "$offenders" >&2
+  echo "$specs" >&2
+  exit 1
+fi
 # Every binary has a named user: this script or a README recipe.
 for path in crates/*/src/bin/*; do
   name=$(basename "$path" .rs | tr _ -)
@@ -208,7 +218,6 @@ crates/bench/src/motivation.rs LocalTrace train_local_traced returns it
 crates/bench/src/prof_merge.rs MergedProfile merge returns it
 crates/bench/src/trace_merge.rs ReconcileReport MergedTrace::reconcile returns it
 crates/bench/src/trace_merge.rs RoundSlice MergedTrace::timeline returns it
-crates/fedsim/src/strategy.rs ControllerFactory ApfStrategy::with_controller takes it
 crates/nn/src/models.rs ModelError by_name returns it
 crates/prof/src/lib.rs AllocSite the element type of Profile::allocs
 crates/prof/src/lib.rs Profile stop, finish and sample_window return it
@@ -261,7 +270,7 @@ if [ -n "$copies" ]; then
   echo "$copies" >&2
   exit 1
 fi
-echo "OK: one mask type, one freeze granularity, one splitmix64, one JSON string escaper, one mask builder,"
+echo "OK: one run description, one mask type, one freeze granularity, one splitmix64, one JSON string escaper, one mask builder,"
 echo "    one mixed-word path, one stability sweep, two convolution paths, one parameter arena per model, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each,"
 echo "    $(echo "$pub_items" | grep -c .) pub items each named by another file or kept for a stated reason ($(echo "$keep" | grep -c .) kept)"
 

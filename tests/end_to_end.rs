@@ -5,7 +5,9 @@
 //! recorder, so the exact fixture here is replayable by name from any other
 //! suite (and over the wire by `apf-net`).
 
-use apf_fedsim::{ExperimentLog, PartitionKind, RunSpec, SpecStrategy};
+use apf_fedsim::{
+    Controller, ExperimentLog, PartitionKind, RunSpec, SpecModel, SpecOptimizer, SpecStrategy,
+};
 use apf_testkit::golden::run_recorded;
 
 /// The workspace end-to-end fixture: 4 Dirichlet non-IID clients on noisy
@@ -35,6 +37,15 @@ fn spec(strategy: SpecStrategy, rounds: usize) -> RunSpec {
         parallel: false,
         cohort: 0,
         dormant: apf_quant::EmaCodec::Dense,
+        model: SpecModel::Mlp,
+        data_seed: 1,
+        optimizer: SpecOptimizer::Sgd,
+        lr_decay: None,
+        stragglers: Vec::new(),
+        drop_stragglers: false,
+        prox_mu: None,
+        variant: apf::ApfVariant::Standard,
+        controller: Controller::default(),
     }
 }
 
