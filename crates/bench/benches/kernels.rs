@@ -1,5 +1,6 @@
 //! Benchmarks for the numerical substrate: matmul, LeNet-5's two
-//! convolutions through the fused entry points training calls, the six
+//! convolutions through the fused entry points training calls, the linear
+//! layers' forward and weight-gradient products at client batch sizes, the six
 //! masked kernels on the Bernoulli masks per-scalar freezing produces, the
 //! skip-frozen optimizer steps on the masks training hands them, the
 //! manager's mask build, stability check and aggregate application on the
@@ -16,8 +17,8 @@ use apf_bench::harness::{black_box, BenchGroup};
 use apf_nn::{models, Adam, Mode, Optimizer, Sequential, Sgd};
 use apf_tensor::{
     conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, mask_copy,
-    mask_fill, mask_scatter, mask_select, masked_axpy, masked_div, normal_init, seeded_rng,
-    splitmix64, ConvSpec, Tensor,
+    mask_fill, mask_scatter, mask_select, masked_axpy, masked_div, matmul_nt_slices, matmul_tn_add,
+    normal_init, seeded_rng, splitmix64, ConvSpec, Tensor,
 };
 
 /// Training batch size of the LeNet-5 convolution rows.
@@ -89,6 +90,40 @@ fn bench_conv(g: &mut BenchGroup, name: &str, (spec, side): (ConvSpec, usize), i
         });
         gflops(2.0, m.min.as_secs_f64());
     }
+}
+
+/// The forward `x·Wᵀ` and the weight gradient accumulated into an arena
+/// of one `[n_in → n_out]` linear product per layer at `batch` rows (each
+/// `(n_in, n_out)` pair one layer), then each row's GFLOP/s on the fastest
+/// sample: the products client training runs at a client's batch size.
+fn bench_batch_rows(g: &mut BenchGroup, name: &str, batch: usize, layers: &[(usize, usize)]) {
+    let mut rng = seeded_rng(11);
+    let operands: Vec<_> = layers
+        .iter()
+        .map(|&(k, n)| {
+            let x = normal_init(&[batch, k], 0.0, 1.0, &mut rng);
+            let w = normal_init(&[n, k], 0.0, 0.1, &mut rng);
+            let grad = normal_init(&[batch, n], 0.0, 1.0, &mut rng);
+            (x, w, grad, vec![0.0f32; n * k])
+        })
+        .collect();
+    let flops = 2.0 * layers.iter().map(|&(k, n)| batch * k * n).sum::<usize>() as f64;
+    let gflops = |secs: f64| println!("{:>64.1} GFLOP/s", flops / secs / 1e9);
+    let m = g.bench(&format!("{name}_fwd"), || {
+        for (x, w, _, _) in &operands {
+            let (k, n) = (x.shape()[1], w.shape()[0]);
+            black_box(matmul_nt_slices(x.data(), w.data(), batch, k, n)).recycle();
+        }
+    });
+    gflops(m.min.as_secs_f64());
+    let mut operands = operands;
+    let m = g.bench(&format!("{name}_wgrad"), || {
+        for (x, w, grad, arena) in &mut operands {
+            let (k, n) = (x.shape()[1], w.shape()[0]);
+            matmul_tn_add(black_box(arena), grad.data(), x.data(), n, batch, k);
+        }
+    });
+    gflops(m.min.as_secs_f64());
 }
 
 /// Scalars of the benchmark's MLP (`sim-mlp-sync`, `net-loopback-f16`).
@@ -252,6 +287,21 @@ fn main() {
         let mut g = BenchGroup::new("lenet_conv_batch16_t1");
         bench_conv(&mut g, "conv1", LENET_CONV1, false);
         bench_conv(&mut g, "conv2", LENET_CONV2, true);
+
+        // The linear products at client batch sizes: the benchmark MLP's
+        // first layer at batch 8, the population MLP's at batch 4, one step
+        // of the LSTM's second layer (input and recurrent products) and
+        // LeNet-5's three fully connected layers at batch 16.
+        let mut g = BenchGroup::new("linear_batch_rows");
+        bench_batch_rows(&mut g, "mlp256_b8", 8, &[(768, 256)]);
+        bench_batch_rows(&mut g, "mlp16_b4", 4, &[(768, 16)]);
+        bench_batch_rows(&mut g, "lstm_step_b16", 16, &[(64, 256), (64, 256)]);
+        bench_batch_rows(
+            &mut g,
+            "lenet_fc_b16",
+            16,
+            &[(64, 120), (120, 84), (84, 10)],
+        );
 
         let mut g = BenchGroup::new("masked_bernoulli");
         for pct in [1, 5, 35, 50, 90] {

@@ -52,25 +52,12 @@ pub fn table4(ctx: &Ctx) {
 
         // Time one round of actual training compute (F_s batches).
         let (train, _) = model.datasets(64, 10, ctx.seed);
-        let (opt, lr): (Box<dyn apf_nn::Optimizer>, f32) = match model.optimizer() {
-            apf_fedsim::OptimizerKind::Sgd {
-                lr,
-                momentum,
-                weight_decay,
-            } => (
-                Box::new(
-                    apf_nn::Sgd::new(lr)
-                        .with_momentum(momentum)
-                        .with_weight_decay(weight_decay),
-                ),
-                lr,
-            ),
-            apf_fedsim::OptimizerKind::Adam { lr, weight_decay } => (
-                Box::new(apf_nn::Adam::new(lr).with_weight_decay(weight_decay)),
-                lr,
-            ),
-        };
-        let mut trainer = Trainer::new(model.build(ctx.seed), opt, LrSchedule::Constant(lr));
+        let kind = model.optimizer();
+        let mut trainer = Trainer::new(
+            model.build(ctx.seed),
+            kind.build(),
+            LrSchedule::Constant(kind.base_lr()),
+        );
         let mut rng = apf_tensor::seeded_rng(ctx.seed);
         let batches: Vec<_> = train.batches(16, &mut rng).take(fs).collect();
         let reps = 3;

@@ -93,25 +93,12 @@ pub fn train_local_traced(
         epochs > 0 && sample_count > 0,
         "epochs and sample_count must be positive"
     );
-    let (optimizer, base_lr): (Box<dyn apf_nn::Optimizer>, f32) = match model.optimizer() {
-        apf_fedsim::OptimizerKind::Sgd {
-            lr,
-            momentum,
-            weight_decay,
-        } => (
-            Box::new(
-                apf_nn::Sgd::new(lr)
-                    .with_momentum(momentum)
-                    .with_weight_decay(weight_decay),
-            ),
-            lr,
-        ),
-        apf_fedsim::OptimizerKind::Adam { lr, weight_decay } => (
-            Box::new(apf_nn::Adam::new(lr).with_weight_decay(weight_decay)),
-            lr,
-        ),
-    };
-    let mut trainer = Trainer::new(model.build(seed), optimizer, LrSchedule::Constant(base_lr));
+    let kind = model.optimizer();
+    let mut trainer = Trainer::new(
+        model.build(seed),
+        kind.build(),
+        LrSchedule::Constant(kind.base_lr()),
+    );
 
     let spec = trainer.model().flat_spec();
     let tensors: Vec<(String, usize, usize)> = spec

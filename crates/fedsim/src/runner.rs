@@ -36,7 +36,9 @@ pub enum OptimizerKind {
 }
 
 impl OptimizerKind {
-    pub(crate) fn build(&self) -> Box<dyn Optimizer> {
+    /// A fresh optimizer of this kind, at its base learning rate (pair it
+    /// with [`OptimizerKind::base_lr`]'s constant schedule, or a decay).
+    pub fn build(&self) -> Box<dyn Optimizer> {
         match *self {
             OptimizerKind::Sgd {
                 lr,
@@ -53,7 +55,8 @@ impl OptimizerKind {
         }
     }
 
-    fn base_lr(&self) -> f32 {
+    /// The learning rate the optimizer starts from.
+    pub fn base_lr(&self) -> f32 {
         match *self {
             OptimizerKind::Sgd { lr, .. } | OptimizerKind::Adam { lr, .. } => lr,
         }

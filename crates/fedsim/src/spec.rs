@@ -170,8 +170,8 @@ pub struct RunSpec {
     pub train_n: usize,
     /// Test-set size (split 1 of the task).
     pub test_n: usize,
-    /// Hidden width of the `[768, hidden, 10]` MLP (unused by the other
-    /// models).
+    /// Hidden width of the `[768, hidden, 10]` MLP (the other models
+    /// reject any value but the default 12).
     pub hidden: usize,
     /// Learning rate (the initial one under [`RunSpec::lr_decay`]).
     pub lr: f32,
@@ -613,6 +613,11 @@ impl RunSpec {
             _ => {}
         }
         let v1 = RunSpec::golden();
+        // The canonical string writes `hidden=` for every model; only the
+        // MLP reads it, so any other value would give one run two digests.
+        if self.model != SpecModel::Mlp && self.hidden != v1.hidden {
+            return err(format!("hidden={} applies to model=mlp only", self.hidden));
+        }
         let apf = matches!(self.strategy, SpecStrategy::Apf { .. });
         if !apf && (self.variant != v1.variant || self.controller != v1.controller) {
             return err("variant and controller apply to strategy=apf only".into());
@@ -1045,6 +1050,8 @@ mod tests {
             "apf-spec-v1;eval_every=0",
             // Later keys out of range, or on a strategy they do not touch.
             "apf-spec-v1;model=vgg",
+            // One run, two digests: only the MLP reads `hidden`.
+            "apf-spec-v1;model=lenet5;hidden=24",
             "apf-spec-v1;optimizer=adam",
             "apf-spec-v1;lr_decay=0.99,0",
             "apf-spec-v1;stragglers=0.5,0.5,0.5,0.5",

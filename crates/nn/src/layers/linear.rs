@@ -1,7 +1,7 @@
 //! Fully connected layer.
 
 use apf_tensor::Rng;
-use apf_tensor::{axpy, kaiming_uniform, matmul_nt_slices, matmul_slices, Tensor};
+use apf_tensor::{axpy, kaiming_uniform, matmul_nt_slices, matmul_slices, matmul_tn_add, Tensor};
 
 use crate::layer::{Layer, Mode, Param};
 
@@ -44,9 +44,14 @@ impl Linear {
             .take()
             .expect("linear backward called before forward");
         let (grad_w, grad_b) = grads.split_at_mut(self.out_features * self.in_features);
-        let dw = grad.matmul_tn(&x);
-        axpy(grad_w, 1.0, dw.data());
-        dw.recycle();
+        matmul_tn_add(
+            grad_w,
+            grad.data(),
+            x.data(),
+            self.out_features,
+            grad.shape()[0],
+            self.in_features,
+        );
         let db = grad.sum_rows();
         axpy(grad_b, 1.0, db.data());
         db.recycle();

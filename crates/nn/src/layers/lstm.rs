@@ -2,7 +2,7 @@
 //! adapter that feeds the final hidden state into a classification head.
 
 use apf_tensor::Rng;
-use apf_tensor::{axpy, matmul_nt_slices, matmul_slices, xavier_uniform, Tensor};
+use apf_tensor::{axpy, matmul_nt_slices, matmul_slices, matmul_tn_add, xavier_uniform, Tensor};
 
 use crate::layer::{Layer, Mode, Param};
 use crate::layers::activation::sigmoid;
@@ -210,8 +210,8 @@ impl Layer for LstmLayer {
             let dpre_t = Tensor::from_vec(dpre, &[n, 4 * h]);
 
             // Parameter gradients.
-            axpy(grad_w_ih, 1.0, dpre_t.matmul_tn(&cache.xs[ti]).data());
-            axpy(grad_w_hh, 1.0, dpre_t.matmul_tn(&cache.hs[ti]).data());
+            matmul_tn_add(grad_w_ih, dpre_t.data(), cache.xs[ti].data(), 4 * h, n, d);
+            matmul_tn_add(grad_w_hh, dpre_t.data(), cache.hs[ti].data(), 4 * h, n, h);
             axpy(grad_bias, 1.0, dpre_t.sum_rows().data());
 
             // Input and recurrent gradients.

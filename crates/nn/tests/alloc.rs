@@ -6,7 +6,7 @@
 //! and the pool counters observed here cover all hot-path traffic.
 
 use apf::FreezeMask;
-use apf_nn::models::lenet5;
+use apf_nn::models::{lenet5, mlp};
 use apf_nn::{evaluate, train_batch, Sgd};
 use apf_tensor::{scratch, seeded_rng, uniform_init, Tensor};
 
@@ -44,6 +44,39 @@ fn training_steady_state_allocates_no_tensor_buffers() {
             s.misses, 0,
             "steady-state training allocated tensor buffers: {s:?}"
         );
+        scratch::clear();
+    });
+}
+
+#[test]
+fn mlp_training_steady_state_allocates_no_tensor_buffers() {
+    // The population MLP at batch 4 and the benchmark MLP at batch 8: both
+    // linear layers run the batch-row kernels, whose transposed input must
+    // come from the pool too.
+    let _serial = apf_testkit::alloc::serial();
+    apf_par::with_threads(1, || {
+        for (dims, n) in [([768, 16, 10], 4), ([768, 256, 10], 8)] {
+            scratch::clear();
+            let mut model = mlp("m", &dims, 5);
+            let mut opt = Sgd::new(0.05).with_momentum(0.9);
+            let frozen = FreezeMask::all_unfrozen(model.param_count());
+            let mut rng = seeded_rng(9);
+            let x = uniform_init(&[n, dims[0]], -1.0, 1.0, &mut rng);
+            let labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
+            for _ in 0..3 {
+                train_batch(&mut model, &mut opt, &x, &labels, &frozen, None);
+            }
+            scratch::reset_stats();
+            for _ in 0..5 {
+                train_batch(&mut model, &mut opt, &x, &labels, &frozen, None);
+            }
+            let s = scratch::stats();
+            assert!(s.takes > 0, "scratch pool unused — instrumentation broken?");
+            assert_eq!(
+                s.misses, 0,
+                "steady-state MLP {dims:?} training at batch {n} allocated tensor buffers: {s:?}"
+            );
+        }
         scratch::clear();
     });
 }

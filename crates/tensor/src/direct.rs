@@ -61,15 +61,15 @@
 //! computed and not added. Tap-lane lanes past `k` hold sums over the
 //! neighbouring pixels and are dropped.
 //!
-//! The kernels are written once, over [`Lanes`]: `[f32; 8]` is the portable
-//! definition, `__m256` the AVX tier chosen by [`gemm::use_avx`].
+//! The kernels are written once, over `lanes.rs`'s [`Lanes`]: `[f32; 8]` is
+//! the portable definition, `__m256` the AVX tier chosen by
+//! [`gemm::use_avx`].
 
 use crate::gemm;
+use crate::lanes::{load_vectors, Lanes, LANES};
 use crate::scratch;
 use crate::tensor::rows_per_block;
 
-/// Floats per vector.
-const LANES: usize = 8;
 /// Output channels per row-lane and tap-lane tile: 6 × 2 accumulators, 2
 /// input vectors and a broadcast fit AVX's 16 registers.
 const OB: usize = 6;
@@ -150,53 +150,6 @@ impl Geom {
     /// the lanes, and a tile of output positions per sample.
     pub(crate) fn input_grad_is_direct(&self) -> bool {
         self.c > 1 && self.hw() >= LANES
-    }
-}
-
-/// One vector of [`LANES`] floats. `mul` and `add` round separately in
-/// every lane, exactly as the scalar operators do.
-///
-/// # Safety
-/// Every method requires that the host supports the instruction set of the
-/// implementing type (none for `[f32; LANES]`).
-trait Lanes: Copy {
-    unsafe fn zero() -> Self;
-    unsafe fn splat(v: f32) -> Self;
-    unsafe fn load(src: &[f32; LANES]) -> Self;
-    unsafe fn store(self, dst: &mut [f32; LANES]);
-    unsafe fn mul(self, rhs: Self) -> Self;
-    unsafe fn add(self, rhs: Self) -> Self;
-}
-
-impl Lanes for [f32; LANES] {
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        [0.0; LANES]
-    }
-
-    #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
-        [v; LANES]
-    }
-
-    #[inline(always)]
-    unsafe fn load(src: &[f32; LANES]) -> Self {
-        *src
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, dst: &mut [f32; LANES]) {
-        *dst = self;
-    }
-
-    #[inline(always)]
-    unsafe fn mul(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] * rhs[l])
-    }
-
-    #[inline(always)]
-    unsafe fn add(self, rhs: Self) -> Self {
-        std::array::from_fn(|l| self[l] + rhs[l])
     }
 }
 
@@ -552,19 +505,6 @@ impl Pos {
         }
         tile
     }
-}
-
-/// `NV` vectors from the front of `src`.
-///
-/// # Safety
-/// The host must support `V`'s instruction set.
-#[inline(always)]
-unsafe fn load_vectors<V: Lanes, const NV: usize>(src: &[f32]) -> [V; NV] {
-    let mut out = [V::zero(); NV];
-    for (v, src8) in out.iter_mut().zip(src[..NV * LANES].chunks_exact(LANES)) {
-        *v = V::load(src8.try_into().expect("LANES-wide chunk"));
-    }
-    out
 }
 
 /// Vectors per channel-lane tile for a layer of `channels`: two, unless
@@ -951,7 +891,8 @@ mod x86 {
     //! `#[target_feature(enable = "avx")]` entry points (they inline into
     //! them, intrinsics and all). `mul` + `add` only, never FMA.
 
-    use super::{Geom, Lanes, LANES, ROWS};
+    use super::{Geom, ROWS};
+    use std::arch::x86_64::__m256;
 
     /// # Safety
     /// Caller must ensure the host supports AVX.
@@ -993,42 +934,6 @@ mod x86 {
     ) {
         // SAFETY: the caller guarantees AVX, all that `__m256` lanes need.
         unsafe { super::input_grad_sample_on::<__m256>(grad_in_s, grad_s, taps, plane, g) }
-    }
-
-    use std::arch::x86_64::*;
-
-    impl Lanes for __m256 {
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            _mm256_setzero_ps()
-        }
-
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm256_set1_ps(v)
-        }
-
-        #[inline(always)]
-        unsafe fn load(src: &[f32; LANES]) -> Self {
-            // An unaligned load of exactly the `LANES` = 8 floats of `src`.
-            _mm256_loadu_ps(src.as_ptr())
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, dst: &mut [f32; LANES]) {
-            // An unaligned store over exactly the `LANES` = 8 floats of `dst`.
-            _mm256_storeu_ps(dst.as_mut_ptr(), self)
-        }
-
-        #[inline(always)]
-        unsafe fn mul(self, rhs: Self) -> Self {
-            _mm256_mul_ps(self, rhs)
-        }
-
-        #[inline(always)]
-        unsafe fn add(self, rhs: Self) -> Self {
-            _mm256_add_ps(self, rhs)
-        }
     }
 
     /// # Safety

@@ -42,6 +42,26 @@
 //! buffers; the padded lanes compute garbage that is simply never written
 //! back (K is never padded, so no spurious `0 * inf` terms enter real
 //! outputs).
+//!
+//! # Dispatch
+//!
+//! The `matmul` family in `tensor.rs` picks one of three kernels from the
+//! call's shape alone (no knob):
+//!
+//! | product | reference kernel | batch-row kernel (`batch.rs`) | packed (here) |
+//! |---|---|---|---|
+//! | `matmul`, `matmul_tn` | `m·k·n <` [`PACK_OPS_MIN`] | — | otherwise |
+//! | `matmul_nt` (the forward `x·Wᵀ`) | `m·k·n <` [`PACK_OPS_MIN`] | `m ≤ BATCH_ROWS_MAX` (8) | otherwise |
+//! | `matmul_tn_add` (`grads += aᵀ·b`, depth `k` the batch) | — | `k ≤ BATCH_ROWS_MAX` | `k >` it: `matmul_tn` into a temporary, then `axpy` |
+//!
+//! At a client's batch size a product uses each packed element only `m`
+//! (or `k`) times, so packing costs as much as the multiply-adds it feeds;
+//! the batch-row kernels read the weight where it lies instead, and the
+//! accumulated weight gradient never exists as a tensor. All three kernels
+//! compute every output as the same ascending-`k` chain from `0.0`, `mul`
+//! then `add` with the operands in the same order, SIMD only across
+//! independent outputs — so which one ran is invisible in the bits, and the
+//! added product is bit for bit `axpy(grads, 1.0, matmul_tn(a, b))`.
 
 use crate::scratch;
 

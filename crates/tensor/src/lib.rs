@@ -7,7 +7,8 @@
 //!
 //! Everything is implemented from scratch (no BLAS, no ndarray): the matmul
 //! family runs on an in-tree packed, register-tiled GEMM (see `gemm.rs` and
-//! the "Kernel design" section of PERFLOG.md), convolution runs the
+//! the "Kernel design" section of PERFLOG.md), or at a client's batch size
+//! on the packing-free kernels of `batch.rs`, convolution runs the
 //! packing-free kernels of `direct.rs` at stride 1 (forward and both
 //! gradients) and `im2col` + `matmul` otherwise, and hot-path buffers come
 //! from the thread-local [`scratch`] pool, keeping the whole reproduction
@@ -24,10 +25,12 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+mod batch;
 mod conv;
 mod direct;
 mod gemm;
 mod init;
+mod lanes;
 mod masked;
 mod rng;
 pub mod scratch;
@@ -45,4 +48,4 @@ pub use masked::{mask_copy, mask_fill, mask_scatter, mask_select, masked_axpy, m
 pub use rng::{derive_seed, seeded_rng, splitmix64, Rng, Sample, SampleRange, SliceRandom};
 pub use scratch::ScratchStats;
 pub use stats::{l1_norm, l2_norm, mean, percentile, variance};
-pub use tensor::{axpy, matmul_nt_slices, matmul_slices, matmul_tn_slices, Tensor};
+pub use tensor::{axpy, matmul_nt_slices, matmul_slices, matmul_tn_add, Tensor};

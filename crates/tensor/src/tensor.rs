@@ -14,6 +14,7 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
+use crate::batch;
 use crate::gemm;
 use crate::scratch;
 
@@ -497,7 +498,8 @@ impl Tensor {
     }
 
     /// `self^T x other`: `[k,m]^T x [k,n] -> [m,n]`, without materializing the
-    /// transpose ([`matmul_tn_slices`] on the two buffers).
+    /// transpose. A layer's weight gradient accumulates with
+    /// [`matmul_tn_add`] instead, without the product tensor.
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
@@ -685,13 +687,14 @@ pub fn matmul_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tens
 }
 
 /// `a^T x b` for `a` `[k,m]` and `b` `[k,n]`, row-major slices: the one
-/// implementation behind [`Tensor::matmul_tn`]. Packed above the size
-/// threshold (the packing step absorbs the strided column reads), naive
-/// reference below; bitwise identical either way.
+/// implementation behind [`Tensor::matmul_tn`], the convolution oracle's
+/// input gradient and [`matmul_tn_add`]'s deep products. Packed above the
+/// size threshold (the packing step absorbs the strided column reads),
+/// naive reference below; bitwise identical either way.
 ///
 /// # Panics
 /// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_tn_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+pub(crate) fn matmul_tn_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
     assert_eq!(a.len(), k * m, "matmul_tn lhs length");
     assert_eq!(b.len(), k * n, "matmul_tn rhs length");
     if m * k * n < gemm::PACK_OPS_MIN {
@@ -708,10 +711,49 @@ pub fn matmul_tn_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> T
     out
 }
 
+/// `grads += a^T x b` for `a` `[k,m]` and `b` `[k,n]`, row-major slices: the
+/// weight gradient of a layer accumulated into its slice of the gradient
+/// arena, bit for bit `axpy(grads, 1.0, matmul_tn_slices(a, b, m, k, n))`.
+///
+/// Up to a batch of `k` rows the product is never formed: each output's
+/// chain runs in registers and is added into `grads` once (`batch.rs`).
+/// Deeper products take the temporary and the `axpy`.
+///
+/// # Panics
+/// Panics if a slice length disagrees with its dimensions.
+pub fn matmul_tn_add(grads: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(grads.len(), m * n, "matmul_tn_add output length");
+    assert_eq!(a.len(), k * m, "matmul_tn_add lhs length");
+    assert_eq!(b.len(), k * n, "matmul_tn_add rhs length");
+    if k > batch::BATCH_ROWS_MAX {
+        let product = matmul_tn_slices(a, b, m, k, n);
+        axpy(grads, 1.0, product.data());
+        product.recycle();
+        return;
+    }
+    #[cfg(debug_assertions)]
+    let want = (m * k * n <= gemm::REF_CHECK_OPS_MAX).then(|| {
+        let mut want = Tensor::scratch_from(grads, &[m, n]);
+        let product = mm_tn_reference(a, b, m, k, n);
+        axpy(&mut want.data, 1.0, product.data());
+        product.recycle();
+        want
+    });
+    batch::tn_add(grads, a, b, m, k, n);
+    #[cfg(debug_assertions)]
+    if let Some(want) = want {
+        let got = Tensor::scratch_from(grads, &[m, n]);
+        assert_same_bits(&got, &want, "matmul_tn_add");
+        got.recycle();
+        want.recycle();
+    }
+}
+
 /// `a x b^T` for `a` `[m,k]` and `b` `[n,k]`, row-major slices: the one
-/// implementation behind [`Tensor::matmul_nt`]. Packed above the size
-/// threshold, naive dot-product reference below; bitwise identical either
-/// way.
+/// implementation behind [`Tensor::matmul_nt`]. Naive dot-product reference
+/// below the size threshold, the batch-row kernel for a batch of rows (the
+/// forward of `Linear` and `LstmLayer` in client training), packed
+/// otherwise; bitwise identical every way.
 ///
 /// # Panics
 /// Panics if a slice length disagrees with its dimensions.
@@ -722,7 +764,11 @@ pub fn matmul_nt_slices(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> T
         return mm_nt_reference(a, b, m, k, n);
     }
     let mut out = Tensor::scratch(&[m, n]);
-    gemm::gemm_nt(a, b, m, k, n, &mut out.data);
+    if m <= batch::BATCH_ROWS_MAX {
+        batch::nt(a, b, m, k, n, &mut out.data);
+    } else {
+        gemm::gemm_nt(a, b, m, k, n, &mut out.data);
+    }
     debug_assert_matches_reference(
         &out,
         || mm_nt_reference(a, b, m, k, n),

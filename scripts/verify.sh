@@ -168,6 +168,15 @@ if [ -n "$offenders" ]; then
   echo "$offenders" >&2
   exit 1
 fi
+# One weight-gradient entry point in the layers: a linear product's weight
+# gradient is `matmul_tn_add` into the gradient arena, never a `matmul_tn`
+# temporary followed by an `axpy`.
+offenders=$(grep -nwE 'matmul_tn|matmul_tn_slices' crates/nn/src/layers/linear.rs crates/nn/src/layers/lstm.rs || true)
+if [ -n "$offenders" ]; then
+  echo "a weight gradient through a temporary in the layers (accumulate with apf_tensor::matmul_tn_add):" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
 # One run description: RunSpec is the only struct that describes a run, and
 # its canonical string is the only input of the ledger digest.
 offenders=$(grep -rnE 'config_canonical|population_canonical' crates || true)
@@ -271,7 +280,7 @@ if [ -n "$copies" ]; then
   exit 1
 fi
 echo "OK: one run description, one mask type, one freeze granularity, one splitmix64, one JSON string escaper, one mask builder,"
-echo "    one mixed-word path, one stability sweep, two convolution paths, one parameter arena per model, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each,"
+echo "    one mixed-word path, one stability sweep, two convolution paths, one weight-gradient entry point, one parameter arena per model, every binary named, $(echo "$reads" | grep -c .) APF_* variables read once each,"
 echo "    $(echo "$pub_items" | grep -c .) pub items each named by another file or kept for a stated reason ($(echo "$keep" | grep -c .) kept)"
 
 echo "== live telemetry smoke (obs server + ledger regression gate) =="
